@@ -36,7 +36,6 @@ from .critical_line import (
     RealZeroEstimate,
     RealZeroSet,
     RotatedDerivatives,
-    ScanMethod,
     critical_line_profile,
     even_product_form,
     rotated_derivatives,
@@ -97,7 +96,6 @@ __all__ = [
     "RealZeroEstimate",
     "RealZeroSet",
     "RotatedDerivatives",
-    "ScanMethod",
     "critical_line_profile",
     "scan_real_zeros",
     "even_product_form",

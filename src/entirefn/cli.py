@@ -1,5 +1,9 @@
 """Batch command-line interface with deterministic machine-readable reports.
 
+The CLI only maps library results to records: each subcommand calls the
+library (identity checks: :mod:`entirefn.identities`) and returns (quantity,
+value) pairs, and every record carries the effective --terms and --tolerance.
+
 Spec files
 ----------
 Plain text, one ``key = value`` per line; lines whose first non-blank
@@ -49,11 +53,10 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ._numeric import complex_sum
 from .analysis import estimate_exponent, estimate_order, verify_multiplicity
 from .core_types import (
     ClassTag,
@@ -63,12 +66,9 @@ from .core_types import (
     ZeroSequence,
     make_symmetric_spec,
 )
-from .critical_line import critical_line_profile, even_product_form, scan_real_zeros
-from .product_engine import (
-    eval_product,
-    eval_shifted_product,
-    shift_constant_residual,
-)
+from .critical_line import critical_line_profile, scan_real_zeros
+from .identities import IDENTITY_TAGS, compare_shift, verify_identity
+from .product_engine import eval_product
 from .series_engine import even_series, taylor_coefficients
 
 __all__ = [
@@ -92,11 +92,6 @@ EXIT_USAGE = 2
 
 DEFAULT_TERMS = 10_000
 DEFAULT_TOLERANCE = 1e-6
-DEFAULT_SEED = 20240801
-DEFAULT_SAMPLES_PER_UNIT = 64
-IDENTITY_TAGS = tuple(f"T{i}" for i in range(1, 10))
-# Cap on per-zero winding audits in the identity suite (T8/T9).
-MAX_AUDITED_ZEROS = 8
 
 
 class TableFormat(str, Enum):
@@ -206,13 +201,11 @@ class RunReport:
 # ----------------------------------------------------------------- tables --
 
 
-def _parse_table_lines(
-    lines: Sequence[tuple[int, str]],
-    table_format: TableFormat,
-    xi: float | None,
-    origin: str,
-) -> np.ndarray:
-    if table_format is TableFormat.TAU_ONLY and xi is None:
+def _parse_zero_table(
+    lines: Iterable[tuple[int, str]], fmt: TableFormat, xi: float | None, origin: str, source: str
+) -> ZeroSequence:
+    """Parse numbered table rows into a paired ZeroSequence in modulus order."""
+    if fmt is TableFormat.TAU_ONLY and xi is None:
         raise ValueError(f"{origin}: tau_only format requires xi")
     zeros: list[complex] = []
     for lineno, raw in lines:
@@ -220,7 +213,7 @@ def _parse_table_lines(
         if not text or text.startswith("#"):
             continue
         parts = text.split()
-        if table_format is TableFormat.COMPLEX_PAIRS:
+        if fmt is TableFormat.COMPLEX_PAIRS:
             if len(parts) != 2:
                 raise ValueError(f"{origin} line {lineno}: expected two floats, got {text!r}")
             try:
@@ -247,7 +240,22 @@ def _parse_table_lines(
                 )
             z = complex(xi, tau)  # type: ignore[arg-type]
         zeros.append(z)
-    return np.asarray(zeros, dtype=np.complex128)
+    pairing = (
+        Pairing.SYMMETRIC_ABOUT_CENTER if fmt is TableFormat.TAU_ONLY else Pairing.CONJUGATE_PAIRS
+    )
+    return ZeroSequence(
+        zeros=np.asarray(zeros, dtype=np.complex128),
+        ordering=Ordering.AS_GIVEN,
+        pairing=pairing,
+        source=source,
+    ).sorted_by_modulus()
+
+
+def _table_rows(seq: ZeroSequence, table_format: TableFormat) -> list[str]:
+    """One row per zero: the offset for ``tau_only``, else real and imaginary part."""
+    if table_format is TableFormat.TAU_ONLY:
+        return [repr(float(t)) for t in seq.zeros.imag]
+    return [f"{float(z.real)!r} {float(z.imag)!r}" for z in seq.zeros]
 
 
 def ingest_zero_table(
@@ -262,22 +270,8 @@ def ingest_zero_table(
     """
     table_format = TableFormat(table_format)
     path = Path(path)
-    raw_lines = path.read_text().splitlines()
-    zeros = _parse_table_lines(
-        list(enumerate(raw_lines, start=1)), table_format, xi, str(path)
-    )
-    pairing = (
-        Pairing.SYMMETRIC_ABOUT_CENTER
-        if table_format is TableFormat.TAU_ONLY
-        else Pairing.CONJUGATE_PAIRS
-    )
-    seq = ZeroSequence(
-        zeros=zeros,
-        ordering=Ordering.AS_GIVEN,
-        pairing=pairing,
-        source=f"{path}:{table_format.value}",
-    )
-    return seq.sorted_by_modulus()
+    lines = enumerate(path.read_text().splitlines(), start=1)
+    return _parse_zero_table(lines, table_format, xi, str(path), f"{path}:{table_format.value}")
 
 
 def write_zero_table(
@@ -289,16 +283,12 @@ def write_zero_table(
     """Write a zero table that ingests back to the same multiset exactly."""
     table_format = TableFormat(table_format)
     path = Path(path)
-    lines = []
     if table_format is TableFormat.TAU_ONLY:
         if xi is None:
             raise ValueError("tau_only format requires xi")
         if not np.all(seq.zeros.real == float(xi)):
             raise ValueError("tau_only table requires every zero to sit on Re z = xi")
-        lines.extend(repr(float(t)) for t in seq.zeros.imag)
-    else:
-        lines.extend(f"{float(z.real)!r} {float(z.imag)!r}" for z in seq.zeros)
-    body = "\n".join(lines) + "\n"
+    body = "\n".join(_table_rows(seq, table_format)) + "\n"
     path.write_text(body)
     return ZeroTableFile(
         path=str(path),
@@ -322,6 +312,7 @@ def load_spec_file(path: str | Path) -> tuple[EntireFunctionSpec, tuple[tuple[st
     digests = [(f"spec:{path.name}", hashlib.sha256(text.encode()).hexdigest())]
 
     keys: dict[str, str] = {}
+    key_lines: dict[str, int] = {}
     inline: list[tuple[int, str]] = []
     in_inline = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -342,6 +333,15 @@ def load_spec_file(path: str | Path) -> tuple[EntireFunctionSpec, tuple[tuple[st
         if key in keys:
             raise ValueError(f"{path} line {lineno}: duplicate key {key!r}")
         keys[key] = value
+        key_lines[key] = lineno
+
+    def parsed(key: str, parse: Callable, default=None):
+        if key not in keys:
+            return default
+        try:
+            return parse(keys[key])
+        except ValueError as exc:
+            raise ValueError(f"{path} line {key_lines[key]}: {exc}") from exc
 
     known = {"class", "xi", "q", "s0", "s_at_xi", "zeros_format", "zeros_file"}
     unknown = set(keys) - known
@@ -354,11 +354,11 @@ def load_spec_file(path: str | Path) -> tuple[EntireFunctionSpec, tuple[tuple[st
     except ValueError:
         raise ValueError(f"{path}: unknown class {keys['class']!r}") from None
 
-    xi = float(keys["xi"]) if "xi" in keys else None
-    q = parse_complex(keys["q"]) if "q" in keys else 0j
+    xi = parsed("xi", float)
+    q = parsed("q", parse_complex, 0j)
     if ("s0" in keys) == ("s_at_xi" in keys):
         raise ValueError(f"{path}: exactly one of s0 / s_at_xi is required")
-    fmt = TableFormat(keys.get("zeros_format", TableFormat.COMPLEX_PAIRS.value))
+    fmt = parsed("zeros_format", TableFormat, TableFormat.COMPLEX_PAIRS)
 
     if "zeros_file" in keys and inline:
         raise ValueError(f"{path}: zeros_file and zeros_inline are mutually exclusive")
@@ -368,18 +368,10 @@ def load_spec_file(path: str | Path) -> tuple[EntireFunctionSpec, tuple[tuple[st
         digests.append(
             (f"zeros:{table_path.name}", hashlib.sha256(table_text.encode()).hexdigest())
         )
-        zeros = _parse_table_lines(
-            list(enumerate(table_text.splitlines(), start=1)), fmt, xi, str(table_path)
-        )
+        lines = enumerate(table_text.splitlines(), start=1)
+        seq = _parse_zero_table(lines, fmt, xi, str(table_path), str(path))
     else:
-        zeros = _parse_table_lines(inline, fmt, xi, f"{path}:zeros_inline")
-
-    pairing = (
-        Pairing.SYMMETRIC_ABOUT_CENTER if fmt is TableFormat.TAU_ONLY else Pairing.CONJUGATE_PAIRS
-    )
-    seq = ZeroSequence(
-        zeros=zeros, ordering=Ordering.AS_GIVEN, pairing=pairing, source=str(path)
-    ).sorted_by_modulus()
+        seq = _parse_zero_table(inline, fmt, xi, f"{path}:zeros_inline", str(path))
 
     if "s_at_xi" in keys:
         if not tag.symmetric:
@@ -389,14 +381,14 @@ def load_spec_file(path: str | Path) -> tuple[EntireFunctionSpec, tuple[tuple[st
         spec = make_symmetric_spec(
             xi=xi,
             taus=seq.zeros.imag,
-            value_at_center=parse_complex(keys["s_at_xi"]),
+            value_at_center=parsed("s_at_xi", parse_complex),
             class_tag=tag,
             q_constant=q,
         )
     else:
         spec = EntireFunctionSpec(
             class_tag=tag,
-            value_at_zero=parse_complex(keys["s0"]),
+            value_at_zero=parsed("s0", parse_complex),
             zero_sequence=seq,
             q_constant=q,
             center_xi=xi if tag.symmetric else None,
@@ -425,16 +417,18 @@ def write_spec_file(
         lines.append(f"zeros_file = {zeros_file}")
     else:
         lines.append("zeros_inline:")
-        if fmt is TableFormat.TAU_ONLY:
-            lines.extend(repr(float(t)) for t in spec.zero_sequence.zeros.imag)
-        else:
-            lines.extend(
-                f"{float(z.real)!r} {float(z.imag)!r}" for z in spec.zero_sequence.zeros
-            )
+        lines.extend(_table_rows(spec.zero_sequence, fmt))
     path.write_text("\n".join(lines) + "\n")
 
 
 # ------------------------------------------------------------ subcommands --
+
+
+def _terms(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -444,383 +438,183 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def command(name: str, text: str, handler: Callable) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(handler=handler)
         p.add_argument("--spec", required=True, help="path to a spec file")
-        p.add_argument("--terms", type=int, default=DEFAULT_TERMS, help="product truncation N")
+        p.add_argument("--terms", type=_terms, default=DEFAULT_TERMS, help="product truncation N")
         p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
+        return p
 
-    p = sub.add_parser("eval", help="evaluate the truncated product at a point")
-    common(p)
+    p = command("eval", "evaluate the truncated product at a point", _cmd_eval)
     p.add_argument("--s", type=parse_complex, required=True)
 
-    p = sub.add_parser("series", help="Taylor coefficients about a center")
-    common(p)
+    p = command("series", "Taylor coefficients about a center", _cmd_series)
     p.add_argument("--center", type=parse_complex, default=None)
     p.add_argument("--kmax", type=int, default=10)
     p.add_argument("--even", action="store_true", help="even-series form about the center line")
 
-    p = sub.add_parser("shift", help="recentered product and its residuals")
-    common(p)
+    p = command("shift", "recentered product and its residuals", _cmd_shift)
     p.add_argument("--alpha", type=parse_complex, required=True)
     p.add_argument("--s", type=parse_complex, required=True)
 
-    p = sub.add_parser("line", help="sample the center-line restriction")
-    common(p)
-    p.add_argument("--x-min", type=float, required=True)
-    p.add_argument("--x-max", type=float, required=True)
-    p.add_argument("--samples", type=int, default=None)
+    for name, text, handler in (
+        ("line", "sample the center-line restriction", _cmd_line),
+        ("scan", "recover real line zeros by sign changes", _cmd_scan),
+    ):
+        p = command(name, text, handler)
+        p.add_argument("--x-min", type=float, required=True)
+        p.add_argument("--x-max", type=float, required=True)
+        p.add_argument("--samples", type=int, default=None)
 
-    p = sub.add_parser("scan", help="recover real line zeros by sign changes")
-    common(p)
-    p.add_argument("--x-min", type=float, required=True)
-    p.add_argument("--x-max", type=float, required=True)
-    p.add_argument("--samples", type=int, default=None)
-
-    p = sub.add_parser("order", help="growth-order estimate")
-    common(p)
+    p = command("order", "growth-order estimate", _cmd_order)
     p.add_argument("--v-min", type=float, required=True)
     p.add_argument("--v-max", type=float, required=True)
     p.add_argument("--radii", type=int, default=16)
     p.add_argument("--angular-samples", type=int, default=64)
 
-    p = sub.add_parser("exponent", help="zero-counting exponent estimate")
-    common(p)
+    p = command("exponent", "zero-counting exponent estimate", _cmd_exponent)
     p.add_argument("--r-min", type=float, required=True)
     p.add_argument("--r-max", type=float, required=True)
 
-    p = sub.add_parser("mult", help="winding-number multiplicity check")
-    common(p)
+    p = command("mult", "winding-number multiplicity check", _cmd_mult)
     p.add_argument("--center", type=parse_complex, required=True)
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--nodes", type=int, default=512)
 
-    p = sub.add_parser("verify-identity", help="run one built-in identity check")
-    common(p)
+    p = command("verify-identity", "run one built-in identity check", _cmd_verify)
+    # defaults of the options below are verify_identity's
     p.add_argument("--theorem", choices=IDENTITY_TAGS, required=True)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--draws", type=int, default=20)
-    p.add_argument("--x-min", type=float, default=-3.0)
-    p.add_argument("--x-max", type=float, default=3.0)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--kmax", type=int, default=15)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--draws", type=int)
+    p.add_argument("--x-min", type=float)
+    p.add_argument("--x-max", type=float)
+    p.add_argument("--samples", type=int)
+    p.add_argument("--kmax", type=int, dest="k_max", metavar="KMAX")
 
     return parser
 
 
-def _auto_samples(x_min: float, x_max: float, samples: int | None) -> int:
-    if samples is not None:
-        return samples
-    return max(2, math.ceil(DEFAULT_SAMPLES_PER_UNIT * (x_max - x_min)))
+# Each subcommand returns its outputs as (quantity, value) pairs in report
+# order; run_command turns them into records.
 
 
-def _cmd_eval(spec, ns) -> tuple[list[Record], int]:
+def _cmd_eval(spec, ns) -> list[tuple[str, object]]:
     ev = eval_product(spec, ns.s, ns.terms)
-    tol = ns.tolerance
-    records = [
-        Record("value", ev.value, ev.terms_used, tol),
-        Record(
-            "tail_bound",
-            "indeterminate" if ev.tail_bound is None else ev.tail_bound,
-            ev.terms_used,
-            tol,
-        ),
-        Record("nearest_zero_distance", ev.nearest_zero_distance, ev.terms_used, tol),
-        Record("near_zero", ev.near_zero, ev.terms_used, tol),
+    return [
+        ("value", ev.value),
+        ("tail_bound", "indeterminate" if ev.tail_bound is None else ev.tail_bound),
+        ("nearest_zero_distance", ev.nearest_zero_distance),
+        ("near_zero", ev.near_zero),
     ]
-    return records, EXIT_OK
 
 
-def _cmd_series(spec, ns) -> tuple[list[Record], int]:
+def _cmd_series(spec, ns) -> list[tuple[str, object]]:
     if ns.even:
         expansion = even_series(spec, ns.kmax, ns.terms)
     else:
         if ns.center is None:
             raise ValueError("series requires --center unless --even is given")
         expansion = taylor_coefficients(spec, ns.center, ns.kmax, ns.terms)
-    records = [
-        Record(f"c[{k}]", c, expansion.terms_used, ns.tolerance)
-        for k, c in enumerate(expansion.coefficients)
-    ]
+    pairs = [(f"c[{k}]", c) for k, c in enumerate(expansion.coefficients)]
     if expansion.odd_residuals is not None:
-        records.append(
-            Record(
-                "odd_residual_max",
-                max(expansion.odd_residuals, default=0.0),
-                expansion.terms_used,
-                ns.tolerance,
-            )
-        )
-    return records, EXIT_OK
+        pairs.append(("odd_residual_max", max(expansion.odd_residuals, default=0.0)))
+    return pairs
 
 
-def _cmd_shift(spec, ns) -> tuple[list[Record], int]:
-    shifted = eval_shifted_product(spec, ns.alpha, ns.s, ns.terms)
-    direct = eval_product(spec, ns.s, ns.terms)
-    disagreement = abs(shifted.value - direct.value) / (1.0 + abs(direct.value))
-    residual = shift_constant_residual(spec, ns.alpha, ns.terms)
-    tol = ns.tolerance
+def _cmd_shift(spec, ns) -> list[tuple[str, object]]:
+    shifted, direct, disagreement, residual = compare_shift(spec, ns.alpha, ns.s, ns.terms)
     return [
-        Record("shifted_value", shifted.value, shifted.terms_used, tol),
-        Record("direct_value", direct.value, direct.terms_used, tol),
-        Record("disagreement", disagreement, shifted.terms_used, tol),
-        Record("constant_residual", residual, shifted.terms_used, tol),
-    ], EXIT_OK
-
-
-def _cmd_line(spec, ns) -> tuple[list[Record], int]:
-    samples = _auto_samples(ns.x_min, ns.x_max, ns.samples)
-    profile = critical_line_profile(spec, ns.x_min, ns.x_max, samples, ns.terms)
-    tol = ns.tolerance
-    records = [
-        Record("v0", profile.v0, profile.truncation, tol),
-        Record("imag_max", profile.imag_max, profile.truncation, tol),
+        ("shifted_value", shifted),
+        ("direct_value", direct),
+        ("disagreement", disagreement),
+        ("constant_residual", residual),
     ]
+
+
+def _cmd_line(spec, ns) -> list[tuple[str, object]]:
+    profile = critical_line_profile(spec, ns.x_min, ns.x_max, ns.samples, ns.terms)
+    pairs = [("v0", profile.v0), ("imag_max", profile.imag_max)]
     for j, (x, v) in enumerate(zip(profile.grid, profile.values)):
-        records.append(Record(f"x[{j}]", float(x), profile.truncation, tol))
-        records.append(Record(f"V[{j}]", complex(v), profile.truncation, tol))
-    return records, EXIT_OK
+        pairs.append((f"x[{j}]", float(x)))
+        pairs.append((f"V[{j}]", complex(v)))
+    return pairs
 
 
-def _cmd_scan(spec, ns) -> tuple[list[Record], int]:
-    samples = _auto_samples(ns.x_min, ns.x_max, ns.samples)
-    profile = critical_line_profile(spec, ns.x_min, ns.x_max, samples, ns.terms)
+def _cmd_scan(spec, ns) -> list[tuple[str, object]]:
+    profile = critical_line_profile(spec, ns.x_min, ns.x_max, ns.samples, ns.terms)
     found = scan_real_zeros(profile, spec)
-    tol = ns.tolerance
-    records = [Record("n_zeros", len(found.estimates), found.truncation, tol)]
+    pairs = [("n_zeros", len(found.estimates))]
     for j, est in enumerate(found.estimates):
-        records.append(Record(f"tau_hat[{j}]", est.tau, found.truncation, tol))
-        records.append(Record(f"residual[{j}]", est.residual, found.truncation, tol))
-    return records, EXIT_OK
+        pairs.append((f"tau_hat[{j}]", est.tau))
+        pairs.append((f"residual[{j}]", est.residual))
+    return pairs
 
 
-def _cmd_order(spec, ns) -> tuple[list[Record], int]:
+def _cmd_order(spec, ns) -> list[tuple[str, object]]:
     est = estimate_order(
         spec, ns.v_min, ns.v_max, ns.radii, ns.terms, angular_samples=ns.angular_samples
     )
-    tol = ns.tolerance
     return [
-        Record("order", est.order, est.truncation, tol),
-        Record("rms_residual", est.rms_residual, est.truncation, tol),
-        Record("radii_used", len(est.radii), est.truncation, tol),
-    ], EXIT_OK
+        ("order", est.order),
+        ("rms_residual", est.rms_residual),
+        ("radii_used", len(est.radii)),
+    ]
 
 
-def _cmd_exponent(spec, ns) -> tuple[list[Record], int]:
-    est = estimate_exponent(spec.zero_sequence, ns.r_min, ns.r_max)
-    tol = ns.tolerance
+def _cmd_exponent(spec, ns) -> list[tuple[str, object]]:
+    seq = spec.zero_sequence
+    if ns.terms < len(seq):  # count only the retained zeros, in modulus order
+        seq = ZeroSequence(zeros=seq.zeros[: ns.terms], pairing=seq.pairing, source=seq.source)
+    est = estimate_exponent(seq, ns.r_min, ns.r_max)
     return [
-        Record("exponent", est.exponent, ns.terms, tol),
-        Record("rms_residual", est.rms_residual, ns.terms, tol),
-        Record("counting_points", len(est.counting_pairs), ns.terms, tol),
-    ], EXIT_OK
+        ("exponent", est.exponent),
+        ("rms_residual", est.rms_residual),
+        ("counting_points", len(est.counting_pairs)),
+    ]
 
 
-def _cmd_mult(spec, ns) -> tuple[list[Record], int]:
+def _cmd_mult(spec, ns) -> list[tuple[str, object]]:
     res = verify_multiplicity(spec, ns.center, ns.radius, ns.nodes, ns.terms)
-    tol = ns.tolerance
-    return [
-        Record("winding", res.winding, ns.terms, tol),
-        Record("raw_integral", res.raw_integral, ns.terms, tol),
-        Record("nodes", res.nodes, ns.terms, tol),
-    ], EXIT_OK
+    return [("winding", res.winding), ("raw_integral", res.raw_integral), ("nodes", res.nodes)]
 
 
-# -------------------------------------------------------- identity checks --
-
-
-def _draw_points(rng: np.random.Generator, spec, count: int, avoid_origin: bool) -> list[complex]:
-    """Deterministic points in the |Re|,|Im| <= 2 box, clear of zeros."""
-    zeros = spec.zero_sequence.zeros
-    points: list[complex] = []
-    while len(points) < count:
-        z = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
-        if avoid_origin and abs(z) < 1e-2:
-            continue
-        if zeros.size and float(np.min(np.abs(z - zeros))) < 1e-2:
-            continue
-        points.append(z)
-    return points
-
-
-def _shift_identity_records(spec, ns, rng) -> tuple[list[Record], bool]:
-    expected_genus = 1 if ns.theorem in ("T1", "T3") else 0
-    if ns.theorem in ("T1", "T2") and spec.genus != expected_genus:
-        raise ValueError(f"{ns.theorem} requires a genus-{expected_genus} spec")
-    if ns.theorem == "T3" and spec.class_tag is not ClassTag.L_BAR:
-        raise ValueError("T3 requires an L_bar spec")
-    if ns.theorem == "T4" and spec.class_tag is not ClassTag.Y_TILDE:
-        raise ValueError("T4 requires a Y_tilde spec")
-    tol = ns.tolerance
-    at_center = ns.theorem in ("T3", "T4")
-    s_points = _draw_points(rng, spec, ns.draws, avoid_origin=False)
-    if at_center:
-        alphas = [complex(spec.center_xi)] * ns.draws
-    else:
-        alphas = _draw_points(rng, spec, ns.draws, avoid_origin=True)
-    disagreement = 0.0
-    residual = 0.0
-    for s, alpha in zip(s_points, alphas):
-        shifted = eval_shifted_product(spec, alpha, s, ns.terms).value
-        direct = eval_product(spec, s, ns.terms).value
-        disagreement = max(disagreement, abs(shifted - direct) / (1.0 + abs(direct)))
-        residual = max(residual, shift_constant_residual(spec, alpha, ns.terms))
-    ok = disagreement <= tol and residual <= tol
-    records = [
-        Record("disagreement_max", disagreement, ns.terms, tol),
-        Record("constant_residual_max", residual, ns.terms, tol),
-    ]
-    return records, ok
-
-
-def _even_series_records(spec, ns, rng) -> tuple[list[Record], bool]:
-    expansion = even_series(spec, ns.kmax, ns.terms)
-    assert expansion.odd_residuals is not None
-    worst = max(expansion.odd_residuals, default=0.0)
-    scale = max(abs(c) for c in expansion.coefficients[0::2])
-    records = [
-        Record("odd_residual_max", worst, expansion.terms_used, ns.tolerance),
-        Record("even_magnitude_max", scale, expansion.terms_used, ns.tolerance),
-    ]
-    return records, True
-
-
-def _line_form_records(spec, ns, rng) -> tuple[list[Record], bool]:
-    if ns.theorem == "T6" and spec.class_tag is not ClassTag.L_BAR:
-        raise ValueError("T6 requires an L_bar spec")
-    if ns.theorem == "T7" and spec.class_tag is not ClassTag.Y_TILDE:
-        raise ValueError("T7 requires a Y_tilde spec")
-    samples = _auto_samples(ns.x_min, ns.x_max, ns.samples)
-    profile = critical_line_profile(spec, ns.x_min, ns.x_max, samples, ns.terms)
-    zeros = spec.zero_sequence.zeros[: profile.truncation]
-    taus = zeros.imag
-    tol = ns.tolerance
-    residual = 0.0
-    even_residual = 0.0
-    for x, direct in zip(profile.grid, profile.values):
-        factors = (1.0 - x / taus).astype(np.complex128)
-        if np.any(factors == 0):
-            literal = 0j
-        else:
-            exponent = complex_sum(np.log(factors))
-            if spec.genus == 1:
-                exponent += 1j * x * spec.q_constant + 1j * x * complex_sum(1.0 / zeros)
-            literal = profile.v0 * np.exp(exponent)
-        residual = max(residual, abs(literal - direct) / (1.0 + abs(direct)))
-        if ns.theorem == "T7":
-            even_value = even_product_form(spec, float(x), profile.truncation)
-            even_residual = max(even_residual, abs(even_value - direct) / (1.0 + abs(direct)))
-    records = [Record("line_form_residual_max", residual, profile.truncation, tol)]
-    ok = residual <= tol
-    if ns.theorem == "T7":
-        reality = profile.imag_max / max(float(np.max(np.abs(profile.values))), 1e-300)
-        records.append(Record("reality_ratio", reality, profile.truncation, tol))
-        records.append(Record("even_form_residual_max", even_residual, profile.truncation, tol))
-        ok = ok and reality <= tol and even_residual <= tol
-    return records, ok
-
-
-def _simplicity_records(spec, ns, rng) -> tuple[list[Record], bool]:
-    if ns.theorem == "T8" and spec.class_tag is not ClassTag.Y_TILDE:
-        raise ValueError("T8 requires a Y_tilde spec")
-    if ns.theorem == "T9" and spec.class_tag is not ClassTag.L_BAR:
-        raise ValueError("T9 requires an L_bar spec")
-    tol = ns.tolerance
-    zeros = spec.zero_sequence.zeros[: ns.terms if ns.terms is not None else None]
-    if ns.theorem == "T8":
-        samples = _auto_samples(ns.x_min, ns.x_max, ns.samples)
-        profile = critical_line_profile(spec, ns.x_min, ns.x_max, samples, ns.terms)
-        found = scan_real_zeros(profile, spec)
-        centers = [complex(profile.xi, est.tau) for est in found.estimates]
-    else:
-        in_range = [complex(z) for z in zeros if ns.x_min <= z.imag <= ns.x_max]
-        centers = []
-        for z in in_range:
-            if all(abs(z - c) > 1e-9 for c in centers):
-                centers.append(z)
-    centers = centers[:MAX_AUDITED_ZEROS]
-    records = [Record("audited_zeros", len(centers), ns.terms, tol)]
-    ok = len(centers) > 0
-    for j, center in enumerate(centers):
-        others = zeros[np.abs(zeros - center) > 1e-9]
-        gap = float(np.min(np.abs(others - center))) if others.size else 1.0
-        radius = 0.4 * min(gap, 1.0)
-        result = verify_multiplicity(spec, center, radius, 512, ns.terms)
-        records.append(Record(f"winding[{j}]", result.winding, ns.terms, tol))
-        ok = ok and result.winding == 1
-    return records, ok
-
-
-_IDENTITY_HANDLERS: dict[str, Callable] = {
-    "T1": _shift_identity_records,
-    "T2": _shift_identity_records,
-    "T3": _shift_identity_records,
-    "T4": _shift_identity_records,
-    "T5": _even_series_records,
-    "T6": _line_form_records,
-    "T7": _line_form_records,
-    "T8": _simplicity_records,
-    "T9": _simplicity_records,
-}
-
-
-def _cmd_verify(spec, ns) -> tuple[list[Record], int]:
-    rng = np.random.default_rng(ns.seed)
-    records, ok = _IDENTITY_HANDLERS[ns.theorem](spec, ns, rng)
-    ok = bool(ok)
-    records.append(Record("pass", ok, ns.terms, ns.tolerance))
-    return records, EXIT_OK if ok else EXIT_VALIDATION
-
-
-_COMMANDS = {
-    "eval": _cmd_eval,
-    "series": _cmd_series,
-    "shift": _cmd_shift,
-    "line": _cmd_line,
-    "scan": _cmd_scan,
-    "order": _cmd_order,
-    "exponent": _cmd_exponent,
-    "mult": _cmd_mult,
-    "verify-identity": _cmd_verify,
-}
+def _cmd_verify(spec, ns) -> list[tuple[str, object]]:
+    names = ("seed", "draws", "x_min", "x_max", "samples", "k_max")
+    options = {name: getattr(ns, name) for name in names if getattr(ns, name) is not None}
+    result = verify_identity(spec, ns.theorem, ns.terms, ns.tolerance, **options)
+    return [*result.quantities, ("pass", result.passed)]
 
 
 def run_command(argv: Sequence[str]) -> RunReport:
     """Execute one CLI invocation and return its report (never raises)."""
     argv = tuple(str(a) for a in argv)
     start = time.perf_counter()
-    parser = _build_parser()
+    digests: tuple[tuple[str, str], ...] = ()
+    records: tuple[Record, ...] = ()
+    errors: tuple[str, ...] = ()
     try:
-        ns = parser.parse_args(list(argv))
+        ns = _build_parser().parse_args(list(argv))
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
-        return RunReport(
-            argv=argv,
-            input_digests=(),
-            records=(),
-            errors=() if code == 0 else ("usage error",),
-            exit_code=code,
-            wall_time_s=time.perf_counter() - start,
-        )
-    digests: tuple[tuple[str, str], ...] = ()
-    try:
-        spec, digests = load_spec_file(ns.spec)
-        # --terms is a cap, not a demand: small inputs use every zero they have
-        ns.terms = min(ns.terms, spec.n_zeros)
-        records, code = _COMMANDS[ns.command](spec, ns)
-    except (ValueError, OSError) as exc:
-        return RunReport(
-            argv=argv,
-            input_digests=digests,
-            records=(),
-            errors=(str(exc),),
-            exit_code=EXIT_VALIDATION,
-            wall_time_s=time.perf_counter() - start,
-        )
+        errors = () if code == 0 else ("usage error",)
+    else:
+        try:
+            spec, digests = load_spec_file(ns.spec)
+            # --terms is a cap, not a demand: small inputs use every zero they have
+            ns.terms = min(ns.terms, spec.n_zeros)
+            pairs = ns.handler(spec, ns)
+        except (ValueError, OSError) as exc:
+            errors, code = (str(exc),), EXIT_VALIDATION
+        else:
+            records = tuple(Record(q, v, ns.terms, ns.tolerance) for q, v in pairs)
+            # a failed identity check is a validation failure
+            code = EXIT_VALIDATION if ("pass", False) in pairs else EXIT_OK
     return RunReport(
         argv=argv,
         input_digests=digests,
-        records=tuple(records),
-        errors=(),
+        records=records,
+        errors=errors,
         exit_code=code,
         wall_time_s=time.perf_counter() - start,
     )

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -26,7 +25,6 @@ __all__ = [
     "RealZeroEstimate",
     "RealZeroSet",
     "RotatedDerivatives",
-    "ScanMethod",
     "critical_line_profile",
     "scan_real_zeros",
     "even_product_form",
@@ -40,10 +38,8 @@ REALITY_GATE = 1e-6
 BISECTION_WIDTH_COEFF = 1e-12
 # Accepted zeros must satisfy |V(tau_hat)| <= 1e-9 * (1 + local scale).
 RESIDUAL_GATE_COEFF = 1e-9
-
-
-class ScanMethod(str, Enum):
-    SIGN_CHANGE_BISECTION = "sign_change_bisection"
+# Grid density of a profile whose sample count is not given, per unit of x.
+DEFAULT_SAMPLES_PER_UNIT = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,7 +80,6 @@ class RealZeroSet:
     """Recovered real line zeros, ascending, with refinement diagnostics."""
 
     estimates: tuple[RealZeroEstimate, ...]
-    method: ScanMethod
     truncation: int
 
     @property
@@ -105,15 +100,18 @@ def critical_line_profile(
     spec: EntireFunctionSpec,
     x_min: float,
     x_max: float,
-    samples: int,
+    samples: int | None,
     n_terms: int | None = None,
 ) -> CriticalLineProfile:
     """Sample V(x) = S(xi + i x) on a uniform ascending grid.
 
-    Requires a symmetric-class spec and at least 2 samples.
+    Requires a symmetric-class spec and at least 2 samples; ``samples=None``
+    takes 64 per unit length of the window, and at least 2.
     """
     if not spec.class_tag.symmetric:
         raise ValueError("critical-line profile requires a Y_tilde or L_bar spec")
+    if samples is None:
+        samples = max(2, math.ceil(DEFAULT_SAMPLES_PER_UNIT * (x_max - x_min)))
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
     x_min, x_max = float(x_min), float(x_max)
@@ -178,11 +176,7 @@ def scan_real_zeros(profile: CriticalLineProfile, spec: EntireFunctionSpec) -> R
             else:
                 b = mid
         estimates.append(_accept(spec, xi, n, 0.5 * (a + b), (a, b), local_scale))
-    return RealZeroSet(
-        estimates=tuple(estimates),
-        method=ScanMethod.SIGN_CHANGE_BISECTION,
-        truncation=n,
-    )
+    return RealZeroSet(estimates=tuple(estimates), truncation=n)
 
 
 def _accept(

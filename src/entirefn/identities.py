@@ -1,0 +1,207 @@
+"""Identity checks T1-T9: the structure a spec's zeros promise, measured.
+
+Each check runs the library on one spec and returns its measured residuals
+with a pass flag gated by ``tolerance``:
+
+    T1-T4  recentered product equals the direct product at seeded random
+           points and the recentering constant identity holds (T1 genus 1,
+           T2 genus 0; T3 L_bar and T4 Y_tilde anchored at the center xi)
+    T5     odd coefficients of the center-line expansion vanish (Y_tilde)
+    T6/T7  the line restriction equals the literal offset product (L_bar /
+           Y_tilde); T7 also checks profile reality and the even product form
+    T8/T9  every line zero in the window has winding number 1: scanned ones
+           (Y_tilde) or retained ones (L_bar), at most 8 per run
+
+T1-T4 draw from ``numpy.random.default_rng(seed)``, the evaluation points
+before the shift points, so a seed fixes every draw.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from ._numeric import complex_sum
+from .analysis import verify_multiplicity
+from .core_types import EntireFunctionSpec
+from .critical_line import critical_line_profile, even_product_form, scan_real_zeros
+from .product_engine import eval_product, eval_shifted_product, shift_constant_residual
+from .series_engine import even_series
+
+__all__ = [
+    "IDENTITY_TAGS",
+    "IdentityResult",
+    "compare_shift",
+    "verify_identity",
+]
+
+IDENTITY_TAGS = tuple(f"T{i}" for i in range(1, 10))
+DEFAULT_SEED = 20240801
+# Cap on per-zero winding audits in T8/T9.
+MAX_AUDITED_ZEROS = 8
+
+# The spec each check requires, as its error names it: a genus or a class
+# tag.  T5 has no entry: even_series rejects what it cannot expand.
+_REQUIREMENTS = {
+    "T1": "a genus-1",
+    "T2": "a genus-0",
+    **dict.fromkeys(("T3", "T6", "T9"), "an L_bar"),
+    **dict.fromkeys(("T4", "T7", "T8"), "a Y_tilde"),
+}
+
+
+@dataclass(frozen=True)
+class IdentityResult:
+    """Outcome of one identity check.
+
+    ``quantities`` holds the measured residuals (and, for T8/T9, the audit
+    count and winding numbers) as (name, value) pairs in report order.
+    """
+
+    quantities: tuple[tuple[str, object], ...]
+    passed: bool
+
+
+def compare_shift(
+    spec: EntireFunctionSpec, alpha: complex, s: complex, n_terms: int | None = None
+) -> tuple[complex, complex, float, float]:
+    """The product at s recentered at alpha and direct, compared.
+
+    Returns (shifted, direct, disagreement, constant residual): disagreement
+    is |shifted - direct| / (1 + |direct|), and the constant residual is
+    :func:`shift_constant_residual` at alpha.
+    """
+    shifted = eval_shifted_product(spec, alpha, s, n_terms).value
+    direct = eval_product(spec, s, n_terms).value
+    disagreement = abs(shifted - direct) / (1.0 + abs(direct))
+    return shifted, direct, disagreement, shift_constant_residual(spec, alpha, n_terms)
+
+
+def verify_identity(
+    spec: EntireFunctionSpec,
+    theorem: str,
+    n_terms: int | None = None,
+    tolerance: float = 1e-6,
+    *,
+    seed: int = DEFAULT_SEED,
+    draws: int = 20,
+    x_min: float = -3.0,
+    x_max: float = 3.0,
+    samples: int | None = None,
+    k_max: int = 15,
+) -> IdentityResult:
+    """Run identity check ``theorem`` (one of T1..T9) on ``spec``.
+
+    ``seed`` and ``draws`` set the random points of T1-T4; ``x_min``,
+    ``x_max`` and ``samples`` the line window of T6-T9 (``samples=None``
+    takes the profile's default density); ``k_max`` the expansion order of
+    T5.  Raises ValueError when the spec is not of the class the check needs.
+    """
+    if theorem not in IDENTITY_TAGS:
+        raise ValueError(f"unknown identity check {theorem!r}")
+    needed = _REQUIREMENTS.get(theorem)
+    if needed and needed.split()[1] not in (f"genus-{spec.genus}", spec.class_tag.value):
+        raise ValueError(f"{theorem} requires {needed} spec")
+    if theorem in ("T1", "T2", "T3", "T4"):
+        at_center = theorem in ("T3", "T4")
+        quantities, passed = _shift_identity(spec, at_center, seed, draws, n_terms, tolerance)
+    elif theorem == "T5":
+        # even_series raises when an odd coefficient is not negligible
+        expansion = even_series(spec, k_max, n_terms)
+        worst = max(expansion.odd_residuals, default=0.0)
+        scale = max(abs(c) for c in expansion.coefficients[0::2])
+        quantities, passed = [("odd_residual_max", worst), ("even_magnitude_max", scale)], True
+    elif theorem in ("T6", "T7"):
+        quantities, passed = _line_form_identity(
+            spec, theorem == "T7", x_min, x_max, samples, n_terms, tolerance
+        )
+    else:
+        quantities, passed = _simplicity_identity(
+            spec, theorem == "T8", x_min, x_max, samples, n_terms
+        )
+    return IdentityResult(quantities=tuple(quantities), passed=bool(passed))
+
+
+def _draw_points(rng: np.random.Generator, spec, count: int, avoid_origin: bool) -> list[complex]:
+    """Deterministic points in the |Re|,|Im| <= 2 box, clear of zeros."""
+    zeros = spec.zero_sequence.zeros
+    points: list[complex] = []
+    while len(points) < count:
+        z = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+        if avoid_origin and abs(z) < 1e-2:
+            continue
+        if zeros.size and float(np.min(np.abs(z - zeros))) < 1e-2:
+            continue
+        points.append(z)
+    return points
+
+
+def _shift_identity(spec, at_center: bool, seed: int, draws: int, n_terms, tolerance):
+    rng = np.random.default_rng(seed)
+    s_points = _draw_points(rng, spec, draws, avoid_origin=False)
+    if at_center:
+        alphas = [complex(spec.center_xi)] * draws
+    else:
+        alphas = _draw_points(rng, spec, draws, avoid_origin=True)
+    disagreement = 0.0
+    residual = 0.0
+    for s, alpha in zip(s_points, alphas):
+        _, _, pair_disagreement, pair_residual = compare_shift(spec, alpha, s, n_terms)
+        disagreement = max(disagreement, pair_disagreement)
+        residual = max(residual, pair_residual)
+    quantities = [("disagreement_max", disagreement), ("constant_residual_max", residual)]
+    return quantities, disagreement <= tolerance and residual <= tolerance
+
+
+def _line_form_identity(spec, with_even_form: bool, x_min, x_max, samples, n_terms, tolerance):
+    profile = critical_line_profile(spec, x_min, x_max, samples, n_terms)
+    zeros = spec.zero_sequence.zeros[: profile.truncation]
+    taus = zeros.imag
+    residual = 0.0
+    even_residual = 0.0
+    for x, direct in zip(profile.grid, profile.values):
+        factors = (1.0 - x / taus).astype(np.complex128)
+        if np.any(factors == 0):
+            literal = 0j
+        else:
+            exponent = complex_sum(np.log(factors))
+            if spec.genus == 1:
+                exponent += 1j * x * spec.q_constant + 1j * x * complex_sum(1.0 / zeros)
+            literal = profile.v0 * np.exp(exponent)
+        residual = max(residual, abs(literal - direct) / (1.0 + abs(direct)))
+        if with_even_form:
+            even_value = even_product_form(spec, float(x), profile.truncation)
+            even_residual = max(even_residual, abs(even_value - direct) / (1.0 + abs(direct)))
+    quantities = [("line_form_residual_max", residual)]
+    passed = residual <= tolerance
+    if with_even_form:
+        reality = profile.imag_max / max(float(np.max(np.abs(profile.values))), 1e-300)
+        quantities.append(("reality_ratio", reality))
+        quantities.append(("even_form_residual_max", even_residual))
+        passed = passed and reality <= tolerance and even_residual <= tolerance
+    return quantities, passed
+
+
+def _simplicity_identity(spec, scan: bool, x_min: float, x_max: float, samples, n_terms):
+    zeros = spec.zero_sequence.zeros[:n_terms]
+    if scan:
+        profile = critical_line_profile(spec, x_min, x_max, samples, n_terms)
+        found = scan_real_zeros(profile, spec)
+        centers = [complex(profile.xi, est.tau) for est in found.estimates]
+    else:
+        centers = []
+        for z in zeros:
+            if x_min <= z.imag <= x_max and all(abs(z - c) > 1e-9 for c in centers):
+                centers.append(complex(z))
+    centers = centers[:MAX_AUDITED_ZEROS]
+    quantities: list[tuple[str, object]] = [("audited_zeros", len(centers))]
+    passed = len(centers) > 0
+    for j, center in enumerate(centers):
+        others = zeros[np.abs(zeros - center) > 1e-9]
+        gap = float(np.min(np.abs(others - center))) if others.size else 1.0
+        radius = 0.4 * min(gap, 1.0)
+        result = verify_multiplicity(spec, center, radius, 512, n_terms)
+        quantities.append((f"winding[{j}]", result.winding))
+        passed = passed and result.winding == 1
+    return quantities, passed

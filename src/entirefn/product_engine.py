@@ -80,6 +80,18 @@ def _retained(spec: EntireFunctionSpec, n_terms: int | None) -> np.ndarray:
     return spec.zero_sequence.zeros[:n]
 
 
+def _guard_coincident(point: complex, zeros: np.ndarray, message: str) -> None:
+    """Raise ValueError(message) when point coincides with a retained zero z.
+
+    Coincidence is relative, |point - z| <= 1e-12 * (1 + |z|); the contour
+    clearance of ``analysis.verify_multiplicity`` is a separate, absolute test.
+    """
+    if zeros.size:
+        gap = np.abs(point - zeros) / (1.0 + np.abs(zeros))
+        if float(np.min(gap)) <= COINCIDENT_RELATIVE:
+            raise ValueError(message)
+
+
 def _tail_bound(spec: EntireFunctionSpec, s: complex, n: int) -> float | None:
     profile = spec.zero_sequence.tail_profile(spec.genus)
     tail = profile.tail_beyond(n)
@@ -161,8 +173,7 @@ def eval_shifted_product(
         raise ValueError("shift point must be nonzero")
     zeros = _retained(spec, n_terms)
     n = int(zeros.size)
-    if n and float(np.min(np.abs(alpha - zeros) / (1.0 + np.abs(zeros)))) <= COINCIDENT_RELATIVE:
-        raise ValueError("shift point coincides with a retained zero")
+    _guard_coincident(alpha, zeros, "shift point coincides with a retained zero")
     base = eval_product(spec, alpha, n)
     nearest, near = _proximity(s, zeros)
     tail = _tail_bound(spec, s, n)
@@ -226,8 +237,7 @@ def shift_constant_residual(
         raise ValueError("shift point must be nonzero")
     zeros = _retained(spec, n_terms)
     n = int(zeros.size)
-    if n and float(np.min(np.abs(alpha - zeros) / (1.0 + np.abs(zeros)))) <= COINCIDENT_RELATIVE:
-        raise ValueError("shift point coincides with a retained zero")
+    _guard_coincident(alpha, zeros, "shift point coincides with a retained zero")
     log_prod = complex_sum(np.log(1.0 - alpha / zeros)) if n else 0j
     lhs = spec.value_at_zero * cmath.exp(log_prod)
     s_alpha = (
@@ -258,8 +268,7 @@ def log_derivative(spec: EntireFunctionSpec, s: complex, n_terms: int | None = N
     s = complex(s)
     zeros = _retained(spec, n_terms)
     n = int(zeros.size)
-    if n and float(np.min(np.abs(s - zeros) / (1.0 + np.abs(zeros)))) <= COINCIDENT_RELATIVE:
-        raise ValueError("logarithmic derivative has a pole at a retained zero")
+    _guard_coincident(s, zeros, "logarithmic derivative has a pole at a retained zero")
     if spec.genus == 0:
         return complex_sum(1.0 / (s - zeros)) if n else 0j
     total = spec.q_constant

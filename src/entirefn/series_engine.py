@@ -26,7 +26,7 @@ import numpy as np
 
 from ._numeric import complex_sum
 from .core_types import ClassTag, EntireFunctionSpec
-from .product_engine import COINCIDENT_RELATIVE, _retained, eval_product
+from .product_engine import _guard_coincident, _retained, eval_product
 
 __all__ = [
     "PowerSums",
@@ -77,11 +77,6 @@ class TaylorExpansion:
         return len(self.coefficients) - 1
 
 
-def _guard_center(center: complex, zeros: np.ndarray) -> None:
-    if zeros.size and float(np.min(np.abs(center - zeros) / (1.0 + np.abs(zeros)))) <= COINCIDENT_RELATIVE:
-        raise ValueError("expansion center coincides with a retained zero")
-
-
 def power_sums(
     spec: EntireFunctionSpec,
     center: complex,
@@ -98,7 +93,7 @@ def power_sums(
         raise ValueError(f"m_max must be >= 1, got {m_max}")
     center = complex(center)
     zeros = _retained(spec, n_terms)
-    _guard_center(center, zeros)
+    _guard_coincident(center, zeros, "expansion center coincides with a retained zero")
     values: list[complex] = []
     if zeros.size:
         recip = 1.0 / (zeros - center)
@@ -134,7 +129,7 @@ def taylor_coefficients(
     center = complex(center)
     zeros = _retained(spec, n_terms)
     n = int(zeros.size)
-    _guard_center(center, zeros)
+    _guard_coincident(center, zeros, "expansion center coincides with a retained zero")
     c0 = eval_product(spec, center, n).value
     if c0 == 0:
         raise ValueError("expansion center is a zero of the truncated product")

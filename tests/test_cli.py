@@ -1,11 +1,19 @@
 from __future__ import annotations
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
 
-from entirefn import ClassTag, Ordering, Pairing, ZeroSequence, make_symmetric_spec
+from entirefn import (
+    ClassTag,
+    Ordering,
+    Pairing,
+    ZeroSequence,
+    estimate_exponent,
+    make_symmetric_spec,
+)
 from entirefn.cli import (
     TableFormat,
     format_complex,
@@ -17,6 +25,7 @@ from entirefn.cli import (
     write_spec_file,
     write_zero_table,
 )
+from entirefn.identities import verify_identity
 
 SYMMETRIC_SPEC = """\
 class = Y_tilde
@@ -226,6 +235,17 @@ class TestSpecFiles:
             load_spec_file(spec_path(tmp_path, "class = Y\ns0 = 1\ns_at_xi = 1\n"))
         with pytest.raises(ValueError, match="expected 'key = value'"):
             load_spec_file(spec_path(tmp_path, "class = Y\ns0 = 1\nnot a key line\n"))
+        bad_values = [
+            ("class = Y_tilde\nxi = abc\ns0 = 1\n", "line 2: could not convert"),
+            ("class = L\nq = zz\ns0 = 1\n", "line 2: malformed complex literal 'zz'"),
+            ("class = Y\ns0 = 1+xi\n", "line 2: malformed complex literal"),
+            ("class = Y_tilde\nxi = 1\ns_at_xi = no\n", "line 3: malformed complex literal"),
+            ("class = Y\ns0 = 1\nzeros_format = bogus\n", "line 3: 'bogus' is not a valid"),
+        ]
+        for content, message in bad_values:
+            path = spec_path(tmp_path, content)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))} {message}"):
+                load_spec_file(path)
 
     def test_s_at_xi_validation(self, tmp_path) -> None:
         with pytest.raises(ValueError, match="Y_tilde or L_bar"):
@@ -355,6 +375,16 @@ class TestRunCommand:
         assert report.exit_code == 0
         assert 0.9 <= report.records[0].value <= 1.1
         assert [name.split(":")[0] for name, _ in report.input_digests] == ["spec", "zeros"]
+        # --terms N counts only the first N zeros in modulus order
+        report = run_command(
+            ["exponent", "--spec", str(path), "--terms", "400", "--r-min", "5", "--r-max", "500"]
+        )
+        head = ZeroSequence(zeros=seq.zeros[:400])
+        expected = estimate_exponent(head, 5.0, 500.0)
+        by_name = {r.quantity: r.value for r in report.records}
+        assert by_name["exponent"] == expected.exponent
+        assert by_name["counting_points"] == len(expected.counting_pairs)
+        assert report.records[0].truncation == 400
 
     def test_identity_suite_passes(self, tmp_path) -> None:
         sym = spec_path(tmp_path, SYMMETRIC_SPEC, "sym.spec")
@@ -378,6 +408,10 @@ class TestRunCommand:
             assert report.exit_code == 0, (tag, report.errors)
             assert report.records[-1].quantity == "pass"
             assert report.records[-1].value is True
+            # the same check from Python, without the CLI
+            result = verify_identity(load_spec_file(path)[0], tag)
+            assert result.passed
+            assert [(r.quantity, r.value) for r in report.records[:-1]] == list(result.quantities)
 
     def test_identity_failure_sets_exit_code(self, tmp_path) -> None:
         # duplicated offsets: V = (1-x^2)^2 has no sign changes, the scan
@@ -390,10 +424,26 @@ class TestRunCommand:
         assert by_name["pass"] is False
 
     def test_identity_class_mismatch(self, tmp_path) -> None:
-        sym = spec_path(tmp_path, SYMMETRIC_SPEC)
-        report = run_command(["verify-identity", "--spec", str(sym), "--theorem", "T1"])
-        assert report.exit_code == 1
-        assert "genus-1" in report.errors[0]
+        sym = spec_path(tmp_path, SYMMETRIC_SPEC, "sym.spec")
+        lbar = spec_path(tmp_path, LBAR_SPEC, "lbar.spec")
+        genus1 = spec_path(tmp_path, GENUS1_SPEC, "genus1.spec")
+        cases = [
+            ("T1", sym, "T1 requires a genus-1 spec"),
+            ("T2", lbar, "T2 requires a genus-0 spec"),
+            ("T3", sym, "T3 requires an L_bar spec"),
+            ("T4", lbar, "T4 requires a Y_tilde spec"),
+            ("T5", genus1, "even series requires a Y_tilde spec"),
+            ("T6", sym, "T6 requires an L_bar spec"),
+            ("T7", lbar, "T7 requires a Y_tilde spec"),
+            ("T8", genus1, "T8 requires a Y_tilde spec"),
+            ("T9", sym, "T9 requires an L_bar spec"),
+        ]
+        for tag, path, message in cases:
+            report = run_command(["verify-identity", "--spec", str(path), "--theorem", tag])
+            assert report.exit_code == 1
+            assert report.errors == (message,)
+        with pytest.raises(ValueError, match="unknown identity check"):
+            verify_identity(load_spec_file(sym)[0], "T10")
 
     def test_usage_errors(self, tmp_path) -> None:
         report = run_command(["frobnicate", "--spec", "x"])
@@ -403,6 +453,13 @@ class TestRunCommand:
         assert report.exit_code == 2
         report = run_command(["eval", "--spec", "x", "--s", "not-a-number"])
         assert report.exit_code == 2
+        path = spec_path(tmp_path, SYMMETRIC_SPEC)
+        for argv in (
+            ["eval", "--spec", str(path), "--terms", "-3", "--s", "1"],
+            ["exponent", "--spec", str(path), "--terms", "-3", "--r-min", "1", "--r-max", "3"],
+        ):
+            report = run_command(argv)
+            assert (report.exit_code, report.errors) == (2, ("usage error",))
 
     def test_missing_spec_file(self, tmp_path) -> None:
         report = run_command(["eval", "--spec", str(tmp_path / "nope.spec"), "--s", "1"])
