@@ -41,11 +41,6 @@ from .critical_line import (
     rotated_derivatives,
     scan_real_zeros,
 )
-from .primary_factors import (
-    PrimaryFactorValue,
-    log_primary_factor_tail,
-    primary_factor,
-)
 from .product_engine import (
     TruncatedEvaluation,
     eval_product,
@@ -78,9 +73,6 @@ __all__ = [
     "modulus_sort_indices",
     "validate_zero_sequence",
     "make_symmetric_spec",
-    "PrimaryFactorValue",
-    "primary_factor",
-    "log_primary_factor_tail",
     "TruncatedEvaluation",
     "eval_product",
     "eval_shifted_product",

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import loglog_fit
+from ._numeric import complex_sum, loglog_fit
 from .core_types import EntireFunctionSpec, ZeroSequence
 from .product_engine import eval_product, log_derivative
 
@@ -109,8 +109,8 @@ def max_modulus(
     the sample count refines to a superset grid and the estimate is
     non-decreasing under doubling.  Lower bound of the true circle maximum.
     """
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    if not 0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     if angular_samples < 4:
         raise ValueError(f"angular_samples must be >= 4, got {angular_samples}")
     best = _max_log_modulus(spec, radius, angular_samples, n_terms)
@@ -132,9 +132,12 @@ def estimate_order(
 ) -> OrderEstimate:
     """Estimate the growth order from max-modulus scaling.
 
-    Requires v_min > 1 and at least 3 radii with max|S| > e; radii follow a
-    geometric ladder from v_min to v_max.
+    Requires finite 1 < v_min < v_max and at least 3 radii with max|S| > e;
+    radii follow a geometric ladder from v_min to v_max.
     """
+    for name, bound in (("v_min", v_min), ("v_max", v_max)):
+        if not math.isfinite(bound):
+            raise ValueError(f"{name} must be finite, got {bound}")
     if v_min <= 1.0:
         raise ValueError(f"v_min must exceed 1, got {v_min}")
     if v_max <= v_min:
@@ -169,8 +172,8 @@ def estimate_exponent(seq: ZeroSequence, r_min: float, r_max: float) -> Exponent
     counted on a geometric ladder of radii restricted to points with
     N(r) >= 1.
     """
-    if r_min <= 0 or r_max <= r_min:
-        raise ValueError("need 0 < r_min < r_max")
+    if not 0 < r_min < r_max < math.inf:
+        raise ValueError(f"need finite 0 < r_min < r_max, got {r_min} and {r_max}")
     moduli = np.sort(seq.moduli)
     in_range = int(np.searchsorted(moduli, r_max, side="right")) - int(
         np.searchsorted(moduli, r_min, side="left")
@@ -202,8 +205,8 @@ def verify_multiplicity(
     larger circles simply count every enclosed zero.
     """
     center = complex(center)
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    if not 0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     if nodes < 16:
         raise ValueError(f"nodes must be >= 16, got {nodes}")
     zeros = spec.zero_sequence.zeros[: spec.n_zeros if n_terms is None else int(n_terms)]
@@ -211,15 +214,12 @@ def verify_multiplicity(
         clearance = float(np.min(np.abs(np.abs(zeros - center) - radius)))
         if clearance < CONTOUR_CLEARANCE:
             raise ValueError("a retained zero lies on or within 1e-6 of the contour")
-    re_parts = np.empty(nodes)
-    im_parts = np.empty(nodes)
+    values = np.empty(nodes, dtype=np.complex128)
     for j in range(nodes):
         theta = 2.0 * math.pi * j / nodes
         unit = complex(math.cos(theta), math.sin(theta))
-        value = log_derivative(spec, center + radius * unit, n_terms) * unit
-        re_parts[j] = value.real
-        im_parts[j] = value.imag
-    raw = (radius / nodes) * complex(math.fsum(re_parts), math.fsum(im_parts))
+        values[j] = log_derivative(spec, center + radius * unit, n_terms) * unit
+    raw = (radius / nodes) * complex_sum(values)
     winding = round(raw.real)
     if abs(raw - winding) > WINDING_SNAP:
         raise ValueError(

@@ -105,18 +105,22 @@ def critical_line_profile(
 ) -> CriticalLineProfile:
     """Sample V(x) = S(xi + i x) on a uniform ascending grid.
 
-    Requires a symmetric-class spec and at least 2 samples; ``samples=None``
-    takes 64 per unit length of the window, and at least 2.
+    Requires a symmetric-class spec, a finite window with x_min < x_max and
+    at least 2 samples; ``samples=None`` takes 64 per unit length of the
+    window, and at least 2.
     """
     if not spec.class_tag.symmetric:
         raise ValueError("critical-line profile requires a Y_tilde or L_bar spec")
+    x_min, x_max = float(x_min), float(x_max)
+    for name, bound in (("x_min", x_min), ("x_max", x_max)):
+        if not math.isfinite(bound):
+            raise ValueError(f"{name} must be finite, got {bound}")
+    if not x_min < x_max:
+        raise ValueError("x_min must be strictly below x_max")
     if samples is None:
         samples = max(2, math.ceil(DEFAULT_SAMPLES_PER_UNIT * (x_max - x_min)))
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
-    x_min, x_max = float(x_min), float(x_max)
-    if not x_min < x_max:
-        raise ValueError("x_min must be strictly below x_max")
     assert spec.center_xi is not None
     xi = spec.center_xi
     n = spec.n_zeros if n_terms is None else int(n_terms)

@@ -26,6 +26,7 @@ from ._numeric import complex_sum
 from .analysis import verify_multiplicity
 from .core_types import EntireFunctionSpec
 from .critical_line import critical_line_profile, even_product_form, scan_real_zeros
+from .product_engine import _blocks, _sum_log_factors
 from .product_engine import eval_product, eval_shifted_product, shift_constant_residual
 from .series_engine import even_series
 
@@ -158,16 +159,16 @@ def _line_form_identity(spec, with_even_form: bool, x_min, x_max, samples, n_ter
     profile = critical_line_profile(spec, x_min, x_max, samples, n_terms)
     zeros = spec.zero_sequence.zeros[: profile.truncation]
     taus = zeros.imag
+    recip_sum = complex_sum(1.0 / zeros) if spec.genus == 1 else 0j
     residual = 0.0
     even_residual = 0.0
     for x, direct in zip(profile.grid, profile.values):
-        factors = (1.0 - x / taus).astype(np.complex128)
-        if np.any(factors == 0):
+        exponent = _sum_log_factors((x / t for t in _blocks(taus)), 0)
+        if exponent is None:
             literal = 0j
         else:
-            exponent = complex_sum(np.log(factors))
             if spec.genus == 1:
-                exponent += 1j * x * spec.q_constant + 1j * x * complex_sum(1.0 / zeros)
+                exponent += 1j * x * spec.q_constant + 1j * x * recip_sum
             literal = profile.v0 * np.exp(exponent)
         residual = max(residual, abs(literal - direct) / (1.0 + abs(direct)))
         if with_even_form:

@@ -2,18 +2,27 @@
 
 Evaluation strategy
 -------------------
-Products are accumulated in the log domain: one principal-branch logarithm
-per factor (plus the per-factor exponential term at genus 1), reduced with
-exactly rounded summation, then a single exponential.  Because the reduction
-is exact, results are independent of accumulation order and bit-identical
-across runs; the declared pairing of the zero sequence still matters for
-tail estimates and power sums, where grouped magnitudes are what converge.
+Products are accumulated in the log domain and exponentiated once.  One
+vectorised factor kernel, ``_log_factors``, gives log(1 - w) at genus 0 and
+the fused log(1 - w) + w at genus 1, for w = s/z_k:
+
+    Im    atan2(-Im w, 1 - Re w), the principal branch
+    Re    1/2 log1p(Re w (Re w - 2) + (Im w)^2) where Re w < 1/2 and
+          |w| < 1, log hypot(1 - Re w, Im w) elsewhere
+    genus 1 with |w| <= 1/2: the tail series -sum_{m>=2} w^m/m, to the
+          Horner degree its remainder bound needs in each |w| band
+
+so small factors keep full relative accuracy and factors near a zero full
+absolute accuracy.  Zeros go through in blocks of at most 2**15, each block
+streamed into an exactly rounded sum (``_numeric.ExactSum``), so no
+temporary spans all N zeros and results are independent of accumulation
+order and bit-identical across runs.  The declared pairing of the zero
+sequence still matters for tail estimates and power sums, where grouped
+magnitudes are what converge.
 
 Only |exp(...)| and per-factor phases are contractually meaningful: summed
-imaginary parts are not unwound to a continuous branch.
-
-A factor that is exactly zero short-circuits the evaluation to an exact 0
-with no logarithm.
+imaginary parts are not unwound to a continuous branch.  A factor that is
+exactly zero (w == 1) makes the value an exact 0 with no logarithm.
 """
 
 from __future__ import annotations
@@ -21,12 +30,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-from ._numeric import complex_sum
+from ._numeric import BLOCK, ExactSum, complex_sum
 from .core_types import EntireFunctionSpec
-from .primary_factors import _exp_saturating
 
 __all__ = [
     "TruncatedEvaluation",
@@ -40,6 +49,108 @@ __all__ = [
 NEAR_ZERO_COEFF = 1e-9
 # Coincidence threshold for hard guards (shift point / pole detection).
 COINCIDENT_RELATIVE = 1e-12
+# Relative truncation target of the genus-1 tail series.
+SERIES_RELATIVE_TOL = 1e-15
+
+
+def _tail_degrees() -> np.ndarray:
+    """Degree M at which -sum_{m=2..M} w^m/m meets SERIES_RELATIVE_TOL, per band.
+
+    Entry k >= 1 serves |w|^2 in [2**-(k+1), 2**-k), the exponent np.frexp
+    gives (entry 0 serves w == 0).  For |w| <= r <= 1/2 the remainder after
+    w^M/M is at most r^(M+1) / ((M+1)(1-r)) and the series is at least
+    r^2/2 - r^3/(3(1-r)); their ratio grows with r, so a band's largest r
+    fixes its degree.
+    """
+    degrees = [2]
+    while degrees[-1] > 2 or len(degrees) < 2:
+        r = min(2.0 ** (-len(degrees) / 2.0), 0.5)
+        smallest = r * r / 2.0 - r**3 / (3.0 * (1.0 - r))
+        degree = 2
+        while r ** (degree + 1) / ((degree + 1) * (1.0 - r)) > SERIES_RELATIVE_TOL * smallest:
+            degree += 1
+        degrees.append(degree)
+    return np.array(degrees, dtype=np.int8)
+
+
+_TAIL_DEGREES = _tail_degrees()
+
+
+def _exp_saturating(z: complex) -> complex:
+    """exp(z), overflowing to a phase-correct complex infinity instead of raising."""
+    try:
+        return cmath.exp(z)
+    except OverflowError:
+        return cmath.rect(math.inf, z.imag)
+
+
+def _log_tail(w: np.ndarray, r2: np.ndarray) -> np.ndarray:
+    """-sum_{m>=2} w^m/m for |w| <= 1/2 (r2 = |w|^2), each w to its band's degree.
+
+    Sorting by degree, descending, makes the terms still to be added at
+    each Horner step a prefix of the array.
+    """
+    degree = _TAIL_DEGREES[np.minimum(-np.frexp(r2)[1], _TAIL_DEGREES.size - 1)]
+    order = np.argsort(-degree, kind="stable")
+    ws = w[order]
+    acc = (1.0 / degree[order]).astype(np.complex128)
+    # above[m]: how many elements have a degree above m
+    above = ws.size - np.cumsum(np.bincount(degree))
+    for m in range(int(degree.max(initial=2)) - 1, 1, -1):
+        active = int(above[m])
+        acc[:active] *= ws[:active]
+        acc[:active] += 1.0 / m
+    tail = np.empty_like(ws)
+    tail[order] = -(ws * ws) * acc
+    return tail
+
+
+def _log_factors(w, genus: int) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of log(1 - w) (genus 0) or log(1 - w) + w (genus 1).
+
+    Elementwise over a 1-d array of w = s/z.  The imaginary part is the
+    principal argument of 1 - w (plus Im w at genus 1).  At w == 1 the real
+    part is -inf.
+    """
+    if genus not in (0, 1):
+        raise ValueError(f"factor genus must be 0 or 1, got {genus}")
+    w = np.asarray(w, dtype=np.complex128)
+    a, b = w.real, w.imag
+    r2 = a * a + b * b
+    # both branches of every switch are evaluated; only the chosen one is kept
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        one_minus = 1.0 - a
+        imag = np.arctan2(-b, one_minus)
+        real = 0.5 * np.log1p(a * (a - 2.0) + b * b)
+        far = np.flatnonzero((a >= 0.5) | (r2 >= 1.0))
+        real[far] = np.log(np.hypot(one_minus[far], b[far]))
+        if genus == 1:
+            real += a
+            imag += b
+            series = np.flatnonzero(r2 <= 0.25)
+            tail = _log_tail(w[series], r2[series])
+            real[series] = tail.real
+            imag[series] = tail.imag
+    return real, imag
+
+
+def _blocks(values: np.ndarray) -> Iterable[np.ndarray]:
+    return (values[start : start + BLOCK] for start in range(0, values.size, BLOCK))
+
+
+def _sum_log_factors(w_blocks: Iterable[np.ndarray], genus: int) -> complex | None:
+    """Exactly rounded sum of the factor logs over blocks of w.
+
+    Returns None when some w == 1, so that the product vanishes exactly.
+    """
+    real, imag = ExactSum(), ExactSum()
+    for w in w_blocks:
+        if np.any(w == 1.0):
+            return None
+        log_real, log_imag = _log_factors(w, genus)
+        real.add(log_real)
+        imag.add(log_imag)
+    return complex(real.total(), imag.total())
 
 
 @dataclass(frozen=True)
@@ -110,6 +221,14 @@ def _proximity(s: complex, zeros: np.ndarray) -> tuple[float, bool]:
     return dist, dist < NEAR_ZERO_COEFF * (1.0 + abs(s))
 
 
+def _vanishing(n: int, tail: float | None, nearest: float) -> TruncatedEvaluation:
+    """The exact 0 at a retained zero, with no logarithm."""
+    return TruncatedEvaluation(
+        value=0j, terms_used=n, tail_bound=tail, nearest_zero_distance=nearest,
+        near_zero=True, log_value=None,
+    )
+
+
 def eval_product(spec: EntireFunctionSpec, s: complex, n_terms: int | None = None) -> TruncatedEvaluation:
     """Evaluate the truncated product representation at s.
 
@@ -126,19 +245,10 @@ def eval_product(spec: EntireFunctionSpec, s: complex, n_terms: int | None = Non
     tail = _tail_bound(spec, s, n)
     exponent = spec.q_constant * s if spec.genus == 1 else 0j
     if n:
-        factors = 1.0 - s / zeros
-        if np.any(factors == 0):
-            return TruncatedEvaluation(
-                value=0j,
-                terms_used=n,
-                tail_bound=tail,
-                nearest_zero_distance=nearest,
-                near_zero=True,
-                log_value=None,
-            )
-        exponent += complex_sum(np.log(factors))
-        if spec.genus == 1:
-            exponent += complex_sum(s / zeros)
+        log_sum = _sum_log_factors((s / z for z in _blocks(zeros)), spec.genus)
+        if log_sum is None:
+            return _vanishing(n, tail, nearest)
+        exponent += log_sum
     value = spec.value_at_zero * _exp_saturating(exponent)
     return TruncatedEvaluation(
         value=value,
@@ -189,18 +299,12 @@ def eval_shifted_product(
     u = s - alpha
     exponent = spec.q_constant * u if spec.genus == 1 else 0j
     if n:
-        factors = 1.0 - u / (zeros - alpha)
         # rounding in u/(z - alpha) must not blur the exact-vanishing contract
-        if np.any(factors == 0) or np.any(zeros == s):
-            return TruncatedEvaluation(
-                value=0j,
-                terms_used=n,
-                tail_bound=tail,
-                nearest_zero_distance=nearest,
-                near_zero=True,
-                log_value=None,
-            )
-        exponent += complex_sum(np.log(factors))
+        w_blocks = (u / (z - alpha) for z in _blocks(zeros))
+        log_sum = None if np.any(zeros == s) else _sum_log_factors(w_blocks, 0)
+        if log_sum is None:
+            return _vanishing(n, tail, nearest)
+        exponent += log_sum
         if spec.genus == 1:
             exponent += complex_sum(u / zeros)
     value = base.value * _exp_saturating(exponent)
@@ -238,7 +342,8 @@ def shift_constant_residual(
     zeros = _retained(spec, n_terms)
     n = int(zeros.size)
     _guard_coincident(alpha, zeros, "shift point coincides with a retained zero")
-    log_prod = complex_sum(np.log(1.0 - alpha / zeros)) if n else 0j
+    # the guard above keeps every factor 1 - alpha/z_k away from 0
+    log_prod = _sum_log_factors((alpha / z for z in _blocks(zeros)), 0)
     lhs = spec.value_at_zero * cmath.exp(log_prod)
     s_alpha = (
         complex(value_at_alpha)

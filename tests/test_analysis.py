@@ -51,8 +51,9 @@ class TestMaxModulus:
         assert max_modulus(poly_spec, 2.0) > 0.0
 
     def test_argument_validation(self, constant_spec) -> None:
-        with pytest.raises(ValueError, match="radius"):
-            max_modulus(constant_spec, 0.0)
+        for radius in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="radius"):
+                max_modulus(constant_spec, radius)
         with pytest.raises(ValueError, match="angular_samples"):
             max_modulus(constant_spec, 1.0, angular_samples=3)
 

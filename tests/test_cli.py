@@ -461,6 +461,36 @@ class TestRunCommand:
             report = run_command(argv)
             assert (report.exit_code, report.errors) == (2, ("usage error",))
 
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (["line", "--x-min", "0", "--x-max", "inf"], "x_max must be finite, got inf"),
+            (["line", "--x-min", "0", "--x-max", "nan"], "x_max must be finite, got nan"),
+            (
+                ["verify-identity", "--theorem", "T7", "--x-max", "inf"],
+                "x_max must be finite, got inf",
+            ),
+            (
+                ["mult", "--center", "1+1i", "--radius", "inf"],
+                "radius must be positive and finite, got inf",
+            ),
+            (
+                ["mult", "--center", "1+1i", "--radius", "nan"],
+                "radius must be positive and finite, got nan",
+            ),
+            (["order", "--v-min", "2", "--v-max", "inf"], "v_max must be finite, got inf"),
+            (
+                ["exponent", "--r-min", "1", "--r-max", "nan"],
+                "need finite 0 < r_min < r_max, got 1.0 and nan",
+            ),
+        ],
+        ids=["line-inf", "line-nan", "T7-inf", "mult-inf", "mult-nan", "order-inf", "exponent-nan"],
+    )
+    def test_non_finite_bounds(self, tmp_path, argv, message) -> None:
+        path = spec_path(tmp_path, SYMMETRIC_SPEC)
+        report = run_command([argv[0], "--spec", str(path), *argv[1:]])
+        assert (report.exit_code, report.errors) == (1, (message,))
+
     def test_missing_spec_file(self, tmp_path) -> None:
         report = run_command(["eval", "--spec", str(tmp_path / "nope.spec"), "--s", "1"])
         assert report.exit_code == 1

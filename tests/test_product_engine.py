@@ -111,6 +111,17 @@ class TestEvalProduct:
         assert result.log_value is not None
         assert cmath.exp(result.log_value) == pytest.approx(result.value, rel=1e-12)
 
+    def test_matches_120_bit_product_on_line_fixture(self, sinh_line_spec) -> None:
+        mpmath = pytest.importorskip("mpmath")
+        s = 1.3 + 2.45j  # at least 0.3 from every zero 1 +- ik
+        with mpmath.workprec(120):
+            s_mp = mpmath.mpc(s)
+            reference = mpmath.mpc(sinh_line_spec.value_at_zero)
+            for z in sinh_line_spec.zero_sequence.zeros:
+                reference *= 1 - s_mp / mpmath.mpc(z)
+            value = eval_product(sinh_line_spec, s).value
+            assert float(abs(mpmath.mpc(value) - reference) / abs(reference)) <= 1e-15
+
 
 class TestShiftedProduct:
     def test_at_alpha_returns_base_value(self, sinh_line_spec) -> None:
