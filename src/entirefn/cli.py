@@ -18,15 +18,19 @@ character is ``#`` are comments.  Keys:
     zeros_file   path to a zero table, relative to the spec file
 
 A line consisting of ``zeros_inline:`` switches the rest of the file to
-inline zero-table rows in the declared format.
+inline zero-table rows in the declared format.  The marker excludes
+``zeros_file`` even when no rows follow it.
 
 Zero tables
 -----------
 ``complex_pairs``: two floats per line (real and imaginary part).
 ``tau_only``: one float per line (offset along the center line; needs xi).
-``#`` comment lines and blank lines are ignored; parse errors carry 1-based
-line numbers.  Ingested sequences are normalized to modulus order with the
-deterministic tie-break.
+Floats are read as ``float()`` reads them.  A clean table (no comment, blank
+or invalid line) is parsed in one vectorised pass.  Any other table goes
+through the line-numbered parser, which ignores ``#`` comment lines and blank
+lines and raises the error of the first bad line, so the errors are the same
+either way; they carry 1-based line numbers.  Ingested sequences are
+normalized to modulus order with the deterministic tie-break, sorted once.
 
 Reports
 -------
@@ -53,7 +57,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -201,14 +205,49 @@ class RunReport:
 # ----------------------------------------------------------------- tables --
 
 
-def _parse_zero_table(
-    lines: Iterable[tuple[int, str]], fmt: TableFormat, xi: float | None, origin: str, source: str
-) -> ZeroSequence:
-    """Parse numbered table rows into a paired ZeroSequence in modulus order."""
-    if fmt is TableFormat.TAU_ONLY and xi is None:
-        raise ValueError(f"{origin}: tau_only format requires xi")
+# Rows per block of the complex_pairs fast path, so the tokens of a large
+# table never exist all at once as Python strings.
+_PAIR_BLOCK = 65536
+
+
+def _parse_clean_rows(rows: list[str], fmt: TableFormat, xi: float | None) -> np.ndarray:
+    """Zeros of a clean table (no comment, blank or invalid row) in one pass.
+
+    Floats follow Python's ``float()``, as in :func:`_parse_rows`.  Raises
+    ValueError, without a line number, on any table that is not clean.
+    """
+    if fmt is TableFormat.TAU_ONLY:
+        re_part, im_part = xi, np.array(rows, dtype=float)
+        valid = np.isfinite(im_part) & (im_part != 0.0)
+    else:
+        if not all(len(row.split()) == 2 for row in rows):
+            raise ValueError("not two tokens per row")
+        pairs = np.empty((len(rows), 2))
+        for start in range(0, len(rows), _PAIR_BLOCK):
+            block = rows[start : start + _PAIR_BLOCK]
+            # two tokens per row, so the block's tokens pair up row by row
+            tokens = " ".join(block).split()
+            pairs[start : start + len(block)] = np.array(tokens, dtype=float).reshape(-1, 2)
+        re_part, im_part = pairs[:, 0], pairs[:, 1]
+        valid = np.isfinite(pairs).all(axis=1) & ((re_part != 0.0) | (im_part != 0.0))
+    if not valid.all():
+        raise ValueError("non-finite or zero entry")
+    zeros = np.empty(len(rows), dtype=np.complex128)
+    zeros.real = re_part
+    zeros.imag = im_part
+    return zeros
+
+
+def _parse_rows(
+    rows: list[str], first_lineno: int, fmt: TableFormat, xi: float | None, origin: str
+) -> np.ndarray:
+    """Zeros of table rows, line by line: the reference parser.
+
+    ``#`` comment rows and blank rows are skipped; the first bad row raises
+    ValueError with its line number (the first row is ``first_lineno``).
+    """
     zeros: list[complex] = []
-    for lineno, raw in lines:
+    for lineno, raw in enumerate(rows, start=first_lineno):
         text = raw.strip()
         if not text or text.startswith("#"):
             continue
@@ -240,15 +279,28 @@ def _parse_zero_table(
                 )
             z = complex(xi, tau)  # type: ignore[arg-type]
         zeros.append(z)
+    return np.asarray(zeros, dtype=np.complex128)
+
+
+def _parse_zero_table(
+    rows: list[str], first_lineno: int, fmt: TableFormat, xi: float | None, origin: str, source: str
+) -> ZeroSequence:
+    """Parse table rows into a paired ZeroSequence in the order given.
+
+    A clean table is parsed in one pass; any other goes through the
+    line-numbered parser, which skips comments and blanks and raises the
+    error of the first bad row.
+    """
+    if fmt is TableFormat.TAU_ONLY and xi is None:
+        raise ValueError(f"{origin}: tau_only format requires xi")
+    try:
+        zeros = _parse_clean_rows(rows, fmt, xi)
+    except ValueError:
+        zeros = _parse_rows(rows, first_lineno, fmt, xi, origin)
     pairing = (
         Pairing.SYMMETRIC_ABOUT_CENTER if fmt is TableFormat.TAU_ONLY else Pairing.CONJUGATE_PAIRS
     )
-    return ZeroSequence(
-        zeros=np.asarray(zeros, dtype=np.complex128),
-        ordering=Ordering.AS_GIVEN,
-        pairing=pairing,
-        source=source,
-    ).sorted_by_modulus()
+    return ZeroSequence(zeros=zeros, ordering=Ordering.AS_GIVEN, pairing=pairing, source=source)
 
 
 def _table_rows(seq: ZeroSequence, table_format: TableFormat) -> list[str]:
@@ -270,8 +322,9 @@ def ingest_zero_table(
     """
     table_format = TableFormat(table_format)
     path = Path(path)
-    lines = enumerate(path.read_text().splitlines(), start=1)
-    return _parse_zero_table(lines, table_format, xi, str(path), f"{path}:{table_format.value}")
+    rows = path.read_text().splitlines()
+    source = f"{path}:{table_format.value}"
+    return _parse_zero_table(rows, 1, table_format, xi, str(path), source).sorted_by_modulus()
 
 
 def write_zero_table(
@@ -311,20 +364,17 @@ def load_spec_file(path: str | Path) -> tuple[EntireFunctionSpec, tuple[tuple[st
     text = path.read_text()
     digests = [(f"spec:{path.name}", hashlib.sha256(text.encode()).hexdigest())]
 
+    lines = text.splitlines()
     keys: dict[str, str] = {}
     key_lines: dict[str, int] = {}
-    inline: list[tuple[int, str]] = []
-    in_inline = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    marker: int | None = None  # line number of "zeros_inline:"; table rows follow it
+    for lineno, raw in enumerate(lines, start=1):
         stripped = raw.strip()
-        if in_inline:
-            inline.append((lineno, raw))
-            continue
         if not stripped or stripped.startswith("#"):
             continue
         if stripped == "zeros_inline:":
-            in_inline = True
-            continue
+            marker = lineno
+            break
         if "=" not in stripped:
             raise ValueError(f"{path} line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = stripped.partition("=")
@@ -360,7 +410,7 @@ def load_spec_file(path: str | Path) -> tuple[EntireFunctionSpec, tuple[tuple[st
         raise ValueError(f"{path}: exactly one of s0 / s_at_xi is required")
     fmt = parsed("zeros_format", TableFormat, TableFormat.COMPLEX_PAIRS)
 
-    if "zeros_file" in keys and inline:
+    if "zeros_file" in keys and marker is not None:
         raise ValueError(f"{path}: zeros_file and zeros_inline are mutually exclusive")
     if "zeros_file" in keys:
         table_path = (path.parent / keys["zeros_file"]).resolve()
@@ -368,16 +418,18 @@ def load_spec_file(path: str | Path) -> tuple[EntireFunctionSpec, tuple[tuple[st
         digests.append(
             (f"zeros:{table_path.name}", hashlib.sha256(table_text.encode()).hexdigest())
         )
-        lines = enumerate(table_text.splitlines(), start=1)
-        seq = _parse_zero_table(lines, fmt, xi, str(table_path), str(path))
+        seq = _parse_zero_table(table_text.splitlines(), 1, fmt, xi, str(table_path), str(path))
     else:
-        seq = _parse_zero_table(inline, fmt, xi, f"{path}:zeros_inline", str(path))
+        start = len(lines) if marker is None else marker
+        origin = f"{path}:zeros_inline"
+        seq = _parse_zero_table(lines[start:], start + 1, fmt, xi, origin, str(path))
 
     if "s_at_xi" in keys:
         if not tag.symmetric:
             raise ValueError(f"{path}: s_at_xi requires class Y_tilde or L_bar")
         if xi is None:
             raise ValueError(f"{path}: s_at_xi requires xi")
+        # make_symmetric_spec sorts the zeros it builds
         spec = make_symmetric_spec(
             xi=xi,
             taus=seq.zeros.imag,
@@ -389,7 +441,7 @@ def load_spec_file(path: str | Path) -> tuple[EntireFunctionSpec, tuple[tuple[st
         spec = EntireFunctionSpec(
             class_tag=tag,
             value_at_zero=parsed("s0", parse_complex),
-            zero_sequence=seq,
+            zero_sequence=seq.sorted_by_modulus(),
             q_constant=q,
             center_xi=xi if tag.symmetric else None,
         )

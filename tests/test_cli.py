@@ -256,9 +256,20 @@ class TestSpecFiles:
 
     def test_zeros_file_and_inline_conflict(self, tmp_path) -> None:
         (tmp_path / "zt.txt").write_text("1 1\n")
-        content = "class = Y\ns0 = 1\nzeros_file = zt.txt\nzeros_inline:\n1 1\n"
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            load_spec_file(spec_path(tmp_path, content))
+        head = "class = Y\ns0 = 1\nzeros_file = zt.txt\n"
+        # the marker alone conflicts, with or without rows after it
+        for content in (head + "zeros_inline:\n1 1\n", head + "zeros_inline:\n"):
+            with pytest.raises(ValueError, match="mutually exclusive"):
+                load_spec_file(spec_path(tmp_path, content))
+
+    def test_inline_error_line_number(self, tmp_path) -> None:
+        content = (
+            "class = Y_tilde\n# offsets along Re s = 1\n\nxi = 1.0\ns_at_xi = 1\n"
+            "zeros_format = tau_only\nzeros_inline:\n1.0\n-1.0 oops\n2.0\n"
+        )
+        path = spec_path(tmp_path, content)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:zeros_inline line 9: "):
+            load_spec_file(path)
 
 
 class TestRunCommand:
