@@ -22,7 +22,7 @@ import numpy as np
 
 from ._numeric import complex_sum, loglog_fit
 from .core_types import EntireFunctionSpec, ZeroSequence
-from .product_engine import eval_product, log_derivative
+from .product_engine import _retained, eval_product, log_derivative
 
 __all__ = [
     "OrderEstimate",
@@ -144,24 +144,24 @@ def estimate_order(
         raise ValueError("v_max must exceed v_min")
     if n_radii < 3:
         raise ValueError(f"n_radii must be >= 3, got {n_radii}")
+    n = int(_retained(spec, n_terms).size)
     radii = np.geomspace(v_min, v_max, n_radii)
     kept_r: list[float] = []
     kept_log_max: list[float] = []
     for r in radii:
-        log_max = _max_log_modulus(spec, float(r), angular_samples, n_terms)
+        log_max = _max_log_modulus(spec, float(r), angular_samples, n)
         if log_max > MIN_LOG_GROWTH:
             kept_r.append(float(r))
             kept_log_max.append(log_max)
     if len(kept_r) < 3:
         raise ValueError("insufficient growth range: fewer than 3 radii with max|S| > e")
     fit = loglog_fit(kept_r, kept_log_max)
-    n_used = spec.n_zeros if n_terms is None else int(n_terms)
     return OrderEstimate(
         order=fit.slope,
         radii=tuple(kept_r),
         log_log_max=tuple(math.log(v) for v in kept_log_max),
         rms_residual=fit.rms_residual,
-        truncation=n_used,
+        truncation=n,
     )
 
 
@@ -209,7 +209,7 @@ def verify_multiplicity(
         raise ValueError(f"radius must be positive and finite, got {radius}")
     if nodes < 16:
         raise ValueError(f"nodes must be >= 16, got {nodes}")
-    zeros = spec.zero_sequence.zeros[: spec.n_zeros if n_terms is None else int(n_terms)]
+    zeros = _retained(spec, n_terms)
     if zeros.size:
         clearance = float(np.min(np.abs(np.abs(zeros - center) - radius)))
         if clearance < CONTOUR_CLEARANCE:
@@ -218,7 +218,7 @@ def verify_multiplicity(
     for j in range(nodes):
         theta = 2.0 * math.pi * j / nodes
         unit = complex(math.cos(theta), math.sin(theta))
-        values[j] = log_derivative(spec, center + radius * unit, n_terms) * unit
+        values[j] = log_derivative(spec, center + radius * unit, zeros.size) * unit
     raw = (radius / nodes) * complex_sum(values)
     winding = round(raw.real)
     if abs(raw - winding) > WINDING_SNAP:

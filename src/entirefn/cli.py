@@ -14,6 +14,7 @@ character is ``#`` are comments.  Keys:
     q            complex rate constant, default 0       (genus 1 only)
     s0           complex value at the origin            } exactly one
     s_at_xi      complex value at the center line       } of these two
+                 (every zero on Re s = xi)
     zeros_format complex_pairs | tau_only               (default complex_pairs)
     zeros_file   path to a zero table, relative to the spec file
 
@@ -429,6 +430,10 @@ def load_spec_file(path: str | Path) -> tuple[EntireFunctionSpec, tuple[tuple[st
             raise ValueError(f"{path}: s_at_xi requires class Y_tilde or L_bar")
         if xi is None:
             raise ValueError(f"{path}: s_at_xi requires xi")
+        off_line = seq.zeros[seq.zeros.real != xi]
+        if off_line.size:
+            first = format_complex(complex(off_line[0]))
+            raise ValueError(f"{path}: s_at_xi requires every zero on Re s = xi, got {first}")
         # make_symmetric_spec sorts the zeros it builds
         spec = make_symmetric_spec(
             xi=xi,

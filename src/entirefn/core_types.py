@@ -50,6 +50,9 @@ MIN_FIT_GROUPS = 8
 # converges iff slope < -1; verdicts use a +/-0.1 dead band around -1.
 SLOPE_DEAD_BAND = 0.1
 
+# Largest x with a finite exp(x).
+_LOG_DOUBLE_MAX = math.log(np.finfo(float).max)
+
 
 class ClassTag(str, Enum):
     Y = "Y"
@@ -151,9 +154,14 @@ def _fit_tail_terms(terms: np.ndarray) -> tuple[Verdict, SlopeFit | None, float 
         return Verdict.INDETERMINATE, None, None
     fit = loglog_fit(j[keep], t[keep])
     if fit.slope <= -1.0 - SLOPE_DEAD_BAND:
-        # Integral-test extrapolation of c * j**slope beyond the last group.
-        c = math.exp(fit.intercept)
-        extrap = c * float(n) ** (fit.slope + 1.0) / (-fit.slope - 1.0)
+        # Integral-test extrapolation of c * j**slope beyond the last group,
+        # c = exp(intercept).  Only where c alone overflows is it taken in the
+        # log domain, so in-range tails keep their bits.
+        if fit.intercept < _LOG_DOUBLE_MAX:
+            extrap = math.exp(fit.intercept) * float(n) ** (fit.slope + 1.0) / (-fit.slope - 1.0)
+        else:
+            log_extrap = fit.intercept + (fit.slope + 1.0) * math.log(n) - math.log(-fit.slope - 1.0)
+            extrap = math.exp(log_extrap) if log_extrap < _LOG_DOUBLE_MAX else math.inf
         return Verdict.PASS, fit, extrap
     if fit.slope >= -1.0 + SLOPE_DEAD_BAND:
         return Verdict.FAIL, fit, None

@@ -111,6 +111,7 @@ def critical_line_profile(
     """
     if not spec.class_tag.symmetric:
         raise ValueError("critical-line profile requires a Y_tilde or L_bar spec")
+    n = int(_retained(spec, n_terms).size)
     x_min, x_max = float(x_min), float(x_max)
     for name, bound in (("x_min", x_min), ("x_max", x_max)):
         if not math.isfinite(bound):
@@ -123,7 +124,6 @@ def critical_line_profile(
         raise ValueError(f"samples must be >= 2, got {samples}")
     assert spec.center_xi is not None
     xi = spec.center_xi
-    n = spec.n_zeros if n_terms is None else int(n_terms)
     grid = np.linspace(x_min, x_max, samples)
     values = np.empty(samples, dtype=np.complex128)
     for j, x in enumerate(grid):

@@ -26,7 +26,7 @@ from ._numeric import complex_sum
 from .analysis import verify_multiplicity
 from .core_types import EntireFunctionSpec
 from .critical_line import critical_line_profile, even_product_form, scan_real_zeros
-from .product_engine import _blocks, _sum_log_factors
+from .product_engine import _blocks, _retained, _sum_log_factors
 from .product_engine import eval_product, eval_shifted_product, shift_constant_residual
 from .series_engine import even_series
 
@@ -185,9 +185,10 @@ def _line_form_identity(spec, with_even_form: bool, x_min, x_max, samples, n_ter
 
 
 def _simplicity_identity(spec, scan: bool, x_min: float, x_max: float, samples, n_terms):
-    zeros = spec.zero_sequence.zeros[:n_terms]
+    zeros = _retained(spec, n_terms)
+    n = int(zeros.size)
     if scan:
-        profile = critical_line_profile(spec, x_min, x_max, samples, n_terms)
+        profile = critical_line_profile(spec, x_min, x_max, samples, n)
         found = scan_real_zeros(profile, spec)
         centers = [complex(profile.xi, est.tau) for est in found.estimates]
     else:
@@ -202,7 +203,7 @@ def _simplicity_identity(spec, scan: bool, x_min: float, x_max: float, samples, 
         others = zeros[np.abs(zeros - center) > 1e-9]
         gap = float(np.min(np.abs(others - center))) if others.size else 1.0
         radius = 0.4 * min(gap, 1.0)
-        result = verify_multiplicity(spec, center, radius, 512, n_terms)
+        result = verify_multiplicity(spec, center, radius, 512, n)
         quantities.append((f"winding[{j}]", result.winding))
         passed = passed and result.winding == 1
     return quantities, passed

@@ -9,8 +9,8 @@ the fused log(1 - w) + w at genus 1, for w = s/z_k:
     Im    atan2(-Im w, 1 - Re w), the principal branch
     Re    1/2 log1p(Re w (Re w - 2) + (Im w)^2) where Re w < 1/2 and
           |w| < 1, log hypot(1 - Re w, Im w) elsewhere
-    genus 1 with |w| <= 1/2: the tail series -sum_{m>=2} w^m/m, to the
-          Horner degree its remainder bound needs in each |w| band
+    genus 1 with |w| <= 1/2: -2 atanh(t) + w with t = w/(2 - w), as a
+          fixed-degree series in t^2 (|t| <= 1/3)
 
 so small factors keep full relative accuracy and factors near a zero full
 absolute accuracy.  Zeros go through in blocks of at most 2**15, each block
@@ -49,31 +49,11 @@ __all__ = [
 NEAR_ZERO_COEFF = 1e-9
 # Coincidence threshold for hard guards (shift point / pole detection).
 COINCIDENT_RELATIVE = 1e-12
-# Relative truncation target of the genus-1 tail series.
-SERIES_RELATIVE_TOL = 1e-15
-
-
-def _tail_degrees() -> np.ndarray:
-    """Degree M at which -sum_{m=2..M} w^m/m meets SERIES_RELATIVE_TOL, per band.
-
-    Entry k >= 1 serves |w|^2 in [2**-(k+1), 2**-k), the exponent np.frexp
-    gives (entry 0 serves w == 0).  For |w| <= r <= 1/2 the remainder after
-    w^M/M is at most r^(M+1) / ((M+1)(1-r)) and the series is at least
-    r^2/2 - r^3/(3(1-r)); their ratio grows with r, so a band's largest r
-    fixes its degree.
-    """
-    degrees = [2]
-    while degrees[-1] > 2 or len(degrees) < 2:
-        r = min(2.0 ** (-len(degrees) / 2.0), 0.5)
-        smallest = r * r / 2.0 - r**3 / (3.0 * (1.0 - r))
-        degree = 2
-        while r ** (degree + 1) / ((degree + 1) * (1.0 - r)) > SERIES_RELATIVE_TOL * smallest:
-            degree += 1
-        degrees.append(degree)
-    return np.array(degrees, dtype=np.int8)
-
-
-_TAIL_DEGREES = _tail_degrees()
+# 1/(2k+3) for k = 14, ..., 0: the atanh series of log(1 - w) + w in t^2,
+# highest degree first.  For |t| <= 1/3 the omitted terms are at most
+# 2|t|^33/(33 (8/9)) and |log(1 - w) + w| >= 1.25|t|^2, so their ratio stays
+# below 1e-16.
+_ATANH_COEFFS = 1.0 / np.arange(31.0, 2.0, -2.0)
 
 
 def _exp_saturating(z: complex) -> complex:
@@ -84,25 +64,19 @@ def _exp_saturating(z: complex) -> complex:
         return cmath.rect(math.inf, z.imag)
 
 
-def _log_tail(w: np.ndarray, r2: np.ndarray) -> np.ndarray:
-    """-sum_{m>=2} w^m/m for |w| <= 1/2 (r2 = |w|^2), each w to its band's degree.
+def _log_tail(w: np.ndarray) -> np.ndarray:
+    """log(1 - w) + w for |w| <= 1/2, as -t (w + 2 t^2 sum_k t^(2k)/(2k+3)).
 
-    Sorting by degree, descending, makes the terms still to be added at
-    each Horner step a prefix of the array.
+    With t = w/(2 - w), 1 - w = (1 - t)/(1 + t), so log(1 - w) = -2 atanh t
+    and |t| <= 1/3: one fixed Horner degree in t^2 serves every element.
     """
-    degree = _TAIL_DEGREES[np.minimum(-np.frexp(r2)[1], _TAIL_DEGREES.size - 1)]
-    order = np.argsort(-degree, kind="stable")
-    ws = w[order]
-    acc = (1.0 / degree[order]).astype(np.complex128)
-    # above[m]: how many elements have a degree above m
-    above = ws.size - np.cumsum(np.bincount(degree))
-    for m in range(int(degree.max(initial=2)) - 1, 1, -1):
-        active = int(above[m])
-        acc[:active] *= ws[:active]
-        acc[:active] += 1.0 / m
-    tail = np.empty_like(ws)
-    tail[order] = -(ws * ws) * acc
-    return tail
+    t = w / (2.0 - w)
+    t2 = t * t
+    acc = np.full_like(t2, _ATANH_COEFFS[0])
+    for c in _ATANH_COEFFS[1:]:
+        acc *= t2
+        acc += c
+    return -t * (w + 2.0 * t2 * acc)
 
 
 def _log_factors(w, genus: int) -> tuple[np.ndarray, np.ndarray]:
@@ -110,7 +84,8 @@ def _log_factors(w, genus: int) -> tuple[np.ndarray, np.ndarray]:
 
     Elementwise over a 1-d array of w = s/z.  The imaginary part is the
     principal argument of 1 - w (plus Im w at genus 1).  At w == 1 the real
-    part is -inf.
+    part is -inf.  At genus 1, |w| <= 1/2 takes the fixed-degree atanh
+    series of ``_log_tail`` in place of both parts.
     """
     if genus not in (0, 1):
         raise ValueError(f"factor genus must be 0 or 1, got {genus}")
@@ -128,7 +103,7 @@ def _log_factors(w, genus: int) -> tuple[np.ndarray, np.ndarray]:
             real += a
             imag += b
             series = np.flatnonzero(r2 <= 0.25)
-            tail = _log_tail(w[series], r2[series])
+            tail = _log_tail(w[series])
             real[series] = tail.real
             imag[series] = tail.imag
     return real, imag
@@ -208,7 +183,8 @@ def _tail_bound(spec: EntireFunctionSpec, s: complex, n: int) -> float | None:
     tail = profile.tail_beyond(n)
     if tail is None:
         return None
-    exponent = abs(s) ** (spec.genus + 1) * tail
+    # every factor is 1 at s = 0, even when the tail estimate is infinite
+    exponent = abs(s) ** (spec.genus + 1) * tail if s else 0.0
     if exponent > 700.0:
         return math.inf
     return math.expm1(exponent)

@@ -254,6 +254,27 @@ class TestSpecFiles:
         with pytest.raises(ValueError, match="requires xi"):
             load_spec_file(spec_path(tmp_path, content))
 
+    def test_s_at_xi_rejects_zeros_off_the_line(self, tmp_path) -> None:
+        # complex_pairs rows with Re z != xi cannot be line offsets
+        content = "class = Y_tilde\nxi = 1.0\ns_at_xi = 1\nzeros_inline:\n5.0 1.0\n5.0 -1.0\n"
+        path = spec_path(tmp_path, content)
+        report = run_command(["eval", "--spec", str(path), "--s", "5+1i"])
+        assert report.exit_code == 1
+        assert report.errors == (
+            f"{path}: s_at_xi requires every zero on Re s = xi, got 5.0+1.0j",
+        )
+
+    def test_s_at_xi_complex_pairs_on_the_line_match_tau_only(self, tmp_path) -> None:
+        taus = ["1.0", "-1.0", "2.5", "-2.5"]
+        head = "class = L_bar\nxi = 1.0\nq = 0.3\ns_at_xi = 2\n"
+        pairs = head + "zeros_format = complex_pairs\nzeros_inline:\n"
+        pairs += "".join(f"1.0 {t}\n" for t in taus)
+        offsets = head + "zeros_format = tau_only\nzeros_inline:\n" + "\n".join(taus) + "\n"
+        from_pairs, _ = load_spec_file(spec_path(tmp_path, pairs, "pairs.spec"))
+        from_offsets, _ = load_spec_file(spec_path(tmp_path, offsets, "offsets.spec"))
+        assert np.array_equal(from_pairs.zero_sequence.zeros, from_offsets.zero_sequence.zeros)
+        assert from_pairs.value_at_zero == from_offsets.value_at_zero
+
     def test_zeros_file_and_inline_conflict(self, tmp_path) -> None:
         (tmp_path / "zt.txt").write_text("1 1\n")
         head = "class = Y\ns0 = 1\nzeros_file = zt.txt\n"
@@ -455,6 +476,20 @@ class TestRunCommand:
             assert report.errors == (message,)
         with pytest.raises(ValueError, match="unknown identity check"):
             verify_identity(load_spec_file(sym)[0], "T10")
+
+    def test_overflowing_tail_fit_intercept(self, tmp_path) -> None:
+        # e^intercept of the tail fit overflows a double for these offsets
+        rows = ["1.0"] * 6 + ["1028001607991.0", "2.104724618777498e+45"]
+        content = "class = L_bar\nxi = 0.5\ns_at_xi = 1\nzeros_format = tau_only\nzeros_inline:\n"
+        path = spec_path(tmp_path, content + "\n".join(rows) + "\n")
+        tails = {}
+        for s in ("0.3", "0"):
+            report = run_command(["eval", "--spec", str(path), "--s", s])
+            assert report.exit_code == 0, report.errors
+            tails[s] = {r.quantity: r.value for r in report.records}["tail_bound"]
+        # taken in the log domain, the extrapolated tail is tiny, not an overflow
+        assert 0.0 < tails["0.3"] < 1e-60
+        assert tails["0"] == 0.0
 
     def test_usage_errors(self, tmp_path) -> None:
         report = run_command(["frobnicate", "--spec", "x"])

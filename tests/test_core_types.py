@@ -18,6 +18,7 @@ from entirefn import (
     modulus_sort_indices,
     validate_zero_sequence,
 )
+from entirefn.core_types import _fit_tail_terms
 from conftest import interleaved_taus
 
 
@@ -263,3 +264,25 @@ class TestTailProfile:
         profile = seq.tail_profile(0)
         assert profile.verdict in (Verdict.FAIL, Verdict.INDETERMINATE)
         assert profile.tail_beyond(50) is None
+
+    def test_overflowing_intercept_extrapolates_in_log_domain(self) -> None:
+        # the fitted intercept passes log(DBL_MAX), so e^intercept alone overflows
+        taus = [1.0] * 6 + [1028001607991.0, 2.104724618777498e45]
+        spec = make_symmetric_spec(
+            xi=0.5, taus=taus, value_at_center=1.0 + 0j, class_tag=ClassTag.L_BAR
+        )
+        report = validate_zero_sequence(spec.zero_sequence, genus=1)
+        assert report.overall is Verdict.PASS
+        profile = spec.zero_sequence.tail_profile(1)
+        assert profile.fit is not None
+        assert profile.fit.intercept > math.log(np.finfo(float).max)
+        assert 0.0 < profile.extrapolated_tail < 1e-60
+
+    def test_extrapolated_tail_past_double_range_is_inf(self) -> None:
+        # e^712 j^-1.2 on the fitted half, j = 9..16; the log tail passes 709.78
+        head = np.full(8, 1e300)
+        terms = np.concatenate([head, np.exp(712.0 - 1.2 * np.log(np.arange(9.0, 17.0)))])
+        verdict, fit, extrap = _fit_tail_terms(terms)
+        assert verdict is Verdict.PASS
+        assert fit is not None and fit.intercept > math.log(np.finfo(float).max)
+        assert extrap == math.inf

@@ -50,10 +50,10 @@ class TestPointValues:
 
 class TestLogTail:
     def test_zero_point(self) -> None:
-        assert _log_tail(np.zeros(1, dtype=np.complex128), np.zeros(1))[0] == 0j
+        assert _log_tail(np.zeros(1, dtype=np.complex128))[0] == 0j
 
     def test_long_tail_reaches_log(self) -> None:
-        # |w| = 1/2 is the edge of the series region, at the highest degree
+        # |w| = 1/2 is the edge of the series region, where |t| = 1/3
         assert log_factor(0.5, 1) == pytest.approx(math.log(0.5) + 0.5, rel=1e-15)
 
     @given(
@@ -158,3 +158,21 @@ def test_kernel_against_mpmath(genus: int) -> None:
                 # small factors keep their relative accuracy
                 scale = float(abs(ref))
             assert err <= 4e-16 * scale, (w, float(err))
+
+
+def test_series_region_relative_accuracy() -> None:
+    # the genus-1 series keeps full relative accuracy over |w| = 2^-20 .. 1/2
+    mpmath = pytest.importorskip("mpmath")
+    points = [
+        2.0 ** (-k / 4) * cmath.exp(1j * (0.1 + 2 * math.pi * j / 12))
+        for k in range(4, 81)
+        for j in range(12)
+    ]
+    real, imag = _log_factors(np.array(points), 1)
+    worst = 0.0
+    with mpmath.workprec(150):
+        for w, re_part, im_part in zip(points, real, imag):
+            ref = mpmath.log(1 - mpmath.mpc(w)) + mpmath.mpc(w)
+            err = abs(mpmath.mpc(re_part, im_part) - ref) / abs(ref)
+            worst = max(worst, float(err))
+    assert worst <= 6e-16

@@ -20,11 +20,16 @@ from entirefn import (
     Ordering,
     Pairing,
     ZeroSequence,
+    critical_line_profile,
+    estimate_order,
     eval_product,
     eval_shifted_product,
     log_derivative,
+    make_symmetric_spec,
     shift_constant_residual,
+    verify_multiplicity,
 )
+from entirefn.identities import verify_identity
 
 
 def small_spec(zeros, genus=0, q=0j, s0=1.0 + 0j) -> EntireFunctionSpec:
@@ -105,6 +110,15 @@ class TestEvalProduct:
         spec = small_spec(zeros)
         result = eval_product(spec, 0.5)
         assert result.tail_bound is None
+
+    def test_infinite_tail_bound_vanishes_at_origin(self) -> None:
+        # terms e^708 j^-1.1 over the fitted half: the extrapolated tail is inf
+        j = np.arange(1, 17, dtype=float)
+        inv_sq = np.where(j >= 9, np.exp(708.0 - 1.1 * np.log(j)), 1e300)
+        spec = small_spec(1.0 / np.sqrt(inv_sq), genus=1)
+        assert eval_product(spec, 0.3).tail_bound == math.inf
+        # every factor is 1 at s = 0, so 0 * inf must not give nan
+        assert eval_product(spec, 0.0).tail_bound == 0.0
 
     def test_exp_log_consistency(self, lbar_spec) -> None:
         result = eval_product(lbar_spec, 0.4 + 0.2j)
@@ -223,3 +237,29 @@ class TestLogDerivative:
         f = lambda z: eval_product(sinh_line_spec, z, 2000).log_value
         numeric = (f(s + h) - f(s - h)) / (2 * h)
         assert log_derivative(sinh_line_spec, s, 2000) == pytest.approx(numeric, rel=1e-8)
+
+
+_CONSUMERS = {
+    "critical_line_profile": lambda spec, n: critical_line_profile(spec, 0.5, 2.5, 8, n),
+    "estimate_order": lambda spec, n: estimate_order(spec, 2.0, 50.0, 3, n, angular_samples=8),
+    "verify_multiplicity": lambda spec, n: verify_multiplicity(spec, 1.0 + 1.0j, 0.4, 16, n),
+    # a window with no line zero: nothing to audit, but N is still checked
+    "T9": lambda spec, n: verify_identity(spec, "T9", n, x_min=10.0, x_max=11.0),
+}
+
+
+@pytest.mark.parametrize("consumer", sorted(_CONSUMERS))
+@pytest.mark.parametrize(
+    "n_terms, message", [(-1, "n_terms must be >= 0"), (7, "insufficient zeros")]
+)
+def test_one_truncation_rule_in_every_consumer(consumer, n_terms, message) -> None:
+    # six zeros: N = 7 asks for one more than the spec has
+    spec = make_symmetric_spec(
+        xi=1.0,
+        taus=[1.0, -1.0, 2.0, -2.0, 3.0, -3.0],
+        value_at_center=1.0 + 0j,
+        class_tag=ClassTag.L_BAR,
+        q_constant=0.3 + 0j,
+    )
+    with pytest.raises(ValueError, match=message):
+        _CONSUMERS[consumer](spec, n_terms)
