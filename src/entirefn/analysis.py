@@ -22,7 +22,7 @@ import numpy as np
 
 from ._numeric import complex_sum, loglog_fit
 from .core_types import EntireFunctionSpec, ZeroSequence
-from .product_engine import _retained, eval_product, log_derivative
+from .product_engine import _eval_batch, _log_derivatives, _retained
 
 __all__ = [
     "OrderEstimate",
@@ -80,21 +80,20 @@ class MultiplicityResult:
 
 
 def _max_log_modulus(
-    spec: EntireFunctionSpec, radius: float, angular_samples: int, n_terms: int | None
+    spec: EntireFunctionSpec, radius: float, angular_samples: int, n: int, far_radius: float
 ) -> float:
     """max over the angular grid of log |S(radius * e^{i theta})|.
 
     Works in the log domain so radii with astronomically large values stay
     finite.  Points that hit a zero exactly contribute -inf and never win.
+    The zeros beyond 4 * far_radius (>= radius) enter as power sums.
     """
-    best = -math.inf
-    for j in range(angular_samples):
-        theta = 2.0 * math.pi * j / angular_samples
-        s = radius * complex(math.cos(theta), math.sin(theta))
-        ev = eval_product(spec, s, n_terms)
-        if ev.log_value is not None:
-            best = max(best, ev.log_value.real)
-    return best
+    points = [
+        radius * complex(math.cos(theta), math.sin(theta))
+        for theta in (2.0 * math.pi * j / angular_samples for j in range(angular_samples))
+    ]
+    _, logs = _eval_batch(spec, points, n, far_radius)
+    return float(np.max(logs.real))
 
 
 def max_modulus(
@@ -113,7 +112,8 @@ def max_modulus(
         raise ValueError(f"radius must be positive and finite, got {radius}")
     if angular_samples < 4:
         raise ValueError(f"angular_samples must be >= 4, got {angular_samples}")
-    best = _max_log_modulus(spec, radius, angular_samples, n_terms)
+    n = int(_retained(spec, n_terms).size)
+    best = _max_log_modulus(spec, radius, angular_samples, n, radius)
     if best == -math.inf:
         return 0.0
     try:
@@ -148,8 +148,10 @@ def estimate_order(
     radii = np.geomspace(v_min, v_max, n_radii)
     kept_r: list[float] = []
     kept_log_max: list[float] = []
+    # one far set serves every ring
+    far_radius = float(np.max(radii))
     for r in radii:
-        log_max = _max_log_modulus(spec, float(r), angular_samples, n)
+        log_max = _max_log_modulus(spec, float(r), angular_samples, n, far_radius)
         if log_max > MIN_LOG_GROWTH:
             kept_r.append(float(r))
             kept_log_max.append(log_max)
@@ -214,12 +216,11 @@ def verify_multiplicity(
         clearance = float(np.min(np.abs(np.abs(zeros - center) - radius)))
         if clearance < CONTOUR_CLEARANCE:
             raise ValueError("a retained zero lies on or within 1e-6 of the contour")
-    values = np.empty(nodes, dtype=np.complex128)
-    for j in range(nodes):
-        theta = 2.0 * math.pi * j / nodes
-        unit = complex(math.cos(theta), math.sin(theta))
-        values[j] = log_derivative(spec, center + radius * unit, zeros.size) * unit
-    raw = (radius / nodes) * complex_sum(values)
+    thetas = [2.0 * math.pi * j / nodes for j in range(nodes)]
+    units = [complex(math.cos(theta), math.sin(theta)) for theta in thetas]
+    points = [center + radius * unit for unit in units]
+    derivs = _log_derivatives(spec, points, int(zeros.size), abs(center) + radius)
+    raw = (radius / nodes) * complex_sum(np.array([d * u for d, u in zip(derivs.tolist(), units)]))
     winding = round(raw.real)
     if abs(raw - winding) > WINDING_SNAP:
         raise ValueError(

@@ -194,6 +194,8 @@ class ZeroSequence:
         object.__setattr__(self, "ordering", Ordering(self.ordering))
         object.__setattr__(self, "pairing", Pairing(self.pairing))
         object.__setattr__(self, "_tail_cache", {})
+        # far-field power sums of product_engine, by (retained count, near count)
+        object.__setattr__(self, "_far_cache", {})
 
     def __len__(self) -> int:
         return int(self.zeros.size)
@@ -264,20 +266,26 @@ def _build_tail_profile(seq: ZeroSequence, genus: int) -> TailProfile:
         )
     if np.any(z == 0):
         raise ValueError("tail profile undefined for a sequence containing 0")
-    recip = 1.0 / z
-    inv_sq = recip.real * recip.real + recip.imag * recip.imag
-    plain = real_sum(np.abs(recip) if genus == 0 else inv_sq)
-    grouped = seq.pairing is not Pairing.NONE
-    if genus == 1:
-        terms = np.add.reduceat(inv_sq, starts) if grouped else inv_sq.copy()
-    elif grouped:
-        group_recip = np.add.reduceat(recip, starts)
-        terms = np.abs(group_recip) + np.add.reduceat(inv_sq, starts)
-    else:
-        terms = np.abs(recip)
-    verdict, fit, extrap = _fit_tail_terms(terms)
-    suffix = np.zeros(terms.size + 1)
-    suffix[:-1] = np.cumsum(terms[::-1])[::-1]
+    # zeros near the bottom of the double range give terms and sums past
+    # its top: they become inf, and so does the tail bound
+    with np.errstate(over="ignore"):
+        recip = 1.0 / z
+        inv_sq = recip.real * recip.real + recip.imag * recip.imag
+        try:
+            plain = real_sum(np.abs(recip) if genus == 0 else inv_sq)
+        except OverflowError:
+            plain = math.inf
+        grouped = seq.pairing is not Pairing.NONE
+        if genus == 1:
+            terms = np.add.reduceat(inv_sq, starts) if grouped else inv_sq.copy()
+        elif grouped:
+            group_recip = np.add.reduceat(recip, starts)
+            terms = np.abs(group_recip) + np.add.reduceat(inv_sq, starts)
+        else:
+            terms = np.abs(recip)
+        verdict, fit, extrap = _fit_tail_terms(terms)
+        suffix = np.zeros(terms.size + 1)
+        suffix[:-1] = np.cumsum(terms[::-1])[::-1]
     for a in (terms, suffix):
         a.setflags(write=False)
     return TailProfile(

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._numeric import real_sum
 from .core_types import ClassTag, EntireFunctionSpec
-from .product_engine import _retained, eval_product
+from .product_engine import _eval_batch, _retained, eval_product
 from .series_engine import TaylorExpansion, _require_sign_symmetric
 
 __all__ = [
@@ -125,10 +125,14 @@ def critical_line_profile(
     assert spec.center_xi is not None
     xi = spec.center_xi
     grid = np.linspace(x_min, x_max, samples)
-    values = np.empty(samples, dtype=np.complex128)
-    for j, x in enumerate(grid):
-        values[j] = eval_product(spec, complex(xi, x), n).value
-    v0 = eval_product(spec, complex(xi), n).value
+    # V(0) rides in the same batch, as the last point; |xi + i x| peaks at an end
+    points = np.empty(samples + 1, dtype=np.complex128)
+    points.real = xi
+    points.imag[:-1] = grid
+    points.imag[-1] = 0.0
+    radius = float(np.max(np.abs(points[[0, samples - 1]])))
+    line, _ = _eval_batch(spec, points, n, radius)
+    values, v0 = line[:-1], complex(line[-1])
     imag_max = float(np.max(np.abs(values.imag)))
     return CriticalLineProfile(
         xi=xi, grid=grid, values=values, v0=v0, imag_max=imag_max, truncation=n
@@ -207,24 +211,33 @@ def even_product_form(spec: EntireFunctionSpec, x: float, n_terms: int | None = 
     tau_hat runs over the positive offsets (with multiplicity).  On the same
     finite factor set this equals the direct profile value up to rounding.
     """
+    return _even_product_values(spec, [float(x)], n_terms)[0]
+
+
+def _even_product_values(spec: EntireFunctionSpec, xs, n_terms: int | None) -> list[complex]:
+    """``even_product_form`` at each x, checking the spec and computing V(0) once."""
     if spec.class_tag is not ClassTag.Y_TILDE:
         raise ValueError("even product form requires a Y_tilde spec")
-    x = float(x)
     zeros = _retained(spec, n_terms)
     n = int(zeros.size)
     taus = zeros.imag
     _require_sign_symmetric(taus)
-    tau_hat = np.sort(taus[taus > 0.0])
+    tau_hat = taus[taus > 0.0]
+    tau_sq = tau_hat * tau_hat
     assert spec.center_xi is not None
     v0 = eval_product(spec, complex(spec.center_xi), n).value
     if tau_hat.size == 0:
-        return v0
-    factors = 1.0 - (x * x) / (tau_hat * tau_hat)
-    if np.any(factors == 0.0):
-        return 0j
-    sign = -1.0 if int(np.count_nonzero(factors < 0.0)) % 2 else 1.0
-    magnitude = math.exp(real_sum(np.log(np.abs(factors))))
-    return v0 * sign * magnitude
+        return [v0] * len(xs)
+    out: list[complex] = []
+    for x in xs:
+        x = float(x)
+        factors = 1.0 - (x * x) / tau_sq
+        if np.any(factors == 0.0):
+            out.append(0j)
+            continue
+        sign = -1.0 if int(np.count_nonzero(factors < 0.0)) % 2 else 1.0
+        out.append(v0 * sign * math.exp(real_sum(np.log(np.abs(factors)))))
+    return out
 
 
 def rotated_derivatives(expansion: TaylorExpansion, orders: Sequence[int]) -> RotatedDerivatives:

@@ -24,9 +24,9 @@ import numpy as np
 
 from ._numeric import complex_sum
 from .analysis import verify_multiplicity
-from .core_types import EntireFunctionSpec
-from .critical_line import critical_line_profile, even_product_form, scan_real_zeros
-from .product_engine import _blocks, _retained, _sum_log_factors
+from .core_types import EntireFunctionSpec, ZeroSequence
+from .critical_line import _even_product_values, critical_line_profile, scan_real_zeros
+from .product_engine import _log_sums, _retained
 from .product_engine import eval_product, eval_shifted_product, shift_constant_residual
 from .series_engine import even_series
 
@@ -157,27 +157,25 @@ def _shift_identity(spec, at_center: bool, seed: int, draws: int, n_terms, toler
 
 def _line_form_identity(spec, with_even_form: bool, x_min, x_max, samples, n_terms, tolerance):
     profile = critical_line_profile(spec, x_min, x_max, samples, n_terms)
-    zeros = spec.zero_sequence.zeros[: profile.truncation]
-    taus = zeros.imag
-    recip_sum = complex_sum(1.0 / zeros) if spec.genus == 1 else 0j
-    residual = 0.0
-    even_residual = 0.0
-    for x, direct in zip(profile.grid, profile.values):
-        exponent = _sum_log_factors((x / t for t in _blocks(taus)), 0)
-        if exponent is None:
-            literal = 0j
-        else:
-            if spec.genus == 1:
-                exponent += 1j * x * spec.q_constant + 1j * x * recip_sum
-            literal = profile.v0 * np.exp(exponent)
-        residual = max(residual, abs(literal - direct) / (1.0 + abs(direct)))
-        if with_even_form:
-            even_value = even_product_form(spec, float(x), profile.truncation)
-            even_residual = max(even_residual, abs(even_value - direct) / (1.0 + abs(direct)))
+    n = profile.truncation
+    zeros = spec.zero_sequence.zeros[:n]
+    grid = profile.grid
+    # V(x) / V(0) = prod (1 - x / tau_k), times exp(i x (q + sum 1/z_k)) at genus 1
+    taus = ZeroSequence(zeros=zeros.imag, ordering="as_given")
+    exponents = _log_sums(taus, 0, 0j, grid, n, float(np.max(np.abs(grid))))
+    if spec.genus == 1:
+        recip_sum = complex_sum(1.0 / zeros)
+        exponents += 1j * grid * spec.q_constant + 1j * grid * recip_sum
+    literal = profile.v0 * np.exp(exponents)
+    direct = profile.values
+    scale = 1.0 + np.abs(direct)
+    residual = float(np.max(np.abs(literal - direct) / scale))
     quantities = [("line_form_residual_max", residual)]
     passed = residual <= tolerance
     if with_even_form:
-        reality = profile.imag_max / max(float(np.max(np.abs(profile.values))), 1e-300)
+        even = np.array(_even_product_values(spec, grid, n), dtype=np.complex128)
+        even_residual = float(np.max(np.abs(even - direct) / scale))
+        reality = profile.imag_max / max(float(np.max(np.abs(direct))), 1e-300)
         quantities.append(("reality_ratio", reality))
         quantities.append(("even_form_residual_max", even_residual))
         passed = passed and reality <= tolerance and even_residual <= tolerance

@@ -20,22 +20,38 @@ order and bit-identical across runs.  The declared pairing of the zero
 sequence still matters for tail estimates and power sums, where grouped
 magnitudes are what converge.
 
+Batches of points (private, used by line profiles, zero scans, max-modulus
+rings, winding contours and the line-form identities) split the zeros at
+|z| = 4R, R >= max |s|.  Near zeros go through the kernel and the exact sum
+as above.  The far zeros enter through their power sums p_m = sum z^-m:
+
+    sum_far log(1 - s/z)    = -sum_{m>=1} p_m s^m / m
+    sum_far 1/(s - z) (S'/S) = -sum_{m>=1} p_m s^(m-1)
+
+with the m = 1 term dropped at genus 1.  p_1..p_K are exact sums, cached on
+the zero sequence per (N, near count); K is the least degree whose
+remainder bound sum_far |w|^(K+1) / ((K+1)(1 - |w|)), |w| <= 1/4, is below
+1e-17.  Single-point calls (``eval_product``, ``log_derivative``) are the
+case with no far zeros and keep their bits.
+
 Only |exp(...)| and per-factor phases are contractually meaningful: summed
 imaginary parts are not unwound to a continuous branch.  A factor that is
-exactly zero (w == 1) makes the value an exact 0 with no logarithm.
+exactly zero (w == 1) makes the value an exact 0 with no logarithm.  A
+value past the double range saturates to an infinity with the phase of its
+logarithm.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
 
 from ._numeric import BLOCK, ExactSum, complex_sum
-from .core_types import EntireFunctionSpec
+from .core_types import EntireFunctionSpec, Ordering, ZeroSequence
 
 __all__ = [
     "TruncatedEvaluation",
@@ -54,6 +70,10 @@ COINCIDENT_RELATIVE = 1e-12
 # 2|t|^33/(33 (8/9)) and |log(1 - w) + w| >= 1.25|t|^2, so their ratio stays
 # below 1e-16.
 _ATANH_COEFFS = 1.0 / np.arange(31.0, 2.0, -2.0)
+# A batch with |s| <= R takes the zeros beyond _FAR_RATIO * R from their
+# power sums, truncated where the remainder bound falls below _FAR_TOLERANCE.
+_FAR_RATIO = 4.0
+_FAR_TOLERANCE = 1e-17
 
 
 def _exp_saturating(z: complex) -> complex:
@@ -62,6 +82,17 @@ def _exp_saturating(z: complex) -> complex:
         return cmath.exp(z)
     except OverflowError:
         return cmath.rect(math.inf, z.imag)
+
+
+def _scaled_exp(scale: complex, log_scale: complex, exponent: complex) -> complex:
+    """scale * exp(exponent), saturated from log_scale + exponent past the double range."""
+    try:
+        value = scale * cmath.exp(exponent)
+    except OverflowError:
+        value = complex(math.inf)
+    if cmath.isfinite(value):
+        return value
+    return _exp_saturating(log_scale + exponent)
 
 
 def _log_tail(w: np.ndarray) -> np.ndarray:
@@ -126,6 +157,129 @@ def _sum_log_factors(w_blocks: Iterable[np.ndarray], genus: int) -> complex | No
         real.add(log_real)
         imag.add(log_imag)
     return complex(real.total(), imag.total())
+
+
+def _far_sums(far: np.ndarray) -> tuple[float, np.ndarray]:
+    """Scaled far power sums: (c, sum of (c/z)^m for m = 1..K).
+
+    c is the largest power of two <= min |z|, so the sums cannot overflow
+    and scaling by c is exact.  Every radius R whose cut leaves exactly
+    these zeros far has 4R < min |z|, so |w| = |s/z| <= min |z| / (4|z|)
+    for all of them, and K is the least degree where the remainder bound
+    sum |w|^(K+1) / ((K+1)(1 - |w|)) falls below _FAR_TOLERANCE.  Powers
+    are built by repeated multiplication, one array at a time.
+    """
+    if far.size == 0:
+        return 1.0, np.zeros(0, dtype=np.complex128)
+    moduli = np.abs(far)
+    smallest = float(moduli.min())
+    scale = math.ldexp(1.0, math.frexp(smallest)[1] - 1)
+    ratio = smallest / (_FAR_RATIO * moduli)
+    bound = ratio / (1.0 - ratio)
+    degree = 0
+    while True:
+        degree += 1
+        bound = bound * ratio
+        if float(np.sum(bound)) / (degree + 1) < _FAR_TOLERANCE:
+            break
+    recip = scale / far
+    power = recip
+    sums = [complex_sum(power)]
+    for _ in range(1, degree):
+        power = power * recip
+        sums.append(complex_sum(power))
+    return scale, np.array(sums)
+
+
+def _split(
+    seq: ZeroSequence, genus: int, points: np.ndarray, n: int, radius: float | None,
+    derivative: bool,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Near zeros of the first n, and the far series at each point.
+
+    Without a radius every retained zero is near.  Otherwise the zeros with
+    |z| > 4 * radius are far; their power sums are cached on the sequence by
+    (n, near count), which fixes the far set.  With no far terms the series
+    is None, so the batch takes the direct path's operations exactly.
+    """
+    zeros = seq.zeros[:n]
+    if radius is None:
+        return zeros, None
+    keep = seq.moduli[:n] <= _FAR_RATIO * radius
+    near = zeros[keep]
+    cache = seq._far_cache  # type: ignore[attr-defined]
+    key = (n, near.size)
+    if key not in cache:
+        cache[key] = _far_sums(zeros[~keep])
+    scale, sums = cache[key]
+    # with u = s/c: log -sum p_m u^m / m, S'/S -sum p_m u^(m-1) / c; genus 1 drops m = 1
+    coeffs = (sums if derivative else sums / np.arange(1, sums.size + 1))[genus:]
+    if coeffs.size == 0:
+        return near, None
+    far = np.empty(points.size, dtype=np.complex128)
+    for start in range(0, points.size, BLOCK):
+        u = points[start : start + BLOCK] / scale
+        acc = np.full_like(u, coeffs[-1])
+        for c in coeffs[-2::-1]:
+            acc *= u
+            acc += c
+        for _ in range(genus + 1 - derivative):
+            acc *= u
+        far[start : start + BLOCK] = -acc / scale if derivative else -acc
+    return near, far
+
+
+def _log_sums(
+    seq: ZeroSequence, genus: int, q: complex, points, n: int, radius: float | None = None
+) -> np.ndarray:
+    """q s (genus 1) plus the sum of the factor logs of the first n zeros, per point.
+
+    A point that is a retained zero gets -inf, the log of an exact 0.  With
+    a radius >= max |s| the zeros beyond 4 * radius enter as power sums.
+    """
+    points = np.asarray(points, dtype=np.complex128).reshape(-1)
+    near, far = _split(seq, genus, points, n, radius, derivative=False)
+    far = None if far is None else far.tolist()
+    out = np.empty(points.size, dtype=np.complex128)
+    for j, s in enumerate(points.tolist()):
+        exponent = q * s if genus == 1 else 0j
+        if near.size:
+            log_sum = _sum_log_factors((s / z for z in _blocks(near)), genus)
+            if log_sum is None:
+                out[j] = -math.inf
+                continue
+            exponent += log_sum
+        if far is not None:
+            exponent += far[j]
+        out[j] = exponent
+    return out
+
+
+def _eval_batch(
+    spec: EntireFunctionSpec, points, n: int, radius: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Values and logs of the n-term product at points with |s| <= radius.
+
+    At a retained zero the value is exactly 0 and the log has real part -inf.
+    """
+    exponents = _log_sums(spec.zero_sequence, spec.genus, spec.q_constant, points, n, radius)
+    v0 = spec.value_at_zero
+    log_v0 = cmath.log(v0)
+    values = [0j if e.real == -math.inf else _scaled_exp(v0, log_v0, e) for e in exponents.tolist()]
+    return np.array(values, dtype=np.complex128), log_v0 + exponents
+
+
+def _log_derivatives(spec: EntireFunctionSpec, points, n: int, radius: float) -> np.ndarray:
+    """S'/S of the n-term product at points with |s| <= radius.
+
+    The near zeros' own ``log_derivative`` (with its pole guard; only near
+    zeros can coincide with a point) plus the far series.
+    """
+    points = np.asarray(points, dtype=np.complex128).reshape(-1)
+    near, far = _split(spec.zero_sequence, spec.genus, points, n, radius, derivative=True)
+    near_spec = replace(spec, zero_sequence=ZeroSequence(near, ordering=Ordering.AS_GIVEN))
+    out = np.array([log_derivative(near_spec, s) for s in points.tolist()], dtype=np.complex128)
+    return out if far is None else out + far
 
 
 @dataclass(frozen=True)
@@ -219,20 +373,17 @@ def eval_product(spec: EntireFunctionSpec, s: complex, n_terms: int | None = Non
     n = int(zeros.size)
     nearest, near = _proximity(s, zeros)
     tail = _tail_bound(spec, s, n)
-    exponent = spec.q_constant * s if spec.genus == 1 else 0j
-    if n:
-        log_sum = _sum_log_factors((s / z for z in _blocks(zeros)), spec.genus)
-        if log_sum is None:
-            return _vanishing(n, tail, nearest)
-        exponent += log_sum
-    value = spec.value_at_zero * _exp_saturating(exponent)
+    exponent = complex(_log_sums(spec.zero_sequence, spec.genus, spec.q_constant, [s], n)[0])
+    if exponent.real == -math.inf:
+        return _vanishing(n, tail, nearest)
+    log_v0 = cmath.log(spec.value_at_zero)
     return TruncatedEvaluation(
-        value=value,
+        value=_scaled_exp(spec.value_at_zero, log_v0, exponent),
         terms_used=n,
         tail_bound=tail,
         nearest_zero_distance=nearest,
         near_zero=near,
-        log_value=cmath.log(spec.value_at_zero) + exponent,
+        log_value=log_v0 + exponent,
     )
 
 
@@ -283,14 +434,14 @@ def eval_shifted_product(
         exponent += log_sum
         if spec.genus == 1:
             exponent += complex_sum(u / zeros)
-    value = base.value * _exp_saturating(exponent)
+    base_log = base.log_value if base.log_value is not None else 0j
     return TruncatedEvaluation(
-        value=value,
+        value=_scaled_exp(base.value, base_log, exponent),
         terms_used=n,
         tail_bound=tail,
         nearest_zero_distance=nearest,
         near_zero=near,
-        log_value=(base.log_value if base.log_value is not None else 0j) + exponent,
+        log_value=base_log + exponent,
     )
 
 

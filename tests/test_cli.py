@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 
 import numpy as np
@@ -490,6 +491,18 @@ class TestRunCommand:
         # taken in the log domain, the extrapolated tail is tiny, not an overflow
         assert 0.0 < tails["0.3"] < 1e-60
         assert tails["0"] == 0.0
+
+    def test_overflowing_tail_sum_reports_a_bound(self, tmp_path) -> None:
+        # the sum of |z|^-2 over these zeros passes the double range
+        rows = ["1e-150 0.0"] * 8 + [
+            f"{math.exp(-(712 - 1.2 * math.log(j)) / 2)!r} 0.0" for j in range(9, 17)
+        ]
+        path = spec_path(tmp_path, "class = L\ns0 = 1\nzeros_inline:\n" + "\n".join(rows) + "\n")
+        for s in ("0.3", "0"):
+            report = run_command(["eval", "--spec", str(path), "--s", s])
+            assert report.exit_code == 0, report.errors
+            tail = {r.quantity: r.value for r in report.records}["tail_bound"]
+            assert tail == "indeterminate" or tail == math.inf
 
     def test_usage_errors(self, tmp_path) -> None:
         report = run_command(["frobnicate", "--spec", "x"])

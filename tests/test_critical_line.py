@@ -8,6 +8,7 @@ from _oracles import FROZEN_SINC_AT_HALF, sinc_ratio
 
 from entirefn import (
     CriticalLineProfile,
+    critical_line,
     critical_line_profile,
     eval_product,
     even_product_form,
@@ -16,6 +17,7 @@ from entirefn import (
     scan_real_zeros,
     taylor_coefficients,
 )
+from entirefn.identities import verify_identity
 
 
 class TestProfile:
@@ -143,6 +145,31 @@ class TestEvenProductForm:
     def test_wrong_class_rejected(self, lbar_spec) -> None:
         with pytest.raises(ValueError, match="Y_tilde"):
             even_product_form(lbar_spec, 0.5)
+
+    def test_line_form_check_prepares_once(self, sinh_line_spec, monkeypatch) -> None:
+        # V(0) and the symmetry check are computed once per T7 check, not per sample
+        calls = {"eval_product": 0, "_require_sign_symmetric": 0}
+        for name in calls:
+            original = getattr(critical_line, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(critical_line, name, counted)
+        result = verify_identity(sinh_line_spec, "T7", x_min=0.3, x_max=2.7, samples=24)
+        assert result.passed
+        assert calls == {"eval_product": 1, "_require_sign_symmetric": 1}
+        grid = np.linspace(0.3, 2.7, 24)
+        monkeypatch.undo()
+        even = critical_line._even_product_values(sinh_line_spec, grid, None)
+        assert even == [even_product_form(sinh_line_spec, float(x)) for x in grid]
+
+    @pytest.mark.parametrize("theorem", ["T6", "T7"])
+    def test_line_form_quantities_are_python_floats(self, theorem, request) -> None:
+        spec = request.getfixturevalue("lbar_spec" if theorem == "T6" else "sinh_line_spec")
+        result = verify_identity(spec, theorem, x_min=0.3, x_max=2.7, samples=24)
+        assert all(type(value) is float for _, value in result.quantities)
 
 
 class TestRotatedDerivatives:

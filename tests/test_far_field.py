@@ -1,0 +1,188 @@
+"""Batched evaluation: near zeros through the factor kernel, far zeros through power sums."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from entirefn import (
+    ClassTag,
+    EntireFunctionSpec,
+    Ordering,
+    ZeroSequence,
+    critical_line_profile,
+    eval_product,
+    log_derivative,
+    make_symmetric_spec,
+)
+from entirefn.product_engine import (
+    _FAR_RATIO,
+    _FAR_TOLERANCE,
+    _eval_batch,
+    _far_sums,
+    _log_derivatives,
+)
+
+
+def _spec(kind: str, moduli: list[float], angles: list[float], q: complex) -> EntireFunctionSpec:
+    """A spec of one of the four shapes the batched path must serve."""
+    if kind in ("Y_tilde", "L_bar"):
+        taus = [m if a > 0 else -m for m, a in zip(moduli, angles)]
+        tag = ClassTag(kind)
+        return make_symmetric_spec(0.75, taus, 1.3 - 0.4j, tag, q if tag is ClassTag.L_BAR else 0j)
+    zeros = np.array([m * complex(math.cos(a), math.sin(a)) for m, a in zip(moduli, angles)])
+    if kind == "duplicates":
+        zeros = np.repeat(zeros, 2)
+    tag = ClassTag.Y if kind == "duplicates" else ClassTag.L
+    seq = ZeroSequence(zeros=zeros, ordering=Ordering.AS_GIVEN)
+    return EntireFunctionSpec(
+        class_tag=tag, value_at_zero=0.8 + 0.2j, zero_sequence=seq,
+        q_constant=q if tag is ClassTag.L else 0j,
+    )
+
+
+spec_data = st.tuples(
+    st.sampled_from(["Y_tilde", "L_bar", "L", "duplicates"]),
+    st.lists(st.floats(min_value=1.0, max_value=400.0), min_size=1, max_size=40),
+    st.floats(min_value=-3.1, max_value=3.1),
+    st.floats(min_value=-0.5, max_value=0.5),
+    # |s| <= 8 |z| keeps every log far inside the double range; values may pass it
+    st.floats(min_value=0.1, max_value=8.0),
+    st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(-3.2, 3.2)), min_size=1, max_size=12),
+    st.booleans(),
+)
+
+
+def _case(data):
+    kind, moduli, angle0, q_re, radius, polar, on_zero = data
+    angles = [angle0 + 0.7 * k for k in range(len(moduli))]
+    spec = _spec(kind, moduli, [math.remainder(a, 2 * math.pi) for a in angles], complex(q_re, 0.2))
+    points = [radius * r * complex(math.cos(t), math.sin(t)) for r, t in polar]
+    zeros = spec.zero_sequence.zeros
+    if on_zero:
+        # a grid point on a retained zero, which is always near
+        z = complex(zeros[int(np.argmin(np.abs(zeros)))])
+        radius = max(radius, abs(z))
+        points.append(z)
+    return spec, points, radius
+
+
+@given(spec_data)
+def test_batch_matches_per_point_values(data) -> None:
+    spec, points, radius = _case(data)
+    n = spec.n_zeros
+    values, logs = _eval_batch(spec, points, n, radius)
+    for s, value, log in zip(points, values, logs):
+        direct = eval_product(spec, s, n)
+        if direct.value == 0:
+            assert value == 0 and log.real == -math.inf
+            continue
+        assert direct.log_value is not None
+        # the log differs only by the far series' rounding
+        assert abs(log - direct.log_value) <= 1e-13 * (1.0 + abs(direct.log_value))
+        if math.isfinite(abs(direct.value)) and math.isfinite(abs(value)):
+            assert abs(value - direct.value) <= 1e-12 * abs(direct.value)
+
+
+@given(spec_data)
+def test_batch_matches_per_point_log_derivative(data) -> None:
+    spec, points, radius = _case(data)
+    zeros = spec.zero_sequence.zeros
+    points = [s for s in points if np.min(np.abs(s - zeros)) > 1e-6]
+    derivs = _log_derivatives(spec, points, spec.n_zeros, radius)
+    for s, deriv in zip(points, derivs):
+        direct = log_derivative(spec, s)
+        scale = abs(spec.q_constant) + float(np.sum(1.0 / np.abs(s - zeros) + 1.0 / np.abs(zeros)))
+        assert abs(deriv - direct) <= 1e-13 * scale
+
+
+@given(spec_data)
+def test_empty_far_set_is_the_direct_path(data) -> None:
+    spec, points, _ = _case(data)
+    n = spec.n_zeros
+    radius = float(np.max(spec.zero_sequence.moduli)) / _FAR_RATIO + max(abs(s) for s in points)
+    values, _ = _eval_batch(spec, points, n, radius)
+    for s, value in zip(points, values):
+        assert complex(value) == eval_product(spec, s, n).value
+    zeros = spec.zero_sequence.zeros
+    points = [s for s in points if np.min(np.abs(s - zeros)) > 1e-6]
+    for s, deriv in zip(points, _log_derivatives(spec, points, n, radius)):
+        assert complex(deriv) == log_derivative(spec, s, n)
+
+
+def test_pole_guard_on_batched_log_derivative(sinh_genus1_spec) -> None:
+    with pytest.raises(ValueError, match="pole"):
+        _log_derivatives(sinh_genus1_spec, [0.5, 3j], 4000, 3.0)
+
+
+@pytest.mark.parametrize("radius", [0.2, 1.5, 10.0, 41.5, 160.0, 1000.0])
+def test_degree_meets_the_remainder_bound(sinh_line_spec, radius) -> None:
+    moduli = sinh_line_spec.zero_sequence.moduli
+    far = sinh_line_spec.zero_sequence.zeros[moduli > _FAR_RATIO * radius]
+    _, sums = _far_sums(far)
+    degree = sums.size
+
+    def bound(w: np.ndarray, k: int) -> float:
+        return float(np.sum(w ** (k + 1) / ((k + 1) * (1.0 - w))))
+
+    assert bound(radius / np.abs(far), degree) < _FAR_TOLERANCE
+    # least: one degree fewer misses at the largest radius with this cut
+    widest = float(np.min(np.abs(far))) / _FAR_RATIO
+    assert bound(widest / np.abs(far), degree - 1) >= _FAR_TOLERANCE
+
+
+def test_far_sums_are_cached_per_cut() -> None:
+    spec = make_symmetric_spec(1.0, [1.0, -1.0, 2.0, -2.0, 9.0, -9.0], 1.0)
+    cache = spec.zero_sequence._far_cache
+    _eval_batch(spec, [0.2j], 6, 0.3)
+    _eval_batch(spec, [0.5j], 6, 0.6)
+    entry = cache[(6, 4)]
+    # a wider radius with the same cut reuses the sums
+    _eval_batch(spec, [0.6], 6, 0.7)
+    assert cache[(6, 4)] is entry
+    _eval_batch(spec, [1.0 + 2.5j], 6, 3.0)
+    assert sorted(cache) == [(6, 0), (6, 4), (6, 6)]
+
+
+def test_far_sums_of_tiny_zeros_stay_finite() -> None:
+    # unscaled, sum z^-3 over these zeros would pass the double range
+    zeros = 1e-150 * np.array([3.0, -5j, 7.0 + 1j])
+    seq = ZeroSequence(zeros=zeros, ordering=Ordering.AS_GIVEN)
+    spec = EntireFunctionSpec(class_tag=ClassTag.Y, value_at_zero=1.0, zero_sequence=seq)
+    points = [1e-151 * (0.5 + 0.2j), -0.9e-151]
+    values, _ = _eval_batch(spec, points, 3, 1e-151)
+    assert spec.zero_sequence._far_cache[(3, 0)][1].size > 2
+    for s, value in zip(points, values):
+        assert abs(value - eval_product(spec, s).value) <= 1e-15
+
+
+def _mp_product(spec: EntireFunctionSpec, s: complex, mpmath):
+    """The truncated product at s in the working precision of mpmath."""
+    s_mp = mpmath.mpc(s)
+    total = mpmath.mpc(spec.value_at_zero)
+    if spec.genus == 1:
+        total *= mpmath.exp(mpmath.mpc(spec.q_constant) * s_mp)
+    for z in spec.zero_sequence.zeros.tolist():
+        w = s_mp / mpmath.mpc(z)
+        total *= (1 - w) * mpmath.exp(w) if spec.genus == 1 else 1 - w
+    return total
+
+
+@pytest.mark.parametrize("fixture, x_min, x_max", [
+    ("sinh_line_spec", 0.5, 40.5),
+    ("lbar_spec", -19.5, 20.5),
+])
+def test_profile_matches_120_bit_product(request, fixture, x_min, x_max) -> None:
+    mpmath = pytest.importorskip("mpmath")
+    spec = request.getfixturevalue(fixture)
+    profile = critical_line_profile(spec, x_min, x_max, 41)
+    worst = 0.0
+    with mpmath.workprec(120):
+        for x, value in list(zip(profile.grid, profile.values))[::5]:
+            reference = _mp_product(spec, complex(spec.center_xi, x), mpmath)
+            worst = max(worst, float(abs(mpmath.mpc(complex(value)) - reference) / abs(reference)))
+    assert worst <= 2e-14

@@ -11,7 +11,14 @@ from _oracles import FROZEN_HALF_E_HALF, direct_log_tail
 from hypothesis import given
 from hypothesis import strategies as st
 
-from entirefn import ClassTag, EntireFunctionSpec, Ordering, ZeroSequence, eval_product
+from entirefn import (
+    ClassTag,
+    EntireFunctionSpec,
+    Ordering,
+    ZeroSequence,
+    eval_product,
+    eval_shifted_product,
+)
 from entirefn.product_engine import _log_factors, _log_tail, _sum_log_factors
 
 
@@ -111,6 +118,25 @@ class TestProperties:
         assert result.log_value is not None
         assert cmath.isfinite(result.log_value)
         assert result.log_value.real > 700.0
+        # the product is real and positive at s = 1: no NaN part
+        assert result.value == complex(math.inf, 0.0)
+        for s in (1.0 + 0.5j, 1.0 - 2.5j, 0.9 + 3.9j):
+            result = eval_product(spec, s)
+            assert result.log_value is not None
+            phase = result.log_value.imag
+            assert result.value.real == math.copysign(math.inf, math.cos(phase))
+            assert result.value.imag == math.copysign(math.inf, math.sin(phase))
+
+    def test_saturated_base_recenters_to_a_finite_value(self) -> None:
+        # S(1.5) = exp(1200) * ... saturates; S(0.2 + 0.9i) is finite
+        seq = ZeroSequence(zeros=np.array([10.0 + 0j]), ordering=Ordering.AS_GIVEN)
+        spec = EntireFunctionSpec(
+            class_tag=ClassTag.L, value_at_zero=1.0 + 0j, zero_sequence=seq, q_constant=800.0
+        )
+        shifted = eval_shifted_product(spec, 1.5, 0.2 + 0.9j).value
+        direct = eval_product(spec, 0.2 + 0.9j).value
+        assert cmath.isfinite(shifted)
+        assert shifted == pytest.approx(direct, rel=1e-12)
 
     @given(
         radius=st.floats(min_value=0.51, max_value=10.0),
