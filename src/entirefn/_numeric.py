@@ -8,11 +8,24 @@ are bit-identical.
 The sums are binned, after Neal, "Fast exact summation using small and large
 superaccumulators" (arXiv:1505.05571).  Masking the low 27 mantissa bits
 splits each double x exactly into a high part of 26 significant bits and a
-low rest, and ``np.bincount`` adds each part, block by block, into a bin
-keyed by the biased exponent of x.  All values in one bin are integer
-multiples of one power of two, below 2**27 of them in size, so a bin's sum
-is exact for up to 2**26 entries, far more than a block holds.  One
-``math.fsum`` over the nonzero bin sums rounds the exact total once.
+low rest.  ``np.bincount`` adds each part, block by block, into a bin keyed
+by the biased exponent of x and a lane, the entry's index mod 4.  Real data
+puts a block in a few exponents, and adds to one bin wait on each other; the
+lanes give each exponent four independent chains.  All parts in one bin are
+integer multiples of one power of two, below 2**27 of them in size, so a
+bin's sum is exact for up to 2**26 entries, far more than a block holds.
+
+``np.add.reduceat`` then merges the bins of each window of W = 11
+consecutive exponents, lanes included, counted from the block's lowest
+exponent, and this too is exact.  Count a
+window's low parts in units of the spacing of doubles at its lowest
+exponent, and its high parts in units 2**27 times larger.  Every part is an
+integer number of units.  At the top exponent the spacing is at most
+2**(W - 1) times larger, so a part there is below 2**(W + 26) units (low)
+or 2**(W + 25) units (high).  A block holds at most 2**15 entries, so the
+absolute values in a window, and with them every partial sum, stay below
+2**(W + 41) units: exact in a double while W <= 12.  One ``math.fsum`` over
+the nonzero window sums rounds the exact total once.
 """
 
 from __future__ import annotations
@@ -30,8 +43,15 @@ BLOCK = 1 << 15
 _EXPONENT_CAP = 1023 + 990
 # Keeps the sign, the exponent and the top 25 stored mantissa bits.
 _HIGH_MASK = np.int64(-(1 << 27))
+# Bins per exponent, and each entry's bin within its exponent.
+_LANES = 4
+_LANE = np.arange(BLOCK, dtype=np.int64) % _LANES
+# Exponents per merged window: exact while at most 12 (module docstring).
+_WINDOW = 11
 # Blocks shorter than this skip the bins: math.fsum alone is faster there.
 _FSUM_BELOW = 512
+# exact_power_sums looks for vanished entries at every this many powers.
+_DROP_EVERY = 16
 
 
 class ExactSum:
@@ -49,15 +69,23 @@ class ExactSum:
                 self._partials.extend(block.tolist())
                 continue
             bits = block.view(np.int64)
-            exponent = (bits >> 52) & 0x7FF
-            if int(exponent.max()) >= _EXPONENT_CAP:
+            # exponent * 4 + lane
+            key = bits >> 50
+            key &= 0x7FF << 2
+            key |= _LANE[: block.size]
+            top = int(key.max())
+            if top >> 2 >= _EXPONENT_CAP:
                 # math.fsum takes these exactly, with its rules for NaN and inf
                 self._partials.extend(block.tolist())
                 continue
+            # bins and windows start at the block's lowest exponent
+            low = int(key.min()) & -_LANES
+            key -= low
+            starts = np.arange(0, top - low + 1, _WINDOW * _LANES)
             high = (bits & _HIGH_MASK).view(np.float64)
             for part in (high, block - high):
-                bins = np.bincount(exponent, part)
-                self._partials.extend(bins[bins != 0].tolist())
+                windows = np.add.reduceat(np.bincount(key, part), starts)
+                self._partials.extend(windows[windows != 0].tolist())
 
     def total(self) -> float:
         """Correctly rounded sum of everything added so far."""
@@ -75,6 +103,29 @@ def complex_sum(values: np.ndarray) -> complex:
     """Exactly rounded sum of a complex array (component-wise)."""
     arr = np.asarray(values, dtype=np.complex128)
     return complex(real_sum(arr.real), real_sum(arr.imag))
+
+
+def exact_power_sums(base: np.ndarray, m_max: int) -> list[complex]:
+    """Exactly rounded sums of base**m for m = 1..m_max.
+
+    Powers are built by repeated multiplication.  An entry whose power has
+    become exactly 0 is dropped: every later power of it is 0 as well, and
+    zeros leave an exact sum unchanged (an empty sum is 0.0, as is
+    ``math.fsum`` of zeros), so the sums keep their bits.  The search for
+    such entries costs a pass, more than a multiplication, so it runs only
+    at every ``_DROP_EVERY``-th power.
+    """
+    sums: list[complex] = []
+    power = base
+    for m in range(1, m_max + 1):
+        if m > 1:
+            power = power * base
+        if m % _DROP_EVERY == 0:
+            alive = power != 0
+            if not alive.all():
+                base, power = base[alive], power[alive]
+        sums.append(complex_sum(power))
+    return sums
 
 
 @dataclass(frozen=True)

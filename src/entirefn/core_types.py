@@ -103,7 +103,8 @@ class TailProfile:
     ``terms`` holds one nonnegative series term per accumulation group:
     |z|**-(genus+1) for ungrouped zeros, the grouped first-plus-second order
     magnitude |sum 1/z| + sum |z|**-2 for paired genus-0 data, and
-    sum |z|**-2 for paired genus-1 data.  ``suffix[j]`` is the exact tail
+    sum |z|**-2 for paired genus-1 data; ``group_starts`` holds each group's
+    first index among the ``n_zeros`` zeros.  ``suffix[j]`` is the exact tail
     sum(terms[j:]).  ``extrapolated_tail`` estimates the contribution beyond
     the available data from the fitted decay slope; it is None whenever the
     fit does not support convergence, and 0.0 for short (treated-as-complete)
@@ -113,6 +114,7 @@ class TailProfile:
     genus: int
     terms: np.ndarray
     group_starts: np.ndarray
+    n_zeros: int
     suffix: np.ndarray
     verdict: Verdict
     fit: SlopeFit | None
@@ -122,12 +124,17 @@ class TailProfile:
     def tail_beyond(self, n_factors: int) -> float | None:
         """Estimated series tail over factors with index >= n_factors.
 
-        Returns None when the data does not support a convergent
-        extrapolation (indeterminate or divergent fit).
+        A group split by the truncation counts whole: the tail starts at the
+        group that holds index n_factors.  Returns None when the data does
+        not support a convergent extrapolation (indeterminate or divergent
+        fit).
         """
         if self.extrapolated_tail is None:
             return None
-        g0 = int(np.searchsorted(self.group_starts, n_factors, side="left"))
+        if n_factors >= self.n_zeros:
+            g0 = self.terms.size
+        else:
+            g0 = int(np.searchsorted(self.group_starts, n_factors, side="right")) - 1
         return float(self.suffix[g0]) + self.extrapolated_tail
 
 
@@ -258,6 +265,7 @@ def _build_tail_profile(seq: ZeroSequence, genus: int) -> TailProfile:
             genus=genus,
             terms=empty,
             group_starts=starts,
+            n_zeros=n,
             suffix=np.zeros(1),
             verdict=Verdict.PASS,
             fit=None,
@@ -292,6 +300,7 @@ def _build_tail_profile(seq: ZeroSequence, genus: int) -> TailProfile:
         genus=genus,
         terms=terms,
         group_starts=starts,
+        n_zeros=n,
         suffix=suffix,
         verdict=verdict,
         fit=fit,

@@ -18,6 +18,7 @@ before the shift points, so a seed fixes every draw.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,7 @@ from ._numeric import complex_sum
 from .analysis import verify_multiplicity
 from .core_types import EntireFunctionSpec, ZeroSequence
 from .critical_line import _even_product_values, critical_line_profile, scan_real_zeros
-from .product_engine import _log_sums, _retained
+from .product_engine import _exp_saturating, _log_sums, _retained
 from .product_engine import eval_product, eval_shifted_product, shift_constant_residual
 from .series_engine import even_series
 
@@ -71,12 +72,17 @@ def compare_shift(
 
     Returns (shifted, direct, disagreement, constant residual): disagreement
     is |shifted - direct| / (1 + |direct|), and the constant residual is
-    :func:`shift_constant_residual` at alpha.
+    :func:`shift_constant_residual` at alpha.  Where a value saturates and
+    that ratio is not finite, the disagreement is its limit |e^d - 1|, with
+    d the difference of the two logs.
     """
-    shifted = eval_shifted_product(spec, alpha, s, n_terms).value
-    direct = eval_product(spec, s, n_terms).value
-    disagreement = abs(shifted - direct) / (1.0 + abs(direct))
-    return shifted, direct, disagreement, shift_constant_residual(spec, alpha, n_terms)
+    shifted = eval_shifted_product(spec, alpha, s, n_terms)
+    direct = eval_product(spec, s, n_terms)
+    disagreement = abs(shifted.value - direct.value) / (1.0 + abs(direct.value))
+    if not math.isfinite(disagreement) and None not in (shifted.log_value, direct.log_value):
+        disagreement = abs(_exp_saturating(shifted.log_value - direct.log_value) - 1.0)
+    residual = shift_constant_residual(spec, alpha, n_terms)
+    return shifted.value, direct.value, disagreement, residual
 
 
 def verify_identity(

@@ -50,7 +50,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ._numeric import BLOCK, ExactSum, complex_sum
+from ._numeric import BLOCK, ExactSum, complex_sum, exact_power_sums
 from .core_types import EntireFunctionSpec, Ordering, ZeroSequence
 
 __all__ = [
@@ -85,12 +85,16 @@ def _exp_saturating(z: complex) -> complex:
 
 
 def _scaled_exp(scale: complex, log_scale: complex, exponent: complex) -> complex:
-    """scale * exp(exponent), saturated from log_scale + exponent past the double range."""
+    """scale * exp(exponent), or exp(log_scale + exponent) where that is 0 or not finite.
+
+    Past the double range the value saturates with the log's phase; where
+    only the product underflows, the log brings the value back in range.
+    """
     try:
         value = scale * cmath.exp(exponent)
     except OverflowError:
         value = complex(math.inf)
-    if cmath.isfinite(value):
+    if cmath.isfinite(value) and value != 0:
         return value
     return _exp_saturating(log_scale + exponent)
 
@@ -166,8 +170,7 @@ def _far_sums(far: np.ndarray) -> tuple[float, np.ndarray]:
     and scaling by c is exact.  Every radius R whose cut leaves exactly
     these zeros far has 4R < min |z|, so |w| = |s/z| <= min |z| / (4|z|)
     for all of them, and K is the least degree where the remainder bound
-    sum |w|^(K+1) / ((K+1)(1 - |w|)) falls below _FAR_TOLERANCE.  Powers
-    are built by repeated multiplication, one array at a time.
+    sum |w|^(K+1) / ((K+1)(1 - |w|)) falls below _FAR_TOLERANCE.
     """
     if far.size == 0:
         return 1.0, np.zeros(0, dtype=np.complex128)
@@ -182,13 +185,7 @@ def _far_sums(far: np.ndarray) -> tuple[float, np.ndarray]:
         bound = bound * ratio
         if float(np.sum(bound)) / (degree + 1) < _FAR_TOLERANCE:
             break
-    recip = scale / far
-    power = recip
-    sums = [complex_sum(power)]
-    for _ in range(1, degree):
-        power = power * recip
-        sums.append(complex_sum(power))
-    return scale, np.array(sums)
+    return scale, np.array(exact_power_sums(scale / far, degree))
 
 
 def _split(
@@ -294,6 +291,8 @@ class TruncatedEvaluation:
 
     ``log_value`` accompanies every nonzero value (exp(log_value) agrees
     with ``value`` to rounding; its imaginary part is not branch-normalized).
+    It is None only for the exact 0 at a retained zero.  A value of 0 that
+    carries a log has underflowed: exp of the log's real part is 0 too.
     """
 
     value: complex
@@ -306,8 +305,11 @@ class TruncatedEvaluation:
     def __post_init__(self) -> None:
         if self.tail_bound is not None and self.tail_bound < 0:
             raise ValueError("tail_bound must be nonnegative when finite")
-        if (self.value == 0) != (self.log_value is None):
-            raise ValueError("log_value must be absent exactly when value == 0")
+        if self.log_value is None:
+            if self.value != 0:
+                raise ValueError("log_value must be present when value != 0")
+        elif self.value == 0 and math.exp(self.log_value.real) != 0.0:
+            raise ValueError("value == 0 with a log_value requires a log below the double range")
 
 
 def _retained(spec: EntireFunctionSpec, n_terms: int | None) -> np.ndarray:
@@ -461,7 +463,9 @@ def shift_constant_residual(
     Returns |lhs - rhs| / (|lhs| + |rhs|).  By default S(alpha) is the
     truncated product at the same N (making the identity exact up to
     rounding); pass ``value_at_alpha`` to test against an external value
-    such as a closed form.
+    such as a closed form.  Where a side saturates and the direct ratio is
+    not finite, the default takes it from the logs: |1 - e^d| / (1 + |e^d|)
+    with d = log(lhs / rhs).
     """
     alpha = complex(alpha)
     if alpha == 0:
@@ -471,21 +475,30 @@ def shift_constant_residual(
     _guard_coincident(alpha, zeros, "shift point coincides with a retained zero")
     # the guard above keeps every factor 1 - alpha/z_k away from 0
     log_prod = _sum_log_factors((alpha / z for z in _blocks(zeros)), 0)
-    lhs = spec.value_at_zero * cmath.exp(log_prod)
-    s_alpha = (
-        complex(value_at_alpha)
-        if value_at_alpha is not None
-        else eval_product(spec, alpha, n).value
-    )
+    lhs = spec.value_at_zero * _exp_saturating(log_prod)
+    if value_at_alpha is None:
+        at_alpha = eval_product(spec, alpha, n)
+        s_alpha, log_s_alpha = at_alpha.value, at_alpha.log_value
+    else:
+        s_alpha, log_s_alpha = complex(value_at_alpha), None
+    rhs_exponent = 0j
     if spec.genus == 1:
         recip_sum = complex_sum(alpha / zeros) if n else 0j
-        rhs = s_alpha * cmath.exp(-spec.q_constant * alpha - recip_sum)
+        rhs_exponent = -spec.q_constant * alpha - recip_sum
+        rhs = s_alpha * _exp_saturating(rhs_exponent)
     else:
         rhs = s_alpha
     denom = abs(lhs) + abs(rhs)
     if denom == 0.0:
         return 0.0
-    return abs(lhs - rhs) / denom
+    residual = abs(lhs - rhs) / denom
+    if math.isfinite(residual) or log_s_alpha is None:
+        return residual
+    # a saturated side: the same ratio from d = log(lhs / rhs), which is
+    # symmetric under d -> -d, so |e^d| <= 1 below
+    d = cmath.log(spec.value_at_zero) + log_prod - log_s_alpha - rhs_exponent
+    ratio = cmath.exp(-d if d.real > 0 else d)
+    return abs(1.0 - ratio) / (1.0 + abs(ratio))
 
 
 def log_derivative(spec: EntireFunctionSpec, s: complex, n_terms: int | None = None) -> complex:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import complex_sum
+from ._numeric import complex_sum, exact_power_sums
 from .core_types import ClassTag, EntireFunctionSpec
 from .product_engine import _guard_coincident, _retained, eval_product
 
@@ -94,16 +94,7 @@ def power_sums(
     center = complex(center)
     zeros = _retained(spec, n_terms)
     _guard_coincident(center, zeros, "expansion center coincides with a retained zero")
-    values: list[complex] = []
-    if zeros.size:
-        recip = 1.0 / (zeros - center)
-        current = recip.copy()
-        values.append(complex_sum(current))
-        for _ in range(2, m_max + 1):
-            current = current * recip
-            values.append(complex_sum(current))
-    else:
-        values = [0j] * m_max
+    values = exact_power_sums(1.0 / (zeros - center), m_max)
     return PowerSums(
         center=center,
         values=tuple(values),

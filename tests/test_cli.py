@@ -82,6 +82,10 @@ zeros_inline:
 """
 
 
+# one zero at 10 and q = 800: values leave the double range on both sides
+SATURATING_SPEC = "class = L\nq = 800\ns0 = 1\nzeros_inline:\n10 0\n"
+
+
 def spec_path(tmp_path, content, name="func.spec"):
     path = tmp_path / name
     path.write_text(content)
@@ -503,6 +507,27 @@ class TestRunCommand:
             assert report.exit_code == 0, report.errors
             tail = {r.quantity: r.value for r in report.records}["tail_bound"]
             assert tail == "indeterminate" or tail == math.inf
+
+    def test_underflowed_value_is_a_result(self, tmp_path) -> None:
+        # S(-1) = exp(-800) * 1.1 * exp(-0.1) underflows to 0; its log is finite
+        path = spec_path(tmp_path, SATURATING_SPEC)
+        report = run_command(["eval", "--spec", str(path), "--s", "-1"])
+        assert report.exit_code == 0, report.errors
+        assert {r.quantity: r.value for r in report.records}["value"] == 0j
+        argv = ["verify-identity", "--spec", str(path), "--theorem", "T1"]
+        report = run_command(argv + ["--seed", "1", "--draws", "3"])
+        assert report.exit_code == 0, report.errors
+
+    @pytest.mark.parametrize("alpha, s", [("1.5", "0.2+0.9i"), ("0.4+0.3i", "1.1-0.2i")])
+    def test_saturated_shift_residuals_are_finite(self, tmp_path, alpha, s) -> None:
+        # S(1.5) and S(1.1 - 0.2i) pass the double range
+        path = spec_path(tmp_path, SATURATING_SPEC)
+        report = run_command(["shift", "--spec", str(path), "--alpha", alpha, "--s", s])
+        assert report.exit_code == 0, report.errors
+        values = {r.quantity: r.value for r in report.records}
+        for quantity in ("disagreement", "constant_residual"):
+            assert math.isfinite(values[quantity])
+            assert values[quantity] <= 1e-6
 
     def test_usage_errors(self, tmp_path) -> None:
         report = run_command(["frobnicate", "--spec", "x"])

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from _oracles import FROZEN_DOUBLED_BASEL_1000, FROZEN_SINGLE_ZERO_S0
 
 from entirefn import (
@@ -257,6 +259,37 @@ class TestTailProfile:
         assert t_small is not None and t_large is not None
         assert t_large < t_small
         assert profile.tail_beyond(len(seq)) == pytest.approx(profile.extrapolated_tail)
+
+    def test_split_pair_counts_its_orphan(self) -> None:
+        # N = 101 keeps 1 + 101i and drops its partner 1 - 101i
+        k = np.arange(1.0, 5001.0)
+        spec = make_symmetric_spec(xi=1.0, taus=np.concatenate([k, -k]), value_at_center=1.0)
+        bounds = [eval_product(spec, 1.0 + 2.5j, n).tail_bound for n in (100, 101, 102)]
+        assert bounds[0] == bounds[1] > bounds[2]
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        pairs=st.integers(min_value=1, max_value=40),
+        genus=st.sampled_from([0, 1]),
+    )
+    def test_bound_never_grows_with_truncation(self, seed, pairs, genus) -> None:
+        rng = np.random.default_rng(seed)
+        taus = np.cumsum(rng.uniform(0.5, 2.0, pairs))
+        spec = make_symmetric_spec(
+            xi=rng.uniform(0.2, 3.0),
+            taus=np.concatenate([taus, -taus]),
+            value_at_center=1.0,
+            class_tag=ClassTag.L_BAR if genus else ClassTag.Y_TILDE,
+        )
+        seq = spec.zero_sequence
+        tails = [seq.tail_profile(genus).tail_beyond(n) for n in range(len(seq) + 1)]
+        bounds = [eval_product(spec, 1.0 + 2.5j, n).tail_bound for n in range(len(seq) + 1)]
+        assert None not in tails and None not in bounds
+        assert all(a >= b for a, b in zip(tails, tails[1:]))
+        assert all(a >= b for a, b in zip(bounds, bounds[1:]))
+        for n in range(1, len(seq), 2):
+            # n splits a pair, whose orphan keeps the whole group in the tail
+            assert tails[n] == tails[n - 1]
 
     def test_divergent_terms_give_no_extrapolation(self) -> None:
         zeros = 1j * np.arange(1, 201, dtype=float)

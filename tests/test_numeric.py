@@ -8,7 +8,8 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from entirefn._numeric import BLOCK, ExactSum, complex_sum, real_sum
+from entirefn import _numeric
+from entirefn._numeric import BLOCK, ExactSum, complex_sum, exact_power_sums, real_sum
 
 LENGTHS = [0, 1, 511, 512, 4000, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]
 
@@ -108,3 +109,49 @@ def test_streamed_blocks_match_fsum(seed, sizes, special) -> None:
         acc.add(block)
     expected = math.fsum(np.concatenate(blocks))
     assert acc.total().hex() == expected.hex()
+
+
+def test_one_binade_at_full_load() -> None:
+    # every entry in the bins of one exponent, each part at its largest
+    for exponent in (-1074, -1022, 0, 500, 989):
+        if exponent == -1074:
+            top = float.fromhex("0x0.fffffffffffffp-1022")  # all-ones subnormal
+        else:
+            top = math.ldexp(float.fromhex("0x1.fffffffffffffp+0"), exponent)
+        for sign in (1.0, -1.0):
+            assert_like_fsum(np.full(2 * BLOCK + 3, sign * top))
+
+
+def test_worst_case_window_is_exact() -> None:
+    # One block: a few values with an odd last bit at its lowest exponent,
+    # where its first window starts, and the rest with all-ones mantissas
+    # (largest low parts) at the window's top exponent.  The top values come
+    # back negated in a second block, so the exact total is the small bottom
+    # sum: one bit lost in the merged window (it is too wide once
+    # _WINDOW > 12) would show in the result.
+    bottom = float.fromhex("0x1.0000000000001p+0")
+    top = math.ldexp(float.fromhex("0x1.fffffffffffffp+0"), _numeric._WINDOW - 1)
+    block = np.full(BLOCK, top)
+    block[:5] = bottom
+    np.random.default_rng(0).shuffle(block)
+    values = np.concatenate([block, np.full(BLOCK - 5, -top)])
+    assert_like_fsum(values)
+    assert real_sum(values) == 5 * bottom
+
+
+def test_powers_running_into_subnormals() -> None:
+    rng = np.random.default_rng(7)
+    # with |base| in [0.14, 0.17] the last sums are themselves subnormal
+    for length, smallest, largest in ((700, 0.14, 0.17), (5000, 0.1, 0.95)):
+        radii = rng.uniform(smallest, largest, length)
+        base = radii * np.exp(1j * rng.uniform(-math.pi, math.pi, length))
+        sums = exact_power_sums(base, 400)
+        power = base
+        for m in range(1, 401):
+            if m > 1:
+                power = power * base
+            assert sums[m - 1].real.hex() == math.fsum(power.real).hex()
+            assert sums[m - 1].imag.hex() == math.fsum(power.imag).hex()
+        # the smallest powers are subnormal or 0 by the end
+        assert np.any((power != 0) & (np.abs(power) < 2.0**-1022))
+        assert np.any(power == 0)

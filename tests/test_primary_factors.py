@@ -138,6 +138,22 @@ class TestProperties:
         assert cmath.isfinite(shifted)
         assert shifted == pytest.approx(direct, rel=1e-12)
 
+    def test_underflowing_exponential_keeps_a_large_scale(self) -> None:
+        # exp(-800) underflows alone, but S(0) = 1e300 brings S(-1) back in range
+        seq = ZeroSequence(zeros=np.array([10.0 + 0j]), ordering=Ordering.AS_GIVEN)
+        spec = EntireFunctionSpec(
+            class_tag=ClassTag.L, value_at_zero=1e300 + 0j, zero_sequence=seq, q_constant=800.0
+        )
+        result = eval_product(spec, -1.0)
+        expected = 1e300 * 1.1 * math.exp(-0.1) * math.exp(-400.0) * math.exp(-400.0)
+        assert result.value.real == pytest.approx(expected, rel=1e-12)
+        assert result.value.imag == 0.0
+        # far enough out the value itself underflows, and keeps its log
+        result = eval_product(spec, -2.0)
+        assert result.value == 0
+        assert result.log_value is not None
+        assert result.log_value.real < -745.0
+
     @given(
         radius=st.floats(min_value=0.51, max_value=10.0),
         angle=st.floats(min_value=0.0, max_value=2 * math.pi),

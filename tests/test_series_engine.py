@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from _oracles import (
     FROZEN_DOUBLED_BASEL_1000,
     FROZEN_EVEN_COEFFS,
@@ -68,6 +70,29 @@ class TestPowerSums:
     def test_bad_m_max(self, poly_spec) -> None:
         with pytest.raises(ValueError, match="m_max"):
             power_sums(poly_spec, 0j, 0)
+
+    @settings(max_examples=20)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        count=st.integers(min_value=1, max_value=511),
+    )
+    def test_matches_plain_loop_as_every_power_underflows(self, seed, count) -> None:
+        # fewer than 512 zeros: the sums go straight to math.fsum, zeros and all
+        rng = np.random.default_rng(seed)
+        center = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+        offsets = 10.0 ** rng.uniform(0.5, 3.0, count) * np.exp(1j * rng.uniform(-3.2, 3.2, count))
+        seq = ZeroSequence(zeros=center + offsets, ordering=Ordering.AS_GIVEN)
+        spec = EntireFunctionSpec(class_tag=ClassTag.Y, value_at_zero=1.0 + 0j, zero_sequence=seq)
+        sums = power_sums(spec, center, 700).values
+        recip = 1.0 / (seq.zeros - center)
+        power = recip
+        for m in range(1, 701):
+            if m > 1:
+                power = power * recip
+            assert sums[m - 1].real.hex() == math.fsum(power.real).hex()
+            assert sums[m - 1].imag.hex() == math.fsum(power.imag).hex()
+        # |z - center| > 3.1, so 3.1**-700 and every smaller power is 0
+        assert not np.any(power)
 
 
 class TestTaylorCoefficients:
