@@ -2,7 +2,8 @@
 
 The growth order is estimated as the least-squares slope of
 log log max|S| against log radius over a geometric radius ladder, using
-only radii where the max modulus exceeds e (so the double log is positive).
+only radii where max|S| exceeds e (so the double log is positive) and its
+log stays in the double range.
 The zero-counting exponent is the slope of log N(r) against log r, with
 N(r) the number of retained zeros of modulus <= r.  For order-one data the
 two estimates agree near 1; their consistency is a cheap cross-check.
@@ -15,6 +16,7 @@ snapped to the nearest integer within a 0.1 window.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -152,7 +154,7 @@ def estimate_order(
     far_radius = float(np.max(radii))
     for r in radii:
         log_max = _max_log_modulus(spec, float(r), angular_samples, n, far_radius)
-        if log_max > MIN_LOG_GROWTH:
+        if MIN_LOG_GROWTH < log_max < math.inf:
             kept_r.append(float(r))
             kept_log_max.append(log_max)
     if len(kept_r) < 3:
@@ -221,6 +223,8 @@ def verify_multiplicity(
     points = [center + radius * unit for unit in units]
     derivs = _log_derivatives(spec, points, int(zeros.size), abs(center) + radius)
     raw = (radius / nodes) * complex_sum(np.array([d * u for d, u in zip(derivs.tolist(), units)]))
+    if not cmath.isfinite(raw):
+        raise ValueError(f"winding quadrature unresolved: raw integral {raw!r} is not finite")
     winding = round(raw.real)
     if abs(raw - winding) > WINDING_SNAP:
         raise ValueError(

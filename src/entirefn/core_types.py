@@ -450,8 +450,8 @@ class EntireFunctionSpec:
         object.__setattr__(self, "q_constant", complex(self.q_constant))
         if self.center_xi is not None:
             object.__setattr__(self, "center_xi", float(self.center_xi))
-        if self.value_at_zero == 0:
-            raise ValueError("value_at_zero must be nonzero")
+        if self.value_at_zero == 0 or not np.isfinite(self.value_at_zero):
+            raise ValueError("value_at_zero must be nonzero and finite")
         if self.genus == 0 and self.q_constant != 0:
             raise ValueError("genus-0 classes require q_constant = 0")
         z = self.zero_sequence.zeros
@@ -494,7 +494,8 @@ def make_symmetric_spec(
     product for the value at the center: with P = product over retained
     zeros of (1 - xi/z) (times exp(q*xi) * prod exp(xi/z) at genus 1),
     value_at_zero = value_at_center / P, so evaluating at s = xi at the same
-    truncation recovers ``value_at_center``.
+    truncation recovers ``value_at_center``.  Raises ValueError when that
+    quotient is 0 or not finite.
     """
     tag = ClassTag(class_tag)
     if not tag.symmetric:
@@ -514,29 +515,21 @@ def make_symmetric_spec(
 
     zeros = xi + 1j * tau_arr
     seq = ZeroSequence(
-        zeros=zeros,
-        ordering=Ordering.AS_GIVEN,
+        zeros=zeros[modulus_sort_indices(zeros)],
         pairing=Pairing.SYMMETRIC_ABOUT_CENTER,
         source=f"constructed:symmetric xi={xi!r} n={tau_arr.size} center_value_inverted_at={tau_arr.size}",
-    ).sorted_by_modulus()
-
-    # Invert the same truncated product eval_product uses, via a unit-value
-    # probe spec, so the center value round-trips to rounding error.
-    from .product_engine import eval_product
-
-    probe = EntireFunctionSpec(
-        class_tag=tag,
-        value_at_zero=1.0 + 0j,
-        zero_sequence=seq,
-        q_constant=q_constant,
-        center_xi=xi,
     )
-    center_product = eval_product(probe, complex(xi), len(seq)).value
-    if center_product == 0:
-        raise ValueError("degenerate data: truncated product vanishes at the center")
+    # invert the product eval_product forms at xi, so the center value round-trips
+    from .product_engine import _log_sums, _value_from_log
+
+    exponent = complex(_log_sums(seq, tag.genus, q_constant, [xi], len(seq))[0])
+    center_product = _value_from_log(exponent)
+    value_at_zero = value_at_center / center_product if center_product else math.inf
+    if value_at_zero == 0 or not np.isfinite(value_at_zero):
+        raise ValueError(f"inverted origin value {value_at_zero!r} is out of range: P = exp({exponent!r})")
     return EntireFunctionSpec(
         class_tag=tag,
-        value_at_zero=value_at_center / center_product,
+        value_at_zero=value_at_zero,
         zero_sequence=seq,
         q_constant=q_constant,
         center_xi=xi,

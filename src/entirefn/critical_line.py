@@ -17,7 +17,7 @@ import numpy as np
 
 from ._numeric import real_sum
 from .core_types import ClassTag, EntireFunctionSpec
-from .product_engine import _eval_batch, _retained, eval_product
+from .product_engine import _eval_batch, _retained, _value_from_log, eval_product
 from .series_engine import TaylorExpansion, _require_sign_symmetric
 
 __all__ = [
@@ -214,6 +214,7 @@ def even_product_form(spec: EntireFunctionSpec, x: float, n_terms: int | None = 
     return _even_product_values(spec, [float(x)], n_terms)[0]
 
 
+@np.errstate(over="ignore")
 def _even_product_values(spec: EntireFunctionSpec, xs, n_terms: int | None) -> list[complex]:
     """``even_product_form`` at each x, checking the spec and computing V(0) once."""
     if spec.class_tag is not ClassTag.Y_TILDE:
@@ -223,20 +224,22 @@ def _even_product_values(spec: EntireFunctionSpec, xs, n_terms: int | None) -> l
     taus = zeros.imag
     _require_sign_symmetric(taus)
     tau_hat = taus[taus > 0.0]
-    tau_sq = tau_hat * tau_hat
     assert spec.center_xi is not None
-    v0 = eval_product(spec, complex(spec.center_xi), n).value
+    center = eval_product(spec, complex(spec.center_xi), n)
     if tau_hat.size == 0:
-        return [v0] * len(xs)
+        return [center.value] * len(xs)
     out: list[complex] = []
+    tau_sq = tau_hat * tau_hat
+    squares_fit = bool(np.all(np.isfinite(tau_sq)))  # else x^2 / tau^2 is taken as (x / tau)^2
     for x in xs:
         x = float(x)
-        factors = 1.0 - (x * x) / tau_sq
+        factors = 1.0 - ((x * x) / tau_sq if squares_fit and math.isfinite(x * x) else (x / tau_hat) ** 2)
         if np.any(factors == 0.0):
             out.append(0j)
             continue
-        sign = -1.0 if int(np.count_nonzero(factors < 0.0)) % 2 else 1.0
-        out.append(v0 * sign * math.exp(real_sum(np.log(np.abs(factors)))))
+        sign, phase = (-1.0, math.pi) if np.count_nonzero(factors < 0.0) % 2 else (1.0, 0.0)
+        log_abs = real_sum(np.log(np.abs(factors)))
+        out.append(_value_from_log(log_abs, center.value * sign, center.log_value + 1j * phase))
     return out
 
 

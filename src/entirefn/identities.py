@@ -18,6 +18,7 @@ before the shift points, so a seed fixes every draw.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -27,7 +28,7 @@ from ._numeric import complex_sum
 from .analysis import verify_multiplicity
 from .core_types import EntireFunctionSpec, ZeroSequence
 from .critical_line import _even_product_values, critical_line_profile, scan_real_zeros
-from .product_engine import _exp_saturating, _log_sums, _retained
+from .product_engine import _log_sums, _retained, _value_from_log
 from .product_engine import eval_product, eval_shifted_product, shift_constant_residual
 from .series_engine import even_series
 
@@ -74,13 +75,14 @@ def compare_shift(
     is |shifted - direct| / (1 + |direct|), and the constant residual is
     :func:`shift_constant_residual` at alpha.  Where a value saturates and
     that ratio is not finite, the disagreement is its limit |e^d - 1|, with
-    d the difference of the two logs.
+    d the difference of the two logs (-inf for an exact 0).
     """
     shifted = eval_shifted_product(spec, alpha, s, n_terms)
     direct = eval_product(spec, s, n_terms)
     disagreement = abs(shifted.value - direct.value) / (1.0 + abs(direct.value))
-    if not math.isfinite(disagreement) and None not in (shifted.log_value, direct.log_value):
-        disagreement = abs(_exp_saturating(shifted.log_value - direct.log_value) - 1.0)
+    if not math.isfinite(disagreement):
+        logs = [-math.inf if ev.log_value is None else ev.log_value for ev in (shifted, direct)]
+        disagreement = abs(_value_from_log(logs[0] - logs[1]) - 1.0)
     residual = shift_constant_residual(spec, alpha, n_terms)
     return shifted.value, direct.value, disagreement, residual
 
@@ -163,6 +165,9 @@ def _shift_identity(spec, at_center: bool, seed: int, draws: int, n_terms, toler
 
 def _line_form_identity(spec, with_even_form: bool, x_min, x_max, samples, n_terms, tolerance):
     profile = critical_line_profile(spec, x_min, x_max, samples, n_terms)
+    direct = profile.values
+    if not (np.all(np.isfinite(direct)) and cmath.isfinite(profile.v0)):
+        raise ValueError(f"line values pass the double range on [{x_min!r}, {x_max!r}]")
     n = profile.truncation
     zeros = spec.zero_sequence.zeros[:n]
     grid = profile.grid
@@ -172,8 +177,8 @@ def _line_form_identity(spec, with_even_form: bool, x_min, x_max, samples, n_ter
     if spec.genus == 1:
         recip_sum = complex_sum(1.0 / zeros)
         exponents += 1j * grid * spec.q_constant + 1j * grid * recip_sum
-    literal = profile.v0 * np.exp(exponents)
-    direct = profile.values
+    log_v0 = cmath.log(profile.v0)
+    literal = np.array([_value_from_log(e, profile.v0, log_v0) for e in exponents.tolist()])
     scale = 1.0 + np.abs(direct)
     residual = float(np.max(np.abs(literal - direct) / scale))
     quantities = [("line_form_residual_max", residual)]

@@ -35,10 +35,10 @@ remainder bound sum_far |w|^(K+1) / ((K+1)(1 - |w|)), |w| <= 1/4, is below
 case with no far zeros and keep their bits.
 
 Only |exp(...)| and per-factor phases are contractually meaningful: summed
-imaginary parts are not unwound to a continuous branch.  A factor that is
-exactly zero (w == 1) makes the value an exact 0 with no logarithm.  A
-value past the double range saturates to an infinity with the phase of its
-logarithm.
+imaginary parts are not unwound to a continuous branch.  Every value, here
+and in the consumers, comes from its log through ``_value_from_log``: a
+factor that is exactly zero (w == 1) gives an exact 0 with no logarithm,
+and a value past the double range an infinity with its logarithm's phase.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from typing import Iterable
 import numpy as np
 
 from ._numeric import BLOCK, ExactSum, complex_sum, exact_power_sums
-from .core_types import EntireFunctionSpec, Ordering, ZeroSequence
+from .core_types import _LOG_DOUBLE_MAX, EntireFunctionSpec, Ordering, ZeroSequence
 
 __all__ = [
     "TruncatedEvaluation",
@@ -76,27 +76,29 @@ _FAR_RATIO = 4.0
 _FAR_TOLERANCE = 1e-17
 
 
-def _exp_saturating(z: complex) -> complex:
-    """exp(z), overflowing to a phase-correct complex infinity instead of raising."""
-    try:
-        return cmath.exp(z)
-    except OverflowError:
-        return cmath.rect(math.inf, z.imag)
+def _value_from_log(exponent: complex, scale: complex = 1.0, log_scale: complex = 0j) -> complex:
+    """scale * exp(exponent), the one rule from a product's log to its value.
 
-
-def _scaled_exp(scale: complex, log_scale: complex, exponent: complex) -> complex:
-    """scale * exp(exponent), or exp(log_scale + exponent) where that is 0 or not finite.
-
-    Past the double range the value saturates with the log's phase; where
-    only the product underflows, the log brings the value back in range.
+    ``log_scale`` is log(scale).  Real part -inf is the exact 0 at a retained
+    zero.  A modulus past the double range is an infinity with the log's
+    phase.  Otherwise, where scale * exp(exponent) is 0 or not finite, the
+    value is exp of the full log, so an underflow comes back into range.  A
+    NaN part or an infinite imaginary part (terms past the double range) is
+    a ValueError.
     """
+    if exponent.real == -math.inf:
+        return 0j
+    if math.isnan(exponent.real) or not math.isfinite(exponent.imag):
+        raise ValueError(f"product log {exponent!r} has no phase: its terms pass the double range")
+    log = log_scale + exponent
+    # cmath.exp can return finite parts whose modulus is past the double range
+    if log.real >= _LOG_DOUBLE_MAX:
+        return cmath.rect(math.inf, log.imag)
     try:
         value = scale * cmath.exp(exponent)
     except OverflowError:
-        value = complex(math.inf)
-    if cmath.isfinite(value) and value != 0:
-        return value
-    return _exp_saturating(log_scale + exponent)
+        value = 0j
+    return value if cmath.isfinite(value) and value != 0 else cmath.exp(log)
 
 
 def _log_tail(w: np.ndarray) -> np.ndarray:
@@ -126,9 +128,9 @@ def _log_factors(w, genus: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"factor genus must be 0 or 1, got {genus}")
     w = np.asarray(w, dtype=np.complex128)
     a, b = w.real, w.imag
-    r2 = a * a + b * b
     # both branches of every switch are evaluated; only the chosen one is kept
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        r2 = a * a + b * b
         one_minus = 1.0 - a
         imag = np.arctan2(-b, one_minus)
         real = 0.5 * np.log1p(a * (a - 2.0) + b * b)
@@ -152,6 +154,7 @@ def _sum_log_factors(w_blocks: Iterable[np.ndarray], genus: int) -> complex | No
     """Exactly rounded sum of the factor logs over blocks of w.
 
     Returns None when some w == 1, so that the product vanishes exactly.
+    Raises ValueError when a partial sum passes the double range.
     """
     real, imag = ExactSum(), ExactSum()
     for w in w_blocks:
@@ -160,7 +163,10 @@ def _sum_log_factors(w_blocks: Iterable[np.ndarray], genus: int) -> complex | No
         log_real, log_imag = _log_factors(w, genus)
         real.add(log_real)
         imag.add(log_imag)
-    return complex(real.total(), imag.total())
+    try:
+        return complex(real.total(), imag.total())
+    except OverflowError:
+        raise ValueError("the sum of the factor logs passes the double range") from None
 
 
 def _far_sums(far: np.ndarray) -> tuple[float, np.ndarray]:
@@ -226,6 +232,8 @@ def _split(
     return near, far
 
 
+# s/z past the double range gives infinite factor logs, which the value rule handles
+@np.errstate(over="ignore", invalid="ignore")
 def _log_sums(
     seq: ZeroSequence, genus: int, q: complex, points, n: int, radius: float | None = None
 ) -> np.ndarray:
@@ -240,6 +248,8 @@ def _log_sums(
     out = np.empty(points.size, dtype=np.complex128)
     for j, s in enumerate(points.tolist()):
         exponent = q * s if genus == 1 else 0j
+        if exponent.real == -math.inf:  # -inf is kept for the retained zeros
+            raise ValueError(f"q*s = {exponent!r} passes the double range at s = {s!r}")
         if near.size:
             log_sum = _sum_log_factors((s / z for z in _blocks(near)), genus)
             if log_sum is None:
@@ -253,16 +263,15 @@ def _log_sums(
 
 
 def _eval_batch(
-    spec: EntireFunctionSpec, points, n: int, radius: float
+    spec: EntireFunctionSpec, points, n: int, radius: float | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Values and logs of the n-term product at points with |s| <= radius.
 
     At a retained zero the value is exactly 0 and the log has real part -inf.
     """
     exponents = _log_sums(spec.zero_sequence, spec.genus, spec.q_constant, points, n, radius)
-    v0 = spec.value_at_zero
-    log_v0 = cmath.log(v0)
-    values = [0j if e.real == -math.inf else _scaled_exp(v0, log_v0, e) for e in exponents.tolist()]
+    v0, log_v0 = spec.value_at_zero, cmath.log(spec.value_at_zero)
+    values = [_value_from_log(e, v0, log_v0) for e in exponents.tolist()]
     return np.array(values, dtype=np.complex128), log_v0 + exponents
 
 
@@ -335,29 +344,28 @@ def _guard_coincident(point: complex, zeros: np.ndarray, message: str) -> None:
 
 
 def _tail_bound(spec: EntireFunctionSpec, s: complex, n: int) -> float | None:
-    profile = spec.zero_sequence.tail_profile(spec.genus)
-    tail = profile.tail_beyond(n)
+    tail = spec.zero_sequence.tail_profile(spec.genus).tail_beyond(n)
     if tail is None:
         return None
     # every factor is 1 at s = 0, even when the tail estimate is infinite
-    exponent = abs(s) ** (spec.genus + 1) * tail if s else 0.0
-    if exponent > 700.0:
+    if not s or not tail:
+        return 0.0
+    try:
+        exponent = abs(s) ** (spec.genus + 1) * tail
+    except OverflowError:  # |s|^2 passes the double range
         return math.inf
-    return math.expm1(exponent)
+    # a nan (|s|^2 underflowed against an infinite tail) reads inf too
+    return math.expm1(exponent) if exponent <= 700.0 else math.inf
 
 
-def _proximity(s: complex, zeros: np.ndarray) -> tuple[float, bool]:
-    if zeros.size == 0:
-        return math.inf, False
-    dist = float(np.min(np.abs(s - zeros)))
-    return dist, dist < NEAR_ZERO_COEFF * (1.0 + abs(s))
-
-
-def _vanishing(n: int, tail: float | None, nearest: float) -> TruncatedEvaluation:
-    """The exact 0 at a retained zero, with no logarithm."""
+def _evaluation(spec, s: complex, zeros: np.ndarray, value: complex, log_value) -> TruncatedEvaluation:
+    """The record of a value at s; a log_value of None is the exact 0 at a retained zero."""
+    nearest = float(np.min(np.abs(s - zeros))) if zeros.size else math.inf
     return TruncatedEvaluation(
-        value=0j, terms_used=n, tail_bound=tail, nearest_zero_distance=nearest,
-        near_zero=True, log_value=None,
+        value=value, terms_used=zeros.size, tail_bound=_tail_bound(spec, s, zeros.size),
+        nearest_zero_distance=nearest,
+        near_zero=log_value is None or nearest < NEAR_ZERO_COEFF * (1.0 + abs(s)),
+        log_value=log_value,
     )
 
 
@@ -372,23 +380,12 @@ def eval_product(spec: EntireFunctionSpec, s: complex, n_terms: int | None = Non
     """
     s = complex(s)
     zeros = _retained(spec, n_terms)
-    n = int(zeros.size)
-    nearest, near = _proximity(s, zeros)
-    tail = _tail_bound(spec, s, n)
-    exponent = complex(_log_sums(spec.zero_sequence, spec.genus, spec.q_constant, [s], n)[0])
-    if exponent.real == -math.inf:
-        return _vanishing(n, tail, nearest)
-    log_v0 = cmath.log(spec.value_at_zero)
-    return TruncatedEvaluation(
-        value=_scaled_exp(spec.value_at_zero, log_v0, exponent),
-        terms_used=n,
-        tail_bound=tail,
-        nearest_zero_distance=nearest,
-        near_zero=near,
-        log_value=log_v0 + exponent,
-    )
+    values, logs = _eval_batch(spec, [s], zeros.size, None)
+    log_value = complex(logs[0])
+    return _evaluation(spec, s, zeros, complex(values[0]), None if log_value.real == -math.inf else log_value)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def eval_shifted_product(
     spec: EntireFunctionSpec,
     alpha: complex,
@@ -414,17 +411,6 @@ def eval_shifted_product(
     n = int(zeros.size)
     _guard_coincident(alpha, zeros, "shift point coincides with a retained zero")
     base = eval_product(spec, alpha, n)
-    nearest, near = _proximity(s, zeros)
-    tail = _tail_bound(spec, s, n)
-    if s == alpha:
-        return TruncatedEvaluation(
-            value=base.value,
-            terms_used=n,
-            tail_bound=tail,
-            nearest_zero_distance=nearest,
-            near_zero=near,
-            log_value=base.log_value,
-        )
     u = s - alpha
     exponent = spec.q_constant * u if spec.genus == 1 else 0j
     if n:
@@ -432,21 +418,15 @@ def eval_shifted_product(
         w_blocks = (u / (z - alpha) for z in _blocks(zeros))
         log_sum = None if np.any(zeros == s) else _sum_log_factors(w_blocks, 0)
         if log_sum is None:
-            return _vanishing(n, tail, nearest)
+            return _evaluation(spec, s, zeros, 0j, None)
         exponent += log_sum
         if spec.genus == 1:
             exponent += complex_sum(u / zeros)
-    base_log = base.log_value if base.log_value is not None else 0j
-    return TruncatedEvaluation(
-        value=_scaled_exp(base.value, base_log, exponent),
-        terms_used=n,
-        tail_bound=tail,
-        nearest_zero_distance=nearest,
-        near_zero=near,
-        log_value=base_log + exponent,
-    )
+    value = _value_from_log(exponent, base.value, base.log_value)
+    return _evaluation(spec, s, zeros, value, base.log_value + exponent)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def shift_constant_residual(
     spec: EntireFunctionSpec,
     alpha: complex,
@@ -464,8 +444,8 @@ def shift_constant_residual(
     truncated product at the same N (making the identity exact up to
     rounding); pass ``value_at_alpha`` to test against an external value
     such as a closed form.  Where a side saturates and the direct ratio is
-    not finite, the default takes it from the logs: |1 - e^d| / (1 + |e^d|)
-    with d = log(lhs / rhs).
+    not finite, it is taken from the logs: |1 - e^d| / (1 + |e^d|) with
+    d = log(lhs / rhs); a d that is not a number raises ValueError.
     """
     alpha = complex(alpha)
     if alpha == 0:
@@ -475,28 +455,32 @@ def shift_constant_residual(
     _guard_coincident(alpha, zeros, "shift point coincides with a retained zero")
     # the guard above keeps every factor 1 - alpha/z_k away from 0
     log_prod = _sum_log_factors((alpha / z for z in _blocks(zeros)), 0)
-    lhs = spec.value_at_zero * _exp_saturating(log_prod)
+    log_v0 = cmath.log(spec.value_at_zero)
+    lhs = _value_from_log(log_prod, spec.value_at_zero, log_v0)
     if value_at_alpha is None:
         at_alpha = eval_product(spec, alpha, n)
         s_alpha, log_s_alpha = at_alpha.value, at_alpha.log_value
     else:
-        s_alpha, log_s_alpha = complex(value_at_alpha), None
+        s_alpha = complex(value_at_alpha)
+        log_s_alpha = cmath.log(s_alpha) if s_alpha else complex(-math.inf)
     rhs_exponent = 0j
     if spec.genus == 1:
         recip_sum = complex_sum(alpha / zeros) if n else 0j
         rhs_exponent = -spec.q_constant * alpha - recip_sum
-        rhs = s_alpha * _exp_saturating(rhs_exponent)
+        rhs = _value_from_log(rhs_exponent, s_alpha, log_s_alpha)
     else:
         rhs = s_alpha
     denom = abs(lhs) + abs(rhs)
     if denom == 0.0:
         return 0.0
     residual = abs(lhs - rhs) / denom
-    if math.isfinite(residual) or log_s_alpha is None:
+    if math.isfinite(residual):
         return residual
     # a saturated side: the same ratio from d = log(lhs / rhs), which is
     # symmetric under d -> -d, so |e^d| <= 1 below
-    d = cmath.log(spec.value_at_zero) + log_prod - log_s_alpha - rhs_exponent
+    d = log_v0 + log_prod - log_s_alpha - rhs_exponent
+    if cmath.isnan(d):
+        raise ValueError(f"constant residual undefined at alpha={alpha!r}: its logs pass the double range")
     ratio = cmath.exp(-d if d.real > 0 else d)
     return abs(1.0 - ratio) / (1.0 + abs(ratio))
 

@@ -20,13 +20,14 @@ with c_0 the truncated product value at the center.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._numeric import complex_sum, exact_power_sums
 from .core_types import ClassTag, EntireFunctionSpec
-from .product_engine import _guard_coincident, _retained, eval_product
+from .product_engine import _guard_coincident, _retained, _value_from_log, eval_product
 
 __all__ = [
     "PowerSums",
@@ -103,6 +104,7 @@ def power_sums(
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def taylor_coefficients(
     spec: EntireFunctionSpec,
     center: complex,
@@ -121,7 +123,8 @@ def taylor_coefficients(
     zeros = _retained(spec, n_terms)
     n = int(zeros.size)
     _guard_coincident(center, zeros, "expansion center coincides with a retained zero")
-    c0 = eval_product(spec, center, n).value
+    at_center = eval_product(spec, center, n)
+    c0, log_c0 = at_center.value, at_center.log_value
     if c0 == 0:
         raise ValueError("expansion center is a zero of the truncated product")
     if k_max == 0:
@@ -145,7 +148,13 @@ def taylor_coefficients(
         for m in range(1, k + 1):
             acc += m * g[m] * ratios[k - m]
         ratios[k] = acc / k
-    coeffs = tuple(complex(c0 * r) for r in ratios)
+    if not np.all(np.isfinite(ratios)):
+        raise ValueError(f"Taylor recurrence passes the double range by order {k_max}")
+    # where c_0 or c_0 r_k saturates, c_k comes from log c_0 + log r_k
+    coeffs = tuple(
+        c if cmath.isfinite(c := complex(c0 * r)) else _value_from_log(log_c0 + cmath.log(r)) if r else 0j
+        for r in ratios
+    )
     return TaylorExpansion(center=center, coefficients=coeffs, terms_used=n, genus=spec.genus)
 
 

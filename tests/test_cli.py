@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -90,6 +91,15 @@ def spec_path(tmp_path, content, name="func.spec"):
     path = tmp_path / name
     path.write_text(content)
     return path
+
+
+def quiet_run(argv):
+    """run_command's report, checking that the run emitted no warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = run_command(argv)
+    assert not caught, [str(w.message) for w in caught]
+    return report
 
 
 class TestParseComplex:
@@ -528,6 +538,88 @@ class TestRunCommand:
         for quantity in ("disagreement", "constant_residual"):
             assert math.isfinite(values[quantity])
             assert values[quantity] <= 1e-6
+
+    def test_saturated_line_window_is_an_error(self, tmp_path) -> None:
+        # |V(x)| ~ x^6 / 36 passes the double range on this window
+        path = spec_path(tmp_path, SYMMETRIC_SPEC)
+        window = ["--x-min", "1e60", "--x-max", "2e60", "--samples", "4"]
+        report = quiet_run(["verify-identity", "--spec", str(path), "--theorem", "T7", *window])
+        assert report.exit_code == 1
+        assert report.errors == ("line values pass the double range on [1e+60, 2e+60]",)
+
+    def test_saturated_literal_line_product_fails_t6(self, tmp_path) -> None:
+        # the literal product saturates; the residual is inf, not nan
+        path = spec_path(tmp_path, LBAR_SPEC)
+        window = ["--x-min", "1e60", "--x-max", "2e60", "--samples", "4"]
+        report = quiet_run(["verify-identity", "--spec", str(path), "--theorem", "T6", *window])
+        assert report.exit_code == 1
+        values = {r.quantity: r.value for r in report.records}
+        assert values == {"line_form_residual_max": math.inf, "pass": False}
+
+    def test_series_about_a_saturated_center(self, tmp_path) -> None:
+        path = spec_path(tmp_path, SATURATING_SPEC)
+        center = "--center=1.3+0.2i"
+        report = quiet_run(["series", "--spec", str(path), center, "--kmax", "3"])
+        assert report.exit_code == 0, report.errors
+        coefficients = [r.value for r in report.records]
+        assert len(coefficients) == 4
+        value = quiet_run(["eval", "--spec", str(path), "--s=1.3+0.2i"]).records[0].value
+        assert coefficients[0] == value == complex(-math.inf, math.inf)
+        # c_k / c_0 is near (q + 1/10 - 1/(10 - 1.3 - 0.2i))^k / k!: every phase is small
+        assert coefficients[1:] == [complex(-math.inf, math.inf)] * 3
+
+    def test_shift_with_a_log_past_the_range(self, tmp_path) -> None:
+        # q * alpha passes the double range: log S(alpha) has no phase, or no real part
+        content = "class = L\nq = 5.8e299i\ns0 = 1\nzeros_inline:\n0 1\n0 -1\n"
+        path = spec_path(tmp_path, content)
+        report = quiet_run(["shift", "--spec", str(path), "--alpha=9e149", "--s=1"])
+        assert report.exit_code == 1
+        assert report.errors == (
+            "product log (690.564806866898+infj) has no phase: its terms pass the double range",
+        )
+        report = quiet_run(["shift", "--spec", str(path), "--alpha=6e149+7e149i", "--s=1"])
+        assert report.exit_code == 1
+        assert report.errors == (
+            "q*s = (-inf+infj) passes the double range at s = (6e+149+7e+149j)",
+        )
+
+    def test_constant_residual_with_logs_past_the_range(self, tmp_path) -> None:
+        # alpha / z overflows: both sides of the identity have infinite logs
+        path = spec_path(tmp_path, "class = Y\ns0 = 1\nzeros_inline:\n1e-10 0\n")
+        report = quiet_run(["shift", "--spec", str(path), "--alpha=1e300", "--s=1"])
+        assert report.exit_code == 1
+        assert report.errors == (
+            "constant residual undefined at alpha=(1e+300+0j): its logs pass the double range",
+        )
+
+    def test_tail_bound_far_past_the_zeros(self, tmp_path) -> None:
+        # |s|^2 overflows; the tail beyond both zeros is 0, so the bound is too
+        path = spec_path(tmp_path, "class = L\ns0 = 1\nzeros_inline:\n0 1\n0 -1\n")
+        report = quiet_run(["eval", "--spec", str(path), "--s=1e160"])
+        assert report.exit_code == 0, report.errors
+        values = {r.quantity: r.value for r in report.records}
+        assert values["value"] == complex(math.inf, 0.0)
+        assert values["tail_bound"] == 0.0
+
+    def test_inverted_origin_value_past_the_range(self, tmp_path) -> None:
+        # the center product is exp(-1379.6): its inverse has no double
+        content = "class = L_bar\nxi = 1e300\ns_at_xi = 1\nzeros_format = tau_only\nzeros_inline:\n1\n-1\n"
+        path = spec_path(tmp_path, content)
+        report = quiet_run(["exponent", "--spec", str(path), "--r-min", "1", "--r-max", "1e3"])
+        assert report.exit_code == 1
+        assert report.errors == (
+            "inverted origin value inf is out of range: P = exp((-1379.5510557964274+0j))",
+        )
+
+    def test_non_finite_winding_integral(self, tmp_path) -> None:
+        content = "class = L\nq = 1e300\ns0 = 1\nzeros_inline:\n0 1\n0 -1\n"
+        path = spec_path(tmp_path, content)
+        argv = ["mult", "--spec", str(path), "--center", "0", "--radius", "1e160", "--nodes", "32"]
+        report = quiet_run(argv)
+        assert report.exit_code == 1
+        assert report.errors == (
+            "winding quadrature unresolved: raw integral (-inf-infj) is not finite",
+        )
 
     def test_usage_errors(self, tmp_path) -> None:
         report = run_command(["frobnicate", "--spec", "x"])

@@ -201,6 +201,12 @@ class TestEntireFunctionSpec:
                 class_tag=ClassTag.Y, value_at_zero=1.0, zero_sequence=seq, center_xi=1.0
             )
 
+    @pytest.mark.parametrize("value", [math.inf, complex(1.0, math.inf), complex(math.nan, 0.0)])
+    def test_rejects_non_finite_value_at_zero(self, value) -> None:
+        seq = ZeroSequence(zeros=np.array([1j]))
+        with pytest.raises(ValueError, match="value_at_zero must be nonzero and finite"):
+            EntireFunctionSpec(class_tag=ClassTag.Y, value_at_zero=value, zero_sequence=seq)
+
     def test_genus_property(self) -> None:
         assert ClassTag.Y.genus == 0
         assert ClassTag.Y_TILDE.genus == 0
@@ -247,6 +253,33 @@ class TestMakeSymmetricSpec:
         )
         value = eval_product(spec, complex(2.0), len(spec.zero_sequence)).value
         assert value == pytest.approx(1.0 + 1.0j, rel=5e-15)
+
+    def test_builds_one_sequence_and_one_spec(self, monkeypatch) -> None:
+        built = []
+        for cls in (ZeroSequence, EntireFunctionSpec):
+            def counted(self, original=cls.__post_init__):
+                built.append(type(self).__name__)
+                original(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        make_symmetric_spec(xi=1.0, taus=[3.0, -1.0, 1.0, -3.0], value_at_center=2.0)
+        assert built == ["ZeroSequence", "EntireFunctionSpec"]
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            # the center product is about 1e-12: 1e300 / P passes the double range
+            dict(xi=1.0, taus=[1e-6, -1e-6], value_at_center=1e300),
+            # the center product underflows to 0
+            dict(xi=1e300, taus=[1.0, -1.0], value_at_center=1.0),
+            # P is about 1.4e304 at q = 700, so 1e-20 / P underflows
+            dict(xi=1.0, taus=[1.0, -1.0], value_at_center=1e-20, class_tag="L_bar", q_constant=700.0),
+        ],
+        ids=["saturates", "product-underflows", "quotient-underflows"],
+    )
+    def test_inversion_past_the_double_range_is_rejected(self, kwargs) -> None:
+        with pytest.raises(ValueError, match="inverted origin value"):
+            make_symmetric_spec(**kwargs)
 
 
 class TestTailProfile:

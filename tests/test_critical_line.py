@@ -137,6 +137,14 @@ class TestEvenProductForm:
         assert value.real < 0
         assert value == pytest.approx(direct, rel=1e-12)
 
+    def test_offsets_whose_squares_overflow(self) -> None:
+        # tau^2 and, at the second point, x^2 pass the double range
+        spec = make_symmetric_spec(xi=1.0, taus=[1.5e154, -1.5e154], value_at_center=1.0 + 0j)
+        for x in (1e154, 3e154):
+            expected = 1.0 - (x / 1.5e154) ** 2
+            assert even_product_form(spec, x) == pytest.approx(expected, rel=1e-14)
+            assert eval_product(spec, complex(1.0, x)).value == pytest.approx(expected, rel=1e-14)
+
     def test_asymmetric_offsets_rejected(self) -> None:
         spec = make_symmetric_spec(xi=1.0, taus=[1.0, -1.0, 2.0], value_at_center=1.0 + 0j)
         with pytest.raises(ValueError, match="symmetry"):

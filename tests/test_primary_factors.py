@@ -18,6 +18,9 @@ from entirefn import (
     ZeroSequence,
     eval_product,
     eval_shifted_product,
+    even_product_form,
+    make_symmetric_spec,
+    taylor_coefficients,
 )
 from entirefn.product_engine import _log_factors, _log_tail, _sum_log_factors
 
@@ -126,6 +129,39 @@ class TestProperties:
             phase = result.log_value.imag
             assert result.value.real == math.copysign(math.inf, math.cos(phase))
             assert result.value.imag == math.copysign(math.inf, math.sin(phase))
+
+    def test_saturated_values_carry_the_phase_of_their_log(self) -> None:
+        # eval, shift, the even form and c_0 at points where each value saturates
+        seq = ZeroSequence(zeros=np.array([10.0 + 0j]), ordering=Ordering.AS_GIVEN)
+        spec = EntireFunctionSpec(
+            class_tag=ClassTag.L, value_at_zero=1.0 + 0j, zero_sequence=seq, q_constant=800.0
+        )
+        taus = [1.0, -1.0, 2.0, -2.0, 3.0, -3.0]
+        line = make_symmetric_spec(xi=1.0, taus=taus, value_at_center=1.0)
+        direct = eval_product(spec, 1.3 + 0.2j)
+        shifted = eval_shifted_product(spec, 0.4 + 0.3j, 1.1 - 0.2j)
+        on_line = eval_product(line, 1.0 + 1e60j)
+        c0 = taylor_coefficients(spec, 1.3 + 0.2j, 3).coefficients[0]
+        # V(1e60) = V(0) prod (1 - 1e120 / tau^2): three negative factors
+        even_phase = eval_product(line, 1.0).log_value.imag + math.pi
+        cases = [
+            (direct.value, direct.log_value.imag),
+            (shifted.value, shifted.log_value.imag),
+            (on_line.value, on_line.log_value.imag),
+            (even_product_form(line, 1e60), even_phase),
+            (c0, direct.log_value.imag),
+        ]
+        for value, phase in cases:
+            assert value.real == math.copysign(math.inf, math.cos(phase))
+            assert value.imag == math.copysign(math.inf, math.sin(phase))
+
+    def test_modulus_past_the_range_saturates(self) -> None:
+        # exp(709.8 + i pi/4) has finite parts but a modulus past the double range
+        seq = ZeroSequence(zeros=[])
+        spec = EntireFunctionSpec(class_tag=ClassTag.L, value_at_zero=1.0, zero_sequence=seq, q_constant=1j)
+        result = eval_product(spec, complex(math.pi / 4, -709.8))
+        assert result.value == complex(math.inf, math.inf)
+        assert abs(result.value) == math.inf
 
     def test_saturated_base_recenters_to_a_finite_value(self) -> None:
         # S(1.5) = exp(1200) * ... saturates; S(0.2 + 0.9i) is finite
