@@ -146,7 +146,8 @@ def scan_real_zeros(profile: CriticalLineProfile, spec: EntireFunctionSpec) -> R
     1e-6 of the largest sampled magnitude).  Each sign change of Re V over a
     grid cell is refined to a bracket of width 1e-12 * (1 + |x|); the
     accepted root must satisfy |V(root)| <= 1e-9 * (1 + local |V| scale).
-    Zeros of even multiplicity do not change sign and are not found.
+    A 0 off the retained tau (an underflow) or a value that is not finite is
+    a ValueError naming its cell.  Zeros of even multiplicity are not found.
     """
     scale_all = float(np.max(np.abs(profile.values)))
     if scale_all > 0 and profile.imag_max > REALITY_GATE * scale_all:
@@ -154,20 +155,20 @@ def scan_real_zeros(profile: CriticalLineProfile, spec: EntireFunctionSpec) -> R
     xi = profile.xi
     n = profile.truncation
 
-    def re_v(x: float) -> float:
-        return eval_product(spec, complex(xi, x), n).value.real
+    def re_v(x: float, value: complex, cell: tuple[float, float]) -> float:
+        if np.isfinite(value) and (value.real or complex(xi, x) in spec.zero_sequence.zeros[:n]):
+            return value.real
+        raise ValueError(f"profile leaves the double range on the cell [{cell[0]!r}, {cell[1]!r}]")
 
     estimates: list[RealZeroEstimate] = []
-    re_grid = profile.values.real
     for j in range(profile.grid.size - 1):
         a, b = float(profile.grid[j]), float(profile.grid[j + 1])
-        fa, fb = float(re_grid[j]), float(re_grid[j + 1])
+        cell = (a, b)
+        fa, fb = (re_v(x, complex(v), cell) for x, v in zip(cell, profile.values[j : j + 2]))
         local_scale = max(abs(profile.values[j]), abs(profile.values[j + 1]))
-        if fa == 0.0:
-            estimates.append(_accept(spec, xi, n, a, (a, a), local_scale))
-            continue
-        if j == profile.grid.size - 2 and fb == 0.0:
-            estimates.append(_accept(spec, xi, n, b, (b, b), local_scale))
+        if fa == 0.0 or (j == profile.grid.size - 2 and fb == 0.0):
+            root = a if fa == 0.0 else b
+            estimates.append(_accept(spec, xi, n, root, (root, root), local_scale))
             continue
         if fa * fb >= 0.0:
             continue
@@ -175,7 +176,7 @@ def scan_real_zeros(profile: CriticalLineProfile, spec: EntireFunctionSpec) -> R
             if b - a <= BISECTION_WIDTH_COEFF * (1.0 + abs(0.5 * (a + b))):
                 break
             mid = 0.5 * (a + b)
-            fm = re_v(mid)
+            fm = re_v(mid, eval_product(spec, complex(xi, mid), n).value, cell)
             if fm == 0.0:
                 a = b = mid
                 break

@@ -35,10 +35,10 @@ remainder bound sum_far |w|^(K+1) / ((K+1)(1 - |w|)), |w| <= 1/4, is below
 case with no far zeros and keep their bits.
 
 Only |exp(...)| and per-factor phases are contractually meaningful: summed
-imaginary parts are not unwound to a continuous branch.  Every value, here
-and in the consumers, comes from its log through ``_value_from_log``: a
-factor that is exactly zero (w == 1) gives an exact 0 with no logarithm,
-and a value past the double range an infinity with its logarithm's phase.
+imaginary parts are not unwound to a continuous branch.  Every value comes
+from its log through ``_value_from_log``.  It is exactly 0 iff s == z for a
+retained z (``_log_sum``), never by a rounded factor; every other on-a-zero
+test reads one distance, min |s - z| (``_nearest``).
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable
 
 import numpy as np
 
@@ -146,21 +145,23 @@ def _log_factors(w, genus: int) -> tuple[np.ndarray, np.ndarray]:
     return real, imag
 
 
-def _blocks(values: np.ndarray) -> Iterable[np.ndarray]:
-    return (values[start : start + BLOCK] for start in range(0, values.size, BLOCK))
+def _log_sum(s: complex, zeros: np.ndarray, genus: int, center: complex = 0j) -> complex:
+    """Exactly rounded sum of the factor logs at w = (s - center)/(z - center).
 
-
-def _sum_log_factors(w_blocks: Iterable[np.ndarray], genus: int) -> complex | None:
-    """Exactly rounded sum of the factor logs over blocks of w.
-
-    Returns None when some w == 1, so that the product vanishes exactly.
-    Raises ValueError when a partial sum passes the double range.
+    Real part -inf (an exact 0) iff s equals some z.  A w that rounds to 1 at
+    s != z takes log(z - s) - log(z - center), plus genus, instead.  Raises
+    ValueError when a sum passes the double range.
     """
     real, imag = ExactSum(), ExactSum()
-    for w in w_blocks:
-        if np.any(w == 1.0):
-            return None
-        log_real, log_imag = _log_factors(w, genus)
+    for start in range(0, zeros.size, BLOCK):
+        z = zeros[start : start + BLOCK]
+        if np.any(z == s):
+            return complex(-math.inf)
+        log_real, log_imag = _log_factors((s - center) / (z - center if center else z), genus)
+        rounded = np.flatnonzero(log_real == -math.inf)
+        if rounded.size:
+            exact = np.log(z[rounded] - s) - np.log(z[rounded] - center)
+            log_real[rounded], log_imag[rounded] = exact.real + genus, exact.imag
         real.add(log_real)
         imag.add(log_imag)
     try:
@@ -251,11 +252,8 @@ def _log_sums(
         if exponent.real == -math.inf:  # -inf is kept for the retained zeros
             raise ValueError(f"q*s = {exponent!r} passes the double range at s = {s!r}")
         if near.size:
-            log_sum = _sum_log_factors((s / z for z in _blocks(near)), genus)
-            if log_sum is None:
-                out[j] = -math.inf
-                continue
-            exponent += log_sum
+            log_sum = _log_sum(s, near, genus)
+            exponent = log_sum if log_sum.real == -math.inf else exponent + log_sum  # 0 whatever q*s is
         if far is not None:
             exponent += far[j]
         out[j] = exponent
@@ -331,16 +329,17 @@ def _retained(spec: EntireFunctionSpec, n_terms: int | None) -> np.ndarray:
     return spec.zero_sequence.zeros[:n]
 
 
-def _guard_coincident(point: complex, zeros: np.ndarray, message: str) -> None:
-    """Raise ValueError(message) when point coincides with a retained zero z.
+def _nearest(point: complex, zeros: np.ndarray) -> float:
+    """min |point - z| over the retained zeros; inf when there are none."""
+    return float(np.min(np.abs(point - zeros))) if zeros.size else math.inf
 
-    Coincidence is relative, |point - z| <= 1e-12 * (1 + |z|); the contour
-    clearance of ``analysis.verify_multiplicity`` is a separate, absolute test.
-    """
-    if zeros.size:
-        gap = np.abs(point - zeros) / (1.0 + np.abs(zeros))
-        if float(np.min(gap)) <= COINCIDENT_RELATIVE:
-            raise ValueError(message)
+
+def _guard_coincident(point: complex, nearest: float, message: str) -> None:
+    """Raise ValueError(message) where ``nearest``, the point's distance to the
+    retained zeros, is at most 1e-12 (1 + |point|); the contour clearance of
+    ``analysis.verify_multiplicity`` is a separate, absolute test."""
+    if nearest <= COINCIDENT_RELATIVE * (1.0 + abs(point)):
+        raise ValueError(message)
 
 
 def _tail_bound(spec: EntireFunctionSpec, s: complex, n: int) -> float | None:
@@ -359,13 +358,12 @@ def _tail_bound(spec: EntireFunctionSpec, s: complex, n: int) -> float | None:
 
 
 def _evaluation(spec, s: complex, zeros: np.ndarray, value: complex, log_value) -> TruncatedEvaluation:
-    """The record of a value at s; a log_value of None is the exact 0 at a retained zero."""
-    nearest = float(np.min(np.abs(s - zeros))) if zeros.size else math.inf
+    """The record of a value at s; at distance 0 from the zeros it is the exact 0, with no log."""
+    nearest = _nearest(s, zeros)
     return TruncatedEvaluation(
         value=value, terms_used=zeros.size, tail_bound=_tail_bound(spec, s, zeros.size),
-        nearest_zero_distance=nearest,
-        near_zero=log_value is None or nearest < NEAR_ZERO_COEFF * (1.0 + abs(s)),
-        log_value=log_value,
+        nearest_zero_distance=nearest, near_zero=nearest < NEAR_ZERO_COEFF * (1.0 + abs(s)),
+        log_value=None if nearest == 0.0 else log_value,
     )
 
 
@@ -381,8 +379,7 @@ def eval_product(spec: EntireFunctionSpec, s: complex, n_terms: int | None = Non
     s = complex(s)
     zeros = _retained(spec, n_terms)
     values, logs = _eval_batch(spec, [s], zeros.size, None)
-    log_value = complex(logs[0])
-    return _evaluation(spec, s, zeros, complex(values[0]), None if log_value.real == -math.inf else log_value)
+    return _evaluation(spec, s, zeros, complex(values[0]), complex(logs[0]))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -409,16 +406,14 @@ def eval_shifted_product(
         raise ValueError("shift point must be nonzero")
     zeros = _retained(spec, n_terms)
     n = int(zeros.size)
-    _guard_coincident(alpha, zeros, "shift point coincides with a retained zero")
     base = eval_product(spec, alpha, n)
+    _guard_coincident(alpha, base.nearest_zero_distance, "shift point coincides with a retained zero")
     u = s - alpha
     exponent = spec.q_constant * u if spec.genus == 1 else 0j
     if n:
-        # rounding in u/(z - alpha) must not blur the exact-vanishing contract
-        w_blocks = (u / (z - alpha) for z in _blocks(zeros))
-        log_sum = None if np.any(zeros == s) else _sum_log_factors(w_blocks, 0)
-        if log_sum is None:
-            return _evaluation(spec, s, zeros, 0j, None)
+        log_sum = _log_sum(s, zeros, 0, alpha)
+        if log_sum.real == -math.inf:  # s is a retained zero, whatever q u and sum u/z are
+            return _evaluation(spec, s, zeros, 0j, log_sum)
         exponent += log_sum
         if spec.genus == 1:
             exponent += complex_sum(u / zeros)
@@ -452,17 +447,16 @@ def shift_constant_residual(
         raise ValueError("shift point must be nonzero")
     zeros = _retained(spec, n_terms)
     n = int(zeros.size)
-    _guard_coincident(alpha, zeros, "shift point coincides with a retained zero")
-    # the guard above keeps every factor 1 - alpha/z_k away from 0
-    log_prod = _sum_log_factors((alpha / z for z in _blocks(zeros)), 0)
-    log_v0 = cmath.log(spec.value_at_zero)
-    lhs = _value_from_log(log_prod, spec.value_at_zero, log_v0)
     if value_at_alpha is None:
         at_alpha = eval_product(spec, alpha, n)
-        s_alpha, log_s_alpha = at_alpha.value, at_alpha.log_value
+        nearest, s_alpha, log_s_alpha = at_alpha.nearest_zero_distance, at_alpha.value, at_alpha.log_value
     else:
-        s_alpha = complex(value_at_alpha)
+        nearest, s_alpha = _nearest(alpha, zeros), complex(value_at_alpha)
         log_s_alpha = cmath.log(s_alpha) if s_alpha else complex(-math.inf)
+    _guard_coincident(alpha, nearest, "shift point coincides with a retained zero")
+    log_prod = _log_sum(alpha, zeros, 0)
+    log_v0 = cmath.log(spec.value_at_zero)
+    lhs = _value_from_log(log_prod, spec.value_at_zero, log_v0)
     rhs_exponent = 0j
     if spec.genus == 1:
         recip_sum = complex_sum(alpha / zeros) if n else 0j
@@ -497,7 +491,7 @@ def log_derivative(spec: EntireFunctionSpec, s: complex, n_terms: int | None = N
     s = complex(s)
     zeros = _retained(spec, n_terms)
     n = int(zeros.size)
-    _guard_coincident(s, zeros, "logarithmic derivative has a pole at a retained zero")
+    _guard_coincident(s, _nearest(s, zeros), "logarithmic derivative has a pole at a retained zero")
     if spec.genus == 0:
         return complex_sum(1.0 / (s - zeros)) if n else 0j
     total = spec.q_constant

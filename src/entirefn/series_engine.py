@@ -27,7 +27,7 @@ import numpy as np
 
 from ._numeric import complex_sum, exact_power_sums
 from .core_types import ClassTag, EntireFunctionSpec
-from .product_engine import _guard_coincident, _retained, _value_from_log, eval_product
+from .product_engine import _guard_coincident, _nearest, _retained, _value_from_log, eval_product
 
 __all__ = [
     "PowerSums",
@@ -94,7 +94,7 @@ def power_sums(
         raise ValueError(f"m_max must be >= 1, got {m_max}")
     center = complex(center)
     zeros = _retained(spec, n_terms)
-    _guard_coincident(center, zeros, "expansion center coincides with a retained zero")
+    _guard_coincident(center, _nearest(center, zeros), "expansion center coincides with a retained zero")
     values = exact_power_sums(1.0 / (zeros - center), m_max)
     return PowerSums(
         center=center,
@@ -113,20 +113,18 @@ def taylor_coefficients(
 ) -> TaylorExpansion:
     """Taylor coefficients of the truncated product about ``center``.
 
-    c_0 is the truncated product value at the center (must be nonzero, i.e.
-    the center must not be a retained zero); higher coefficients come from
-    the exponential-of-series recurrence in the module docstring.
+    c_0 is the truncated product value at the center, which must not be a
+    retained zero; higher coefficients come from the exponential-of-series
+    recurrence in the module docstring.
     """
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     center = complex(center)
     zeros = _retained(spec, n_terms)
     n = int(zeros.size)
-    _guard_coincident(center, zeros, "expansion center coincides with a retained zero")
     at_center = eval_product(spec, center, n)
-    c0, log_c0 = at_center.value, at_center.log_value
-    if c0 == 0:
-        raise ValueError("expansion center is a zero of the truncated product")
+    c0, log_c0, nearest = at_center.value, at_center.log_value, at_center.nearest_zero_distance
+    _guard_coincident(center, nearest, "expansion center coincides with a retained zero")
     if k_max == 0:
         return TaylorExpansion(center=center, coefficients=(c0,), terms_used=n, genus=spec.genus)
 
@@ -150,9 +148,10 @@ def taylor_coefficients(
         ratios[k] = acc / k
     if not np.all(np.isfinite(ratios)):
         raise ValueError(f"Taylor recurrence passes the double range by order {k_max}")
-    # where c_0 or c_0 r_k saturates, c_k comes from log c_0 + log r_k
+    # where c_0 r_k underflows to 0 or saturates, c_k comes from log c_0 + log r_k
     coeffs = tuple(
-        c if cmath.isfinite(c := complex(c0 * r)) else _value_from_log(log_c0 + cmath.log(r)) if r else 0j
+        c if cmath.isfinite(c := complex(c0 * r)) and (c or not r)
+        else _value_from_log(log_c0 + cmath.log(r)) if r else 0j
         for r in ratios
     )
     return TaylorExpansion(center=center, coefficients=coeffs, terms_used=n, genus=spec.genus)

@@ -83,6 +83,9 @@ zeros_inline:
 """
 
 
+# numpy's z / z is not exactly 1 at the zero 0.1 + 2.9i, and s / z is 1 one ulp below it
+PAIR_AT_2_9_SPEC = "class = Y\ns0 = 1\nzeros_inline:\n0.1 2.9\n0.1 -2.9\n"
+
 # one zero at 10 and q = 800: values leave the double range on both sides
 SATURATING_SPEC = "class = L\nq = 800\ns0 = 1\nzeros_inline:\n10 0\n"
 
@@ -620,6 +623,62 @@ class TestRunCommand:
         assert report.errors == (
             "winding quadrature unresolved: raw integral (-inf-infj) is not finite",
         )
+
+    def test_eval_on_a_retained_zero_is_exactly_zero(self, tmp_path) -> None:
+        # numpy's z / z is not exactly 1 for this zero
+        path = spec_path(tmp_path, PAIR_AT_2_9_SPEC)
+        report = quiet_run(["eval", "--spec", str(path), "--s", "0.1+2.9i"])
+        values = {r.quantity: r.value for r in report.records}
+        assert (values["value"], values["nearest_zero_distance"], values["near_zero"]) == (0j, 0.0, 1)
+
+    def test_eval_one_ulp_beside_a_retained_zero_is_not_zero(self, tmp_path) -> None:
+        # s / z rounds to exactly 1 here, at s != z
+        path = spec_path(tmp_path, PAIR_AT_2_9_SPEC)
+        s = 0.09999999999999999 + 2.9j
+        report = quiet_run(["eval", "--spec", str(path), "--s=0.09999999999999999+2.9i"])
+        values = {r.quantity: r.value for r in report.records}
+        assert values["nearest_zero_distance"] == pytest.approx(1.39e-17, rel=1e-2)
+        expected = (0.1 + 2.9j - s) / (0.1 + 2.9j) * (0.1 - 2.9j - s) / (0.1 - 2.9j)
+        assert values["value"] != 0
+        assert abs(values["value"] - expected) <= 1e-14 * abs(expected)
+
+    def test_shifted_product_off_a_zero_is_not_zero(self, tmp_path) -> None:
+        # (s - alpha) / (z - alpha) rounds to 1 one ulp below the zero 0.1 + 0.1i
+        path = spec_path(tmp_path, "class = Y\ns0 = 1\nzeros_inline:\n0.1 0.1\n0.1 -0.1\n")
+        argv = ["shift", "--spec", str(path), "--alpha", "0.5+0.5i", "--s", "0.09999999999999999+0.1i"]
+        report = quiet_run(argv)
+        assert report.exit_code == 0, report.errors
+        values = {r.quantity: r.value for r in report.records}
+        s, z1, z2 = 0.09999999999999999 + 0.1j, 0.1 + 0.1j, 0.1 - 0.1j
+        expected = (z1 - s) * (z2 - s) / (z1 * z2)
+        assert abs(values["shifted_value"] - expected) <= 1e-14 * abs(expected)
+        assert values["disagreement"] <= 1e-15
+
+    def test_series_about_an_underflowed_center(self, tmp_path) -> None:
+        # S is 1e-320 (1 - s)(1 - s/3): its value 1e-11 from the zero at 1 underflows
+        path = spec_path(tmp_path, "class = Y\ns0 = 1e-320\nzeros_inline:\n1 0\n3 0\n")
+        value = quiet_run(["eval", "--spec", str(path), "--s", "1.00000000001"]).records[0].value
+        report = quiet_run(["series", "--spec", str(path), "--center", "1.00000000001", "--kmax", "2"])
+        assert report.exit_code == 0, report.errors
+        coefficients = [r.value for r in report.records]
+        assert coefficients[0] == value == 0j
+        # subnormal results: about 11 significant bits
+        assert coefficients[1:] == pytest.approx([-2e-320 / 3, 1e-320 / 3], rel=1e-3, abs=0)
+
+    @pytest.mark.parametrize("content, window, cell", [
+        # |V(-1e21)| = e^(1e21) saturates; no zero is retained
+        ("class = L_bar\nxi = 1.0000000000000001e+23\nq = 1i\ns0 = -1\n"
+         "zeros_format = tau_only\nzeros_inline:\n1.0\n",
+         ["--terms", "0", "--x-min=-1e21", "--x-max", "0", "--samples", "2"], "[-1e+21, 0.0]"),
+        # V(1.26) underflows to 0 beside the zero at 1.5
+        ("class = Y_tilde\nxi = 1.0\ns0 = 1e-323\nzeros_format = tau_only\nzeros_inline:\n1.5\n-1.5\n",
+         ["--x-min", "0.1", "--x-max", "3.0", "--samples", "6"], "[0.6799999999999999, 1.26]"),
+    ], ids=["overflow", "underflow"])
+    def test_scan_refuses_a_profile_past_the_range(self, tmp_path, content, window, cell) -> None:
+        path = spec_path(tmp_path, content)
+        report = quiet_run(["scan", "--spec", str(path), *window])
+        assert report.exit_code == 1
+        assert report.errors == (f"profile leaves the double range on the cell {cell}",)
 
     def test_usage_errors(self, tmp_path) -> None:
         report = run_command(["frobnicate", "--spec", "x"])

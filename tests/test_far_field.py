@@ -16,6 +16,7 @@ from entirefn import (
     ZeroSequence,
     critical_line_profile,
     eval_product,
+    eval_shifted_product,
     log_derivative,
     make_symmetric_spec,
 )
@@ -112,6 +113,45 @@ def test_empty_far_set_is_the_direct_path(data) -> None:
     points = [s for s in points if np.min(np.abs(s - zeros)) > 1e-6]
     for s, deriv in zip(points, _log_derivatives(spec, points, n, radius)):
         assert complex(deriv) == log_derivative(spec, s, n)
+
+
+# a/10 + i b/10, where numpy's z / z is often not exactly 1, or any double pair;
+# |z| >= 1e-3 keeps every s / z with |s| <= 80 inside the double range
+grid_zeros = st.builds(lambda a, b: complex(a / 10, b / 10), st.integers(-39, 39), st.integers(-39, 39))
+double_zeros = st.builds(complex, st.floats(-50.0, 50.0), st.floats(-50.0, 50.0))
+coincidence_data = st.tuples(
+    st.lists(st.one_of(grid_zeros, double_zeros).filter(lambda z: abs(z) >= 1e-3), min_size=1, max_size=8),
+    st.booleans(),
+)
+
+
+def _ulp_neighbours(z: complex) -> list[complex]:
+    """The four points one ulp from z in one part."""
+    sides = (-math.inf, math.inf)
+    return [complex(math.nextafter(z.real, d), z.imag) for d in sides] + [
+        complex(z.real, math.nextafter(z.imag, d)) for d in sides
+    ]
+
+
+@given(coincidence_data)
+def test_exact_zero_only_at_a_retained_zero(data) -> None:
+    zeros, genus1 = data
+    seq = ZeroSequence(zeros=np.array(zeros, dtype=np.complex128), ordering=Ordering.AS_GIVEN)
+    spec = EntireFunctionSpec(
+        class_tag=ClassTag.L if genus1 else ClassTag.Y, value_at_zero=0.8 + 0.2j,
+        zero_sequence=seq, q_constant=0.3 - 0.1j if genus1 else 0j,
+    )
+    n, alpha = len(zeros), 55.0 + 55.0j
+    for z in zeros:
+        for record in (eval_product(spec, z), eval_shifted_product(spec, alpha, z)):
+            assert record.value == 0 and record.log_value is None
+        beside = [s for s in _ulp_neighbours(z) if s not in zeros]
+        for s in beside:
+            for record in (eval_product(spec, s), eval_shifted_product(spec, alpha, s)):
+                assert record.log_value is not None and math.isfinite(record.log_value.real)
+        values, logs = _eval_batch(spec, [z, *beside], n, 2.0 * abs(z))
+        assert values[0] == 0 and logs[0].real == -math.inf
+        assert np.all(np.isfinite(logs[1:]))
 
 
 def test_pole_guard_on_batched_log_derivative(sinh_genus1_spec) -> None:

@@ -22,7 +22,7 @@ from entirefn import (
     make_symmetric_spec,
     taylor_coefficients,
 )
-from entirefn.product_engine import _log_factors, _log_tail, _sum_log_factors
+from entirefn.product_engine import _log_factors, _log_sum, _log_tail
 
 
 def log_factor(w: complex, genus: int) -> complex:
@@ -47,8 +47,16 @@ class TestPointValues:
     @pytest.mark.parametrize("p", [0, 1])
     def test_vanishes_at_one(self, p: int) -> None:
         assert log_factor(1.0, p).real == -math.inf
-        # a block holding w == 1 gives the exact-zero signal, not a log
-        assert _sum_log_factors([np.array([0.5, 1.0 + 0j])], p) is None
+        # a block holding s itself sums to the log of an exact 0
+        assert _log_sum(0.5, np.array([2.0, 0.5 + 0j]), p).real == -math.inf
+
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_quotient_rounded_to_one_keeps_a_log(self, p: int) -> None:
+        # s/z rounds to exactly 1 one ulp below z: the log comes from z - s
+        z, s = 0.1 + 2.9j, 0.09999999999999999 + 2.9j
+        assert (s / np.array([z]))[0] == 1.0
+        expected = cmath.log(z - s) - cmath.log(z) + p
+        assert _log_sum(s, np.array([z]), p) == pytest.approx(expected, rel=1e-15)
 
     def test_genus1_at_half(self) -> None:
         assert cmath.exp(log_factor(0.5, 1)) == pytest.approx(FROZEN_HALF_E_HALF, rel=1e-12)
