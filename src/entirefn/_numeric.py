@@ -26,6 +26,13 @@ or 2**(W + 25) units (high).  A block holds at most 2**15 entries, so the
 absolute values in a window, and with them every partial sum, stay below
 2**(W + 41) units: exact in a double while W <= 12.  One ``math.fsum`` over
 the nonzero window sums rounds the exact total once.
+
+Values that come in conjugate pairs are summed once (``_conjugate_half``,
+used by ``exact_power_sums`` and the factor reducer of ``product_engine``).
+The exact sum of x and a copy of x is twice the exact sum of x, and doubling
+is exact, also for subnormals, whose sums are exact.  So below 2**990 in
+size, where no sum can overflow, 2 * fsum(x) has the bits of fsum(x + x).
+``math.fsum`` of mirrored imaginary parts, +-y, is +0.0.
 """
 
 from __future__ import annotations
@@ -52,6 +59,8 @@ _WINDOW = 11
 _FSUM_BELOW = 512
 # exact_power_sums looks for vanished entries at every this many powers.
 _DROP_EVERY = 16
+# Parts below this size sum, and double, without overflow (_doubles_exactly).
+_DOUBLING_LIMIT = 2.0**990
 
 
 class ExactSum:
@@ -105,17 +114,43 @@ def complex_sum(values: np.ndarray) -> complex:
     return complex(real_sum(arr.real), real_sum(arr.imag))
 
 
-def exact_power_sums(base: np.ndarray, m_max: int) -> list[complex]:
-    """Exactly rounded sums of base**m for m = 1..m_max.
+def _conjugate_half(values: np.ndarray) -> np.ndarray | None:
+    """values[0::2] where each entry at an odd index mirrors the one before it.
 
-    Powers are built by repeated multiplication.  An entry whose power has
-    become exactly 0 is dropped: every later power of it is 0 as well, and
-    zeros leave an exact sum unchanged (an empty sum is 0.0, as is
-    ``math.fsum`` of zeros), so the sums keep their bits.  The search for
-    such entries costs a pass, more than a multiplication, so it runs only
-    at every ``_DROP_EVERY``-th power.
+    Mirrors means: the length is even, every part is finite, the real parts
+    are equal and each imaginary part is the other's exact negation, sign of
+    zero included (``values[1::2] == conj(values[0::2])`` bitwise, except
+    that a real part 0 may meet a -0).  Returns None otherwise.
     """
-    sums: list[complex] = []
+    if values.size % 2:
+        return None
+    half, other = values[0::2], values[1::2]
+    mirrored = (
+        np.array_equal(half.real, other.real)
+        and np.array_equal(half.imag, -other.imag)
+        and np.array_equal(np.signbit(half.imag), ~np.signbit(other.imag))
+    )
+    return half.copy() if mirrored and np.isfinite(half).all() else None
+
+
+def _doubles_exactly(*parts: np.ndarray) -> bool:
+    """True when every entry of the float arrays is finite and below 2**990 in size.
+
+    Then the exact sum of the entries and a copy of them is twice their
+    exact sum, rounded by ``math.fsum`` to twice its rounding, with no
+    intermediate overflow on either side.
+    """
+    limit = _DOUBLING_LIMIT
+    return all(p.size == 0 or -limit < np.min(p) <= np.max(p) < limit for p in parts)
+
+
+def _powers(base: np.ndarray, m_max: int):
+    """base**m for m = 1..m_max by repeated multiplication, less vanished entries.
+
+    An entry whose power has become exactly 0 is dropped: every later power
+    of it is 0 as well.  The search for such entries costs a pass, more
+    than a multiplication, so it runs only at every ``_DROP_EVERY``-th power.
+    """
     power = base
     for m in range(1, m_max + 1):
         if m > 1:
@@ -124,8 +159,31 @@ def exact_power_sums(base: np.ndarray, m_max: int) -> list[complex]:
             alive = power != 0
             if not alive.all():
                 base, power = base[alive], power[alive]
-        sums.append(complex_sum(power))
-    return sums
+        yield power
+
+
+def exact_power_sums(base: np.ndarray, m_max: int) -> list[complex]:
+    """Exactly rounded sums of base**m for m = 1..m_max.
+
+    Zeros leave an exact sum unchanged (an empty sum is 0.0, as is
+    ``math.fsum`` of zeros), so dropping vanished powers keeps the bits.
+    Where base lists conjugate pairs (``_conjugate_half``), so do its
+    powers, since a rounded complex product commutes with conjugation: p_m
+    is then twice the real sum over one member of each pair, and 0.0 for
+    the imaginary part, where mirrored parts cancel exactly.  A power whose
+    parts fail ``_doubles_exactly`` sends every sum back to the full base.
+    """
+    half = _conjugate_half(base)
+    if half is not None:
+        sums = []
+        for power in _powers(half, m_max):
+            # every power is a fresh contiguous array, so both parts view as one
+            if not _doubles_exactly(power.view(np.float64)):
+                break
+            sums.append(complex(2.0 * real_sum(power.real), 0.0))
+        else:
+            return sums
+    return [complex_sum(power) for power in _powers(base, m_max)]
 
 
 @dataclass(frozen=True)

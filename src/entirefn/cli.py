@@ -51,6 +51,7 @@ identity check), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import sys
@@ -488,6 +489,7 @@ def _terms(text: str) -> int:
     return n
 
 
+@functools.cache  # built once per process: parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entirefn",

@@ -91,9 +91,40 @@ def modulus_sort_indices(zeros: np.ndarray) -> np.ndarray:
     """Indices sorting zeros by (|z|, -Im z, Re z).
 
     The modulus ordering is non-strict; the deterministic tie-break keeps
-    conjugate partners adjacent (the +i member first).
+    conjugate partners adjacent (the +i member first), and entries equal in
+    all three keys keep their input order: the permutation of
+    ``np.lexsort((z.real, -z.imag, abs(z)))``.  A quicksort of the moduli
+    comes first; each run of two equal moduli (a conjugate pair, say) is
+    then put in order by one vectorised compare-and-swap, and the entries
+    of longer runs by a lexsort over those entries alone.
     """
-    return np.lexsort((zeros.real, -zeros.imag, np.abs(zeros)))
+    moduli = np.abs(zeros)
+    if not np.all(np.isfinite(moduli)):
+        return np.lexsort((zeros.real, -zeros.imag, moduli))
+    order = np.argsort(moduli)
+    sorted_moduli = moduli[order]
+    # tied[i + 1]: sorted entries i and i + 1 have equal moduli
+    tied = np.zeros(moduli.size + 1, dtype=bool)
+    tied[1:-1] = sorted_moduli[1:] == sorted_moduli[:-1]
+    # temporaries go as soon as they are used, so that on a 1e6-row table
+    # the sort stays below the peak memory of the parse before it
+    del sorted_moduli
+    pairs = np.flatnonzero(tied[1:-1] & ~tied[:-2] & ~tied[2:])
+    a, b = order[pairs], order[pairs + 1]
+    za, zb = zeros[a], zeros[b]
+    # out of order: -Im b < -Im a, then Re b < Re a, then b < a
+    swap = (zb.imag > za.imag) | (
+        (zb.imag == za.imag) & ((zb.real < za.real) | ((zb.real == za.real) & (b < a)))
+    )
+    order[pairs[swap]], order[pairs[swap] + 1] = b[swap], a[swap]
+    del a, b, za, zb, swap
+    longer = tied[:-1] | tied[1:]
+    longer[pairs] = longer[pairs + 1] = False
+    where = np.flatnonzero(longer)
+    if where.size:
+        sub = order[where]
+        order[where] = sub[np.lexsort((sub, zeros.real[sub], -zeros.imag[sub], moduli[sub]))]
+    return order
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,8 @@ from ._numeric import complex_sum
 from .analysis import verify_multiplicity
 from .core_types import EntireFunctionSpec, ZeroSequence
 from .critical_line import _even_product_values, critical_line_profile, scan_real_zeros
-from .product_engine import _log_sums, _retained, _value_from_log
-from .product_engine import eval_product, eval_shifted_product, shift_constant_residual
+from .product_engine import _at_shift_point, _constant_residual, _log_sums, _retained, _shifted
+from .product_engine import _value_from_log, eval_product
 from .series_engine import even_series
 
 __all__ = [
@@ -77,14 +77,24 @@ def compare_shift(
     that ratio is not finite, the disagreement is its limit |e^d - 1|, with
     d the difference of the two logs (-inf for an exact 0).
     """
-    shifted = eval_shifted_product(spec, alpha, s, n_terms)
+    s, alpha = complex(s), complex(alpha)
+    zeros, at_alpha = _at_shift_point(spec, alpha, n_terms)
+    shifted, direct, disagreement = _compare(spec, alpha, s, zeros, at_alpha, n_terms)
+    residual = _constant_residual(spec, alpha, zeros, at_alpha.value, at_alpha.log_value)
+    return shifted, direct, disagreement, residual
+
+
+def _compare(
+    spec, alpha: complex, s: complex, zeros, at_alpha, n_terms
+) -> tuple[complex, complex, float]:
+    """Shifted and direct values at s and their disagreement, given ``_at_shift_point``."""
+    shifted = _shifted(spec, alpha, s, zeros, at_alpha)
     direct = eval_product(spec, s, n_terms)
     disagreement = abs(shifted.value - direct.value) / (1.0 + abs(direct.value))
     if not math.isfinite(disagreement):
         logs = [-math.inf if ev.log_value is None else ev.log_value for ev in (shifted, direct)]
         disagreement = abs(_value_from_log(logs[0] - logs[1]) - 1.0)
-    residual = shift_constant_residual(spec, alpha, n_terms)
-    return shifted.value, direct.value, disagreement, residual
+    return shifted.value, direct.value, disagreement
 
 
 def verify_identity(
@@ -155,10 +165,20 @@ def _shift_identity(spec, at_center: bool, seed: int, draws: int, n_terms, toler
         alphas = _draw_points(rng, spec, draws, avoid_origin=True)
     disagreement = 0.0
     residual = 0.0
+    # T3/T4 draw one alpha: S(alpha) and the constant residual once per distinct alpha
+    shift_points: dict[complex, tuple] = {}
+    residuals: dict[complex, float] = {}
     for s, alpha in zip(s_points, alphas):
-        _, _, pair_disagreement, pair_residual = compare_shift(spec, alpha, s, n_terms)
+        if alpha not in shift_points:
+            shift_points[alpha] = _at_shift_point(spec, alpha, n_terms)
+        zeros, at_alpha = shift_points[alpha]
+        _, _, pair_disagreement = _compare(spec, alpha, s, zeros, at_alpha, n_terms)
+        if alpha not in residuals:
+            residuals[alpha] = _constant_residual(
+                spec, alpha, zeros, at_alpha.value, at_alpha.log_value
+            )
         disagreement = max(disagreement, pair_disagreement)
-        residual = max(residual, pair_residual)
+        residual = max(residual, residuals[alpha])
     quantities = [("disagreement_max", disagreement), ("constant_residual_max", residual)]
     return quantities, disagreement <= tolerance and residual <= tolerance
 

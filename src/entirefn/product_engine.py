@@ -18,7 +18,10 @@ streamed into an exactly rounded sum (``_numeric.ExactSum``), so no
 temporary spans all N zeros and results are independent of accumulation
 order and bit-identical across runs.  The declared pairing of the zero
 sequence still matters for tail estimates and power sums, where grouped
-magnitudes are what converge.
+magnitudes are what converge.  At a real point (and real center) the
+members of a conjugate pair have mirrored factor logs: ``_log_sum`` runs
+the kernel on one member of each pair and doubles the real parts, with the
+bits of the full sum.
 
 Batches of points (private, used by line profiles, zero scans, max-modulus
 rings, winding contours and the line-form identities) split the zeros at
@@ -45,11 +48,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
 from ._numeric import BLOCK, ExactSum, complex_sum, exact_power_sums
+from ._numeric import _conjugate_half, _doubles_exactly
 from .core_types import _LOG_DOUBLE_MAX, EntireFunctionSpec, Ordering, ZeroSequence
 
 __all__ = [
@@ -151,13 +157,29 @@ def _log_sum(s: complex, zeros: np.ndarray, genus: int, center: complex = 0j) ->
     Real part -inf (an exact 0) iff s equals some z.  A w that rounds to 1 at
     s != z takes log(z - s) - log(z - center), plus genus, instead.  Raises
     ValueError when a sum passes the double range.
+
+    With s and center real, a block whose w lists conjugate pairs
+    (``_conjugate_half``) runs the kernel on one member of each pair: the
+    kernel's real part is even in Im w and its imaginary part odd, so the
+    block adds twice the real parts and nothing to the imaginary sum, the
+    exact sums of the full block.  A half whose logs fail
+    ``_doubles_exactly`` (an infinite log where w rounds to 1, say) takes
+    the full block.
     """
     real, imag = ExactSum(), ExactSum()
+    on_axis = s.imag == 0 and center.imag == 0
     for start in range(0, zeros.size, BLOCK):
         z = zeros[start : start + BLOCK]
         if np.any(z == s):
             return complex(-math.inf)
-        log_real, log_imag = _log_factors((s - center) / (z - center if center else z), genus)
+        w = (s - center) / (z - center if center else z)
+        half = _conjugate_half(w) if on_axis else None
+        if half is not None:
+            log_real, log_imag = _log_factors(half, genus)
+            if _doubles_exactly(log_real, log_imag):
+                real.add(2.0 * log_real)
+                continue
+        log_real, log_imag = _log_factors(w, genus)
         rounded = np.flatnonzero(log_real == -math.inf)
         if rounded.size:
             exact = np.log(z[rounded] - s) - np.log(z[rounded] - center)
@@ -294,7 +316,9 @@ class TruncatedEvaluation:
     factors as exp(|s|**(genus+1) * T) - 1, where T combines the measured
     factor-size tail beyond the truncation with a fitted extrapolation past
     the available data.  It is None when the data does not support a
-    convergent extrapolation, and it is an estimate, not a certificate.
+    convergent extrapolation, and it is an estimate, not a certificate.  It
+    is computed on first read: an evaluation whose bound nobody reads never
+    builds the zero sequence's tail profile.
 
     ``log_value`` accompanies every nonzero value (exp(log_value) agrees
     with ``value`` to rounding; its imaginary part is not branch-normalized).
@@ -304,19 +328,25 @@ class TruncatedEvaluation:
 
     value: complex
     terms_used: int
-    tail_bound: float | None
     nearest_zero_distance: float
     near_zero: bool
     log_value: complex | None
+    # () -> tail_bound
+    _tail: Callable[[], float | None] = field(repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.tail_bound is not None and self.tail_bound < 0:
-            raise ValueError("tail_bound must be nonnegative when finite")
         if self.log_value is None:
             if self.value != 0:
                 raise ValueError("log_value must be present when value != 0")
         elif self.value == 0 and math.exp(self.log_value.real) != 0.0:
             raise ValueError("value == 0 with a log_value requires a log below the double range")
+
+    @cached_property
+    def tail_bound(self) -> float | None:
+        bound = self._tail()
+        if bound is not None and bound < 0:
+            raise ValueError("tail_bound must be nonnegative when finite")
+        return bound
 
 
 def _retained(spec: EntireFunctionSpec, n_terms: int | None) -> np.ndarray:
@@ -361,9 +391,10 @@ def _evaluation(spec, s: complex, zeros: np.ndarray, value: complex, log_value) 
     """The record of a value at s; at distance 0 from the zeros it is the exact 0, with no log."""
     nearest = _nearest(s, zeros)
     return TruncatedEvaluation(
-        value=value, terms_used=zeros.size, tail_bound=_tail_bound(spec, s, zeros.size),
-        nearest_zero_distance=nearest, near_zero=nearest < NEAR_ZERO_COEFF * (1.0 + abs(s)),
+        value=value, terms_used=zeros.size, nearest_zero_distance=nearest,
+        near_zero=nearest < NEAR_ZERO_COEFF * (1.0 + abs(s)),
         log_value=None if nearest == 0.0 else log_value,
+        _tail=partial(_tail_bound, spec, s, zeros.size),
     )
 
 
@@ -383,6 +414,19 @@ def eval_product(spec: EntireFunctionSpec, s: complex, n_terms: int | None = Non
 
 
 @np.errstate(over="ignore", invalid="ignore")
+def _at_shift_point(
+    spec: EntireFunctionSpec, alpha: complex, n_terms: int | None
+) -> tuple[np.ndarray, TruncatedEvaluation]:
+    """The retained zeros and S(alpha), for a shift point alpha clear of them."""
+    alpha = complex(alpha)
+    if alpha == 0:
+        raise ValueError("shift point must be nonzero")
+    zeros = _retained(spec, n_terms)
+    at_alpha = eval_product(spec, alpha, zeros.size)
+    _guard_coincident(alpha, at_alpha.nearest_zero_distance, "shift point coincides with a retained zero")
+    return zeros, at_alpha
+
+
 def eval_shifted_product(
     spec: EntireFunctionSpec,
     alpha: complex,
@@ -398,27 +442,32 @@ def eval_shifted_product(
     S(alpha) is computed internally at the same truncation.  On the same
     finite factor set this is an exact algebraic regrouping of
     ``eval_product``, so the two agree to rounding error.  At s = alpha the
-    recentered value is S(alpha) itself.
+    recentered value is S(alpha) itself.  Raises ValueError where q*(s-alpha)
+    passes the double range, as ``eval_product`` does for q*s.
     """
     s = complex(s)
-    alpha = complex(alpha)
-    if alpha == 0:
-        raise ValueError("shift point must be nonzero")
-    zeros = _retained(spec, n_terms)
-    n = int(zeros.size)
-    base = eval_product(spec, alpha, n)
-    _guard_coincident(alpha, base.nearest_zero_distance, "shift point coincides with a retained zero")
+    zeros, at_alpha = _at_shift_point(spec, alpha, n_terms)
+    return _shifted(spec, complex(alpha), s, zeros, at_alpha)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _shifted(
+    spec: EntireFunctionSpec, alpha: complex, s: complex, zeros: np.ndarray, at_alpha: TruncatedEvaluation
+) -> TruncatedEvaluation:
+    """``eval_shifted_product`` at s from the zeros and S(alpha) of ``_at_shift_point``."""
     u = s - alpha
     exponent = spec.q_constant * u if spec.genus == 1 else 0j
-    if n:
+    if exponent.real == -math.inf:  # -inf is kept for the retained zeros
+        raise ValueError(f"q*(s - alpha) = {exponent!r} passes the double range at s = {s!r}")
+    if zeros.size:
         log_sum = _log_sum(s, zeros, 0, alpha)
         if log_sum.real == -math.inf:  # s is a retained zero, whatever q u and sum u/z are
             return _evaluation(spec, s, zeros, 0j, log_sum)
         exponent += log_sum
         if spec.genus == 1:
             exponent += complex_sum(u / zeros)
-    value = _value_from_log(exponent, base.value, base.log_value)
-    return _evaluation(spec, s, zeros, value, base.log_value + exponent)
+    value = _value_from_log(exponent, at_alpha.value, at_alpha.log_value)
+    return _evaluation(spec, s, zeros, value, at_alpha.log_value + exponent)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -442,24 +491,30 @@ def shift_constant_residual(
     not finite, it is taken from the logs: |1 - e^d| / (1 + |e^d|) with
     d = log(lhs / rhs); a d that is not a number raises ValueError.
     """
+    if value_at_alpha is None:
+        zeros, at_alpha = _at_shift_point(spec, alpha, n_terms)
+        return _constant_residual(spec, complex(alpha), zeros, at_alpha.value, at_alpha.log_value)
     alpha = complex(alpha)
     if alpha == 0:
         raise ValueError("shift point must be nonzero")
     zeros = _retained(spec, n_terms)
-    n = int(zeros.size)
-    if value_at_alpha is None:
-        at_alpha = eval_product(spec, alpha, n)
-        nearest, s_alpha, log_s_alpha = at_alpha.nearest_zero_distance, at_alpha.value, at_alpha.log_value
-    else:
-        nearest, s_alpha = _nearest(alpha, zeros), complex(value_at_alpha)
-        log_s_alpha = cmath.log(s_alpha) if s_alpha else complex(-math.inf)
-    _guard_coincident(alpha, nearest, "shift point coincides with a retained zero")
+    s_alpha = complex(value_at_alpha)
+    log_s_alpha = cmath.log(s_alpha) if s_alpha else complex(-math.inf)
+    _guard_coincident(alpha, _nearest(alpha, zeros), "shift point coincides with a retained zero")
+    return _constant_residual(spec, alpha, zeros, s_alpha, log_s_alpha)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _constant_residual(
+    spec: EntireFunctionSpec, alpha: complex, zeros: np.ndarray, s_alpha: complex, log_s_alpha: complex
+) -> float:
+    """``shift_constant_residual`` at a checked shift point, given S(alpha) and its log."""
     log_prod = _log_sum(alpha, zeros, 0)
     log_v0 = cmath.log(spec.value_at_zero)
     lhs = _value_from_log(log_prod, spec.value_at_zero, log_v0)
     rhs_exponent = 0j
     if spec.genus == 1:
-        recip_sum = complex_sum(alpha / zeros) if n else 0j
+        recip_sum = complex_sum(alpha / zeros) if zeros.size else 0j
         rhs_exponent = -spec.q_constant * alpha - recip_sum
         rhs = _value_from_log(rhs_exponent, s_alpha, log_s_alpha)
     else:

@@ -18,6 +18,7 @@ from entirefn import (
 )
 from entirefn.cli import (
     TableFormat,
+    _build_parser,
     format_complex,
     ingest_zero_table,
     load_spec_file,
@@ -695,6 +696,17 @@ class TestRunCommand:
         ):
             report = run_command(argv)
             assert (report.exit_code, report.errors) == (2, ("usage error",))
+
+    def test_parser_is_built_once(self, tmp_path, capsys) -> None:
+        _build_parser.cache_clear()
+        path = spec_path(tmp_path, SYMMETRIC_SPEC)
+        first = run_command(["eval", "--spec", str(path), "--s", "0.3"])
+        assert run_command(["eval", "--spec", str(path), "--s", "x"]).exit_code == 2
+        assert run_command(["eval", "--help"]).exit_code == 0
+        assert "--spec SPEC" in capsys.readouterr().out
+        again = run_command(["eval", "--spec", str(path), "--s", "0.3"])
+        assert again.deterministic_lines() == first.deterministic_lines()
+        assert _build_parser.cache_info().misses == 1
 
     @pytest.mark.parametrize(
         ("argv", "message"),

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from _oracles import FROZEN_DOUBLED_BASEL_1000, FROZEN_SINGLE_ZERO_S0
 
@@ -40,6 +40,35 @@ class TestZeroSequence:
         order = modulus_sort_indices(zeros)
         # all moduli are 5; ties resolve by Im descending, then Re ascending
         assert np.array_equal(zeros[order], np.array([3 + 4j, 4 + 3j, -5 + 0j, 3 - 4j]))
+
+    @given(
+        parts=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 3.0, -4.0, 1e9]),
+                st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 3.0, 4.0, -4.0, 1e-3, 7.5]),
+            ),
+            max_size=40,
+        ),
+        conjugates=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(parts=[(1.0, 1.0), (-1.0, 1.0), (-0.0, 2.0), (0.0, 2.0)], conjugates=False, seed=0)
+    def test_sort_indices_match_lexsort(self, parts, conjugates, seed) -> None:
+        # duplicates, signed zeros, conjugate pairs, equal moduli such as
+        # |3 + 4i| = |4 + 3i| = |-5|, and near-ties: at xi = 1e9,
+        # hypot(xi, tau) rounds the distinct |tau| <= 7.5 to one modulus
+        zeros = np.array([complex(re, im) for re, im in parts], dtype=np.complex128)
+        if conjugates:
+            zeros = np.concatenate([zeros, np.conj(zeros)])
+        zeros = np.random.default_rng(seed).permutation(zeros)
+        expected = np.lexsort((zeros.real, -zeros.imag, np.abs(zeros)))
+        assert np.array_equal(modulus_sort_indices(zeros), expected)
+
+    def test_sort_indices_on_the_line_fixture(self) -> None:
+        taus = np.random.default_rng(3).permutation(interleaved_taus(5000))
+        zeros = np.concatenate([1.0 + 1j * taus, 1e9 + 1j * taus[:40]])
+        expected = np.lexsort((zeros.real, -zeros.imag, np.abs(zeros)))
+        assert np.array_equal(modulus_sort_indices(zeros), expected)
 
     def test_group_starts_mixed_pairing(self) -> None:
         zeros = np.array([1j, -1j, 3 + 0j, 2 + 1j, 2 - 1j])

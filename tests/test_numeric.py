@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import math
+from unittest.mock import patch
 
 import numpy as np
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from entirefn import _numeric
 from entirefn._numeric import BLOCK, ExactSum, complex_sum, exact_power_sums, real_sum
+from entirefn._numeric import _conjugate_half
 
 LENGTHS = [0, 1, 511, 512, 4000, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]
 
@@ -155,3 +157,76 @@ def test_powers_running_into_subnormals() -> None:
         # the smallest powers are subnormal or 0 by the end
         assert np.any((power != 0) & (np.abs(power) < 2.0**-1022))
         assert np.any(power == 0)
+
+
+def interleave(half: np.ndarray) -> np.ndarray:
+    """half[0], conj(half[0]), half[1], conj(half[1]), ..."""
+    paired = np.empty(2 * half.size, dtype=np.complex128)
+    paired[0::2] = half
+    paired[1::2] = np.conj(half)
+    return paired
+
+
+def test_conjugate_half_reads_the_pairing() -> None:
+    half = np.array([1 + 2j, -3 - 0.5j, 0.5 + 0j, complex(0.0, 4.0)])
+    paired = interleave(half)
+    assert np.array_equal(_conjugate_half(paired), half)
+    # a real part 0 may meet -0: power sums about a real centre list 1/(+-i tau) so
+    zero_sign = paired.copy()
+    zero_sign[7] = complex(-0.0, -4.0)
+    assert np.array_equal(_conjugate_half(zero_sign), half)
+    # an imaginary 0 must meet -0: the kernel's arctan2 reads that sign
+    same_zero = paired.copy()
+    same_zero[5] = complex(0.5, 0.0)
+    for values in (same_zero, paired[:-1], paired[1:-1], np.flip(paired)[1:-1]):
+        assert _conjugate_half(values) is None
+    for special in (math.nan, math.inf):
+        broken = interleave(np.array([1 + 2j, complex(special, 1.0)]))
+        assert _conjugate_half(broken) is None
+
+
+def power_sum_outcome(base: np.ndarray, m_max: int):
+    """The exact bits of every power sum, or the exception's type and text."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return [(p.real.hex(), p.imag.hex()) for p in exact_power_sums(base, m_max)]
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    pairs=st.sampled_from([0, 1, 3, 300, 700]),
+    layout=st.sampled_from(
+        ["paired", "real zeros", "unpaired", "odd", "split", "non-finite", "doubling overflows",
+         "powers overflow"]
+    ),
+    m_max=st.integers(min_value=1, max_value=40),
+)
+@example(seed=0, pairs=3, layout="doubling overflows", m_max=1)
+def test_halved_power_sums_match_the_full_path(seed, pairs, layout, m_max) -> None:
+    rng = np.random.default_rng(seed)
+    radii = rng.uniform(0.05, 1.2, pairs)
+    if layout == "doubling overflows":
+        radii = 2.0 ** rng.uniform(989.0, 1000.0, pairs)
+    elif layout == "powers overflow":
+        radii = 2.0 ** rng.uniform(100.0, 600.0, pairs)
+    half = radii * np.exp(1j * rng.uniform(-math.pi, math.pi, pairs))
+    base = interleave(half)
+    if layout == "real zeros":
+        base.real[0::4] = 0.0
+        base.real[1::4] = -0.0
+    elif layout == "unpaired":
+        base.real[1::2] *= 1.0 + 1e-15
+    elif layout == "odd":
+        base = np.append(base, 0.5 - 0.25j)
+    elif layout == "split":
+        base = base[1:]
+    elif layout == "non-finite" and pairs:
+        k = 2 * int(rng.integers(pairs))
+        base[k : k + 2] = complex(math.inf, 1.0), complex(math.inf, -1.0)
+    if layout in ("paired", "real zeros") and pairs:
+        assert _conjugate_half(base) is not None
+    with patch.object(_numeric, "_conjugate_half", return_value=None):
+        full = power_sum_outcome(base, m_max)
+    assert power_sum_outcome(base, m_max) == full

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import cmath
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from _oracles import FROZEN_HALF_E_HALF, direct_log_tail
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from entirefn import (
@@ -22,6 +23,8 @@ from entirefn import (
     make_symmetric_spec,
     taylor_coefficients,
 )
+from entirefn import product_engine
+from entirefn._numeric import BLOCK
 from entirefn.product_engine import _log_factors, _log_sum, _log_tail
 
 
@@ -209,6 +212,80 @@ class TestProperties:
             return
         # points a hair below the cut round their angle to exactly -pi
         assert -math.pi <= log_factor(w, 0).imag <= math.pi
+
+
+# Parts that steer the kernel's branches, and an imaginary 0 of either sign.
+SPECIAL_PARTS = [0.0, -0.0, 0.25, 0.5, 1.0, 2.0, -1.0, 1e-300, 1e300]
+
+
+def log_sum_outcome(*args):
+    """The exact bits of _log_sum, or its error text."""
+    try:
+        # as in its callers: s/z past the double range gives infinite logs
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = _log_sum(*args)
+    except ValueError as exc:
+        return str(exc)
+    return total.real.hex(), total.imag.hex()
+
+
+class TestConjugatePairs:
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), genus=st.sampled_from([0, 1]))
+    def test_kernel_mirrors_under_conjugation(self, seed, genus) -> None:
+        rng = np.random.default_rng(seed)
+        w = 10.0 ** rng.uniform(-20, 5, 400) * np.exp(1j * rng.uniform(-math.pi, math.pi, 400))
+        w.real[rng.integers(0, 400, 60)] = rng.choice(SPECIAL_PARTS, 60)
+        w.imag[rng.integers(0, 400, 60)] = rng.choice(SPECIAL_PARTS, 60)
+        real, imag = _log_factors(w, genus)
+        mirror = np.conj(w)
+        # a real part 0 may meet -0 in a pair (_conjugate_half)
+        mirror.real[mirror.real == 0.0] *= -1.0
+        mirror_real, mirror_imag = _log_factors(mirror, genus)
+        # equal values are equal bits, apart from the sign of a zero
+        assert np.array_equal(mirror_real, real, equal_nan=True)
+        assert np.array_equal(mirror_imag, -imag, equal_nan=True)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        genus=st.sampled_from([0, 1]),
+        pairs=st.sampled_from([0, 1, 3, 300, BLOCK // 2 + 5]),
+        layout=st.sampled_from(
+            ["line", "centred line", "pairs", "real zeros", "on a zero", "unpaired", "odd", "split",
+             "tiny zeros", "huge w"]
+        ),
+        s=st.sampled_from([0.3, -1.7, 2.0, 1e5, 0.3 + 0.1j]),
+        center=st.sampled_from([0.0, 0.5, -2.0]),
+    )
+    # the doubled genus-1 logs overflow where the full sum raises
+    @example(seed=0, genus=1, pairs=1, layout="huge w", s=-1.7, center=0.0)
+    def test_halved_log_sum_matches_the_full_path(self, seed, genus, pairs, layout, s, center) -> None:
+        rng = np.random.default_rng(seed)
+        taus = rng.uniform(0.1, 50.0, pairs)
+        half = {
+            "line": rng.choice([1.0, 0.5, -2.0]) + 1j * taus,
+            # w = (s - c)/(+-i tau): real parts 0 and -0
+            "centred line": center + 1j * taus,
+            "real zeros": rng.uniform(-5.0, 5.0, pairs) + 0j,
+            "on a zero": rng.uniform(-5.0, 5.0, pairs) + 0j,
+            "tiny zeros": 1e-300 * (1.0 + 1j * taus),
+            # |Re w| near 1e308 at center 0: the doubled logs pass the double range
+            "huge w": abs(s) * 1e-308 * (1.0 + 0.1j * rng.uniform(0.5, 2.0, pairs)),
+        }.get(layout, rng.uniform(-5.0, 5.0, pairs) + 1j * taus)
+        zeros = np.empty(2 * pairs, dtype=np.complex128)
+        zeros[0::2] = half
+        zeros[1::2] = np.conj(half)
+        if layout == "on a zero" and pairs:
+            s = float(half[0].real)
+        elif layout == "unpaired":
+            zeros.real[1::2] *= 1.0 + 1e-15
+        elif layout == "odd":
+            zeros = np.append(zeros, 0.7 - 3.1j)
+        elif layout == "split":
+            zeros = zeros[1:]
+        args = (complex(s), zeros, genus, complex(center))
+        with patch.object(product_engine, "_conjugate_half", return_value=None):
+            full = log_sum_outcome(*args)
+        assert log_sum_outcome(*args) == full
 
 
 def _oracle_points() -> list[complex]:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,7 +30,8 @@ from entirefn import (
     shift_constant_residual,
     verify_multiplicity,
 )
-from entirefn.identities import verify_identity
+from entirefn import product_engine
+from entirefn.identities import compare_shift, verify_identity
 
 
 def small_spec(zeros, genus=0, q=0j, s0=1.0 + 0j) -> EntireFunctionSpec:
@@ -120,6 +122,22 @@ class TestEvalProduct:
         # every factor is 1 at s = 0, so 0 * inf must not give nan
         assert eval_product(spec, 0.0).tail_bound == 0.0
 
+    def test_tail_bound_is_built_on_first_read(self, monkeypatch) -> None:
+        builds = []
+        original = ZeroSequence.tail_profile
+
+        def spy(seq, genus):
+            builds.append(genus)
+            return original(seq, genus)
+
+        monkeypatch.setattr(ZeroSequence, "tail_profile", spy)
+        spec = make_symmetric_spec(1.0, [1.0, -1.0, 2.0, -2.0], 1.0)
+        result = eval_product(spec, 0.4 + 0.2j)
+        assert builds == []
+        # read twice, built once; a short list counts as complete
+        assert result.tail_bound == result.tail_bound == 0.0
+        assert builds == [0]
+
     def test_exp_log_consistency(self, lbar_spec) -> None:
         result = eval_product(lbar_spec, 0.4 + 0.2j)
         assert result.log_value is not None
@@ -186,6 +204,41 @@ class TestShiftedProduct:
             eval_shifted_product(sinh_line_spec, 0j, 1.0)
         with pytest.raises(ValueError, match="coincides"):
             eval_shifted_product(sinh_line_spec, 1 + 1j, 0.5)
+
+    def test_exponent_past_the_range_is_an_error(self) -> None:
+        # q (s - alpha) = -1e310 is past the range, as q s is: not an exact 0
+        spec = small_spec(np.array([1j, -1j]), genus=1, q=1e300)
+        with pytest.raises(ValueError, match="passes the double range"):
+            eval_product(spec, -1e10)
+        with pytest.raises(ValueError, match=re.escape("q*(s - alpha) = (-inf+0j) passes the double range")):
+            eval_shifted_product(spec, 1, -1e10)
+
+    def test_compare_shift_is_the_public_functions(self, lbar_spec) -> None:
+        for alpha, s in ((0.6 + 0.4j, 1.3 + 0.2j), (1.0, 0.3 - 0.7j), (-0.5, 2.0)):
+            expected = (
+                eval_shifted_product(lbar_spec, alpha, s, 300).value,
+                eval_product(lbar_spec, s, 300).value,
+            )
+            shifted, direct, disagreement, residual = compare_shift(lbar_spec, alpha, s, 300)
+            assert (shifted, direct) == expected
+            assert disagreement == abs(shifted - direct) / (1.0 + abs(direct))
+            assert residual == shift_constant_residual(lbar_spec, alpha, 300)
+
+    @pytest.mark.parametrize("theorem", ["T1", "T3"])
+    def test_one_evaluation_per_shift_point(self, lbar_spec, monkeypatch, theorem) -> None:
+        points = []
+        original = product_engine.eval_product
+
+        def spy(spec, s, n_terms=None):
+            points.append(complex(s))
+            return original(spec, s, n_terms)
+
+        monkeypatch.setattr(product_engine, "eval_product", spy)
+        spec = lbar_spec if theorem == "T3" else small_spec(lbar_spec.zero_sequence.zeros, 1, 0.3)
+        verify_identity(spec, theorem, draws=6)
+        # T3 draws alpha = xi every time; T1 draws six distinct alphas
+        assert len(points) == (1 if theorem == "T3" else 6)
+        assert len(set(points)) == len(points)
 
 
 class TestShiftConstantResidual:
