@@ -26,12 +26,16 @@ Zero tables
 -----------
 ``complex_pairs``: two floats per line (real and imaginary part).
 ``tau_only``: one float per line (offset along the center line; needs xi).
-Floats are read as ``float()`` reads them.  A clean table (no comment, blank
-or invalid line) is parsed in one vectorised pass.  Any other table goes
-through the line-numbered parser, which ignores ``#`` comment lines and blank
-lines and raises the error of the first bad line, so the errors are the same
-either way; they carry 1-based line numbers.  Ingested sequences are
-normalized to modulus order with the deterministic tie-break, sorted once.
+Floats are read exactly as ``float()`` reads them on every path.  A
+``tau_only`` table (file or inline) of digits, ``. e E + -`` and newlines
+only, with no empty row, is read in one ``np.fromstring`` pass; a clean
+``complex_pairs`` table (no comment, blank or invalid line) in vectorised
+blocks.  Any other table, and a one-pass table with a value that is not a
+finite nonzero offset, goes through the line-numbered parser, which ignores
+``#`` comment lines and blank lines and raises the error of the first bad
+line, so the errors are the same either way; they carry 1-based line
+numbers.  Ingested sequences are normalized to modulus order with the
+deterministic tie-break, sorted once.
 
 Reports
 -------
@@ -56,6 +60,7 @@ import hashlib
 import math
 import sys
 import time
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -70,11 +75,12 @@ from .core_types import (
     Ordering,
     Pairing,
     ZeroSequence,
-    make_symmetric_spec,
+    _line_sequence,
+    _symmetric_spec,
 )
 from .critical_line import critical_line_profile, scan_real_zeros
 from .identities import IDENTITY_TAGS, compare_shift, verify_identity
-from .product_engine import eval_product
+from .product_engine import _retained, eval_product
 from .series_engine import even_series, taylor_coefficients
 
 __all__ = [
@@ -210,34 +216,35 @@ class RunReport:
 # Rows per block of the complex_pairs fast path, so the tokens of a large
 # table never exist all at once as Python strings.
 _PAIR_BLOCK = 65536
+# The bytes of a tau_only body that is read in one pass.
+_TAU_BYTES = b"0123456789.eE+-\n"
 
 
-def _parse_clean_rows(rows: list[str], fmt: TableFormat, xi: float | None) -> np.ndarray:
-    """Zeros of a clean table (no comment, blank or invalid row) in one pass.
+def _one_pass_taus(text: str) -> np.ndarray | None:
+    """The offsets of a clean tau_only body, read in one pass; else None (values unchecked).
 
-    Floats follow Python's ``float()``, as in :func:`_parse_rows`.  Raises
-    ValueError, without a line number, on any table that is not clean.
+    Clean: only digits, ``. e E + -`` and newlines, no empty row, one float
+    per row.  There numpy's ``fromstring`` reads each row as ``float()``
+    does (both use CPython's string-to-double); elsewhere they differ: with
+    ``sep="\n"``, "1.5 2.5" reads as two values and "\n" as [-1.].
     """
-    if fmt is TableFormat.TAU_ONLY:
-        re_part, im_part = xi, np.array(rows, dtype=float)
-        valid = np.isfinite(im_part) & (im_part != 0.0)
-    else:
-        if not all(len(row.split()) == 2 for row in rows):
-            raise ValueError("not two tokens per row")
-        pairs = np.empty((len(rows), 2))
-        for start in range(0, len(rows), _PAIR_BLOCK):
-            block = rows[start : start + _PAIR_BLOCK]
-            # two tokens per row, so the block's tokens pair up row by row
-            tokens = " ".join(block).split()
-            pairs[start : start + len(block)] = np.array(tokens, dtype=float).reshape(-1, 2)
-        re_part, im_part = pairs[:, 0], pairs[:, 1]
-        valid = np.isfinite(pairs).all(axis=1) & ((re_part != 0.0) | (im_part != 0.0))
-    if not valid.all():
-        raise ValueError("non-finite or zero entry")
-    zeros = np.empty(len(rows), dtype=np.complex128)
-    zeros.real = re_part
-    zeros.imag = im_part
-    return zeros
+    if not text.isascii():
+        return None
+    data = text.encode("ascii")
+    if not data or data.translate(None, _TAU_BYTES):  # empty, or a byte outside the gate
+        return None
+    newline = np.frombuffer(data, dtype=np.uint8) == ord("\n")
+    if newline[0] or np.any(newline[1:] & newline[:-1]):  # an empty row
+        return None
+    rows = int(np.count_nonzero(newline)) + (not newline[-1])
+    # unmatched data raises ValueError on numpy 2.4 and warns on older numpy
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            taus = np.fromstring(text, dtype=float, sep="\n")
+        except (ValueError, DeprecationWarning):
+            return None
+    return taus if taus.size == rows else None
 
 
 def _parse_rows(
@@ -284,25 +291,55 @@ def _parse_rows(
     return np.asarray(zeros, dtype=np.complex128)
 
 
-def _parse_zero_table(
-    rows: list[str], first_lineno: int, fmt: TableFormat, xi: float | None, origin: str, source: str
+def _line_table(
+    text: str, first_lineno: int, xi: float | None, origin: str, source: str | None
 ) -> ZeroSequence:
-    """Parse table rows into a paired ZeroSequence in the order given.
+    """A tau_only table body as the sequence of its zeros xi + i tau, in modulus order.
 
-    A clean table is parsed in one pass; any other goes through the
+    A clean body is read in one pass.  Any other, and a clean one that
+    _line_sequence cannot vouch for, goes through the line-numbered parser,
+    which raises the error of the first bad row.  ``source`` None names the
+    construction, as make_symmetric_spec does.
+    """
+    if xi is None:
+        raise ValueError(f"{origin}: tau_only format requires xi")
+    taus = _one_pass_taus(text)
+    one_pass = taus is not None
+    if not one_pass:
+        taus = _parse_rows(text.splitlines(), first_lineno, TableFormat.TAU_ONLY, xi, origin).imag
+    seq = _line_sequence(xi, taus, source)
+    if one_pass and seq._line is None:  # type: ignore[attr-defined]
+        _parse_rows(text.splitlines(), first_lineno, TableFormat.TAU_ONLY, xi, origin)
+    return seq
+
+
+def _pairs_table(text: str, first_lineno: int, origin: str, source: str) -> ZeroSequence:
+    """A complex_pairs table body as a conjugate-paired sequence, in the order given.
+
+    A clean table (no comment, blank or invalid row) is parsed in blocks of
+    rows, its floats as ``float()`` reads them; any other goes through the
     line-numbered parser, which skips comments and blanks and raises the
     error of the first bad row.
     """
-    if fmt is TableFormat.TAU_ONLY and xi is None:
-        raise ValueError(f"{origin}: tau_only format requires xi")
+    rows = text.splitlines()
+    pairs = np.empty((len(rows), 2))
+    clean = all(len(row.split()) == 2 for row in rows)
     try:
-        zeros = _parse_clean_rows(rows, fmt, xi)
+        for start in range(0, len(rows) if clean else 0, _PAIR_BLOCK):
+            block = rows[start : start + _PAIR_BLOCK]
+            # two tokens per row, so the block's tokens pair up row by row
+            tokens = " ".join(block).split()
+            pairs[start : start + len(block)] = np.array(tokens, dtype=float).reshape(-1, 2)
     except ValueError:
-        zeros = _parse_rows(rows, first_lineno, fmt, xi, origin)
-    pairing = (
-        Pairing.SYMMETRIC_ABOUT_CENTER if fmt is TableFormat.TAU_ONLY else Pairing.CONJUGATE_PAIRS
+        clean = False
+    if clean and (np.isfinite(pairs).all(axis=1) & pairs.any(axis=1)).all():
+        zeros = pairs.view(np.complex128).reshape(-1)
+    else:
+        zeros = _parse_rows(rows, first_lineno, TableFormat.COMPLEX_PAIRS, None, origin)
+    zeros.setflags(write=False)
+    return ZeroSequence(
+        zeros=zeros, ordering=Ordering.AS_GIVEN, pairing=Pairing.CONJUGATE_PAIRS, source=source
     )
-    return ZeroSequence(zeros=zeros, ordering=Ordering.AS_GIVEN, pairing=pairing, source=source)
 
 
 def _table_rows(seq: ZeroSequence, table_format: TableFormat) -> list[str]:
@@ -324,9 +361,11 @@ def ingest_zero_table(
     """
     table_format = TableFormat(table_format)
     path = Path(path)
-    rows = path.read_text().splitlines()
+    text = path.read_text()
     source = f"{path}:{table_format.value}"
-    return _parse_zero_table(rows, 1, table_format, xi, str(path), source).sorted_by_modulus()
+    if table_format is TableFormat.TAU_ONLY:
+        return _line_table(text, 1, xi, str(path), source)
+    return _pairs_table(text, 1, str(path), source).sorted_by_modulus()
 
 
 def write_zero_table(
@@ -357,6 +396,19 @@ def write_zero_table(
 # ------------------------------------------------------------- spec files --
 
 
+def _lines(text: str):
+    """(line, offset past it) for each of ``text.splitlines(keepends=True)``, lazily.
+
+    A loop that stops at the inline table marker leaves the rows unsplit.
+    """
+    pos = 0
+    while pos < len(text):
+        end = text.find("\n", pos) + 1 or len(text)
+        for line in text[pos:end].splitlines(keepends=True):  # one, unless other breaks split it
+            pos += len(line)
+            yield line, pos
+
+
 def load_spec_file(path: str | Path) -> tuple[EntireFunctionSpec, tuple[tuple[str, str], ...]]:
     """Load an EntireFunctionSpec from a spec file.
 
@@ -366,19 +418,20 @@ def load_spec_file(path: str | Path) -> tuple[EntireFunctionSpec, tuple[tuple[st
     text = path.read_text()
     digests = [(f"spec:{path.name}", hashlib.sha256(text.encode()).hexdigest())]
 
-    lines = text.splitlines()
     keys: dict[str, str] = {}
     key_lines: dict[str, int] = {}
     marker: int | None = None  # line number of "zeros_inline:"; table rows follow it
-    for lineno, raw in enumerate(lines, start=1):
+    inline = ""  # the text after the marker line
+    for lineno, (raw, end) in enumerate(_lines(text), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if stripped == "zeros_inline:":
-            marker = lineno
+            marker, inline = lineno, text[end:]
             break
         if "=" not in stripped:
-            raise ValueError(f"{path} line {lineno}: expected 'key = value', got {raw!r}")
+            line = raw.splitlines()[0]
+            raise ValueError(f"{path} line {lineno}: expected 'key = value', got {line!r}")
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
@@ -416,38 +469,35 @@ def load_spec_file(path: str | Path) -> tuple[EntireFunctionSpec, tuple[tuple[st
         raise ValueError(f"{path}: zeros_file and zeros_inline are mutually exclusive")
     if "zeros_file" in keys:
         table_path = (path.parent / keys["zeros_file"]).resolve()
-        table_text = table_path.read_text()
-        digests.append(
-            (f"zeros:{table_path.name}", hashlib.sha256(table_text.encode()).hexdigest())
-        )
-        seq = _parse_zero_table(table_text.splitlines(), 1, fmt, xi, str(table_path), str(path))
+        body = table_path.read_text()
+        digests.append((f"zeros:{table_path.name}", hashlib.sha256(body.encode()).hexdigest()))
+        first, origin = 1, str(table_path)
     else:
-        start = len(lines) if marker is None else marker
-        origin = f"{path}:zeros_inline"
-        seq = _parse_zero_table(lines[start:], start + 1, fmt, xi, origin, str(path))
+        body, first, origin = inline, (marker or 0) + 1, f"{path}:zeros_inline"
+    if fmt is TableFormat.TAU_ONLY:
+        # an s_at_xi spec keeps the provenance make_symmetric_spec gives
+        seq = _line_table(body, first, xi, origin, None if "s_at_xi" in keys else str(path))
+    else:
+        seq = _pairs_table(body, first, origin, str(path))
 
     if "s_at_xi" in keys:
         if not tag.symmetric:
             raise ValueError(f"{path}: s_at_xi requires class Y_tilde or L_bar")
         if xi is None:
             raise ValueError(f"{path}: s_at_xi requires xi")
-        off_line = seq.zeros[seq.zeros.real != xi]
-        if off_line.size:
-            first = format_complex(complex(off_line[0]))
-            raise ValueError(f"{path}: s_at_xi requires every zero on Re s = xi, got {first}")
-        # make_symmetric_spec sorts the zeros it builds
-        spec = make_symmetric_spec(
-            xi=xi,
-            taus=seq.zeros.imag,
-            value_at_center=parsed("s_at_xi", parse_complex),
-            class_tag=tag,
-            q_constant=q,
-        )
+        if fmt is TableFormat.COMPLEX_PAIRS:
+            off_line = seq.zeros[seq.zeros.real != xi]
+            if off_line.size:
+                first_off = format_complex(complex(off_line[0]))
+                raise ValueError(f"{path}: s_at_xi requires every zero on Re s = xi, got {first_off}")
+            seq = _line_sequence(xi, seq.zeros.imag)
+        value_at_center = parsed("s_at_xi", parse_complex)
+        spec = _symmetric_spec(xi, seq, value_at_center, tag, q)
     else:
         spec = EntireFunctionSpec(
             class_tag=tag,
             value_at_zero=parsed("s0", parse_complex),
-            zero_sequence=seq.sorted_by_modulus(),
+            zero_sequence=seq if fmt is TableFormat.TAU_ONLY else seq.sorted_by_modulus(),
             q_constant=q,
             center_xi=xi if tag.symmetric else None,
         )
@@ -624,7 +674,7 @@ def _cmd_order(spec, ns) -> list[tuple[str, object]]:
 def _cmd_exponent(spec, ns) -> list[tuple[str, object]]:
     seq = spec.zero_sequence
     if ns.terms < len(seq):  # count only the retained zeros, in modulus order
-        seq = ZeroSequence(zeros=seq.zeros[: ns.terms], pairing=seq.pairing, source=seq.source)
+        seq = ZeroSequence(zeros=_retained(spec, ns.terms), pairing=seq.pairing, source=seq.source)
     est = estimate_exponent(seq, ns.r_min, ns.r_max)
     return [
         ("exponent", est.exponent),

@@ -93,22 +93,58 @@ def modulus_sort_indices(zeros: np.ndarray) -> np.ndarray:
     The modulus ordering is non-strict; the deterministic tie-break keeps
     conjugate partners adjacent (the +i member first), and entries equal in
     all three keys keep their input order: the permutation of
-    ``np.lexsort((z.real, -z.imag, abs(z)))``.  A quicksort of the moduli
-    comes first; each run of two equal moduli (a conjugate pair, say) is
-    then put in order by one vectorised compare-and-swap, and the entries
-    of longer runs by a lexsort over those entries alone.
+    ``np.lexsort((z.real, -z.imag, abs(z)))``.  Zeros that share one real
+    part take one argsort on a line key (``_line_order``).  Any other set,
+    and a line set whose key order is not the modulus order, takes a
+    quicksort of the moduli whose tie runs are then put in order
+    (``_order_ties``).
     """
     moduli = np.abs(zeros)
     if not np.all(np.isfinite(moduli)):
         return np.lexsort((zeros.real, -zeros.imag, moduli))
-    order = np.argsort(moduli)
+    on_a_line = zeros.size > 1 and np.all(zeros.real == zeros.real[0])
+    order = _line_order(zeros, moduli) if on_a_line else None
+    if order is None:
+        order = np.argsort(moduli)
+        _order_ties(order, moduli[order], moduli, zeros)
+    return order
+
+
+def _line_order(zeros: np.ndarray, moduli: np.ndarray) -> np.ndarray | None:
+    """The modulus order of zeros with one real part, from one argsort; None where it is not.
+
+    The key is the bits of |Im z| shifted left by one, with Im z < 0 in the
+    low bit; equal keys are equal zeros, kept in input order.  The key order
+    is the modulus order where the sorted moduli rise wherever |Im z| does:
+    not at Re z = 1e9, say, where hypot rounds distinct small |Im z| to one
+    modulus.
+    """
+    im = zeros.imag
+    keys = np.abs(im).view(np.uint64)
+    keys <<= np.uint64(1)
+    keys |= im < 0
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    _order_ties(order, sorted_keys, keys, zeros)
+    del keys
+    # neighbours whose keys differ at most in the sign bit have one |Im z|
+    same_offset = (sorted_keys[1:] ^ sorted_keys[:-1]) <= 1
+    del sorted_keys
     sorted_moduli = moduli[order]
-    # tied[i + 1]: sorted entries i and i + 1 have equal moduli
-    tied = np.zeros(moduli.size + 1, dtype=bool)
-    tied[1:-1] = sorted_moduli[1:] == sorted_moduli[:-1]
-    # temporaries go as soon as they are used, so that on a 1e6-row table
-    # the sort stays below the peak memory of the parse before it
-    del sorted_moduli
+    return order if np.all((sorted_moduli[1:] > sorted_moduli[:-1]) | same_offset) else None
+
+
+def _order_ties(
+    order: np.ndarray, sorted_keys: np.ndarray, keys: np.ndarray, zeros: np.ndarray
+) -> None:
+    """Put each run of equal keys[order] (= sorted_keys) in (-Im z, Re z, index) order, in place.
+
+    Runs of two (a conjugate pair, say) take one vectorised compare-and-swap,
+    the entries of longer runs a lexsort over those entries alone.
+    """
+    # tied[i + 1]: sorted entries i and i + 1 have equal keys
+    tied = np.zeros(keys.size + 1, dtype=bool)
+    tied[1:-1] = sorted_keys[1:] == sorted_keys[:-1]
     pairs = np.flatnonzero(tied[1:-1] & ~tied[:-2] & ~tied[2:])
     a, b = order[pairs], order[pairs + 1]
     za, zb = zeros[a], zeros[b]
@@ -117,14 +153,15 @@ def modulus_sort_indices(zeros: np.ndarray) -> np.ndarray:
         (zb.imag == za.imag) & ((zb.real < za.real) | ((zb.real == za.real) & (b < a)))
     )
     order[pairs[swap]], order[pairs[swap] + 1] = b[swap], a[swap]
+    # temporaries go as soon as they are used, so that on a 1e6-row table
+    # the sort stays below the peak memory of the parse before it
     del a, b, za, zb, swap
     longer = tied[:-1] | tied[1:]
     longer[pairs] = longer[pairs + 1] = False
     where = np.flatnonzero(longer)
     if where.size:
         sub = order[where]
-        order[where] = sub[np.lexsort((sub, zeros.real[sub], -zeros.imag[sub], moduli[sub]))]
-    return order
+        order[where] = sub[np.lexsort((sub, zeros.real[sub], -zeros.imag[sub], keys[sub]))]
 
 
 @dataclass(frozen=True)
@@ -206,6 +243,14 @@ def _fit_tail_terms(terms: np.ndarray) -> tuple[Verdict, SlopeFit | None, float 
     return Verdict.INDETERMINATE, fit, None
 
 
+def _read_only_vector(arr) -> bool:
+    """True for a 1-d complex128 array that is read-only, as is every array beneath it."""
+    kept = isinstance(arr, np.ndarray) and arr.dtype == np.complex128 and arr.ndim == 1
+    while kept and isinstance(arr, np.ndarray):
+        kept, arr = not arr.flags.writeable, arr.base
+    return kept
+
+
 @dataclass(frozen=True, eq=False)
 class ZeroSequence:
     """Ordered multiset of complex zeros with accumulation metadata.
@@ -217,7 +262,9 @@ class ZeroSequence:
     with an immediately following exact conjugate.  ``source`` is free-form
     provenance.
 
-    Instances are immutable; derived arrays are cached on first use.
+    Instances are immutable; derived arrays are cached on first use.  The
+    zeros are copied into a read-only complex vector, unless they are one
+    already, with no writeable array beneath it.
     """
 
     zeros: np.ndarray
@@ -226,14 +273,19 @@ class ZeroSequence:
     source: str = "constructed"
 
     def __post_init__(self) -> None:
-        arr = np.array(self.zeros, dtype=np.complex128).reshape(-1)
-        arr.setflags(write=False)
+        arr = self.zeros
+        if not _read_only_vector(arr):
+            arr = np.array(arr, dtype=np.complex128).reshape(-1)
+            arr.setflags(write=False)
         object.__setattr__(self, "zeros", arr)
         object.__setattr__(self, "ordering", Ordering(self.ordering))
         object.__setattr__(self, "pairing", Pairing(self.pairing))
         object.__setattr__(self, "_tail_cache", {})
         # far-field power sums of product_engine, by (retained count, near count)
         object.__setattr__(self, "_far_cache", {})
+        # xi for zeros that _line_sequence built as xi + i tau from finite
+        # nonzero xi and tau, which pass every zero check of a spec on xi
+        object.__setattr__(self, "_line", None)
 
     def __len__(self) -> int:
         return int(self.zeros.size)
@@ -246,9 +298,10 @@ class ZeroSequence:
 
     def sorted_by_modulus(self) -> "ZeroSequence":
         """Copy with ordering normalized to (|z|, -Im z, Re z)."""
-        order = modulus_sort_indices(self.zeros)
+        zeros = self.zeros[modulus_sort_indices(self.zeros)]
+        zeros.setflags(write=False)
         return ZeroSequence(
-            zeros=self.zeros[order],
+            zeros=zeros,
             ordering=Ordering.BY_MODULUS,
             pairing=self.pairing,
             source=self.source,
@@ -485,6 +538,9 @@ class EntireFunctionSpec:
             raise ValueError("value_at_zero must be nonzero and finite")
         if self.genus == 0 and self.q_constant != 0:
             raise ValueError("genus-0 classes require q_constant = 0")
+        line = self.zero_sequence._line  # type: ignore[attr-defined]
+        if self.class_tag.symmetric and line is not None and line == self.center_xi:
+            return  # built on this line from checked offsets: every check below holds
         z = self.zero_sequence.zeros
         if z.size and not np.all(np.isfinite(z)):
             raise ValueError("zero sequence contains a non-finite entry")
@@ -532,24 +588,47 @@ def make_symmetric_spec(
     if not tag.symmetric:
         raise ValueError(f"make_symmetric_spec requires class Y_tilde or L_bar, got {tag.value}")
     xi = float(xi)
+    tau_arr = np.asarray(taus, dtype=float).reshape(-1)
+    return _symmetric_spec(xi, _line_sequence(xi, tau_arr), value_at_center, tag, q_constant)
+
+
+def _line_sequence(xi: float, taus: np.ndarray, source: str | None = None) -> ZeroSequence:
+    """The zeros xi + i tau in modulus order, paired about the center line.
+
+    One complex array is filled, sorted and checked.  Where xi and every tau
+    are finite and nonzero the sequence records xi as its line, and a spec
+    on that line takes the zeros unchecked.  ``source`` defaults to the
+    provenance that make_symmetric_spec records.
+    """
+    zeros = np.empty(taus.size, dtype=np.complex128)
+    zeros.real = xi
+    zeros.imag = taus
+    zeros = zeros[modulus_sort_indices(zeros)]
+    zeros.setflags(write=False)
+    if source is None:
+        source = f"constructed:symmetric xi={xi!r} n={taus.size} center_value_inverted_at={taus.size}"
+    seq = ZeroSequence(zeros=zeros, pairing=Pairing.SYMMETRIC_ABOUT_CENTER, source=source)
+    offsets = zeros.imag
+    if math.isfinite(xi) and xi != 0.0 and np.all(np.isfinite(offsets)) and offsets.all():
+        object.__setattr__(seq, "_line", xi)
+    return seq
+
+
+def _symmetric_spec(
+    xi: float, seq: ZeroSequence, value_at_center: complex, tag: ClassTag, q_constant: complex
+) -> EntireFunctionSpec:
+    """make_symmetric_spec on the sequence that _line_sequence built: the checks, then the inversion."""
     if xi == 0.0 or not math.isfinite(xi):
         raise ValueError("xi must be a nonzero finite real")
-    tau_arr = np.asarray(taus, dtype=float).reshape(-1)
-    if tau_arr.size == 0:
+    if len(seq) == 0:
         raise ValueError("taus must be nonempty")
-    if not np.all(np.isfinite(tau_arr)) or np.any(tau_arr == 0.0):
+    if seq._line is None:  # type: ignore[attr-defined]
         raise ValueError("every tau must be finite and nonzero")
     value_at_center = complex(value_at_center)
     if value_at_center == 0:
         raise ValueError("value_at_center must be nonzero")
     q_constant = complex(q_constant)
 
-    zeros = xi + 1j * tau_arr
-    seq = ZeroSequence(
-        zeros=zeros[modulus_sort_indices(zeros)],
-        pairing=Pairing.SYMMETRIC_ABOUT_CENTER,
-        source=f"constructed:symmetric xi={xi!r} n={tau_arr.size} center_value_inverted_at={tau_arr.size}",
-    )
     # invert the product eval_product forms at xi, so the center value round-trips
     from .product_engine import _log_sums, _value_from_log
 

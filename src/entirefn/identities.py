@@ -80,7 +80,9 @@ def compare_shift(
     s, alpha = complex(s), complex(alpha)
     zeros, at_alpha = _at_shift_point(spec, alpha, n_terms)
     shifted, direct, disagreement = _compare(spec, alpha, s, zeros, at_alpha, n_terms)
-    residual = _constant_residual(spec, alpha, zeros, at_alpha.value, at_alpha.log_value)
+    residual = _constant_residual(
+        spec, alpha, zeros, at_alpha.value, at_alpha.log_value, at_alpha._log_factor_sum
+    )
     return shifted, direct, disagreement, residual
 
 
@@ -175,7 +177,7 @@ def _shift_identity(spec, at_center: bool, seed: int, draws: int, n_terms, toler
         _, _, pair_disagreement = _compare(spec, alpha, s, zeros, at_alpha, n_terms)
         if alpha not in residuals:
             residuals[alpha] = _constant_residual(
-                spec, alpha, zeros, at_alpha.value, at_alpha.log_value
+                spec, alpha, zeros, at_alpha.value, at_alpha.log_value, at_alpha._log_factor_sum
             )
         disagreement = max(disagreement, pair_disagreement)
         residual = max(residual, residuals[alpha])

@@ -56,7 +56,7 @@ import numpy as np
 
 from ._numeric import BLOCK, ExactSum, complex_sum, exact_power_sums
 from ._numeric import _conjugate_half, _doubles_exactly
-from .core_types import _LOG_DOUBLE_MAX, EntireFunctionSpec, Ordering, ZeroSequence
+from .core_types import _LOG_DOUBLE_MAX, EntireFunctionSpec, Ordering, Pairing, ZeroSequence
 
 __all__ = [
     "TruncatedEvaluation",
@@ -324,6 +324,8 @@ class TruncatedEvaluation:
     with ``value`` to rounding; its imaginary part is not branch-normalized).
     It is None only for the exact 0 at a retained zero.  A value of 0 that
     carries a log has underflowed: exp of the log's real part is 0 too.
+    ``_log_factor_sum`` keeps the sum of log(1 - s/z) of a genus-0
+    ``eval_product`` for callers that need it again.
     """
 
     value: complex
@@ -333,6 +335,7 @@ class TruncatedEvaluation:
     log_value: complex | None
     # () -> tail_bound
     _tail: Callable[[], float | None] = field(repr=False, compare=False)
+    _log_factor_sum: complex | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.log_value is None:
@@ -350,13 +353,21 @@ class TruncatedEvaluation:
 
 
 def _retained(spec: EntireFunctionSpec, n_terms: int | None) -> np.ndarray:
-    available = spec.n_zeros
+    """The first n_terms zeros (all by default); ValueError for an n_terms that
+    is negative, past the zeros, or splits a pair (naming the N either side)."""
+    seq = spec.zero_sequence
+    available = len(seq)
     n = available if n_terms is None else int(n_terms)
     if n < 0:
         raise ValueError(f"n_terms must be >= 0, got {n}")
     if n > available:
         raise ValueError(f"insufficient zeros: requested {n}, available {available}")
-    return spec.zero_sequence.zeros[:n]
+    if 0 < n < available and seq.pairing is not Pairing.NONE:
+        starts = seq.group_starts
+        if starts[np.searchsorted(starts, n, side="right") - 1] != n:  # zero n closes a pair
+            pair = "conjugate" if seq.pairing is Pairing.CONJUGATE_PAIRS else "+-tau"
+            raise ValueError(f"truncation N = {n} splits a {pair} pair: use N = {n - 1} or N = {n + 1}")
+    return seq.zeros[:n]
 
 
 def _nearest(point: complex, zeros: np.ndarray) -> float:
@@ -387,7 +398,9 @@ def _tail_bound(spec: EntireFunctionSpec, s: complex, n: int) -> float | None:
     return math.expm1(exponent) if exponent <= 700.0 else math.inf
 
 
-def _evaluation(spec, s: complex, zeros: np.ndarray, value: complex, log_value) -> TruncatedEvaluation:
+def _evaluation(
+    spec, s: complex, zeros: np.ndarray, value: complex, log_value, log_factor_sum=None
+) -> TruncatedEvaluation:
     """The record of a value at s; at distance 0 from the zeros it is the exact 0, with no log."""
     nearest = _nearest(s, zeros)
     return TruncatedEvaluation(
@@ -395,6 +408,7 @@ def _evaluation(spec, s: complex, zeros: np.ndarray, value: complex, log_value) 
         near_zero=nearest < NEAR_ZERO_COEFF * (1.0 + abs(s)),
         log_value=None if nearest == 0.0 else log_value,
         _tail=partial(_tail_bound, spec, s, zeros.size),
+        _log_factor_sum=log_factor_sum,
     )
 
 
@@ -409,8 +423,12 @@ def eval_product(spec: EntireFunctionSpec, s: complex, n_terms: int | None = Non
     """
     s = complex(s)
     zeros = _retained(spec, n_terms)
-    values, logs = _eval_batch(spec, [s], zeros.size, None)
-    return _evaluation(spec, s, zeros, complex(values[0]), complex(logs[0]))
+    # _eval_batch at one point, keeping the exponent: at genus 0 the factor-log sum
+    exponent = complex(_log_sums(spec.zero_sequence, spec.genus, spec.q_constant, [s], zeros.size)[0])
+    log_v0 = cmath.log(spec.value_at_zero)
+    value = _value_from_log(exponent, spec.value_at_zero, log_v0)
+    log_factor_sum = exponent if spec.genus == 0 else None
+    return _evaluation(spec, s, zeros, value, log_v0 + exponent, log_factor_sum)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -493,7 +511,9 @@ def shift_constant_residual(
     """
     if value_at_alpha is None:
         zeros, at_alpha = _at_shift_point(spec, alpha, n_terms)
-        return _constant_residual(spec, complex(alpha), zeros, at_alpha.value, at_alpha.log_value)
+        return _constant_residual(
+            spec, complex(alpha), zeros, at_alpha.value, at_alpha.log_value, at_alpha._log_factor_sum
+        )
     alpha = complex(alpha)
     if alpha == 0:
         raise ValueError("shift point must be nonzero")
@@ -506,10 +526,13 @@ def shift_constant_residual(
 
 @np.errstate(over="ignore", invalid="ignore")
 def _constant_residual(
-    spec: EntireFunctionSpec, alpha: complex, zeros: np.ndarray, s_alpha: complex, log_s_alpha: complex
+    spec: EntireFunctionSpec, alpha: complex, zeros: np.ndarray, s_alpha: complex,
+    log_s_alpha: complex, log_prod: complex | None = None,
 ) -> float:
-    """``shift_constant_residual`` at a checked shift point, given S(alpha) and its log."""
-    log_prod = _log_sum(alpha, zeros, 0)
+    """``shift_constant_residual`` at a checked shift point, given S(alpha) and its log,
+    and the sum of log(1 - alpha/z) where the caller has it (``_log_factor_sum``)."""
+    if log_prod is None:
+        log_prod = _log_sum(alpha, zeros, 0)
     log_v0 = cmath.log(spec.value_at_zero)
     lhs = _value_from_log(log_prod, spec.value_at_zero, log_v0)
     rhs_exponent = 0j

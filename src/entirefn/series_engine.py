@@ -83,18 +83,24 @@ def power_sums(
     center: complex,
     m_max: int,
     n_terms: int | None = None,
+    *,
+    nearest: float | None = None,
 ) -> PowerSums:
     """Compute p_1..p_m_max about a center that is not a retained zero.
 
     Powers are built by repeated multiplication, which preserves conjugate
     symmetry exactly: for sign-symmetric data about a real center the odd
-    sums cancel to exactly zero under the exact reduction.
+    sums cancel to exactly zero under the exact reduction.  ``nearest`` is
+    the center's distance to the retained zeros, where the caller has
+    measured it already.
     """
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
     center = complex(center)
     zeros = _retained(spec, n_terms)
-    _guard_coincident(center, _nearest(center, zeros), "expansion center coincides with a retained zero")
+    if nearest is None:
+        nearest = _nearest(center, zeros)
+    _guard_coincident(center, nearest, "expansion center coincides with a retained zero")
     values = exact_power_sums(1.0 / (zeros - center), m_max)
     return PowerSums(
         center=center,
@@ -129,7 +135,7 @@ def taylor_coefficients(
         return TaylorExpansion(center=center, coefficients=(c0,), terms_used=n, genus=spec.genus)
 
     g = np.zeros(k_max + 1, dtype=np.complex128)
-    sums = power_sums(spec, center, k_max, n)
+    sums = power_sums(spec, center, k_max, n, nearest=nearest)
     for m in range(2, k_max + 1):
         g[m] = -sums.values[m - 1] / m
     if spec.genus == 1:
@@ -206,8 +212,10 @@ def even_series(
 
 
 def _require_sign_symmetric(taus: np.ndarray) -> None:
-    pos = np.sort(taus[taus > 0])
-    neg = np.sort(-taus[taus < 0])
+    # in modulus order each sign's offsets come ascending: the sort is the fallback
+    pos, neg = (
+        a if np.all(a[1:] >= a[:-1]) else np.sort(a) for a in (taus[taus > 0], -taus[taus < 0])
+    )
     scale = float(np.max(np.abs(taus), initial=0.0))
     if pos.size != neg.size or (
         pos.size and float(np.max(np.abs(pos - neg))) > 1e-12 * max(scale, 1.0)

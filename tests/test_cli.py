@@ -335,6 +335,21 @@ class TestRunCommand:
         assert report.exit_code == 0
         assert report.records[0].truncation == 6
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan", "--x-min", "0.1", "--x-max", "10.1"],
+            ["eval", "--s", "0.5"],
+            ["series", "--even"],
+            ["exponent", "--r-min", "1", "--r-max", "3"],
+        ],
+    )
+    def test_terms_that_split_a_pair_exit_1(self, tmp_path, argv) -> None:
+        path = spec_path(tmp_path, SYMMETRIC_SPEC)
+        report = quiet_run([argv[0], "--spec", str(path), *argv[1:], "--terms", "3"])
+        assert report.exit_code == 1
+        assert report.errors == ("truncation N = 3 splits a +-tau pair: use N = 2 or N = 4",)
+
     def test_deterministic_reports(self, tmp_path) -> None:
         path = spec_path(tmp_path, SYMMETRIC_SPEC)
         argv = ["scan", "--spec", str(path), "--x-min", "0.5", "--x-max", "2.5"]

@@ -20,6 +20,7 @@ from entirefn import (
     modulus_sort_indices,
     validate_zero_sequence,
 )
+from entirefn import core_types
 from entirefn.core_types import _fit_tail_terms
 from conftest import interleaved_taus
 
@@ -69,6 +70,49 @@ class TestZeroSequence:
         zeros = np.concatenate([1.0 + 1j * taus, 1e9 + 1j * taus[:40]])
         expected = np.lexsort((zeros.real, -zeros.imag, np.abs(zeros)))
         assert np.array_equal(modulus_sort_indices(zeros), expected)
+
+    @given(
+        xi=st.sampled_from([1.0, -0.5, 0.0, 3.0, 1e9, -1e9]),
+        taus=st.lists(
+            st.one_of(
+                st.sampled_from([1.0, -1.0, 2.0, -2.0, 7.5, -7.5, 0.0, -0.0, 1e-3, 1e300]),
+                st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+            ),
+            max_size=40,
+        ),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(xi=1e9, taus=[1.0, 2.0, -1.0, 7.5, 2.0, -7.5], seed=0)
+    @example(xi=1e9, taus=[1.0, 1.0000000000000002], seed=0)  # one ulp apart, one modulus
+    def test_line_key_sort_matches_lexsort(self, xi, taus, seed) -> None:
+        # zeros on one line: duplicates, mixed signs, signed zeros, and at
+        # xi = 1e9 distinct small |tau| that hypot rounds to one modulus
+        taus = np.random.default_rng(seed).permutation(np.array(taus + taus[: len(taus) // 3]))
+        zeros = np.empty(taus.size, dtype=np.complex128)
+        zeros.real, zeros.imag = xi, taus
+        expected = np.lexsort((zeros.real, -zeros.imag, np.abs(zeros)))
+        assert np.array_equal(modulus_sort_indices(zeros), expected)
+
+    def test_line_key_sort_falls_back_on_near_ties(self) -> None:
+        # at xi = 1e9 the moduli of 1e9 + 1i and 1e9 + 2i are one double, so
+        # the -Im z tie-break puts +2i first where the line key puts +1i first:
+        # the check refuses the key order and the moduli quicksort runs
+        zeros = 1e9 + 1j * np.array([1.0, -1.0, 2.0, -2.0])
+        assert core_types._line_order(zeros, np.abs(zeros)) is None
+        assert np.array_equal(modulus_sort_indices(zeros), [2, 0, 1, 3])
+        on_one = 1.0 + 1j * np.array([2.0, -1.0, 1.0, -2.0])
+        assert np.array_equal(core_types._line_order(on_one, np.abs(on_one)), [2, 1, 0, 3])
+
+    def test_a_line_sequence_skips_only_the_checks_of_its_own_line(self) -> None:
+        seq = core_types._line_sequence(0.5, np.array([1.0, -1.0, 2.0]))
+        assert seq._line == 0.5
+        EntireFunctionSpec(ClassTag.Y_TILDE, 1.0, seq, center_xi=0.5)
+        with pytest.raises(ValueError, match="Re z = center_xi"):
+            EntireFunctionSpec(ClassTag.Y_TILDE, 1.0, seq, center_xi=0.25)
+        for taus in ([1.0, 0.0], [1.0, np.inf], [np.nan]):
+            assert core_types._line_sequence(0.5, np.array(taus))._line is None
+        for xi in (0.0, np.inf, np.nan):
+            assert core_types._line_sequence(xi, np.array([1.0]))._line is None
 
     def test_group_starts_mixed_pairing(self) -> None:
         zeros = np.array([1j, -1j, 3 + 0j, 2 + 1j, 2 - 1j])
@@ -323,11 +367,15 @@ class TestTailProfile:
         assert profile.tail_beyond(len(seq)) == pytest.approx(profile.extrapolated_tail)
 
     def test_split_pair_counts_its_orphan(self) -> None:
-        # N = 101 keeps 1 + 101i and drops its partner 1 - 101i
+        # N = 101 keeps 1 + 101i and drops its partner 1 - 101i: the profile
+        # counts that group whole, and the evaluators refuse such an N
         k = np.arange(1.0, 5001.0)
         spec = make_symmetric_spec(xi=1.0, taus=np.concatenate([k, -k]), value_at_center=1.0)
-        bounds = [eval_product(spec, 1.0 + 2.5j, n).tail_bound for n in (100, 101, 102)]
-        assert bounds[0] == bounds[1] > bounds[2]
+        profile = spec.zero_sequence.tail_profile(0)
+        tails = [profile.tail_beyond(n) for n in (100, 101, 102)]
+        assert tails[0] == tails[1] > tails[2]
+        with pytest.raises(ValueError, match=r"N = 101 splits a \+-tau pair: use N = 100 or N = 102"):
+            eval_product(spec, 1.0 + 2.5j, 101)
 
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -345,7 +393,8 @@ class TestTailProfile:
         )
         seq = spec.zero_sequence
         tails = [seq.tail_profile(genus).tail_beyond(n) for n in range(len(seq) + 1)]
-        bounds = [eval_product(spec, 1.0 + 2.5j, n).tail_bound for n in range(len(seq) + 1)]
+        # the truncations that keep whole pairs
+        bounds = [eval_product(spec, 1.0 + 2.5j, n).tail_bound for n in range(0, len(seq) + 1, 2)]
         assert None not in tails and None not in bounds
         assert all(a >= b for a, b in zip(tails, tails[1:]))
         assert all(a >= b for a, b in zip(bounds, bounds[1:]))

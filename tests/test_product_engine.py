@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from _oracles import (
     FROZEN_SINH_LOG_DERIV_AT_HALF,
     FROZEN_SINH_RATIO_AT_1,
@@ -265,6 +267,28 @@ class TestShiftConstantResidual:
         with pytest.raises(ValueError, match="coincides"):
             shift_constant_residual(sinh_genus1_spec, 1j)
 
+    @pytest.mark.parametrize("alpha", [0.4 + 0.4j, 1.0, 2.5 - 7.25j, 30.0 + 0.5j])
+    def test_genus0_sums_the_factor_logs_at_alpha_once(
+        self, sinh_line_spec, monkeypatch, alpha
+    ) -> None:
+        zeros, at_alpha = product_engine._at_shift_point(sinh_line_spec, alpha, 2000)
+        recomputed = product_engine._constant_residual(
+            sinh_line_spec, alpha, zeros, at_alpha.value, at_alpha.log_value
+        )
+        sums_at_alpha = []
+        original = product_engine._log_sum
+
+        def spy(s, zeros, genus, center=0j):
+            if s == alpha and center == 0:
+                sums_at_alpha.append(genus)
+            return original(s, zeros, genus, center)
+
+        monkeypatch.setattr(product_engine, "_log_sum", spy)
+        *_, residual = compare_shift(sinh_line_spec, alpha, 0.3 + 0.1j, 2000)
+        # S(alpha)'s own sum serves the residual, with the bits of a second sum
+        assert sums_at_alpha == [0]
+        assert residual == recomputed == shift_constant_residual(sinh_line_spec, alpha, 2000)
+
 
 class TestLogDerivative:
     def test_symmetric_cancellation_returns_q(self, sinh_genus1_spec, lbar_spec) -> None:
@@ -303,7 +327,12 @@ _CONSUMERS = {
 
 @pytest.mark.parametrize("consumer", sorted(_CONSUMERS))
 @pytest.mark.parametrize(
-    "n_terms, message", [(-1, "n_terms must be >= 0"), (7, "insufficient zeros")]
+    "n_terms, message",
+    [
+        (-1, "n_terms must be >= 0"),
+        (7, "insufficient zeros"),
+        (3, r"N = 3 splits a \+-tau pair: use N = 2 or N = 4"),
+    ],
 )
 def test_one_truncation_rule_in_every_consumer(consumer, n_terms, message) -> None:
     # six zeros: N = 7 asks for one more than the spec has
@@ -316,3 +345,30 @@ def test_one_truncation_rule_in_every_consumer(consumer, n_terms, message) -> No
     )
     with pytest.raises(ValueError, match=message):
         _CONSUMERS[consumer](spec, n_terms)
+
+
+@given(
+    taus=st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=5, unique=True),
+    reals=st.lists(st.sampled_from([0.5, -2.0, 3.0, 7.0]), max_size=3),
+    line=st.booleans(),
+)
+def test_every_truncation_that_splits_a_pair_is_refused(taus, reals, line) -> None:
+    # conjugate pairs 1 +- i tau, plus (off the line) unpaired real zeros
+    taus = np.array(taus, dtype=float)
+    if line:
+        spec = make_symmetric_spec(1.0, np.concatenate([taus, -taus]), 1.0 + 0j)
+    else:
+        zeros = np.concatenate([1.0 + 1j * taus, 1.0 - 1j * taus, np.array(reals, dtype=complex)])
+        seq = ZeroSequence(zeros=zeros, pairing=Pairing.CONJUGATE_PAIRS).sorted_by_modulus()
+        spec = EntireFunctionSpec(class_tag=ClassTag.Y, value_at_zero=1.0, zero_sequence=seq)
+    zeros = spec.zero_sequence.zeros
+    bounds = set(spec.zero_sequence.group_starts.tolist()) | {len(zeros)}
+    for n in range(len(zeros) + 1):
+        if n in bounds:
+            assert eval_product(spec, 0.25 + 0.5j, n).terms_used == n
+            continue
+        # zero n - 1 and zero n are one pair; the error names the truncations around it
+        assert zeros[n] == np.conj(zeros[n - 1])
+        pair = "\\+-tau" if line else "conjugate"
+        with pytest.raises(ValueError, match=rf"N = {n} splits a {pair} pair: use N = {n - 1} or N = {n + 1}$"):
+            eval_product(spec, 0.25 + 0.5j, n)

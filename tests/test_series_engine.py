@@ -26,6 +26,7 @@ from entirefn import (
     power_sums,
     taylor_coefficients,
 )
+from entirefn import series_engine
 
 
 def imaginary_pair_spec(k_max: int) -> EntireFunctionSpec:
@@ -210,3 +211,31 @@ class TestEvenSeries:
         assert exp.coefficients[1] == 0j
         assert exp.odd_residuals is not None
         assert max(exp.odd_residuals) <= 1e-8 * abs(exp.coefficients[0])
+
+
+@pytest.mark.parametrize(
+    "taus, symmetric",
+    [
+        ([1.0, -1.0, 2.0, -2.0], True),  # modulus order: both signs ascending
+        ([2.0, -1.0, 1.0, -2.0], True),  # not ascending: the sorts run
+        ([-2.0, 2.0 + 1e-12, 1.0, -1.0], True),  # within 1e-12 times the scale 2
+        ([-2.0, 2.0 + 5e-12, 1.0, -1.0], False),
+        ([1.0, -1.0, 2.0], False),
+    ],
+)
+def test_sign_symmetry_in_any_order(taus, symmetric) -> None:
+    if symmetric:
+        series_engine._require_sign_symmetric(np.array(taus))
+    else:
+        with pytest.raises(ValueError, match="not sign-symmetric"):
+            series_engine._require_sign_symmetric(np.array(taus))
+
+
+def test_power_sums_take_a_measured_distance(sinh_line_spec) -> None:
+    center = 1.0 + 0.25j
+    measured = eval_product(sinh_line_spec, center, 200).nearest_zero_distance
+    given_distance = power_sums(sinh_line_spec, center, 6, 200, nearest=measured)
+    assert given_distance == power_sums(sinh_line_spec, center, 6, 200)
+    # the guard reads the distance it is given
+    with pytest.raises(ValueError, match="coincides"):
+        power_sums(sinh_line_spec, center, 6, 200, nearest=0.0)

@@ -126,7 +126,11 @@ def clean_row(draw, fmt: str) -> str:
 
 DEFECTS = {
     "tau_only": ["", "   ", "# comment", "#", "1.5 2.5", "nan", "inf", "-inf", "0", "-0.0",
-                 "1.2.3", "abc", "1__0", "0x10", "1e400"],
+                 "1.2.3", "abc", "1__0", "0x10", "1e400",
+                 # rows that numpy's fromstring and float() might read apart:
+                 # two blank rows, a padded pair, spellings float() takes, a
+                 # cut exponent, a blank row before a value
+                 "\n", " 1.5 2.5\t", "+.5", "1.e5", "1e", "\n1.5"],
     "complex_pairs": ["", "\t", "# c 1", "#", "1 2 3", "1", "nan 1", "1 inf", "-inf -inf",
                       "0 0", "-0.0 0e5", "1 1.2.3", "abc 1", "1 1__0", "1e400 1",
                       # two rows whose four tokens would pair up if rows were ignored
@@ -151,22 +155,16 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize(("fmt", "key", "defect"), CASES)
-@settings(max_examples=12)
-@given(
-    data=st.data(),
-    newline=st.sampled_from(["\n", "\r\n"]),
-    pair_block=st.sampled_from([1, 2, 5, cli._PAIR_BLOCK]),
-)
-def test_fast_path_matches_line_loop(
-    tmp_path_factory, fmt, key, defect, data, newline, pair_block
-) -> None:
-    rows = data.draw(table(fmt, defect))
-    folder = tmp_path_factory.mktemp("tables")
-    body = "".join(row + newline for row in rows)
+def assert_loaders_agree(folder, fmt: str, key: str, body: str) -> dict:
+    """Load the table ``body`` (file and inline spec, and ingest); compare with the line loop.
+
+    Returns the outcomes.
+    """
+    rows = body.splitlines()
     table_path = folder / "t.zeros"
     table_path.write_bytes(body.encode())
     header = HEADERS[fmt, key]
+    newline = "\r\n" if "\r\n" in body else "\n"
     file_spec = folder / "file.spec"
     file_spec.write_bytes((header + "zeros_file = t.zeros\n").encode())
     inline_spec = folder / "inline.spec"
@@ -187,18 +185,49 @@ def test_fast_path_matches_line_loop(
             )
         ),
     }
-    with mock.patch.object(cli, "_PAIR_BLOCK", pair_block):
-        actual = {
-            "ingest": outcome(lambda: ingest_zero_table(table_path, fmt, xi=XI)),
-            "file": outcome(lambda: load_spec_file(file_spec)[0]),
-            "inline": outcome(lambda: load_spec_file(inline_spec)[0]),
-        }
+    actual = {
+        "ingest": outcome(lambda: ingest_zero_table(table_path, fmt, xi=XI)),
+        "file": outcome(lambda: load_spec_file(file_spec)[0]),
+        "inline": outcome(lambda: load_spec_file(inline_spec)[0]),
+    }
     assert actual == expected
 
     if actual["file"][0] == "spec":
         # text mode reads "\r\n" as "\n": the digest is of the text as read
         digest = hashlib.sha256(table_path.read_text().encode()).hexdigest()
         assert load_spec_file(file_spec)[1][1] == ("zeros:t.zeros", digest)
+    return actual
+
+
+@pytest.mark.parametrize(("fmt", "key", "defect"), CASES)
+@settings(max_examples=12)
+@given(
+    data=st.data(),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    pair_block=st.sampled_from([1, 2, 5, cli._PAIR_BLOCK]),
+)
+def test_fast_path_matches_line_loop(
+    tmp_path_factory, fmt, key, defect, data, newline, pair_block
+) -> None:
+    rows = data.draw(table(fmt, defect))
+    body = "".join(row + newline for row in rows)
+    with mock.patch.object(cli, "_PAIR_BLOCK", pair_block):
+        assert_loaders_agree(tmp_path_factory.mktemp("tables"), fmt, key, body)
+
+
+# Whole tau_only bodies at the edges of the one-pass gate.
+EDGE_BODIES = [
+    "\n", "\n\n", "\n1.5\n", "1.5\n\n", "1.5\n\n2.5\n", "1.5", "1.5\n2.5",
+    "1.5 2.5\n", " 1.5 2.5 \n", "1.5\t\n", "+.5\n", "1.e5\n-.5e-3\n", "1e\n", "1e+\n",
+    ".\n", "-\n", "e5\n", "1-2\n", "1..2\n", "--1\n", "+-1\n", "1e5e5\n", "1e400\n",
+    "1e-400\n", "5e-324\n", "0\n", "-0\n", "00012\n", "1E5\n", "\x0c1.5\n", "1.5\x0b2.5\n",
+]
+
+
+@pytest.mark.parametrize("key", ["s0", "s_at_xi"])
+@pytest.mark.parametrize("body", EDGE_BODIES)
+def test_edge_bodies_match_line_loop(tmp_path, body, key) -> None:
+    assert_loaders_agree(tmp_path, "tau_only", key, body)
 
 
 # ------------------------------------------------- guards on the fast path --
@@ -256,3 +285,68 @@ def test_every_load_sorts_once(tmp_path, monkeypatch) -> None:
     calls.clear()
     ingest_zero_table(tmp_path / "t.zeros", "tau_only", xi=XI)
     assert calls == [100]
+
+
+@pytest.mark.parametrize(
+    ("body", "one_pass"),
+    [
+        # read_text turns "\r\n" into "\n", so a CRLF table is clean as read
+        ("1.5\r\n-1.5\r\n2.5\r\n-2.5\r\n", True),
+        # padding is outside the gate: the line parser reads the table
+        (" 1.5\n-1.5 \n2.5\n\t-2.5\n", False),
+    ],
+)
+def test_padded_or_crlf_table_matches_line_loop(tmp_path, monkeypatch, body, one_pass) -> None:
+    for key in ("s0", "s_at_xi"):
+        outcomes = assert_loaders_agree(tmp_path, "tau_only", key, body)
+        assert {name: result[0] for name, result in outcomes.items()} == {
+            "ingest": "sequence", "file": "spec", "inline": "spec"
+        }
+    calls = []
+    original = cli._parse_rows
+    monkeypatch.setattr(cli, "_parse_rows", lambda *args: calls.append(1) or original(*args))
+    load_spec_file(tmp_path / "file.spec")
+    load_spec_file(tmp_path / "inline.spec")
+    ingest_zero_table(tmp_path / "t.zeros", "tau_only", xi=XI)
+    assert len(calls) == (0 if one_pass else 3)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "\n",  # a lone blank row, which fromstring reads as [-1.]
+        "1.5\n\n2.5\n",  # a blank row between values
+        "\n1.5\n",  # a leading blank row
+        "1.5 2.5\n",  # a space, which fromstring reads as a separator
+        "1e\n",  # unmatched data: ValueError
+        "1.5\n#\n",  # a character outside the gate
+        "",  # no rows
+    ],
+)
+def test_one_pass_gate_refuses(body) -> None:
+    assert cli._one_pass_taus(body) is None
+
+
+def test_one_pass_gate_takes_a_deprecation_warning_as_unmatched_data(monkeypatch) -> None:
+    # numpy before 2.x warns on unmatched data and returns what it read
+    def warn_and_read(text, dtype, sep):
+        import warnings
+
+        warnings.warn("string or file could not be read to its end", DeprecationWarning)
+        return np.array([1.5])
+
+    monkeypatch.setattr(np, "fromstring", warn_and_read)
+    assert cli._one_pass_taus("1.5\n2-5\n") is None
+
+
+def test_one_pass_gate_counts_the_values(monkeypatch) -> None:
+    monkeypatch.setattr(np, "fromstring", lambda text, dtype, sep: np.array([1.5]))
+    assert cli._one_pass_taus("1.5\n2.5\n") is None
+    assert cli._one_pass_taus("1.5\n") is not None
+
+
+def test_one_pass_reads_as_float_does() -> None:
+    rows = ["+.5", "1.e5", "-0.25e-3", "5e-324", "1E5", "00012", "1.7976931348623157e308"]
+    taus = cli._one_pass_taus("\n".join(rows))
+    assert taus is not None
+    assert taus.tobytes() == np.array([float(r) for r in rows]).tobytes()
