@@ -20,7 +20,7 @@ verdicts about asymptotic behaviour are therefore three-valued
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from typing import Sequence
@@ -93,45 +93,47 @@ def modulus_sort_indices(zeros: np.ndarray) -> np.ndarray:
     The modulus ordering is non-strict; the deterministic tie-break keeps
     conjugate partners adjacent (the +i member first), and entries equal in
     all three keys keep their input order: the permutation of
-    ``np.lexsort((z.real, -z.imag, abs(z)))``.  Zeros that share one real
-    part take one argsort on a line key (``_line_order``).  Any other set,
-    and a line set whose key order is not the modulus order, takes a
-    quicksort of the moduli whose tie runs are then put in order
-    (``_order_ties``).
+    ``np.lexsort((z.real, -z.imag, abs(z)))``, from a quicksort of the
+    moduli whose tie runs are then put in order (``_order_ties``).
     """
     moduli = np.abs(zeros)
     if not np.all(np.isfinite(moduli)):
         return np.lexsort((zeros.real, -zeros.imag, moduli))
-    on_a_line = zeros.size > 1 and np.all(zeros.real == zeros.real[0])
-    order = _line_order(zeros, moduli) if on_a_line else None
-    if order is None:
-        order = np.argsort(moduli)
-        _order_ties(order, moduli[order], moduli, zeros)
+    order = np.argsort(moduli)
+    _order_ties(order, moduli[order], moduli, zeros)
     return order
 
 
-def _line_order(zeros: np.ndarray, moduli: np.ndarray) -> np.ndarray | None:
-    """The modulus order of zeros with one real part, from one argsort; None where it is not.
+def _sort_by_modulus(zeros: np.ndarray) -> bool:
+    """Sort a writeable complex vector in place, as ``zeros[modulus_sort_indices(zeros)]``.
 
-    The key is the bits of |Im z| shifted left by one, with Im z < 0 in the
-    low bit; equal keys are equal zeros, kept in input order.  The key order
-    is the modulus order where the sorted moduli rise wherever |Im z| does:
-    not at Re z = 1e9, say, where hypot rounds distinct small |Im z| to one
-    modulus.
+    Zeros with one real part (one finite bit pattern) and finite nonzero
+    imaginary parts are sorted by value, and True is returned.  The key is
+    the bits of |Im z| shifted left by one, with Im z < 0 in the low bit;
+    equal keys are equal zeros.  The key order is the modulus order where the
+    sorted moduli rise wherever |Im z| does: not at Re z = 1e9, say, where
+    hypot rounds distinct small |Im z| to one modulus.  There, and for any
+    other set, the zeros (a permutation of the input) are gathered by
+    ``modulus_sort_indices``.
     """
-    im = zeros.imag
-    keys = np.abs(im).view(np.uint64)
-    keys <<= np.uint64(1)
-    keys |= im < 0
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
-    _order_ties(order, sorted_keys, keys, zeros)
-    del keys
-    # neighbours whose keys differ at most in the sign bit have one |Im z|
-    same_offset = (sorted_keys[1:] ^ sorted_keys[:-1]) <= 1
-    del sorted_keys
-    sorted_moduli = moduli[order]
-    return order if np.all((sorted_moduli[1:] > sorted_moduli[:-1]) | same_offset) else None
+    re, im = zeros.real, zeros.imag
+    bits = re.view(np.uint64)
+    if zeros.size and math.isfinite(re[0]) and np.all(bits == bits[0]):
+        keys = im.view(np.uint64) << 1  # the sign bit shifts out
+        keys |= np.signbit(im)
+        keys.sort()
+        # +-0.0 have the keys 0 and 1, inf has 0xFFE0...0 and NaN higher ones
+        if keys[0] > 1 and keys[-1] < np.uint64(0xFFE0000000000000):
+            offsets = im.view(np.uint64)
+            np.right_shift(keys, 1, out=offsets)
+            same_offset = offsets[1:] == offsets[:-1]  # before the sign bits go in
+            keys <<= 63
+            offsets |= keys
+            moduli = np.abs(zeros, out=keys.view(np.float64))
+            if np.all((moduli[1:] > moduli[:-1]) | same_offset):
+                return True
+    zeros[:] = zeros[modulus_sort_indices(zeros)]
+    return False
 
 
 def _order_ties(
@@ -298,14 +300,10 @@ class ZeroSequence:
 
     def sorted_by_modulus(self) -> "ZeroSequence":
         """Copy with ordering normalized to (|z|, -Im z, Re z)."""
-        zeros = self.zeros[modulus_sort_indices(self.zeros)]
+        zeros = self.zeros.copy()
+        _sort_by_modulus(zeros)
         zeros.setflags(write=False)
-        return ZeroSequence(
-            zeros=zeros,
-            ordering=Ordering.BY_MODULUS,
-            pairing=self.pairing,
-            source=self.source,
-        )
+        return replace(self, zeros=zeros, ordering=Ordering.BY_MODULUS)
 
     @cached_property
     def group_starts(self) -> np.ndarray:
@@ -603,13 +601,13 @@ def _line_sequence(xi: float, taus: np.ndarray, source: str | None = None) -> Ze
     zeros = np.empty(taus.size, dtype=np.complex128)
     zeros.real = xi
     zeros.imag = taus
-    zeros = zeros[modulus_sort_indices(zeros)]
+    by_value = _sort_by_modulus(zeros)
     zeros.setflags(write=False)
     if source is None:
         source = f"constructed:symmetric xi={xi!r} n={taus.size} center_value_inverted_at={taus.size}"
     seq = ZeroSequence(zeros=zeros, pairing=Pairing.SYMMETRIC_ABOUT_CENTER, source=source)
-    offsets = zeros.imag
-    if math.isfinite(xi) and xi != 0.0 and np.all(np.isfinite(offsets)) and offsets.all():
+    # a value sort has seen every tau finite and nonzero
+    if math.isfinite(xi) and xi != 0.0 and (by_value or (np.all(np.isfinite(taus)) and taus.all())):
         object.__setattr__(seq, "_line", xi)
     return seq
 

@@ -154,9 +154,10 @@ def _log_factors(w, genus: int) -> tuple[np.ndarray, np.ndarray]:
 def _log_sum(s: complex, zeros: np.ndarray, genus: int, center: complex = 0j) -> complex:
     """Exactly rounded sum of the factor logs at w = (s - center)/(z - center).
 
-    Real part -inf (an exact 0) iff s equals some z.  A w that rounds to 1 at
-    s != z takes log(z - s) - log(z - center), plus genus, instead.  Raises
-    ValueError when a sum passes the double range.
+    Real part -inf (an exact 0) iff s equals some z.  At s != z a w that
+    rounds to 1, or at genus 0 passes the double range, takes
+    log(z - s) - log(z - center), plus genus, instead.  Raises ValueError
+    when a sum passes the double range.
 
     With s and center real, a block whose w lists conjugate pairs
     (``_conjugate_half``) runs the kernel on one member of each pair: the
@@ -180,10 +181,10 @@ def _log_sum(s: complex, zeros: np.ndarray, genus: int, center: complex = 0j) ->
                 real.add(2.0 * log_real)
                 continue
         log_real, log_imag = _log_factors(w, genus)
-        rounded = np.flatnonzero(log_real == -math.inf)
-        if rounded.size:
-            exact = np.log(z[rounded] - s) - np.log(z[rounded] - center)
-            log_real[rounded], log_imag[rounded] = exact.real + genus, exact.imag
+        stray = np.flatnonzero(np.isinf(log_real) if genus == 0 else log_real == -math.inf)
+        if stray.size:
+            exact = np.log(z[stray] - s) - np.log(z[stray] - center)
+            log_real[stray], log_imag[stray] = exact.real + genus, exact.imag
         real.add(log_real)
         imag.add(log_imag)
     try:

@@ -602,14 +602,16 @@ class TestRunCommand:
             "q*s = (-inf+infj) passes the double range at s = (6e+149+7e+149j)",
         )
 
-    def test_constant_residual_with_logs_past_the_range(self, tmp_path) -> None:
-        # alpha / z overflows: both sides of the identity have infinite logs
+    def test_shift_where_alpha_over_z_overflows(self, tmp_path) -> None:
+        # alpha / z = 1e310 passes the double range, but log S(alpha) does not:
+        # the shift recentres at S(alpha) = -1e310 and its identity holds
         path = spec_path(tmp_path, "class = Y\ns0 = 1\nzeros_inline:\n1e-10 0\n")
         report = quiet_run(["shift", "--spec", str(path), "--alpha=1e300", "--s=1"])
-        assert report.exit_code == 1
-        assert report.errors == (
-            "constant residual undefined at alpha=(1e+300+0j): its logs pass the double range",
-        )
+        assert report.exit_code == 0, report.errors
+        values = {r.quantity: r.value for r in report.records}
+        assert abs(values["shifted_value"] - (1 - 1e10)) <= 1e-13 * 1e10
+        assert values["disagreement"] <= 1e-13
+        assert values["constant_residual"] == 0.0
 
     def test_tail_bound_far_past_the_zeros(self, tmp_path) -> None:
         # |s|^2 overflows; the tail beyond both zeros is 0, so the bound is too

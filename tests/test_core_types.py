@@ -72,36 +72,77 @@ class TestZeroSequence:
         assert np.array_equal(modulus_sort_indices(zeros), expected)
 
     @given(
-        xi=st.sampled_from([1.0, -0.5, 0.0, 3.0, 1e9, -1e9]),
+        xi=st.sampled_from([1.0, -0.5, 0.0, -0.0, 3.0, 1e9, -1e9, 1e300, 5e-324]),
         taus=st.lists(
             st.one_of(
-                st.sampled_from([1.0, -1.0, 2.0, -2.0, 7.5, -7.5, 0.0, -0.0, 1e-3, 1e300]),
+                st.sampled_from(
+                    [1.0, -1.0, 2.0, -2.0, 7.5, -7.5, 1.0000000000000002, 0.0, -0.0,
+                     1e-3, 1e300, -1e300, 5e-324, -5e-324, math.inf, -math.inf, math.nan]
+                ),
                 st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
             ),
             max_size=40,
         ),
+        mixed_real=st.booleans(),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
-    @example(xi=1e9, taus=[1.0, 2.0, -1.0, 7.5, 2.0, -7.5], seed=0)
-    @example(xi=1e9, taus=[1.0, 1.0000000000000002], seed=0)  # one ulp apart, one modulus
-    def test_line_key_sort_matches_lexsort(self, xi, taus, seed) -> None:
-        # zeros on one line: duplicates, mixed signs, signed zeros, and at
-        # xi = 1e9 distinct small |tau| that hypot rounds to one modulus
-        taus = np.random.default_rng(seed).permutation(np.array(taus + taus[: len(taus) // 3]))
+    @example(xi=1e9, taus=[1.0, 2.0, -1.0, 7.5, 2.0, -7.5], mixed_real=False, seed=0)
+    @example(xi=1e9, taus=[1.0, 1.0000000000000002], mixed_real=False, seed=0)  # one ulp apart, one modulus
+    @example(xi=0.0, taus=[1.0, -1.0, 2.0, 1.0], mixed_real=True, seed=0)
+    @example(xi=1.0, taus=[5e-324, -5e-324, 1e300, -1e300], mixed_real=False, seed=0)
+    def test_line_key_sort_matches_lexsort(self, xi, taus, mixed_real, seed) -> None:
+        # zeros on one line: duplicates, mixed signs, signed zero, subnormal,
+        # huge and non-finite taus, and at xi = 1e9 distinct small |tau| that
+        # hypot rounds to one modulus; mixed_real moves one real part off the
+        # others' bits (0.0 against -0.0 where xi is 0)
+        taus = np.array(taus + taus[: len(taus) // 3])
         zeros = np.empty(taus.size, dtype=np.complex128)
         zeros.real, zeros.imag = xi, taus
+        if mixed_real and zeros.size:
+            zeros.real[0] = -xi if xi == 0.0 else np.nextafter(xi, math.inf)
+        zeros = np.random.default_rng(seed).permutation(zeros)
         expected = np.lexsort((zeros.real, -zeros.imag, np.abs(zeros)))
         assert np.array_equal(modulus_sort_indices(zeros), expected)
+        got = zeros.copy()
+        by_value = core_types._sort_by_modulus(got)
+        assert got.tobytes() == zeros[expected].tobytes()
+        if by_value:
+            # only one real part and finite nonzero imaginary parts sort by value
+            assert not (mixed_real and zeros.size > 1) and math.isfinite(xi)
+            assert np.all(np.isfinite(taus)) and taus.all()
+
+    @pytest.mark.parametrize(
+        ("reals", "taus"),
+        [
+            ([0.5] * 3, [1.0, -0.0, 2.0]),  # +-0.0 would merge in the key
+            ([0.5] * 3, [1.0, 0.0, -1.0]),
+            ([0.5] * 3, [1.0, math.inf, -1.0]),  # non-finite parts
+            ([0.5] * 3, [1.0, math.nan, -1.0]),
+            ([math.inf] * 2, [1.0, -1.0]),
+            ([0.0, -0.0, -0.0, 0.0], [2.0, -1.0, 1.0, 1.0]),  # equal real parts, other bits
+        ],
+    )
+    def test_value_sort_falls_back(self, reals, taus) -> None:
+        zeros = np.empty(len(taus), dtype=np.complex128)
+        zeros.real, zeros.imag = reals, taus
+        got = zeros.copy()
+        assert not core_types._sort_by_modulus(got)
+        expected = zeros[np.lexsort((zeros.real, -zeros.imag, np.abs(zeros)))]
+        assert got.tobytes() == expected.tobytes()
 
     def test_line_key_sort_falls_back_on_near_ties(self) -> None:
         # at xi = 1e9 the moduli of 1e9 + 1i and 1e9 + 2i are one double, so
         # the -Im z tie-break puts +2i first where the line key puts +1i first:
         # the check refuses the key order and the moduli quicksort runs
         zeros = 1e9 + 1j * np.array([1.0, -1.0, 2.0, -2.0])
-        assert core_types._line_order(zeros, np.abs(zeros)) is None
+        got = zeros.copy()
+        assert not core_types._sort_by_modulus(got)
+        assert got.tobytes() == zeros[[2, 0, 1, 3]].tobytes()
         assert np.array_equal(modulus_sort_indices(zeros), [2, 0, 1, 3])
         on_one = 1.0 + 1j * np.array([2.0, -1.0, 1.0, -2.0])
-        assert np.array_equal(core_types._line_order(on_one, np.abs(on_one)), [2, 1, 0, 3])
+        got = on_one.copy()
+        assert core_types._sort_by_modulus(got)
+        assert got.tobytes() == on_one[[2, 1, 0, 3]].tobytes()
 
     def test_a_line_sequence_skips_only_the_checks_of_its_own_line(self) -> None:
         seq = core_types._line_sequence(0.5, np.array([1.0, -1.0, 2.0]))

@@ -215,6 +215,21 @@ class TestShiftedProduct:
         with pytest.raises(ValueError, match=re.escape("q*(s - alpha) = (-inf+0j) passes the double range")):
             eval_shifted_product(spec, 1, -1e10)
 
+    def test_shift_point_whose_quotient_overflows(self) -> None:
+        # alpha / z = 1e310 passes the double range: the factor log at alpha
+        # comes from z - alpha, so S(alpha) and every recentred value are finite
+        mpmath = pytest.importorskip("mpmath")
+        spec = small_spec(np.array([1e-10 + 0j]))
+        at_alpha = eval_product(spec, 1e300)
+        with mpmath.workprec(120):
+            expected = complex(mpmath.log(1 - mpmath.mpf(1e300) / mpmath.mpf(1e-10)))
+        assert expected == pytest.approx(713.8 + math.pi * 1j, abs=0.05)
+        assert abs(at_alpha.log_value - expected) <= 1e-15 * abs(expected)
+        shifted = eval_shifted_product(spec, 1e300, 1)
+        direct = eval_product(spec, 1).value
+        assert direct == pytest.approx(1 - 1e10, rel=1e-14)
+        assert abs(shifted.value - direct) <= 1e-13 * abs(direct)
+
     def test_compare_shift_is_the_public_functions(self, lbar_spec) -> None:
         for alpha, s in ((0.6 + 0.4j, 1.3 + 0.2j), (1.0, 0.3 - 0.7j), (-0.5, 2.0)):
             expected = (

@@ -268,13 +268,13 @@ def test_clean_tables_skip_the_line_loop(tmp_path, monkeypatch, fmt) -> None:
 
 def test_every_load_sorts_once(tmp_path, monkeypatch) -> None:
     calls = []
-    original = core_types.modulus_sort_indices
+    original = core_types._sort_by_modulus
 
     def spy(zeros):
         calls.append(zeros.size)
         return original(zeros)
 
-    monkeypatch.setattr(core_types, "modulus_sort_indices", spy)
+    monkeypatch.setattr(core_types, "_sort_by_modulus", spy)
     (tmp_path / "t.zeros").write_text("\n".join(line_table(100, "tau_only")) + "\n")
     head = "class = Y_tilde\nxi = 0.5\nzeros_format = tau_only\nzeros_file = t.zeros\n"
     for key in ("s0", "s_at_xi"):
