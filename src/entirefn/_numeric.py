@@ -64,41 +64,47 @@ _DOUBLING_LIMIT = 2.0**990
 
 
 class ExactSum:
-    """Running exact sum of float64 blocks, rounded once by ``total``."""
+    """Running exact sums of the rows of float64 blocks, kept uncopied and rounded once by ``total``."""
 
-    def __init__(self) -> None:
-        # exact doubles whose sum is the total so far
-        self._partials: list[float] = []
+    def __init__(self, rows: int = 1) -> None:
+        self._partials: list[list[np.ndarray]] = [[] for _ in range(rows)]  # exact doubles, per row
 
     def add(self, values: np.ndarray) -> None:
-        """Add a 1-d float64 array, block by block."""
-        for start in range(0, values.size, BLOCK):
-            block = values[start : start + BLOCK]
-            if block.size < _FSUM_BELOW:
-                self._partials.extend(block.tolist())
-                continue
-            bits = block.view(np.int64)
-            # exponent * 4 + lane
-            key = bits >> 50
-            key &= 0x7FF << 2
-            key |= _LANE[: block.size]
-            top = int(key.max())
-            if top >> 2 >= _EXPONENT_CAP:
-                # math.fsum takes these exactly, with its rules for NaN and inf
-                self._partials.extend(block.tolist())
-                continue
-            # bins and windows start at the block's lowest exponent
-            low = int(key.min()) & -_LANES
-            key -= low
-            starts = np.arange(0, top - low + 1, _WINDOW * _LANES)
-            high = (bits & _HIGH_MASK).view(np.float64)
-            for part in (high, block - high):
-                windows = np.add.reduceat(np.bincount(key, part), starts)
-                self._partials.extend(windows[windows != 0].tolist())
+        """Add row j of a float64 array to row j (a 1-d array is one row), block by block."""
+        rows = values.reshape(len(self._partials), -1)
+        if rows.shape[1] < _FSUM_BELOW:
+            for partials, row in zip(self._partials, rows):
+                partials.append(row)
+            return
+        for partials, row in zip(self._partials, rows):
+            for start in range(0, row.size, BLOCK):
+                block = row[start : start + BLOCK]
+                if block.size < _FSUM_BELOW:
+                    partials.append(block)
+                    continue
+                bits = block.view(np.int64)
+                # exponent * 4 + lane
+                key = bits >> 50
+                key &= 0x7FF << 2
+                key |= _LANE[: block.size]
+                top = int(key.max())
+                if top >> 2 >= _EXPONENT_CAP:
+                    # math.fsum takes these exactly, with its rules for NaN and inf
+                    partials.append(block)
+                    continue
+                # bins and windows start at the block's lowest exponent
+                low = int(key.min()) & -_LANES
+                key -= low
+                starts = np.arange(0, top - low + 1, _WINDOW * _LANES)
+                high = (bits & _HIGH_MASK).view(np.float64)
+                for part in (high, block - high):
+                    windows = np.add.reduceat(np.bincount(key, part), starts)
+                    partials.append(windows[windows != 0])
 
-    def total(self) -> float:
-        """Correctly rounded sum of everything added so far."""
-        return math.fsum(self._partials)
+    def total(self, row: int = 0) -> float:
+        """Correctly rounded sum of everything added so far to a row."""
+        parts = self._partials[row]
+        return math.fsum(np.concatenate(parts).tolist() if len(parts) > 1 else parts[0].tolist() if parts else ())
 
 
 def real_sum(values) -> float:
@@ -115,22 +121,22 @@ def complex_sum(values: np.ndarray) -> complex:
 
 
 def _conjugate_half(values: np.ndarray) -> np.ndarray | None:
-    """values[0::2] where each entry at an odd index mirrors the one before it.
+    """values[..., 0::2] where, along the last axis, each odd entry mirrors the one before it.
 
-    Mirrors means: the length is even, every part is finite, the real parts
-    are equal and each imaginary part is the other's exact negation, sign of
-    zero included (``values[1::2] == conj(values[0::2])`` bitwise, except
-    that a real part 0 may meet a -0).  Returns None otherwise.
+    Mirrors means: the axis has even length, every part is finite, the real
+    parts are equal and the imaginary parts each other's exact negation,
+    sign of zero included (a real part 0 may meet a -0).  None otherwise.
     """
-    if values.size % 2:
+    if values.shape[-1] % 2:
         return None
-    half, other = values[0::2], values[1::2]
-    mirrored = (
-        np.array_equal(half.real, other.real)
-        and np.array_equal(half.imag, -other.imag)
-        and np.array_equal(np.signbit(half.imag), ~np.signbit(other.imag))
+    half, other = values[..., 0::2], values[..., 1::2]
+    # finite parts are each other's negation, zeros included, iff their bits differ in the sign bit
+    mirrored = not (
+        np.count_nonzero(half.real != other.real)
+        or np.count_nonzero(half.imag.view(np.int64) != other.imag.view(np.int64) ^ np.int64(-(2**63)))
+        or np.count_nonzero(~np.isfinite(half))
     )
-    return half.copy() if mirrored and np.isfinite(half).all() else None
+    return half.copy() if mirrored else None
 
 
 def _doubles_exactly(*parts: np.ndarray) -> bool:
@@ -141,7 +147,7 @@ def _doubles_exactly(*parts: np.ndarray) -> bool:
     intermediate overflow on either side.
     """
     limit = _DOUBLING_LIMIT
-    return all(p.size == 0 or -limit < np.min(p) <= np.max(p) < limit for p in parts)
+    return all(p.size == 0 or -limit < p.min() <= p.max() < limit for p in parts)
 
 
 def _powers(base: np.ndarray, m_max: int):

@@ -13,20 +13,20 @@ the fused log(1 - w) + w at genus 1, for w = s/z_k:
           fixed-degree series in t^2 (|t| <= 1/3)
 
 so small factors keep full relative accuracy and factors near a zero full
-absolute accuracy.  Zeros go through in blocks of at most 2**15, each block
-streamed into an exactly rounded sum (``_numeric.ExactSum``), so no
-temporary spans all N zeros and results are independent of accumulation
-order and bit-identical across runs.  The declared pairing of the zero
-sequence still matters for tail estimates and power sums, where grouped
-magnitudes are what converge.  At a real point (and real center) the
-members of a conjugate pair have mirrored factor logs: ``_log_sum`` runs
-the kernel on one member of each pair and doubles the real parts, with the
-bits of the full sum.
+absolute accuracy.  ``_log_sum``, the one reducer, takes (points x zeros)
+blocks of about 2**12 pairs through one kernel call each, and each point
+adds its row to its own exactly rounded sums (``_numeric.ExactSum``): no
+temporary spans all N zeros, and a point's sum has the same bits in any
+batch, order or run.  The declared pairing still matters for tail estimates
+and power sums, where grouped magnitudes are what converge.  At real points
+(and center) the members of a conjugate pair have mirrored factor logs: the
+kernel runs on one member of each pair and the real parts are doubled, with
+the bits of the full sum.
 
-Batches of points (private, used by line profiles, zero scans, max-modulus
-rings, winding contours and the line-form identities) split the zeros at
-|z| = 4R, R >= max |s|.  Near zeros go through the kernel and the exact sum
-as above.  The far zeros enter through their power sums p_m = sum z^-m:
+Batches of points (line profiles, max-modulus rings, winding contours and
+the line-form identities) split the zeros at |z| = 4R, R >= max |s|: near
+zeros go through the reducer, far zeros through their power sums
+p_m = sum z^-m:
 
     sum_far log(1 - s/z)    = -sum_{m>=1} p_m s^m / m
     sum_far 1/(s - z) (S'/S) = -sum_{m>=1} p_m s^(m-1)
@@ -73,12 +73,13 @@ COINCIDENT_RELATIVE = 1e-12
 # 1/(2k+3) for k = 14, ..., 0: the atanh series of log(1 - w) + w in t^2,
 # highest degree first.  For |t| <= 1/3 the omitted terms are at most
 # 2|t|^33/(33 (8/9)) and |log(1 - w) + w| >= 1.25|t|^2, so their ratio stays
-# below 1e-16.
-_ATANH_COEFFS = 1.0 / np.arange(31.0, 2.0, -2.0)
+# below 1e-16.  As complex 0-d arrays numpy adds them with no conversion.
+_ATANH_COEFFS = tuple(np.array(c) for c in 1.0 / np.arange(31.0, 2.0, -2.0) + 0j)
 # A batch with |s| <= R takes the zeros beyond _FAR_RATIO * R from their
 # power sums, truncated where the remainder bound falls below _FAR_TOLERANCE.
 _FAR_RATIO = 4.0
 _FAR_TOLERANCE = 1e-17
+_BLOCK_ELEMENTS = 1 << 12  # (point, zero) pairs per block of _log_sum: small temporaries
 
 
 def _value_from_log(exponent: complex, scale: complex = 1.0, log_scale: complex = 0j) -> complex:
@@ -111,12 +112,14 @@ def _log_tail(w: np.ndarray) -> np.ndarray:
 
     With t = w/(2 - w), 1 - w = (1 - t)/(1 + t), so log(1 - w) = -2 atanh t
     and |t| <= 1/3: one fixed Horner degree in t^2 serves every element.
+    A lone element is not multiplied in place: numpy does that without its
+    fused multiply-adds, so the element's bits would hang on the call.
     """
     t = w / (2.0 - w)
     t2 = t * t
-    acc = np.full_like(t2, _ATANH_COEFFS[0])
-    for c in _ATANH_COEFFS[1:]:
-        acc *= t2
+    acc = t2 * _ATANH_COEFFS[0] + _ATANH_COEFFS[1]
+    for c in _ATANH_COEFFS[2:]:
+        acc = np.multiply(acc, t2, acc if acc.size > 1 else None)
         acc += c
     return -t * (w + 2.0 * t2 * acc)
 
@@ -135,62 +138,70 @@ def _log_factors(w, genus: int) -> tuple[np.ndarray, np.ndarray]:
     a, b = w.real, w.imag
     # both branches of every switch are evaluated; only the chosen one is kept
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        r2 = a * a + b * b
+        r2 = a * a + (b2 := b * b)
         one_minus = 1.0 - a
         imag = np.arctan2(-b, one_minus)
-        real = 0.5 * np.log1p(a * (a - 2.0) + b * b)
-        far = np.flatnonzero((a >= 0.5) | (r2 >= 1.0))
+        real = 0.5 * np.log1p(a * (a - 2.0) + b2)
+        far = ((a >= 0.5) | (r2 >= 1.0)).nonzero()[0]
         real[far] = np.log(np.hypot(one_minus[far], b[far]))
         if genus == 1:
             real += a
             imag += b
-            series = np.flatnonzero(r2 <= 0.25)
+            series = (r2 <= 0.25).nonzero()[0]
             tail = _log_tail(w[series])
             real[series] = tail.real
             imag[series] = tail.imag
     return real, imag
 
 
-def _log_sum(s: complex, zeros: np.ndarray, genus: int, center: complex = 0j) -> complex:
-    """Exactly rounded sum of the factor logs at w = (s - center)/(z - center).
+def _log_sum(points, zeros: np.ndarray, genus: int, center: complex = 0j) -> np.ndarray:
+    """Exactly rounded sums of the factor logs at w = (s - center)/(z - center), one per point s.
 
-    Real part -inf (an exact 0) iff s equals some z.  At s != z a w that
-    rounds to 1, or at genus 0 passes the double range, takes
-    log(z - s) - log(z - center), plus genus, instead.  Raises ValueError
-    when a sum passes the double range.
+    Blocks of rows of about _BLOCK_ELEMENTS (point, zero) pairs, a longer
+    row alone in column blocks of BLOCK zeros, each take one ``_log_factors``
+    call; each row adds to its own exact sums.  Real part -inf (an exact 0)
+    iff s equals some z.  At s != z a w that rounds to 1, or at genus 0
+    passes the double range, takes log(z - s) - log(z - center), plus genus,
+    instead.  Raises ValueError when a sum passes the double range.
 
-    With s and center real, a block whose w lists conjugate pairs
-    (``_conjugate_half``) runs the kernel on one member of each pair: the
-    kernel's real part is even in Im w and its imaginary part odd, so the
-    block adds twice the real parts and nothing to the imaginary sum, the
-    exact sums of the full block.  A half whose logs fail
-    ``_doubles_exactly`` (an infinite log where w rounds to 1, say) takes
-    the full block.
+    With every s and center real, a block whose w lists conjugate pairs
+    (``_conjugate_half``) runs the kernel on one member of each: its real
+    part is even in Im w and its imaginary part odd, so each row adds twice
+    the real parts and nothing to its imaginary sum, the full row's exact
+    sums.  A half whose logs fail ``_doubles_exactly`` takes the full block.
     """
-    real, imag = ExactSum(), ExactSum()
-    on_axis = s.imag == 0 and center.imag == 0
-    for start in range(0, zeros.size, BLOCK):
-        z = zeros[start : start + BLOCK]
-        if np.any(z == s):
-            return complex(-math.inf)
-        w = (s - center) / (z - center if center else z)
-        half = _conjugate_half(w) if on_axis else None
-        if half is not None:
-            log_real, log_imag = _log_factors(half, genus)
-            if _doubles_exactly(log_real, log_imag):
-                real.add(2.0 * log_real)
-                continue
-        log_real, log_imag = _log_factors(w, genus)
-        stray = np.flatnonzero(np.isinf(log_real) if genus == 0 else log_real == -math.inf)
-        if stray.size:
-            exact = np.log(z[stray] - s) - np.log(z[stray] - center)
-            log_real[stray], log_imag[stray] = exact.real + genus, exact.imag
-        real.add(log_real)
-        imag.add(log_imag)
-    try:
-        return complex(real.total(), imag.total())
-    except OverflowError:
-        raise ValueError("the sum of the factor logs passes the double range") from None
+    points = np.asarray(points, dtype=np.complex128).reshape(-1)
+    on_axis = not center.imag and not np.count_nonzero(points.imag)
+    step = max(1, _BLOCK_ELEMENTS // max(zeros.size, 1))
+    sums = []
+    for first in range(0, points.size, step):
+        s = points[first : first + step, None]
+        real, imag, dead = ExactSum(len(s)), ExactSum(len(s)), set()
+        for start in range(0, zeros.size, BLOCK):
+            z = zeros[start : start + BLOCK]
+            if np.count_nonzero(hit := z == s):
+                dead.update(np.flatnonzero(hit.any(axis=1)).tolist())
+            w = (s - center if center else s) / (z - center if center else z)
+            half = _conjugate_half(w) if on_axis else None
+            if half is not None:
+                log_real, log_imag = _log_factors(half.ravel(), genus)
+                if _doubles_exactly(log_real, log_imag):
+                    real.add(2.0 * log_real)
+                    continue
+            log_real, log_imag = _log_factors(w.ravel(), genus)
+            stray = np.isinf(log_real) if genus == 0 else log_real == -math.inf
+            if np.count_nonzero(stray):
+                row, col = np.divmod(flat := np.flatnonzero(stray & ~hit.ravel()), z.size)
+                exact = np.log(z[col] - s[row, 0]) - np.log(z[col] - center)
+                log_real[flat], log_imag[flat] = exact.real + genus, exact.imag
+            real.add(log_real)
+            imag.add(log_imag)
+        try:
+            sums += [complex(real.total(j), imag.total(j)) if j not in dead else complex(-math.inf)
+                     for j in range(len(s))]
+        except OverflowError:
+            raise ValueError("the sum of the factor logs passes the double range") from None
+    return np.array(sums, dtype=np.complex128)
 
 
 def _far_sums(far: np.ndarray) -> tuple[float, np.ndarray]:
@@ -266,21 +277,22 @@ def _log_sums(
     A point that is a retained zero gets -inf, the log of an exact 0.  With
     a radius >= max |s| the zeros beyond 4 * radius enter as power sums.
     """
-    points = np.asarray(points, dtype=np.complex128).reshape(-1)
+    points = np.ascontiguousarray(points, dtype=np.complex128).reshape(-1)
     near, far = _split(seq, genus, points, n, radius, derivative=False)
-    far = None if far is None else far.tolist()
-    out = np.empty(points.size, dtype=np.complex128)
-    for j, s in enumerate(points.tolist()):
-        exponent = q * s if genus == 1 else 0j
-        if exponent.real == -math.inf:  # -inf is kept for the retained zeros
-            raise ValueError(f"q*s = {exponent!r} passes the double range at s = {s!r}")
-        if near.size:
-            log_sum = _log_sum(s, near, genus)
-            exponent = log_sum if log_sum.real == -math.inf else exponent + log_sum  # 0 whatever q*s is
-        if far is not None:
-            exponent += far[j]
-        out[j] = exponent
-    return out
+    exponents = np.zeros(points.size, dtype=np.complex128)
+    if genus == 1:  # q s part by part as Python forms it: numpy's complex product may fuse multiply-adds
+        parts = points.view(np.float64).reshape(-1, 2)
+        exponents = (parts * q.real + parts[:, ::-1] * np.array([-q.imag, q.imag])).view(np.complex128)[:, 0]
+        if np.count_nonzero(bad := exponents.real == -math.inf):  # -inf is kept for the retained zeros
+            j = int(np.argmax(bad))
+            _log_sum(points[:j], near, genus)  # an earlier point's range error comes first
+            raise ValueError(f"q*s = {complex(exponents[j])!r} passes the double range at s = {complex(points[j])!r}")
+    if near.size:
+        log_sums = _log_sum(points, near, genus)
+        exponents += log_sums
+        if genus == 1:  # an exact 0 whatever q*s is
+            np.copyto(exponents, log_sums, where=log_sums.real == -math.inf)
+    return exponents if far is None else exponents + far
 
 
 def _eval_batch(
@@ -373,7 +385,7 @@ def _retained(spec: EntireFunctionSpec, n_terms: int | None) -> np.ndarray:
 
 def _nearest(point: complex, zeros: np.ndarray) -> float:
     """min |point - z| over the retained zeros; inf when there are none."""
-    return float(np.min(np.abs(point - zeros))) if zeros.size else math.inf
+    return float(np.abs(point - zeros).min()) if zeros.size else math.inf
 
 
 def _guard_coincident(point: complex, nearest: float, message: str) -> None:
@@ -436,13 +448,15 @@ def eval_product(spec: EntireFunctionSpec, s: complex, n_terms: int | None = Non
 def _at_shift_point(
     spec: EntireFunctionSpec, alpha: complex, n_terms: int | None
 ) -> tuple[np.ndarray, TruncatedEvaluation]:
-    """The retained zeros and S(alpha), for a shift point alpha clear of them."""
+    """The retained zeros and S(alpha), for a shift point clear of them whose log S(alpha) is finite."""
     alpha = complex(alpha)
     if alpha == 0:
         raise ValueError("shift point must be nonzero")
     zeros = _retained(spec, n_terms)
     at_alpha = eval_product(spec, alpha, zeros.size)
     _guard_coincident(alpha, at_alpha.nearest_zero_distance, "shift point coincides with a retained zero")
+    if not cmath.isfinite(at_alpha.log_value):
+        raise ValueError(f"log S(alpha) at alpha = {alpha!r} passes the double range")
     return zeros, at_alpha
 
 
@@ -479,7 +493,7 @@ def _shifted(
     if exponent.real == -math.inf:  # -inf is kept for the retained zeros
         raise ValueError(f"q*(s - alpha) = {exponent!r} passes the double range at s = {s!r}")
     if zeros.size:
-        log_sum = _log_sum(s, zeros, 0, alpha)
+        log_sum = complex(_log_sum(s, zeros, 0, alpha)[0])
         if log_sum.real == -math.inf:  # s is a retained zero, whatever q u and sum u/z are
             return _evaluation(spec, s, zeros, 0j, log_sum)
         exponent += log_sum
@@ -533,7 +547,7 @@ def _constant_residual(
     """``shift_constant_residual`` at a checked shift point, given S(alpha) and its log,
     and the sum of log(1 - alpha/z) where the caller has it (``_log_factor_sum``)."""
     if log_prod is None:
-        log_prod = _log_sum(alpha, zeros, 0)
+        log_prod = complex(_log_sum(alpha, zeros, 0)[0])
     log_v0 = cmath.log(spec.value_at_zero)
     lhs = _value_from_log(log_prod, spec.value_at_zero, log_v0)
     rhs_exponent = 0j

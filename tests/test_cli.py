@@ -613,6 +613,13 @@ class TestRunCommand:
         assert values["disagreement"] <= 1e-13
         assert values["constant_residual"] == 0.0
 
+    def test_genus1_shift_where_log_s_alpha_passes_the_range(self, tmp_path) -> None:
+        # log S(alpha) = log(1 - alpha/z) + alpha/z is about 1e310: no double holds it
+        path = spec_path(tmp_path, "class = L\ns0 = 1\nzeros_inline:\n1e-10 0\n")
+        report = quiet_run(["shift", "--spec", str(path), "--alpha=1e300", "--s=1"])
+        assert report.exit_code == 1
+        assert report.errors == ("log S(alpha) at alpha = (1e+300+0j) passes the double range",)
+
     def test_tail_bound_far_past_the_zeros(self, tmp_path) -> None:
         # |s|^2 overflows; the tail beyond both zeros is 0, so the bound is too
         path = spec_path(tmp_path, "class = L\ns0 = 1\nzeros_inline:\n0 1\n0 -1\n")

@@ -20,12 +20,15 @@ from entirefn import (
     log_derivative,
     make_symmetric_spec,
 )
+from entirefn._numeric import _FSUM_BELOW, BLOCK
 from entirefn.product_engine import (
+    _BLOCK_ELEMENTS,
     _FAR_RATIO,
     _FAR_TOLERANCE,
     _eval_batch,
     _far_sums,
     _log_derivatives,
+    _log_sum,
 )
 
 
@@ -113,6 +116,57 @@ def test_empty_far_set_is_the_direct_path(data) -> None:
     points = [s for s in points if np.min(np.abs(s - zeros)) > 1e-6]
     for s, deriv in zip(points, _log_derivatives(spec, points, n, radius)):
         assert complex(deriv) == log_derivative(spec, s, n)
+
+
+def _block_case(rng, layout: str) -> tuple[np.ndarray, np.ndarray]:
+    """Zeros and points that put the reducer's (points x zeros) blocks at an edge."""
+    n = int(rng.choice([37, 64, 100]))
+    n += n % 2 if layout == "halved" else 0  # pairs need an even count
+    step = _BLOCK_ELEMENTS // n  # rows per block
+    rows = {"under cap": step - 1, "at cap": step, "over cap": step + 1}.get(layout, 2 * step + 1)
+    if layout == "long row":
+        n, rows = BLOCK + 5, 3
+    elif layout == "wide rows":
+        n = _FSUM_BELOW + 88
+        rows = 2 * (_BLOCK_ELEMENTS // n) + 1
+    zeros = rng.uniform(0.1, 5.0, n) * np.exp(1j * rng.uniform(-math.pi, math.pi, n))
+    points = rng.uniform(0.05, 6.0, rows) * np.exp(1j * rng.uniform(-math.pi, math.pi, rows))
+    if layout == "on a zero":
+        points[rows // 3] = zeros[n // 2]
+    elif layout == "rounds to one":
+        # s / z rounds to exactly 1 one ulp below z
+        zeros[n // 2], points[rows // 3] = 0.1 + 2.9j, 0.09999999999999999 + 2.9j
+    elif layout == "mixed series":
+        # one zero far out: rows at |s| just under half its modulus have
+        # exactly one factor on the genus-1 series, others none or many
+        zeros[-1] = 40.0 * np.exp(1j * rng.uniform(-math.pi, math.pi))
+        points *= 19.9 / np.abs(points)
+        points[0::4] *= 0.01
+    elif layout == "halved":
+        zeros[1::2] = np.conj(zeros[0::2])
+        points = points.real.copy()
+    return zeros, points.astype(np.complex128)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    genus=st.sampled_from([0, 1]),
+    layout=st.sampled_from(
+        ["under cap", "at cap", "over cap", "long row", "wide rows", "on a zero", "rounds to one",
+         "mixed series", "halved"]
+    ),
+    center=st.sampled_from([0.0, 0.5]),
+)
+def test_blocked_reducer_matches_one_row_at_a_time(seed, genus, layout, center) -> None:
+    zeros, points = _block_case(np.random.default_rng(seed), layout)
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocked = _log_sum(points, zeros, genus, complex(center))
+        rows = np.concatenate([_log_sum([s], zeros, genus, complex(center)) for s in points])
+    assert blocked.shape == points.shape
+    assert np.array_equal(blocked.view(np.int64), rows.view(np.int64))
+    if layout == "on a zero":
+        assert blocked[points.size // 3].real == -math.inf
+        assert np.isfinite(np.delete(blocked, points.size // 3)).all()
 
 
 # a/10 + i b/10, where numpy's z / z is often not exactly 1, or any double pair;

@@ -87,6 +87,18 @@ class TestLogTail:
         expected = direct_log_tail(w, 1, 200)
         assert log_factor(w, 1) == pytest.approx(expected, rel=1e-13, abs=1e-300)
 
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), genus=st.sampled_from([0, 1]))
+    def test_element_bits_do_not_depend_on_the_call(self, seed, genus) -> None:
+        # the blocked reducer sums each point's logs from calls over many
+        # points: an element's bits may not depend on what shares its call
+        rng = np.random.default_rng(seed)
+        w = rng.uniform(0.3, 0.5, 400) * np.exp(1j * rng.uniform(-math.pi, math.pi, 400))
+        w[::7] *= 4.0
+        real, imag = _log_factors(w, genus)
+        alone = [_log_factors(w[k : k + 1], genus) for k in range(w.size)]
+        assert np.array_equal(real.view(np.int64), np.concatenate([r for r, _ in alone]).view(np.int64))
+        assert np.array_equal(imag.view(np.int64), np.concatenate([i for _, i in alone]).view(np.int64))
+
 
 class TestProperties:
     @given(
@@ -223,7 +235,7 @@ def log_sum_outcome(*args):
     try:
         # as in its callers: s/z past the double range gives infinite logs
         with np.errstate(over="ignore", invalid="ignore"):
-            total = _log_sum(*args)
+            (total,) = _log_sum(*args)
     except ValueError as exc:
         return str(exc)
     return total.real.hex(), total.imag.hex()

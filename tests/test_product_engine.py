@@ -230,6 +230,19 @@ class TestShiftedProduct:
         assert direct == pytest.approx(1 - 1e10, rel=1e-14)
         assert abs(shifted.value - direct) <= 1e-13 * abs(direct)
 
+    def test_genus1_shift_point_whose_log_passes_the_range(self) -> None:
+        # at genus 1 the factor log at alpha is log(1 - alpha/z) + alpha/z, about
+        # 1e310: both shift functions refuse alpha by name
+        spec = small_spec(np.array([1e-10 + 0j]), genus=1)
+        assert eval_product(spec, 1e300).log_value.real == math.inf
+        message = r"log S\(alpha\) at alpha = \(1e\+300\+0j\) passes the double range"
+        with pytest.raises(ValueError, match=message):
+            eval_shifted_product(spec, 1e300, 1)
+        with pytest.raises(ValueError, match=message):
+            shift_constant_residual(spec, 1e300)
+        # a closed-form S(alpha) takes no product log at alpha, so no refusal
+        assert math.isfinite(shift_constant_residual(spec, 1e300, value_at_alpha=1.0))
+
     def test_compare_shift_is_the_public_functions(self, lbar_spec) -> None:
         for alpha, s in ((0.6 + 0.4j, 1.3 + 0.2j), (1.0, 0.3 - 0.7j), (-0.5, 2.0)):
             expected = (
