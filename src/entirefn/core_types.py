@@ -310,20 +310,20 @@ class ZeroSequence:
         """Start index of every accumulation group under the declared pairing."""
         z = self.zeros
         n = z.size
-        if self.pairing is Pairing.NONE or n == 0:
+        if self.pairing is Pairing.NONE:
             return np.arange(n, dtype=np.int64)
+        # pairable[i]: z[i + 1] is the conjugate of a nonreal z[i]; never the last entry
         pairable = np.zeros(n, dtype=bool)
-        if n > 1:
-            pairable[:-1] = (z[1:] == np.conj(z[:-1])) & (z[:-1].imag != 0.0)
+        pairable[:-1] = (z[1:] == np.conj(z[:-1])) & (z[:-1].imag != 0.0)
         # Fast path: fully paired data (the common constructed layout).
         if n % 2 == 0 and bool(np.all(pairable[0::2])):
             return np.arange(0, n, 2, dtype=np.int64)
-        starts = []
-        i = 0
-        while i < n:
-            starts.append(i)
-            i += 2 if pairable[i] else 1
-        return np.asarray(starts, dtype=np.int64)
+        # in each run of pairable entries a pair opens at the run's first entry
+        # and at every second entry after it; every entry but a partner starts a group
+        index = np.arange(n, dtype=np.int64)
+        run_first = np.maximum.accumulate(np.where(pairable & ~np.roll(pairable, 1), index, 0))
+        opens = pairable & ((index - run_first) % 2 == 0)
+        return np.flatnonzero(~np.roll(opens, 1))
 
     def tail_profile(self, genus: int) -> TailProfile:
         """Convergence profile of the genus-dependent factor-size series."""
@@ -341,19 +341,6 @@ def _build_tail_profile(seq: ZeroSequence, genus: int) -> TailProfile:
     z = seq.zeros
     n = z.size
     starts = seq.group_starts
-    if n == 0:
-        empty = np.zeros(0)
-        return TailProfile(
-            genus=genus,
-            terms=empty,
-            group_starts=starts,
-            n_zeros=n,
-            suffix=np.zeros(1),
-            verdict=Verdict.PASS,
-            fit=None,
-            extrapolated_tail=0.0,
-            plain_partial_sum=0.0,
-        )
     if np.any(z == 0):
         raise ValueError("tail profile undefined for a sequence containing 0")
     # zeros near the bottom of the double range give terms and sums past

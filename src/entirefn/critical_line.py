@@ -17,7 +17,7 @@ import numpy as np
 
 from ._numeric import real_sum
 from .core_types import ClassTag, EntireFunctionSpec
-from .product_engine import _eval_batch, _retained, _value_from_log, eval_product
+from .product_engine import _eval_batch, _nearest, _retained, _value_from_log, eval_product
 from .series_engine import TaylorExpansion, _require_sign_symmetric
 
 __all__ = [
@@ -154,9 +154,10 @@ def scan_real_zeros(profile: CriticalLineProfile, spec: EntireFunctionSpec) -> R
         raise ValueError("profile is not real on the line; zero scan undefined")
     xi = profile.xi
     n = profile.truncation
+    zeros = spec.zero_sequence.zeros[:n]
 
     def re_v(x: float, value: complex, cell: tuple[float, float]) -> float:
-        if np.isfinite(value) and (value.real or complex(xi, x) in spec.zero_sequence.zeros[:n]):
+        if np.isfinite(value) and (value.real or _nearest(complex(xi, x), zeros) == 0.0):
             return value.real
         raise ValueError(f"profile leaves the double range on the cell [{cell[0]!r}, {cell[1]!r}]")
 

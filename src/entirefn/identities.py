@@ -28,8 +28,8 @@ from ._numeric import complex_sum
 from .analysis import verify_multiplicity
 from .core_types import EntireFunctionSpec, ZeroSequence
 from .critical_line import _even_product_values, critical_line_profile, scan_real_zeros
-from .product_engine import _at_shift_point, _constant_residual, _log_sums, _retained, _shifted
-from .product_engine import _value_from_log, eval_product
+from .product_engine import _at_shift_point, _internal_residual, _log_sums, _nearest, _retained
+from .product_engine import _shifted, _value_from_log, eval_product
 from .series_engine import even_series
 
 __all__ = [
@@ -80,10 +80,7 @@ def compare_shift(
     s, alpha = complex(s), complex(alpha)
     zeros, at_alpha = _at_shift_point(spec, alpha, n_terms)
     shifted, direct, disagreement = _compare(spec, alpha, s, zeros, at_alpha, n_terms)
-    residual = _constant_residual(
-        spec, alpha, zeros, at_alpha.value, at_alpha.log_value, at_alpha._log_factor_sum
-    )
-    return shifted, direct, disagreement, residual
+    return shifted, direct, disagreement, _internal_residual(spec, alpha, zeros, at_alpha)
 
 
 def _compare(
@@ -152,7 +149,7 @@ def _draw_points(rng: np.random.Generator, spec, count: int, avoid_origin: bool)
         z = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
         if avoid_origin and abs(z) < 1e-2:
             continue
-        if zeros.size and float(np.min(np.abs(z - zeros))) < 1e-2:
+        if _nearest(z, zeros) < 1e-2:
             continue
         points.append(z)
     return points
@@ -169,18 +166,14 @@ def _shift_identity(spec, at_center: bool, seed: int, draws: int, n_terms, toler
     residual = 0.0
     # T3/T4 draw one alpha: S(alpha) and the constant residual once per distinct alpha
     shift_points: dict[complex, tuple] = {}
-    residuals: dict[complex, float] = {}
     for s, alpha in zip(s_points, alphas):
         if alpha not in shift_points:
-            shift_points[alpha] = _at_shift_point(spec, alpha, n_terms)
-        zeros, at_alpha = shift_points[alpha]
+            zeros, at_alpha = _at_shift_point(spec, alpha, n_terms)
+            shift_points[alpha] = zeros, at_alpha, _internal_residual(spec, alpha, zeros, at_alpha)
+        zeros, at_alpha, alpha_residual = shift_points[alpha]
         _, _, pair_disagreement = _compare(spec, alpha, s, zeros, at_alpha, n_terms)
-        if alpha not in residuals:
-            residuals[alpha] = _constant_residual(
-                spec, alpha, zeros, at_alpha.value, at_alpha.log_value, at_alpha._log_factor_sum
-            )
         disagreement = max(disagreement, pair_disagreement)
-        residual = max(residual, residuals[alpha])
+        residual = max(residual, alpha_residual)
     quantities = [("disagreement_max", disagreement), ("constant_residual_max", residual)]
     return quantities, disagreement <= tolerance and residual <= tolerance
 
@@ -231,9 +224,7 @@ def _simplicity_identity(spec, scan: bool, x_min: float, x_max: float, samples, 
     quantities: list[tuple[str, object]] = [("audited_zeros", len(centers))]
     passed = len(centers) > 0
     for j, center in enumerate(centers):
-        others = zeros[np.abs(zeros - center) > 1e-9]
-        gap = float(np.min(np.abs(others - center))) if others.size else 1.0
-        radius = 0.4 * min(gap, 1.0)
+        radius = 0.4 * min(_nearest(center, zeros[np.abs(zeros - center) > 1e-9]), 1.0)
         result = verify_multiplicity(spec, center, radius, 512, n)
         quantities.append((f"winding[{j}]", result.winding))
         passed = passed and result.winding == 1

@@ -107,21 +107,29 @@ def _value_from_log(exponent: complex, scale: complex = 1.0, log_scale: complex 
     return value if cmath.isfinite(value) and value != 0 else cmath.exp(log)
 
 
+def _horner(x: np.ndarray, coeffs) -> np.ndarray:
+    """sum_k coeffs[k] x^(K - k), highest degree first, elementwise by Horner's rule.
+
+    Every product is array by array, and a lone element is not multiplied
+    in place: numpy does that without its fused multiply-adds, so an
+    element's bits would hang on the call.
+    """
+    acc = np.full_like(x, coeffs[0])
+    for c in coeffs[1:]:
+        acc = np.multiply(acc, x, acc if acc.size > 1 else None)
+        acc += c
+    return acc
+
+
 def _log_tail(w: np.ndarray) -> np.ndarray:
     """log(1 - w) + w for |w| <= 1/2, as -t (w + 2 t^2 sum_k t^(2k)/(2k+3)).
 
     With t = w/(2 - w), 1 - w = (1 - t)/(1 + t), so log(1 - w) = -2 atanh t
     and |t| <= 1/3: one fixed Horner degree in t^2 serves every element.
-    A lone element is not multiplied in place: numpy does that without its
-    fused multiply-adds, so the element's bits would hang on the call.
     """
     t = w / (2.0 - w)
     t2 = t * t
-    acc = t2 * _ATANH_COEFFS[0] + _ATANH_COEFFS[1]
-    for c in _ATANH_COEFFS[2:]:
-        acc = np.multiply(acc, t2, acc if acc.size > 1 else None)
-        acc += c
-    return -t * (w + 2.0 * t2 * acc)
+    return -t * (w + 2.0 * t2 * _horner(t2, _ATANH_COEFFS))
 
 
 def _log_factors(w, genus: int) -> tuple[np.ndarray, np.ndarray]:
@@ -238,7 +246,8 @@ def _split(
     Without a radius every retained zero is near.  Otherwise the zeros with
     |z| > 4 * radius are far; their power sums are cached on the sequence by
     (n, near count), which fixes the far set.  With no far terms the series
-    is None, so the batch takes the direct path's operations exactly.
+    is None, so the batch takes the direct path's operations exactly.  A
+    point's series has the same bits in any batch (``_horner``).
     """
     zeros = seq.zeros[:n]
     if radius is None:
@@ -257,12 +266,9 @@ def _split(
     far = np.empty(points.size, dtype=np.complex128)
     for start in range(0, points.size, BLOCK):
         u = points[start : start + BLOCK] / scale
-        acc = np.full_like(u, coeffs[-1])
-        for c in coeffs[-2::-1]:
-            acc *= u
-            acc += c
+        acc = _horner(u, coeffs[::-1])
         for _ in range(genus + 1 - derivative):
-            acc *= u
+            acc = acc * u
         far[start : start + BLOCK] = -acc / scale if derivative else -acc
     return near, far
 
@@ -337,8 +343,6 @@ class TruncatedEvaluation:
     with ``value`` to rounding; its imaginary part is not branch-normalized).
     It is None only for the exact 0 at a retained zero.  A value of 0 that
     carries a log has underflowed: exp of the log's real part is 0 too.
-    ``_log_factor_sum`` keeps the sum of log(1 - s/z) of a genus-0
-    ``eval_product`` for callers that need it again.
     """
 
     value: complex
@@ -348,7 +352,6 @@ class TruncatedEvaluation:
     log_value: complex | None
     # () -> tail_bound
     _tail: Callable[[], float | None] = field(repr=False, compare=False)
-    _log_factor_sum: complex | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.log_value is None:
@@ -411,9 +414,7 @@ def _tail_bound(spec: EntireFunctionSpec, s: complex, n: int) -> float | None:
     return math.expm1(exponent) if exponent <= 700.0 else math.inf
 
 
-def _evaluation(
-    spec, s: complex, zeros: np.ndarray, value: complex, log_value, log_factor_sum=None
-) -> TruncatedEvaluation:
+def _evaluation(spec, s: complex, zeros: np.ndarray, value: complex, log_value) -> TruncatedEvaluation:
     """The record of a value at s; at distance 0 from the zeros it is the exact 0, with no log."""
     nearest = _nearest(s, zeros)
     return TruncatedEvaluation(
@@ -421,7 +422,6 @@ def _evaluation(
         near_zero=nearest < NEAR_ZERO_COEFF * (1.0 + abs(s)),
         log_value=None if nearest == 0.0 else log_value,
         _tail=partial(_tail_bound, spec, s, zeros.size),
-        _log_factor_sum=log_factor_sum,
     )
 
 
@@ -436,12 +436,8 @@ def eval_product(spec: EntireFunctionSpec, s: complex, n_terms: int | None = Non
     """
     s = complex(s)
     zeros = _retained(spec, n_terms)
-    # _eval_batch at one point, keeping the exponent: at genus 0 the factor-log sum
-    exponent = complex(_log_sums(spec.zero_sequence, spec.genus, spec.q_constant, [s], zeros.size)[0])
-    log_v0 = cmath.log(spec.value_at_zero)
-    value = _value_from_log(exponent, spec.value_at_zero, log_v0)
-    log_factor_sum = exponent if spec.genus == 0 else None
-    return _evaluation(spec, s, zeros, value, log_v0 + exponent, log_factor_sum)
+    values, logs = _eval_batch(spec, [s], zeros.size, None)
+    return _evaluation(spec, s, zeros, complex(values[0]), complex(logs[0]))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -519,16 +515,14 @@ def shift_constant_residual(
 
     Returns |lhs - rhs| / (|lhs| + |rhs|).  By default S(alpha) is the
     truncated product at the same N (making the identity exact up to
-    rounding); pass ``value_at_alpha`` to test against an external value
-    such as a closed form.  Where a side saturates and the direct ratio is
-    not finite, it is taken from the logs: |1 - e^d| / (1 + |e^d|) with
+    rounding; at genus 0 it is the left side itself, so the residual is 0);
+    pass ``value_at_alpha`` to test against an external value such as a
+    closed form.  Where a side saturates and the direct ratio is not
+    finite, it is taken from the logs: |1 - e^d| / (1 + |e^d|) with
     d = log(lhs / rhs); a d that is not a number raises ValueError.
     """
     if value_at_alpha is None:
-        zeros, at_alpha = _at_shift_point(spec, alpha, n_terms)
-        return _constant_residual(
-            spec, complex(alpha), zeros, at_alpha.value, at_alpha.log_value, at_alpha._log_factor_sum
-        )
+        return _internal_residual(spec, complex(alpha), *_at_shift_point(spec, alpha, n_terms))
     alpha = complex(alpha)
     if alpha == 0:
         raise ValueError("shift point must be nonzero")
@@ -539,15 +533,21 @@ def shift_constant_residual(
     return _constant_residual(spec, alpha, zeros, s_alpha, log_s_alpha)
 
 
+def _internal_residual(spec, alpha: complex, zeros: np.ndarray, at_alpha: TruncatedEvaluation) -> float:
+    """``shift_constant_residual`` against S(alpha) from ``_at_shift_point``.  At genus 0
+    that S(alpha) is S(0) prod (1 - alpha/z) at the same N, from the same
+    ``_value_from_log`` call as the left side: the residual is 0 by construction."""
+    if spec.genus == 0:
+        return 0.0
+    return _constant_residual(spec, alpha, zeros, at_alpha.value, at_alpha.log_value)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _constant_residual(
-    spec: EntireFunctionSpec, alpha: complex, zeros: np.ndarray, s_alpha: complex,
-    log_s_alpha: complex, log_prod: complex | None = None,
+    spec: EntireFunctionSpec, alpha: complex, zeros: np.ndarray, s_alpha: complex, log_s_alpha: complex
 ) -> float:
-    """``shift_constant_residual`` at a checked shift point, given S(alpha) and its log,
-    and the sum of log(1 - alpha/z) where the caller has it (``_log_factor_sum``)."""
-    if log_prod is None:
-        log_prod = complex(_log_sum(alpha, zeros, 0)[0])
+    """``shift_constant_residual`` at a checked shift point, given S(alpha) and its log."""
+    log_prod = complex(_log_sum(alpha, zeros, 0)[0])
     log_v0 = cmath.log(spec.value_at_zero)
     lhs = _value_from_log(log_prod, spec.value_at_zero, log_v0)
     rhs_exponent = 0j

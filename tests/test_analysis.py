@@ -50,6 +50,15 @@ class TestMaxModulus:
         # theta = 0 lands exactly on the zero at 2; other nodes still count
         assert max_modulus(poly_spec, 2.0) > 0.0
 
+    def test_ring_of_retained_zeros_reads_zero(self) -> None:
+        # the four grid points themselves are the zeros: every sample is an exact 0
+        ring = [2.0 * complex(math.cos(math.pi * j / 2), math.sin(math.pi * j / 2)) for j in range(4)]
+        assert max_modulus(bare_spec(ring), 2.0, angular_samples=4) == 0.0
+
+    def test_modulus_past_the_double_range_reads_inf(self) -> None:
+        # log |S| peaks at Re(800 s) = 1600 on the circle of radius 2
+        assert max_modulus(bare_spec([10.0], genus=1, q=800.0), 2.0) == math.inf
+
     def test_argument_validation(self, constant_spec) -> None:
         for radius in (0.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="radius"):

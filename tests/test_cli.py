@@ -2,12 +2,17 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import entirefn
 from entirefn import (
     ClassTag,
     Ordering,
@@ -271,6 +276,10 @@ class TestSpecFiles:
             load_spec_file(spec_path(tmp_path, "class = Y\ns_at_xi = 1\n"))
         content = "class = Y_tilde\ns_at_xi = 1\nzeros_format = tau_only\nzeros_inline:\n1\n-1\n"
         with pytest.raises(ValueError, match="requires xi"):
+            load_spec_file(spec_path(tmp_path, content))
+        # complex_pairs rows parse without xi; the center value still needs it
+        content = "class = Y_tilde\ns_at_xi = 1\nzeros_inline:\n1 1\n1 -1\n"
+        with pytest.raises(ValueError, match="s_at_xi requires xi$"):
             load_spec_file(spec_path(tmp_path, content))
 
     def test_s_at_xi_rejects_zeros_off_the_line(self, tmp_path) -> None:
@@ -777,3 +786,15 @@ class TestRunCommand:
         assert lines[-2].startswith("meta report_digest = sha256:")
         body = "\n".join(lines[:-2]) + "\n"
         assert lines[-2].endswith(hashlib.sha256(body.encode()).hexdigest())
+
+    def test_module_entry_point(self, tmp_path) -> None:
+        # python -m entirefn.cli, in a child process that finds the package as this one does
+        path = spec_path(tmp_path, SYMMETRIC_SPEC)
+        package_root = str(Path(entirefn.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-m", "entirefn.cli", "eval", "--spec", str(path), "--s", "0.5"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert any(line.startswith("meta report_digest = sha256:") for line in done.stdout.splitlines())

@@ -25,6 +25,17 @@ from entirefn.core_types import _fit_tail_terms
 from conftest import interleaved_taus
 
 
+def _greedy_group_starts(zeros: np.ndarray) -> list[int]:
+    """The pairing rule one entry at a time: a group opens at each entry not
+    yet taken, as a pair when the next entry is its (nonreal) conjugate."""
+    starts, i = [], 0
+    while i < zeros.size:
+        starts.append(i)
+        pairs = i + 1 < zeros.size and zeros[i].imag != 0.0 and zeros[i + 1] == zeros[i].conjugate()
+        i += 2 if pairs else 1
+    return starts
+
+
 def check_by_name(report, name: str):
     (check,) = [c for c in report.checks if c.name == name]
     return check
@@ -171,6 +182,34 @@ class TestZeroSequence:
         seq = ZeroSequence(zeros=np.array([2 + 0j, 2 + 0j]), pairing=Pairing.CONJUGATE_PAIRS)
         assert seq.group_starts.tolist() == [0, 1]
 
+    @given(
+        segments=st.lists(
+            st.tuples(
+                st.sampled_from(["run", "real", "lone"]),
+                st.integers(min_value=1, max_value=5),
+                st.sampled_from([1 + 1j, 1 - 1j, 2 + 0.5j, -1 - 3j]),
+            ),
+            max_size=10,
+        ),
+        pairing=st.sampled_from([Pairing.CONJUGATE_PAIRS, Pairing.SYMMETRIC_ABOUT_CENTER]),
+    )
+    @example(segments=[("run", 4, 1 + 1j)], pairing=Pairing.CONJUGATE_PAIRS)
+    @example(segments=[("run", 3, 1 + 1j), ("real", 1, 1j), ("run", 2, 1 - 1j)], pairing=Pairing.CONJUGATE_PAIRS)
+    def test_group_starts_follow_the_greedy_rule(self, segments, pairing) -> None:
+        # layouts: runs a, conj(a), a, ...; real zeros; nonreal zeros with no
+        # partner, which may still meet a conjugate from the next segment
+        zeros: list[complex] = []
+        for kind, length, a in segments:
+            if kind == "run":
+                zeros += [a if k % 2 == 0 else a.conjugate() for k in range(length)]
+            elif kind == "real":
+                zeros += [complex(length)] * length
+            else:
+                zeros.append(a)
+        seq = ZeroSequence(zeros=np.array(zeros, dtype=complex), ordering=Ordering.AS_GIVEN, pairing=pairing)
+        assert seq.group_starts.dtype == np.int64
+        assert seq.group_starts.tolist() == _greedy_group_starts(seq.zeros)
+
     def test_zeros_are_read_only(self) -> None:
         seq = ZeroSequence(zeros=np.array([1j]))
         with pytest.raises(ValueError):
@@ -289,6 +328,17 @@ class TestEntireFunctionSpec:
         with pytest.raises(ValueError, match="contains 0"):
             EntireFunctionSpec(class_tag=ClassTag.Y, value_at_zero=1.0, zero_sequence=seq)
 
+    @pytest.mark.parametrize("bad", [complex(math.inf, 0.0), complex(1.0, math.nan)])
+    def test_rejects_non_finite_zero(self, bad) -> None:
+        seq = ZeroSequence(zeros=np.array([1j, bad]))
+        with pytest.raises(ValueError, match="non-finite entry"):
+            EntireFunctionSpec(class_tag=ClassTag.Y, value_at_zero=1.0, zero_sequence=seq)
+
+    def test_rejects_center_xi_zero(self) -> None:
+        seq = ZeroSequence(zeros=np.array([1j, -1j]))
+        with pytest.raises(ValueError, match="center_xi must be nonzero"):
+            EntireFunctionSpec(class_tag=ClassTag.Y_TILDE, value_at_zero=1.0, zero_sequence=seq, center_xi=0.0)
+
     def test_symmetric_class_requires_matching_center(self) -> None:
         seq = ZeroSequence(zeros=np.array([1 + 1j, 1 - 1j]))
         with pytest.raises(ValueError, match="center_xi"):
@@ -339,6 +389,10 @@ class TestMakeSymmetricSpec:
         spec = make_symmetric_spec(xi=1.0, taus=interleaved_taus(50), value_at_center=3.0 - 2.0j)
         value = eval_product(spec, complex(1.0), len(spec.zero_sequence)).value
         assert value == pytest.approx(3.0 - 2.0j, rel=5e-15)
+
+    def test_rejects_zero_center_value(self) -> None:
+        with pytest.raises(ValueError, match="value_at_center must be nonzero"):
+            make_symmetric_spec(xi=1.0, taus=[1.0, -1.0], value_at_center=0.0)
 
     def test_single_zero_inversion_matches_algebra(self) -> None:
         spec = make_symmetric_spec(xi=1.0, taus=[1.0], value_at_center=1.0)
@@ -397,6 +451,22 @@ class TestMakeSymmetricSpec:
 
 
 class TestTailProfile:
+    def test_undefined_with_a_zero_at_the_origin(self) -> None:
+        seq = ZeroSequence(zeros=np.array([1j, 0j, -1j]), ordering=Ordering.AS_GIVEN)
+        for genus in (0, 1):
+            with pytest.raises(ValueError, match="sequence containing 0"):
+                seq.tail_profile(genus)
+
+    @pytest.mark.parametrize("pairing", list(Pairing))
+    def test_empty_sequence_is_complete(self, pairing) -> None:
+        seq = ZeroSequence(zeros=np.zeros(0, dtype=complex), pairing=pairing)
+        for genus in (0, 1):
+            profile = seq.tail_profile(genus)
+            assert profile.terms.size == 0 and profile.suffix.tolist() == [0.0]
+            assert profile.verdict is Verdict.PASS and profile.fit is None
+            assert profile.extrapolated_tail == 0.0 == profile.plain_partial_sum
+            assert profile.tail_beyond(0) == 0.0
+
     def test_tail_beyond_decreases_with_truncation(self) -> None:
         zeros = 1.0 + 1j * interleaved_taus(600)
         seq = ZeroSequence(zeros=zeros, pairing=Pairing.SYMMETRIC_ABOUT_CENTER).sorted_by_modulus()

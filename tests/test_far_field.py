@@ -280,3 +280,19 @@ def test_profile_matches_120_bit_product(request, fixture, x_min, x_max) -> None
             reference = _mp_product(spec, complex(spec.center_xi, x), mpmath)
             worst = max(worst, float(abs(mpmath.mpc(complex(value)) - reference) / abs(reference)))
     assert worst <= 2e-14
+
+
+def test_far_series_bits_do_not_depend_on_the_batch(sinh_line_spec) -> None:
+    # a lone point takes the products a longer batch takes: its far series,
+    # and so its log and S'/S, has the same bits alone as first of two
+    rng = np.random.default_rng(14)
+    points = rng.uniform(-7.0, 7.0, 60) + 1j * rng.uniform(-7.0, 7.0, 60)
+    n, radius = len(sinh_line_spec.zero_sequence), 10.0
+    assert np.count_nonzero(sinh_line_spec.zero_sequence.moduli > _FAR_RATIO * radius)
+    for p, q in zip(points, points[::-1]):
+        _, alone = _eval_batch(sinh_line_spec, [p], n, radius)
+        _, first = _eval_batch(sinh_line_spec, [p, q], n, radius)
+        assert alone[:1].view(np.int64).tolist() == first[:1].view(np.int64).tolist()
+        alone = _log_derivatives(sinh_line_spec, [p], n, radius)
+        first = _log_derivatives(sinh_line_spec, [p, q], n, radius)
+        assert alone[:1].view(np.int64).tolist() == first[:1].view(np.int64).tolist()

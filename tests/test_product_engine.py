@@ -124,6 +124,12 @@ class TestEvalProduct:
         # every factor is 1 at s = 0, so 0 * inf must not give nan
         assert eval_product(spec, 0.0).tail_bound == 0.0
 
+    def test_tail_bound_where_s_squared_passes_the_range(self, sinh_genus1_spec) -> None:
+        # |s|^2 = 1e400 at genus 1: the finite tail times it reads inf
+        result = eval_product(sinh_genus1_spec, 1e200, 1000)
+        assert sinh_genus1_spec.zero_sequence.tail_profile(1).tail_beyond(1000) > 0.0
+        assert result.tail_bound == math.inf
+
     def test_tail_bound_is_built_on_first_read(self, monkeypatch) -> None:
         builds = []
         original = ZeroSequence.tail_profile
@@ -295,6 +301,10 @@ class TestShiftConstantResidual:
         with pytest.raises(ValueError, match="coincides"):
             shift_constant_residual(sinh_genus1_spec, 1j)
 
+    def test_alpha_zero_rejected_with_an_external_value(self, sinh_genus1_spec) -> None:
+        with pytest.raises(ValueError, match="shift point must be nonzero"):
+            shift_constant_residual(sinh_genus1_spec, 0, value_at_alpha=1)
+
     @pytest.mark.parametrize("alpha", [0.4 + 0.4j, 1.0, 2.5 - 7.25j, 30.0 + 0.5j])
     def test_genus0_sums_the_factor_logs_at_alpha_once(
         self, sinh_line_spec, monkeypatch, alpha
@@ -313,9 +323,10 @@ class TestShiftConstantResidual:
 
         monkeypatch.setattr(product_engine, "_log_sum", spy)
         *_, residual = compare_shift(sinh_line_spec, alpha, 0.3 + 0.1j, 2000)
-        # S(alpha)'s own sum serves the residual, with the bits of a second sum
+        # at genus 0 the internal S(alpha) is the left side itself: the residual
+        # is 0 with no second sum, and a second sum has the same bits
         assert sums_at_alpha == [0]
-        assert residual == recomputed == shift_constant_residual(sinh_line_spec, alpha, 2000)
+        assert residual == recomputed == shift_constant_residual(sinh_line_spec, alpha, 2000) == 0.0
 
 
 class TestLogDerivative:

@@ -108,6 +108,16 @@ class TestTaylorCoefficients:
         assert exp.genus == 1
         assert exp.k_max == 5
 
+    def test_order_zero_is_the_value(self, sinh_genus1_spec) -> None:
+        exp = taylor_coefficients(sinh_genus1_spec, 0.5, 0)
+        assert exp.coefficients == (eval_product(sinh_genus1_spec, 0.5).value,)
+        assert exp.k_max == 0 and exp.terms_used == len(sinh_genus1_spec.zero_sequence)
+
+    def test_recurrence_past_the_double_range_is_refused(self) -> None:
+        # r_2 = q^2 / 2 = 5e399
+        with pytest.raises(ValueError, match="Taylor recurrence passes the double range by order 3"):
+            taylor_coefficients(zero_free_spec(1e200, 1.0), 0j, 3)
+
     def test_zero_free_exponential(self) -> None:
         q, s0 = 0.3 + 0.2j, 2.0 + 0j
         exp = taylor_coefficients(zero_free_spec(q, s0), 0j, 12)
