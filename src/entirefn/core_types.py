@@ -285,6 +285,8 @@ class ZeroSequence:
         object.__setattr__(self, "_tail_cache", {})
         # far-field power sums of product_engine, by (retained count, near count)
         object.__setattr__(self, "_far_cache", {})
+        # the mirrored +-tau pairs of a line sequence, built by product_engine._line_pairs
+        object.__setattr__(self, "_pair_cache", None)
         # xi for zeros that _line_sequence built as xi + i tau from finite
         # nonzero xi and tau, which pass every zero check of a spec on xi
         object.__setattr__(self, "_line", None)
@@ -617,7 +619,7 @@ def _symmetric_spec(
     # invert the product eval_product forms at xi, so the center value round-trips
     from .product_engine import _log_sums, _value_from_log
 
-    exponent = complex(_log_sums(seq, tag.genus, q_constant, [xi], len(seq))[0])
+    exponent = complex(_log_sums(seq, tag.genus, q_constant, [xi], len(seq))[0][0])
     center_product = _value_from_log(exponent)
     value_at_zero = value_at_center / center_product if center_product else math.inf
     if value_at_zero == 0 or not np.isfinite(value_at_zero):

@@ -28,8 +28,8 @@ from ._numeric import complex_sum
 from .analysis import verify_multiplicity
 from .core_types import EntireFunctionSpec, ZeroSequence
 from .critical_line import _even_product_values, critical_line_profile, scan_real_zeros
-from .product_engine import _at_shift_point, _internal_residual, _log_sums, _nearest, _retained
-from .product_engine import _shifted, _value_from_log, eval_product
+from .product_engine import _at_shift_points, _eval_batch, _evaluation, _internal_residuals
+from .product_engine import _log_sums, _nearest, _retained, _shifted_values, _value_from_log, eval_product
 from .series_engine import even_series
 
 __all__ = [
@@ -78,22 +78,20 @@ def compare_shift(
     d the difference of the two logs (-inf for an exact 0).
     """
     s, alpha = complex(s), complex(alpha)
-    zeros, at_alpha = _at_shift_point(spec, alpha, n_terms)
-    shifted, direct, disagreement = _compare(spec, alpha, s, zeros, at_alpha, n_terms)
-    return shifted, direct, disagreement, _internal_residual(spec, alpha, zeros, at_alpha)
-
-
-def _compare(
-    spec, alpha: complex, s: complex, zeros, at_alpha, n_terms
-) -> tuple[complex, complex, float]:
-    """Shifted and direct values at s and their disagreement, given ``_at_shift_point``."""
-    shifted = _shifted(spec, alpha, s, zeros, at_alpha)
+    zeros, (at_alpha,) = _at_shift_points(spec, [alpha], n_terms)
+    (shifted,) = _shifted_values(spec, [alpha], [s], zeros, [at_alpha])
     direct = eval_product(spec, s, n_terms)
+    residual = _internal_residuals(spec, [alpha], zeros, [at_alpha])[0]
+    return shifted.value, direct.value, _disagreement(shifted, direct), residual
+
+
+def _disagreement(shifted, direct) -> float:
+    """|shifted - direct| / (1 + |direct|) of two evaluations, or its limit from their logs."""
     disagreement = abs(shifted.value - direct.value) / (1.0 + abs(direct.value))
     if not math.isfinite(disagreement):
         logs = [-math.inf if ev.log_value is None else ev.log_value for ev in (shifted, direct)]
         disagreement = abs(_value_from_log(logs[0] - logs[1]) - 1.0)
-    return shifted.value, direct.value, disagreement
+    return disagreement
 
 
 def verify_identity(
@@ -162,20 +160,34 @@ def _shift_identity(spec, at_center: bool, seed: int, draws: int, n_terms, toler
         alphas = [complex(spec.center_xi)] * draws
     else:
         alphas = _draw_points(rng, spec, draws, avoid_origin=True)
-    disagreement = 0.0
-    residual = 0.0
-    # T3/T4 draw one alpha: S(alpha) and the constant residual once per distinct alpha
-    shift_points: dict[complex, tuple] = {}
-    for s, alpha in zip(s_points, alphas):
-        if alpha not in shift_points:
-            zeros, at_alpha = _at_shift_point(spec, alpha, n_terms)
-            shift_points[alpha] = zeros, at_alpha, _internal_residual(spec, alpha, zeros, at_alpha)
-        zeros, at_alpha, alpha_residual = shift_points[alpha]
-        _, _, pair_disagreement = _compare(spec, alpha, s, zeros, at_alpha, n_terms)
-        disagreement = max(disagreement, pair_disagreement)
-        residual = max(residual, alpha_residual)
+    try:
+        measures = _shift_measures(spec, s_points, alphas, n_terms) if s_points else []
+    except (ValueError, ArithmeticError):
+        # a batch fails as a whole: draw by draw, the first draw to fail raises
+        measures = [
+            m for s, alpha in zip(s_points, alphas) for m in _shift_measures(spec, [s], [alpha], n_terms)
+        ]
+    disagreement = max([0.0, *(d for d, _ in measures)])
+    residual = max([0.0, *(r for _, r in measures)])
     quantities = [("disagreement_max", disagreement), ("constant_residual_max", residual)]
     return quantities, disagreement <= tolerance and residual <= tolerance
+
+
+def _shift_measures(spec, s_points: list[complex], alphas: list[complex], n_terms) -> list[tuple]:
+    """(disagreement, constant residual) per draw, in the order one draw takes
+    them: S(alpha) and the residual at each distinct alpha, then the shifted
+    and the direct values, each stage one batch over the draws."""
+    distinct = list(dict.fromkeys(alphas))
+    zeros, at_distinct = _at_shift_points(spec, distinct, n_terms)
+    residual_at = dict(zip(distinct, _internal_residuals(spec, distinct, zeros, at_distinct)))
+    at_alpha = dict(zip(distinct, at_distinct))
+    shifted = _shifted_values(spec, alphas, s_points, zeros, [at_alpha[a] for a in alphas])
+    values, logs = _eval_batch(spec, s_points, zeros.size, None)
+    direct = [
+        _evaluation(spec, s, zeros, value, log)
+        for s, value, log in zip(s_points, values.tolist(), logs.tolist())
+    ]
+    return [(_disagreement(sh, di), residual_at[a]) for sh, di, a in zip(shifted, direct, alphas)]
 
 
 def _line_form_identity(spec, with_even_form: bool, x_min, x_max, samples, n_terms, tolerance):
@@ -188,7 +200,7 @@ def _line_form_identity(spec, with_even_form: bool, x_min, x_max, samples, n_ter
     grid = profile.grid
     # V(x) / V(0) = prod (1 - x / tau_k), times exp(i x (q + sum 1/z_k)) at genus 1
     taus = ZeroSequence(zeros=zeros.imag, ordering="as_given")
-    exponents = _log_sums(taus, 0, 0j, grid, n, float(np.max(np.abs(grid))))
+    exponents, _ = _log_sums(taus, 0, 0j, grid, n, float(np.max(np.abs(grid))))
     if spec.genus == 1:
         recip_sum = complex_sum(1.0 / zeros)
         exponents += 1j * grid * spec.q_constant + 1j * grid * recip_sum

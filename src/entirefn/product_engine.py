@@ -23,6 +23,16 @@ and power sums, where grouped magnitudes are what converge.  At real points
 kernel runs on one member of each pair and the real parts are doubled, with
 the bits of the full sum.
 
+On the zero line of a genus-0 line sequence (``ZeroSequence._line``) whose
+retained zeros are mirrored pairs xi +- i tau, a point s = xi + i x, x != 0,
+takes one real log per pair instead (``_pair_log_sum``): the pair's factors
+multiply to 1 - delta, delta = (x^2 + xi^2)/(xi^2 + tau^2), whose log is
+log1p(-delta) where delta < 1/2 and log(|tau - x| (tau + x)/(xi^2 + tau^2))
+elsewhere, from values scaled by the power of two of tau.  The sum is -inf
+iff |x| is a retained tau; the sign (-1)^#{tau < |x|} rides in the value's
+scale, so the value is real where V(0) is.  s = xi, genus 1, and sets that
+are not mirrored pairs keep the complex kernel.
+
 Batches of points (line profiles, max-modulus rings, winding contours and
 the line-form identities) split the zeros at |z| = 4R, R >= max |s|: near
 zeros go through the reducer, far zeros through their power sums
@@ -50,7 +60,7 @@ import cmath
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -80,6 +90,9 @@ _ATANH_COEFFS = tuple(np.array(c) for c in 1.0 / np.arange(31.0, 2.0, -2.0) + 0j
 _FAR_RATIO = 4.0
 _FAR_TOLERANCE = 1e-17
 _BLOCK_ELEMENTS = 1 << 12  # (point, zero) pairs per block of _log_sum: small temporaries
+# On the line, |x| and |xi| up to this many times the least near tau keep
+# every scaled quantity of the pair kernel a normal double (_line_points).
+_PAIR_RANGE = 2.0**255
 
 
 def _value_from_log(exponent: complex, scale: complex = 1.0, log_scale: complex = 0j) -> complex:
@@ -212,6 +225,103 @@ def _log_sum(points, zeros: np.ndarray, genus: int, center: complex = 0j) -> np.
     return np.array(sums, dtype=np.complex128)
 
 
+class _LinePairs(NamedTuple):
+    """The leading mirrored pairs (xi + i tau, xi - i tau), tau > 0, of a line sequence.
+
+    Per pair, with tau = t 2^e and t in [1/2, 1): ``scale`` 2^-e, ``tau`` t,
+    ``xi2`` (xi 2^-e)^2 and ``d`` xi2 + t^2, that is (xi^2 + tau^2) 4^-e.
+    ``limit[k]`` is 2^255 times the least of the first k + 1 taus, or 0
+    where that is below 2^-1000 (2^-e would pass the double range).
+    """
+
+    scale: np.ndarray
+    tau: np.ndarray
+    xi2: np.ndarray
+    d: np.ndarray
+    limit: np.ndarray
+
+
+def _line_pairs(seq: ZeroSequence) -> _LinePairs:
+    """The pair data of a sequence with a line (``seq._line``), built on first use and cached on it."""
+    pairs = seq._pair_cache  # type: ignore[attr-defined]
+    if pairs is None:
+        im = seq.zeros.imag
+        k = im.size // 2
+        upper, lower = im[0 : 2 * k : 2], im[1 : 2 * k : 2]
+        mirrored = (upper > 0.0) & (lower == -upper)
+        count = k if mirrored.all() else int(np.argmin(mirrored))
+        tau, exponent = np.frexp(upper[:count])
+        least = np.minimum.accumulate(upper[:count])
+        with np.errstate(over="ignore"):  # inf only where no point in range reaches
+            xi2 = np.square(np.ldexp(seq._line, -exponent))  # type: ignore[attr-defined]
+            scale = np.ldexp(1.0, -exponent)
+            limit = np.where(least >= 2.0**-1000, _PAIR_RANGE * least, 0.0)
+        pairs = _LinePairs(scale, tau, xi2, xi2 + tau * tau, limit)
+        object.__setattr__(seq, "_pair_cache", pairs)
+    return pairs
+
+
+def _line_points(
+    seq: ZeroSequence, genus: int, points: np.ndarray, n: int, near: int
+) -> tuple[np.ndarray, _LinePairs | None]:
+    """Which points take the pair kernel, and the pairs (None where no point does).
+
+    A point does at genus 0 where the sequence has a line xi whose first n
+    zeros are mirrored pairs and the point is xi + i x, x != 0, with |x| and
+    |xi| at most the limit of the near pairs.  Only then is the pair data built.
+    """
+    xi = seq._line  # type: ignore[attr-defined]
+    real = np.zeros(points.size, dtype=bool)
+    if genus or xi is None or n % 2:
+        return real, None
+    np.logical_and(points.real == xi, points.imag != 0.0, out=real)
+    if not real.any():
+        return real, None
+    pairs = _line_pairs(seq)
+    if n > 2 * pairs.tau.size:
+        return np.zeros_like(real), None
+    if near:
+        real &= np.maximum(np.abs(points.imag), abs(xi)) <= pairs.limit[near // 2 - 1]
+    return real, pairs
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _pair_log_sum(ax: np.ndarray, pairs: _LinePairs, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per |x| > 0, the exactly rounded sum of log|1 - delta| over the first count pairs,
+    and whether an odd number of their taus are below |x|.
+
+    At s = xi + i x a pair's factor (1 - s/(xi + i tau)) (1 - s/(xi - i tau))
+    is (tau^2 - x^2)/(xi^2 + tau^2) = 1 - delta, delta = (x^2 + xi^2)/(xi^2 +
+    tau^2), formed from the pair's scaled values (|x| 2^-e for x), so no
+    square leaves the double range.  Where delta < 1/2 the log is
+    log1p(-delta), elsewhere log(|tau - x| (tau + x) / d): full relative
+    accuracy for factors near 1 and near a zero alike.  The sum is -inf iff
+    |x| is a tau.  Blocks as in ``_log_sum``: a point's sum has the same bits
+    in any batch.
+    """
+    scale, tau, xi2, d = (part[:count] for part in pairs[:4])
+    step = max(1, _BLOCK_ELEMENTS // max(count, 1))
+    sums, odd = np.empty(ax.size), np.zeros(ax.size, dtype=bool)
+    for first in range(0, ax.size, step):
+        a = ax[first : first + step, None]
+        acc = ExactSum(len(a))
+        for start in range(0, count, BLOCK):
+            cols = slice(start, start + BLOCK)
+            x = a * scale[cols]
+            delta = x * x
+            delta += xi2[cols]
+            delta /= d[cols]
+            far = np.flatnonzero(delta >= 0.5)
+            logs = np.log1p(np.negative(delta, out=delta), out=delta)
+            row, col = np.divmod(far, logs.shape[1])
+            t, xs = tau[cols][col], x.take(far)
+            np.put(logs, far, np.log(np.abs(t - xs) * (t + xs) / d[cols][col]))
+            odd[first : first + len(a)] ^= np.bincount(row[xs > t], minlength=len(a)) % 2 == 1
+            acc.add(logs)
+        sums[first : first + len(a)] = [acc.total(j) for j in range(len(a))]
+    return sums, odd
+
+
 def _far_sums(far: np.ndarray) -> tuple[float, np.ndarray]:
     """Scaled far power sums: (c, sum of (c/z)^m for m = 1..K).
 
@@ -277,14 +387,20 @@ def _split(
 @np.errstate(over="ignore", invalid="ignore")
 def _log_sums(
     seq: ZeroSequence, genus: int, q: complex, points, n: int, radius: float | None = None
-) -> np.ndarray:
-    """q s (genus 1) plus the sum of the factor logs of the first n zeros, per point.
+) -> tuple[np.ndarray, np.ndarray]:
+    """q s (genus 1) plus the sum of the factor logs of the first n zeros, per
+    point, and which points' products are real.
 
     A point that is a retained zero gets -inf, the log of an exact 0.  With
-    a radius >= max |s| the zeros beyond 4 * radius enter as power sums.
+    a radius >= max |s| the zeros beyond 4 * radius enter as power sums.  A
+    point of ``_line_points`` takes ``_pair_log_sum`` over the near pairs and
+    the real part of the far series (the far pairs' factors are positive):
+    its product is real, and the imaginary part of its log is 0 or pi, the
+    log of the product's sign.
     """
     points = np.ascontiguousarray(points, dtype=np.complex128).reshape(-1)
     near, far = _split(seq, genus, points, n, radius, derivative=False)
+    real, pairs = _line_points(seq, genus, points, n, near.size)
     exponents = np.zeros(points.size, dtype=np.complex128)
     if genus == 1:  # q s part by part as Python forms it: numpy's complex product may fuse multiply-adds
         parts = points.view(np.float64).reshape(-1, 2)
@@ -293,12 +409,21 @@ def _log_sums(
             j = int(np.argmax(bad))
             _log_sum(points[:j], near, genus)  # an earlier point's range error comes first
             raise ValueError(f"q*s = {complex(exponents[j])!r} passes the double range at s = {complex(points[j])!r}")
-    if near.size:
+    if near.size and pairs is not None:
+        sums, odd = _pair_log_sum(np.abs(points.imag[real]), pairs, near.size // 2)
+        exponents.real[real] = sums
+        exponents.imag[real] = np.where(odd, math.pi, 0.0)
+        if not real.all():
+            exponents[~real] = _log_sum(points[~real], near, genus)
+    elif near.size:
         log_sums = _log_sum(points, near, genus)
         exponents += log_sums
         if genus == 1:  # an exact 0 whatever q*s is
             np.copyto(exponents, log_sums, where=log_sums.real == -math.inf)
-    return exponents if far is None else exponents + far
+    if far is None:
+        return exponents, real
+    far.imag[real] = 0.0
+    return exponents + far, real
 
 
 def _eval_batch(
@@ -308,9 +433,14 @@ def _eval_batch(
 
     At a retained zero the value is exactly 0 and the log has real part -inf.
     """
-    exponents = _log_sums(spec.zero_sequence, spec.genus, spec.q_constant, points, n, radius)
+    exponents, real = _log_sums(spec.zero_sequence, spec.genus, spec.q_constant, points, n, radius)
     v0, log_v0 = spec.value_at_zero, cmath.log(spec.value_at_zero)
-    values = [_value_from_log(e, v0, log_v0) for e in exponents.tolist()]
+    # a real product takes its sign in the scale, so a real V(0) gives a real value
+    values = [
+        _value_from_log(complex(e.real), v0 * (-1.0 if e.imag else 1.0), log_v0 + 1j * e.imag)
+        if r else _value_from_log(e, v0, log_v0)
+        for e, r in zip(exponents.tolist(), real.tolist())
+    ]
     return np.array(values, dtype=np.complex128), log_v0 + exponents
 
 
@@ -386,9 +516,18 @@ def _retained(spec: EntireFunctionSpec, n_terms: int | None) -> np.ndarray:
     return seq.zeros[:n]
 
 
-def _nearest(point: complex, zeros: np.ndarray) -> float:
-    """min |point - z| over the retained zeros; inf when there are none."""
-    return float(np.abs(point - zeros).min()) if zeros.size else math.inf
+def _nearest(point: complex, zeros: np.ndarray, line: float | None = None) -> float:
+    """min |point - z| over the retained zeros; inf when there are none.
+
+    ``line`` is the real part of every zero, where known.  At a point on it
+    each |point - z| is |Im z - Im point|, the same double, read from the
+    imaginary parts alone.
+    """
+    if not zeros.size:
+        return math.inf
+    if point.real == line:
+        return float(np.abs(zeros.imag - point.imag).min())
+    return float(np.abs(point - zeros).min())
 
 
 def _guard_coincident(point: complex, nearest: float, message: str) -> None:
@@ -416,7 +555,7 @@ def _tail_bound(spec: EntireFunctionSpec, s: complex, n: int) -> float | None:
 
 def _evaluation(spec, s: complex, zeros: np.ndarray, value: complex, log_value) -> TruncatedEvaluation:
     """The record of a value at s; at distance 0 from the zeros it is the exact 0, with no log."""
-    nearest = _nearest(s, zeros)
+    nearest = _nearest(s, zeros, spec.zero_sequence._line)
     return TruncatedEvaluation(
         value=value, terms_used=zeros.size, nearest_zero_distance=nearest,
         near_zero=nearest < NEAR_ZERO_COEFF * (1.0 + abs(s)),
@@ -441,19 +580,39 @@ def eval_product(spec: EntireFunctionSpec, s: complex, n_terms: int | None = Non
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _at_shift_point(
-    spec: EntireFunctionSpec, alpha: complex, n_terms: int | None
-) -> tuple[np.ndarray, TruncatedEvaluation]:
-    """The retained zeros and S(alpha), for a shift point clear of them whose log S(alpha) is finite."""
-    alpha = complex(alpha)
-    if alpha == 0:
+def _at_shift_points(
+    spec: EntireFunctionSpec, alphas, n_terms: int | None
+) -> tuple[np.ndarray, list[TruncatedEvaluation]]:
+    """The retained zeros and S(alpha) at each shift point, from one batch, for
+    shift points clear of the zeros whose logs S(alpha) are finite."""
+    alphas = [complex(alpha) for alpha in alphas]
+    if 0 in alphas:
         raise ValueError("shift point must be nonzero")
     zeros = _retained(spec, n_terms)
-    at_alpha = eval_product(spec, alpha, zeros.size)
-    _guard_coincident(alpha, at_alpha.nearest_zero_distance, "shift point coincides with a retained zero")
-    if not cmath.isfinite(at_alpha.log_value):
-        raise ValueError(f"log S(alpha) at alpha = {alpha!r} passes the double range")
-    return zeros, at_alpha
+    values, logs = _eval_batch(spec, alphas, zeros.size, None)
+    at_alphas = []
+    for alpha, value, log in zip(alphas, values.tolist(), logs.tolist()):
+        at_alpha = _evaluation(spec, alpha, zeros, value, log)
+        _guard_coincident(alpha, at_alpha.nearest_zero_distance, "shift point coincides with a retained zero")
+        if not cmath.isfinite(at_alpha.log_value):
+            raise ValueError(f"log S(alpha) at alpha = {alpha!r} passes the double range")
+        at_alphas.append(at_alpha)
+    return zeros, at_alphas
+
+
+def _quotient_sums(numerators, zeros: np.ndarray) -> np.ndarray:
+    """``complex_sum(u / zeros)`` at each u, in blocks of rows of about
+    _BLOCK_ELEMENTS quotients, each row its own exact sums."""
+    numerators = np.asarray(numerators, dtype=np.complex128).reshape(-1)
+    step = max(1, _BLOCK_ELEMENTS // max(zeros.size, 1))
+    sums = []
+    for first in range(0, numerators.size, step):
+        quotients = numerators[first : first + step, None] / zeros
+        real, imag = ExactSum(len(quotients)), ExactSum(len(quotients))
+        real.add(quotients.real)
+        imag.add(quotients.imag)
+        sums += [complex(real.total(j), imag.total(j)) for j in range(len(quotients))]
+    return np.array(sums, dtype=np.complex128)
 
 
 def eval_shifted_product(
@@ -475,28 +634,44 @@ def eval_shifted_product(
     passes the double range, as ``eval_product`` does for q*s.
     """
     s = complex(s)
-    zeros, at_alpha = _at_shift_point(spec, alpha, n_terms)
-    return _shifted(spec, complex(alpha), s, zeros, at_alpha)
+    zeros, (at_alpha,) = _at_shift_points(spec, [alpha], n_terms)
+    return _shifted_values(spec, [complex(alpha)], [s], zeros, [at_alpha])[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _shifted(
-    spec: EntireFunctionSpec, alpha: complex, s: complex, zeros: np.ndarray, at_alpha: TruncatedEvaluation
-) -> TruncatedEvaluation:
-    """``eval_shifted_product`` at s from the zeros and S(alpha) of ``_at_shift_point``."""
-    u = s - alpha
-    exponent = spec.q_constant * u if spec.genus == 1 else 0j
-    if exponent.real == -math.inf:  # -inf is kept for the retained zeros
-        raise ValueError(f"q*(s - alpha) = {exponent!r} passes the double range at s = {s!r}")
+def _shifted_values(
+    spec: EntireFunctionSpec, alphas: list[complex], points: list[complex], zeros: np.ndarray,
+    at_alphas: list[TruncatedEvaluation],
+) -> list[TruncatedEvaluation]:
+    """``eval_shifted_product`` at each points[j] about alphas[j], from the zeros
+    and S(alphas[j]) of ``_at_shift_points``: one ``_log_sum`` per distinct
+    alpha, one ``_quotient_sums`` for the genus-1 sums of u/z."""
+    us = [s - alpha for s, alpha in zip(points, alphas)]
+    exponents = [spec.q_constant * u if spec.genus == 1 else 0j for u in us]
+    for s, exponent in zip(points, exponents):
+        if exponent.real == -math.inf:  # -inf is kept for the retained zeros
+            raise ValueError(f"q*(s - alpha) = {exponent!r} passes the double range at s = {s!r}")
+    dead = {}
     if zeros.size:
-        log_sum = complex(_log_sum(s, zeros, 0, alpha)[0])
-        if log_sum.real == -math.inf:  # s is a retained zero, whatever q u and sum u/z are
-            return _evaluation(spec, s, zeros, 0j, log_sum)
-        exponent += log_sum
+        log_sums = np.empty(len(points), dtype=np.complex128)
+        for alpha in dict.fromkeys(alphas):
+            rows = [j for j, a in enumerate(alphas) if a == alpha]
+            log_sums[rows] = _log_sum(np.array(points)[rows], zeros, 0, alpha)
+        # s is a retained zero, whatever q u and sum u/z are
+        dead = {j: log_sums[j] for j in np.flatnonzero(log_sums.real == -math.inf).tolist()}
+        exponents = [e + l for e, l in zip(exponents, log_sums.tolist())]
         if spec.genus == 1:
-            exponent += complex_sum(u / zeros)
-    value = _value_from_log(exponent, at_alpha.value, at_alpha.log_value)
-    return _evaluation(spec, s, zeros, value, at_alpha.log_value + exponent)
+            live = [j for j in range(len(points)) if j not in dead]
+            for j, recip_sum in zip(live, _quotient_sums(np.array(us)[live], zeros).tolist()):
+                exponents[j] += recip_sum
+    out = []
+    for j, (s, exponent, at_alpha) in enumerate(zip(points, exponents, at_alphas)):
+        if j in dead:
+            out.append(_evaluation(spec, s, zeros, 0j, complex(dead[j])))
+            continue
+        value = _value_from_log(exponent, at_alpha.value, at_alpha.log_value)
+        out.append(_evaluation(spec, s, zeros, value, at_alpha.log_value + exponent))
+    return out
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -522,7 +697,8 @@ def shift_constant_residual(
     d = log(lhs / rhs); a d that is not a number raises ValueError.
     """
     if value_at_alpha is None:
-        return _internal_residual(spec, complex(alpha), *_at_shift_point(spec, alpha, n_terms))
+        zeros, (at_alpha,) = _at_shift_points(spec, [alpha], n_terms)
+        return _internal_residuals(spec, [complex(alpha)], zeros, [at_alpha])[0]
     alpha = complex(alpha)
     if alpha == 0:
         raise ValueError("shift point must be nonzero")
@@ -530,46 +706,55 @@ def shift_constant_residual(
     s_alpha = complex(value_at_alpha)
     log_s_alpha = cmath.log(s_alpha) if s_alpha else complex(-math.inf)
     _guard_coincident(alpha, _nearest(alpha, zeros), "shift point coincides with a retained zero")
-    return _constant_residual(spec, alpha, zeros, s_alpha, log_s_alpha)
+    return _constant_residuals(spec, [alpha], zeros, [s_alpha], [log_s_alpha])[0]
 
 
-def _internal_residual(spec, alpha: complex, zeros: np.ndarray, at_alpha: TruncatedEvaluation) -> float:
-    """``shift_constant_residual`` against S(alpha) from ``_at_shift_point``.  At genus 0
+def _internal_residuals(spec, alphas, zeros: np.ndarray, at_alphas) -> list[float]:
+    """``shift_constant_residual`` against each S(alpha) from ``_at_shift_points``.  At genus 0
     that S(alpha) is S(0) prod (1 - alpha/z) at the same N, from the same
     ``_value_from_log`` call as the left side: the residual is 0 by construction."""
     if spec.genus == 0:
-        return 0.0
-    return _constant_residual(spec, alpha, zeros, at_alpha.value, at_alpha.log_value)
+        return [0.0] * len(alphas)
+    return _constant_residuals(
+        spec, alphas, zeros, [a.value for a in at_alphas], [a.log_value for a in at_alphas]
+    )
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _constant_residual(
-    spec: EntireFunctionSpec, alpha: complex, zeros: np.ndarray, s_alpha: complex, log_s_alpha: complex
-) -> float:
-    """``shift_constant_residual`` at a checked shift point, given S(alpha) and its log."""
-    log_prod = complex(_log_sum(alpha, zeros, 0)[0])
+def _constant_residuals(
+    spec: EntireFunctionSpec, alphas, zeros: np.ndarray, s_alphas, log_s_alphas
+) -> list[float]:
+    """``shift_constant_residual`` at each checked shift point alpha, given S(alpha)
+    and its log: one ``_log_sum`` for the left sides, one ``_quotient_sums``
+    for the genus-1 sums of alpha/z."""
+    log_prods = _log_sum(alphas, zeros, 0).tolist()
+    recip_sums = [0j] * len(alphas)
+    if spec.genus == 1 and zeros.size:
+        recip_sums = _quotient_sums(alphas, zeros).tolist()
     log_v0 = cmath.log(spec.value_at_zero)
-    lhs = _value_from_log(log_prod, spec.value_at_zero, log_v0)
-    rhs_exponent = 0j
-    if spec.genus == 1:
-        recip_sum = complex_sum(alpha / zeros) if zeros.size else 0j
-        rhs_exponent = -spec.q_constant * alpha - recip_sum
-        rhs = _value_from_log(rhs_exponent, s_alpha, log_s_alpha)
-    else:
-        rhs = s_alpha
-    denom = abs(lhs) + abs(rhs)
-    if denom == 0.0:
-        return 0.0
-    residual = abs(lhs - rhs) / denom
-    if math.isfinite(residual):
-        return residual
-    # a saturated side: the same ratio from d = log(lhs / rhs), which is
-    # symmetric under d -> -d, so |e^d| <= 1 below
-    d = log_v0 + log_prod - log_s_alpha - rhs_exponent
-    if cmath.isnan(d):
-        raise ValueError(f"constant residual undefined at alpha={alpha!r}: its logs pass the double range")
-    ratio = cmath.exp(-d if d.real > 0 else d)
-    return abs(1.0 - ratio) / (1.0 + abs(ratio))
+    residuals = []
+    for alpha, s_alpha, log_s_alpha, log_prod, recip_sum in zip(
+        alphas, s_alphas, log_s_alphas, log_prods, recip_sums
+    ):
+        lhs = _value_from_log(log_prod, spec.value_at_zero, log_v0)
+        rhs_exponent = 0j
+        if spec.genus == 1:
+            rhs_exponent = -spec.q_constant * alpha - recip_sum
+            rhs = _value_from_log(rhs_exponent, s_alpha, log_s_alpha)
+        else:
+            rhs = s_alpha
+        denom = abs(lhs) + abs(rhs)
+        residual = abs(lhs - rhs) / denom if denom else 0.0
+        if not math.isfinite(residual):
+            # a saturated side: the same ratio from d = log(lhs / rhs), which is
+            # symmetric under d -> -d, so |e^d| <= 1 below
+            d = log_v0 + log_prod - log_s_alpha - rhs_exponent
+            if cmath.isnan(d):
+                raise ValueError(f"constant residual undefined at alpha={alpha!r}: its logs pass the double range")
+            ratio = cmath.exp(-d if d.real > 0 else d)
+            residual = abs(1.0 - ratio) / (1.0 + abs(ratio))
+        residuals.append(residual)
+    return residuals
 
 
 def log_derivative(spec: EntireFunctionSpec, s: complex, n_terms: int | None = None) -> complex:

@@ -9,6 +9,7 @@ from _oracles import FROZEN_SINC_AT_HALF, sinc_ratio
 from entirefn import (
     CriticalLineProfile,
     critical_line,
+    product_engine,
     critical_line_profile,
     eval_product,
     even_product_form,
@@ -178,6 +179,87 @@ class TestEvenProductForm:
         spec = request.getfixturevalue("lbar_spec" if theorem == "T6" else "sinh_line_spec")
         result = verify_identity(spec, theorem, x_min=0.3, x_max=2.7, samples=24)
         assert all(type(value) is float for _, value in result.quantities)
+
+
+class TestLinePairKernel:
+    """Line points xi + i x of a genus-0 line sequence: one real log per +-tau pair."""
+
+    @pytest.mark.parametrize(
+        "x", [0.3, 2.0 - 1e-11, 2.0 + 1e-11, 7.0 - 1e-11, 31.0 + 1e-11, 17.3, -45.7, 1000.3]
+    )
+    def test_matches_120_bit_product_next_to_roots(self, sinh_line_spec, x) -> None:
+        mpmath = pytest.importorskip("mpmath")
+        value = eval_product(sinh_line_spec, complex(1.0, x)).value
+        assert value.imag == 0.0
+        with mpmath.workprec(120):
+            s = mpmath.mpc(1.0, x)
+            reference = mpmath.mpc(sinh_line_spec.value_at_zero)
+            for z in sinh_line_spec.zero_sequence.zeros:
+                reference *= 1 - s / mpmath.mpc(z)
+            assert float(abs(mpmath.mpc(value) - reference) / abs(reference)) <= 1e-13
+
+    @pytest.mark.parametrize("k_max", [5000, 200])  # one point per block, and many
+    def test_line_point_keeps_its_bits_in_a_mixed_batch(self, sinh_line_spec, k_max) -> None:
+        spec = sinh_line_spec if k_max == 5000 else make_symmetric_spec(
+            1.0, np.arange(1.0, k_max + 1.0).repeat(2) * np.tile([1.0, -1.0], k_max), 1.0
+        )
+        line = [complex(1.0, x) for x in (0.3, 2.0 - 1e-11, 17.3, -45.7, 3.0, *np.linspace(-9, 9, 24))]
+        off = [1.3 + 0.2j, 1.0 + 0j, 0.7 + 17.3j]
+        batch = [off[0], line[0], off[1], line[1], off[2], *line[2:]]
+        values, logs = product_engine._eval_batch(spec, batch, 2 * k_max, None)
+        for s in line:
+            alone = eval_product(spec, s)
+            j = batch.index(s)
+            assert complex(values[j]) == alone.value
+            assert alone.log_value is None or complex(logs[j]) == alone.log_value
+        exponents, real = product_engine._log_sums(spec.zero_sequence, 0, 0j, batch, 2 * k_max)
+        assert real.tolist() == [s in line for s in batch]
+        assert exponents[batch.index(3j + 1.0)].real == -math.inf
+        # off the line the complex kernel's bits
+        expected = product_engine._log_sum(off, spec.zero_sequence.zeros, 0)
+        assert exponents[[batch.index(s) for s in off]].tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("center_value", [1.0, 2.5 - 0.5j, 1e-3])
+    def test_center_point_keeps_the_complex_kernel(self, center_value) -> None:
+        spec = make_symmetric_spec(1.0, np.arange(1.0, 201.0).repeat(2) * np.tile([1, -1], 200), center_value)
+        # the inversion at s = xi round-trips, and s = xi never builds the pair data
+        assert eval_product(spec, 1.0).value == center_value
+        assert spec.zero_sequence._pair_cache is None
+        eval_product(spec, 1.0 + 0.5j)
+        assert spec.zero_sequence._pair_cache is not None
+
+    def test_exact_zero_only_at_a_retained_tau(self, sinh_line_spec) -> None:
+        at = eval_product(sinh_line_spec, 1.0 + 3.0j)
+        assert at.value == 0j and at.log_value is None
+        beside = eval_product(sinh_line_spec, complex(1.0, math.nextafter(3.0, 4.0)))
+        assert beside.value != 0 and beside.log_value is not None
+        assert beside.nearest_zero_distance == math.nextafter(3.0, 4.0) - 3.0
+
+    def test_y_tilde_profile_is_real(self, sinh_line_spec) -> None:
+        for n in (None, 2000):
+            profile = critical_line_profile(sinh_line_spec, -10.0, 10.0, 321, n)
+            assert profile.imag_max == 0.0
+
+    @pytest.mark.parametrize("case", ["genus 1", "unpaired", "out of range", "odd truncation"])
+    def test_other_specs_keep_the_complex_kernel(self, case, lbar_spec) -> None:
+        spec, s, n = {
+            "genus 1": (lbar_spec, 1.0 + 2.5j, 400),
+            "unpaired": (make_symmetric_spec(1.0, [1.0, -1.0, 2.0], 1.0), 1.0 + 1.5j, 3),
+            # |x| past 2^255 times the least tau
+            "out of range": (make_symmetric_spec(1.0, [1.0, -1.0], 1.0), 1.0 + 1e80j, 2),
+            "odd truncation": (make_symmetric_spec(1.0, [1.0, -1.0, 2.0, -2.0], 1.0), 1.0 + 1.5j, 3),
+        }[case]
+        seq = spec.zero_sequence
+        exponents, real = product_engine._log_sums(seq, spec.genus, spec.q_constant, [s], n)
+        assert not real.any()
+        log_sum = product_engine._log_sum([s], seq.zeros[:n], spec.genus)[0]
+        assert exponents[0] == log_sum + (spec.q_constant * s if spec.genus else 0)
+
+    def test_nearest_on_the_line_reads_the_same_double(self, sinh_line_spec) -> None:
+        zeros = sinh_line_spec.zero_sequence.zeros
+        for x in (0.3, 2.0 - 1e-11, 17.3, -45.7, 3.0, 6000.25):
+            s = complex(1.0, x)
+            assert product_engine._nearest(s, zeros, 1.0) == product_engine._nearest(s, zeros)
 
 
 class TestRotatedDerivatives:

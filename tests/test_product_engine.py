@@ -32,7 +32,7 @@ from entirefn import (
     shift_constant_residual,
     verify_multiplicity,
 )
-from entirefn import product_engine
+from entirefn import identities, product_engine
 from entirefn.identities import compare_shift, verify_identity
 
 
@@ -262,19 +262,40 @@ class TestShiftedProduct:
 
     @pytest.mark.parametrize("theorem", ["T1", "T3"])
     def test_one_evaluation_per_shift_point(self, lbar_spec, monkeypatch, theorem) -> None:
-        points = []
-        original = product_engine.eval_product
+        batches = []
+        original = product_engine._eval_batch
 
-        def spy(spec, s, n_terms=None):
-            points.append(complex(s))
-            return original(spec, s, n_terms)
+        def spy(spec, points, n, radius):
+            batches.append([complex(s) for s in points])
+            return original(spec, points, n, radius)
 
-        monkeypatch.setattr(product_engine, "eval_product", spy)
+        # S(alpha) is the one product evaluation inside product_engine
+        monkeypatch.setattr(product_engine, "_eval_batch", spy)
         spec = lbar_spec if theorem == "T3" else small_spec(lbar_spec.zero_sequence.zeros, 1, 0.3)
         verify_identity(spec, theorem, draws=6)
-        # T3 draws alpha = xi every time; T1 draws six distinct alphas
+        # T3 draws alpha = xi every time; T1 draws six distinct alphas, in one batch
+        (points,) = batches
         assert len(points) == (1 if theorem == "T3" else 6)
         assert len(set(points)) == len(points)
+
+
+    def test_first_failing_draw_names_the_error(self) -> None:
+        # q*s, q*(s - alpha) and the logs pass the double range at most draws, each its own way
+        spec = small_spec([1 + 1j, 1 - 1j], 1, 1e308)
+        rng = np.random.default_rng(0)
+        s_points = identities._draw_points(rng, spec, 9, avoid_origin=False)
+        alphas = identities._draw_points(rng, spec, 9, avoid_origin=True)
+        errors = []
+        for s, alpha in zip(s_points, alphas):
+            try:
+                identities._shift_measures(spec, [s], [alpha], None)
+            except ValueError as error:
+                errors.append(str(error))
+        assert len(set(errors)) > 2
+        # the batched draws fail as a whole; the error is the first draw's, as if alone
+        with pytest.raises(ValueError) as info:
+            verify_identity(spec, "T1", seed=0, draws=9)
+        assert str(info.value) == errors[0]
 
 
 class TestShiftConstantResidual:
@@ -309,9 +330,9 @@ class TestShiftConstantResidual:
     def test_genus0_sums_the_factor_logs_at_alpha_once(
         self, sinh_line_spec, monkeypatch, alpha
     ) -> None:
-        zeros, at_alpha = product_engine._at_shift_point(sinh_line_spec, alpha, 2000)
-        recomputed = product_engine._constant_residual(
-            sinh_line_spec, alpha, zeros, at_alpha.value, at_alpha.log_value
+        zeros, (at_alpha,) = product_engine._at_shift_points(sinh_line_spec, [alpha], 2000)
+        (recomputed,) = product_engine._constant_residuals(
+            sinh_line_spec, [alpha], zeros, [at_alpha.value], [at_alpha.log_value]
         )
         sums_at_alpha = []
         original = product_engine._log_sum
