@@ -288,7 +288,9 @@ class ZeroSequence:
         # the mirrored +-tau pairs of a line sequence, built by product_engine._line_pairs
         object.__setattr__(self, "_pair_cache", None)
         # xi for zeros that _line_sequence built as xi + i tau from finite
-        # nonzero xi and tau, which pass every zero check of a spec on xi
+        # nonzero xi and tau, in modulus order, which pass every zero check of
+        # a spec on xi; 0 only for the line offsets i tau of critical_line,
+        # which skip no spec's checks: a symmetric spec's center_xi is nonzero
         object.__setattr__(self, "_line", None)
 
     def __len__(self) -> int:

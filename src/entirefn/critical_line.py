@@ -4,7 +4,10 @@ For a symmetric-class spec with zeros xi + i*tau_k, the map
 V(x) = S(xi + i x) carries all the zero structure: V vanishes exactly at
 the retained tau_k, and for a sign-symmetric Y_tilde spec V is real on real
 x and collapses to the even product V(0) * prod (1 - x^2 / tau_hat^2) over
-the positive offset magnitudes.  Derivatives rotate: V^(k)(0) = i^k S^(k)(xi).
+the positive offset magnitudes.  That product, and the literal one
+V(0) * prod (1 - x / tau_k) of the line-form checks, take the offsets as the
+zeros i tau on the line 0 at i x, through the one factor reducer of
+``product_engine``.  Derivatives rotate: V^(k)(0) = i^k S^(k)(xi).
 """
 
 from __future__ import annotations
@@ -15,9 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ._numeric import real_sum
-from .core_types import ClassTag, EntireFunctionSpec
-from .product_engine import _eval_batch, _nearest, _retained, _value_from_log, eval_product
+from .core_types import ClassTag, EntireFunctionSpec, Ordering, ZeroSequence
+from .product_engine import _eval_batch, _log_sums, _nearest, _retained, _values_from_logs, eval_product
 from .series_engine import TaylorExpansion, _require_sign_symmetric
 
 __all__ = [
@@ -216,33 +218,37 @@ def even_product_form(spec: EntireFunctionSpec, x: float, n_terms: int | None = 
     return _even_product_values(spec, [float(x)], n_terms)[0]
 
 
-@np.errstate(over="ignore")
 def _even_product_values(spec: EntireFunctionSpec, xs, n_terms: int | None) -> list[complex]:
     """``even_product_form`` at each x, checking the spec and computing V(0) once."""
     if spec.class_tag is not ClassTag.Y_TILDE:
         raise ValueError("even product form requires a Y_tilde spec")
-    zeros = _retained(spec, n_terms)
-    n = int(zeros.size)
-    taus = zeros.imag
+    taus = _retained(spec, n_terms).imag
     _require_sign_symmetric(taus)
     tau_hat = taus[taus > 0.0]
     assert spec.center_xi is not None
-    center = eval_product(spec, complex(spec.center_xi), n)
-    if tau_hat.size == 0:
-        return [center.value] * len(xs)
-    out: list[complex] = []
-    tau_sq = tau_hat * tau_hat
-    squares_fit = bool(np.all(np.isfinite(tau_sq)))  # else x^2 / tau^2 is taken as (x / tau)^2
-    for x in xs:
-        x = float(x)
-        factors = 1.0 - ((x * x) / tau_sq if squares_fit and math.isfinite(x * x) else (x / tau_hat) ** 2)
-        if np.any(factors == 0.0):
-            out.append(0j)
-            continue
-        sign, phase = (-1.0, math.pi) if np.count_nonzero(factors < 0.0) % 2 else (1.0, 0.0)
-        log_abs = real_sum(np.log(np.abs(factors)))
-        out.append(_value_from_log(log_abs, center.value * sign, center.log_value + 1j * phase))
-    return out
+    center = eval_product(spec, complex(spec.center_xi), taus.size)
+    exponents, real = _offset_logs(np.concatenate([tau_hat, -tau_hat]), xs)
+    return _values_from_logs(exponents, real, center.value, center.log_value)
+
+
+def _offset_logs(taus: np.ndarray, xs, radius: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Logs of prod (1 - x / tau) at each x, and which products are real.
+
+    The offsets are the genus-0 zeros i tau on the line 0 and x the point
+    i x, so each factor is 1 - s/z.  A sign-symmetric set, repeated offsets
+    included, is laid out as ascending mirrored pairs: ``_log_sums`` takes
+    one real log of 1 - x^2/tau^2 per pair and halves the far power sums.
+    """
+    upper = np.sort(taus[taus > 0.0])
+    if np.array_equal(upper, np.sort(-taus[taus < 0.0])):
+        taus = np.column_stack([upper, -upper]).ravel()
+    zeros = np.zeros(taus.size, dtype=np.complex128)
+    zeros.imag = taus
+    seq = ZeroSequence(zeros, ordering=Ordering.AS_GIVEN)
+    object.__setattr__(seq, "_line", 0.0)
+    points = np.zeros(np.size(xs), dtype=np.complex128)
+    points.imag = xs
+    return _log_sums(seq, 0, 0j, points, len(seq), radius)
 
 
 def rotated_derivatives(expansion: TaylorExpansion, orders: Sequence[int]) -> RotatedDerivatives:

@@ -26,10 +26,10 @@ import numpy as np
 
 from ._numeric import complex_sum
 from .analysis import verify_multiplicity
-from .core_types import EntireFunctionSpec, ZeroSequence
-from .critical_line import _even_product_values, critical_line_profile, scan_real_zeros
+from .core_types import EntireFunctionSpec
+from .critical_line import _even_product_values, _offset_logs, critical_line_profile, scan_real_zeros
 from .product_engine import _at_shift_points, _eval_batch, _evaluation, _internal_residuals
-from .product_engine import _log_sums, _nearest, _retained, _shifted_values, _value_from_log, eval_product
+from .product_engine import _nearest, _retained, _shifted_values, _value_from_log, _values_from_logs, eval_product
 from .series_engine import even_series
 
 __all__ = [
@@ -195,29 +195,30 @@ def _line_form_identity(spec, with_even_form: bool, x_min, x_max, samples, n_ter
     direct = profile.values
     if not (np.all(np.isfinite(direct)) and cmath.isfinite(profile.v0)):
         raise ValueError(f"line values pass the double range on [{x_min!r}, {x_max!r}]")
-    n = profile.truncation
-    zeros = spec.zero_sequence.zeros[:n]
-    grid = profile.grid
-    # V(x) / V(0) = prod (1 - x / tau_k), times exp(i x (q + sum 1/z_k)) at genus 1
-    taus = ZeroSequence(zeros=zeros.imag, ordering="as_given")
-    exponents, _ = _log_sums(taus, 0, 0j, grid, n, float(np.max(np.abs(grid))))
-    if spec.genus == 1:
-        recip_sum = complex_sum(1.0 / zeros)
-        exponents += 1j * grid * spec.q_constant + 1j * grid * recip_sum
-    log_v0 = cmath.log(profile.v0)
-    literal = np.array([_value_from_log(e, profile.v0, log_v0) for e in exponents.tolist()])
+    literal = _literal_values(spec, spec.zero_sequence.zeros[: profile.truncation], profile.grid, profile.v0)
     scale = 1.0 + np.abs(direct)
     residual = float(np.max(np.abs(literal - direct) / scale))
     quantities = [("line_form_residual_max", residual)]
     passed = residual <= tolerance
     if with_even_form:
-        even = np.array(_even_product_values(spec, grid, n), dtype=np.complex128)
+        even = np.array(_even_product_values(spec, profile.grid, profile.truncation), dtype=np.complex128)
         even_residual = float(np.max(np.abs(even - direct) / scale))
         reality = profile.imag_max / max(float(np.max(np.abs(direct))), 1e-300)
         quantities.append(("reality_ratio", reality))
         quantities.append(("even_form_residual_max", even_residual))
         passed = passed and reality <= tolerance and even_residual <= tolerance
     return quantities, passed
+
+
+def _literal_values(spec, zeros: np.ndarray, grid: np.ndarray, v0: complex) -> np.ndarray:
+    """The literal line product V(0) prod (1 - x / tau_k) at each x of the grid,
+    times exp(i x (q + sum 1/z_k)) at genus 1, with the far offsets beyond the grid from power sums."""
+    exponents, real = _offset_logs(zeros.imag, grid, float(np.max(np.abs(grid))))
+    if spec.genus == 1:
+        recip_sum = complex_sum(1.0 / zeros)
+        exponents += 1j * grid * spec.q_constant + 1j * grid * recip_sum
+        real[:] = False
+    return np.array(_values_from_logs(exponents, real, v0, cmath.log(v0)), dtype=np.complex128)
 
 
 def _simplicity_identity(spec, scan: bool, x_min: float, x_max: float, samples, n_terms):

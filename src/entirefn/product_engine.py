@@ -28,10 +28,12 @@ retained zeros are mirrored pairs xi +- i tau, a point s = xi + i x, x != 0,
 takes one real log per pair instead (``_pair_log_sum``): the pair's factors
 multiply to 1 - delta, delta = (x^2 + xi^2)/(xi^2 + tau^2), whose log is
 log1p(-delta) where delta < 1/2 and log(|tau - x| (tau + x)/(xi^2 + tau^2))
-elsewhere, from values scaled by the power of two of tau.  The sum is -inf
-iff |x| is a retained tau; the sign (-1)^#{tau < |x|} rides in the value's
-scale, so the value is real where V(0) is.  s = xi, genus 1, and sets that
-are not mirrored pairs keep the complex kernel.
+elsewhere, from values scaled by the power of two of tau (past 2^255 times
+the least tau, the real part of the complex kernel).  The sum is -inf iff
+|x| is a retained tau; the sign (-1)^#{tau < |x|} rides in the value's
+scale, so the value is real where V(0) is.  The line offsets of
+``critical_line``, the zeros i tau on the line 0 at s = i x, are such a
+sequence.  s = xi, genus 1, and other sets keep the complex kernel.
 
 Batches of points (line profiles, max-modulus rings, winding contours and
 the line-form identities) split the zeros at |z| = 4R, R >= max |s|: near
@@ -91,7 +93,7 @@ _FAR_RATIO = 4.0
 _FAR_TOLERANCE = 1e-17
 _BLOCK_ELEMENTS = 1 << 12  # (point, zero) pairs per block of _log_sum: small temporaries
 # On the line, |x| and |xi| up to this many times the least near tau keep
-# every scaled quantity of the pair kernel a normal double (_line_points).
+# every scaled quantity of the pair kernel a normal double (_log_sums).
 _PAIR_RANGE = 2.0**255
 
 
@@ -261,34 +263,9 @@ def _line_pairs(seq: ZeroSequence) -> _LinePairs:
     return pairs
 
 
-def _line_points(
-    seq: ZeroSequence, genus: int, points: np.ndarray, n: int, near: int
-) -> tuple[np.ndarray, _LinePairs | None]:
-    """Which points take the pair kernel, and the pairs (None where no point does).
-
-    A point does at genus 0 where the sequence has a line xi whose first n
-    zeros are mirrored pairs and the point is xi + i x, x != 0, with |x| and
-    |xi| at most the limit of the near pairs.  Only then is the pair data built.
-    """
-    xi = seq._line  # type: ignore[attr-defined]
-    real = np.zeros(points.size, dtype=bool)
-    if genus or xi is None or n % 2:
-        return real, None
-    np.logical_and(points.real == xi, points.imag != 0.0, out=real)
-    if not real.any():
-        return real, None
-    pairs = _line_pairs(seq)
-    if n > 2 * pairs.tau.size:
-        return np.zeros_like(real), None
-    if near:
-        real &= np.maximum(np.abs(points.imag), abs(xi)) <= pairs.limit[near // 2 - 1]
-    return real, pairs
-
-
 @np.errstate(divide="ignore", invalid="ignore")
-def _pair_log_sum(ax: np.ndarray, pairs: _LinePairs, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per |x| > 0, the exactly rounded sum of log|1 - delta| over the first count pairs,
-    and whether an odd number of their taus are below |x|.
+def _pair_log_sum(ax: np.ndarray, pairs: _LinePairs, count: int) -> np.ndarray:
+    """Per |x| > 0, the exactly rounded sum of log|1 - delta| over the first count pairs.
 
     At s = xi + i x a pair's factor (1 - s/(xi + i tau)) (1 - s/(xi - i tau))
     is (tau^2 - x^2)/(xi^2 + tau^2) = 1 - delta, delta = (x^2 + xi^2)/(xi^2 +
@@ -301,7 +278,7 @@ def _pair_log_sum(ax: np.ndarray, pairs: _LinePairs, count: int) -> tuple[np.nda
     """
     scale, tau, xi2, d = (part[:count] for part in pairs[:4])
     step = max(1, _BLOCK_ELEMENTS // max(count, 1))
-    sums, odd = np.empty(ax.size), np.zeros(ax.size, dtype=bool)
+    sums = np.empty(ax.size)
     for first in range(0, ax.size, step):
         a = ax[first : first + step, None]
         acc = ExactSum(len(a))
@@ -313,13 +290,12 @@ def _pair_log_sum(ax: np.ndarray, pairs: _LinePairs, count: int) -> tuple[np.nda
             delta /= d[cols]
             far = np.flatnonzero(delta >= 0.5)
             logs = np.log1p(np.negative(delta, out=delta), out=delta)
-            row, col = np.divmod(far, logs.shape[1])
+            col = far % logs.shape[1]
             t, xs = tau[cols][col], x.take(far)
             np.put(logs, far, np.log(np.abs(t - xs) * (t + xs) / d[cols][col]))
-            odd[first : first + len(a)] ^= np.bincount(row[xs > t], minlength=len(a)) % 2 == 1
             acc.add(logs)
         sums[first : first + len(a)] = [acc.total(j) for j in range(len(a))]
-    return sums, odd
+    return sums
 
 
 def _far_sums(far: np.ndarray) -> tuple[float, np.ndarray]:
@@ -392,15 +368,22 @@ def _log_sums(
     point, and which points' products are real.
 
     A point that is a retained zero gets -inf, the log of an exact 0.  With
-    a radius >= max |s| the zeros beyond 4 * radius enter as power sums.  A
-    point of ``_line_points`` takes ``_pair_log_sum`` over the near pairs and
-    the real part of the far series (the far pairs' factors are positive):
-    its product is real, and the imaginary part of its log is 0 or pi, the
-    log of the product's sign.
+    a radius >= max |s| the zeros beyond 4 * radius enter as power sums.  At
+    genus 0 a point xi + i x, x != 0, on the line xi of a sequence whose
+    first n zeros are mirrored pairs (only then is the pair data built) takes
+    ``_pair_log_sum`` over the near pairs (the complex kernel's real part
+    past their range) and the real part of the far series (the far pairs'
+    factors are positive): its product is real, and the imaginary part of
+    its log is 0 or pi, the log of its sign.
     """
     points = np.ascontiguousarray(points, dtype=np.complex128).reshape(-1)
     near, far = _split(seq, genus, points, n, radius, derivative=False)
-    real, pairs = _line_points(seq, genus, points, n, near.size)
+    line, real, pairs = seq._line, np.zeros(points.size, dtype=bool), None  # type: ignore[attr-defined]
+    if not genus and line is not None and not n % 2:
+        np.logical_and(points.real == line, points.imag != 0.0, out=real)
+        pairs = _line_pairs(seq) if real.any() else None
+        if pairs is not None and n > 2 * pairs.tau.size:
+            real[:], pairs = False, None
     exponents = np.zeros(points.size, dtype=np.complex128)
     if genus == 1:  # q s part by part as Python forms it: numpy's complex product may fuse multiply-adds
         parts = points.view(np.float64).reshape(-1, 2)
@@ -410,11 +393,13 @@ def _log_sums(
             _log_sum(points[:j], near, genus)  # an earlier point's range error comes first
             raise ValueError(f"q*s = {complex(exponents[j])!r} passes the double range at s = {complex(points[j])!r}")
     if near.size and pairs is not None:
-        sums, odd = _pair_log_sum(np.abs(points.imag[real]), pairs, near.size // 2)
-        exponents.real[real] = sums
-        exponents.imag[real] = np.where(odd, math.pi, 0.0)
-        if not real.all():
-            exponents[~real] = _log_sum(points[~real], near, genus)
+        count, ax = near.size // 2, np.abs(points.imag)
+        fit = real & (np.maximum(ax, abs(line)) <= pairs.limit[count - 1])
+        exponents.real[fit] = _pair_log_sum(ax[fit], pairs, count)
+        if not fit.all():  # past the pair range the complex kernel gives log |V|
+            exponents[~fit] = _log_sum(points[~fit], near, genus)
+        # a real product's sign, (-1)^#{tau < |x|} over the near taus (ascending)
+        exponents.imag[real] = np.where(np.searchsorted(near.imag[0::2], ax[real]) % 2, math.pi, 0.0)
     elif near.size:
         log_sums = _log_sum(points, near, genus)
         exponents += log_sums
@@ -434,14 +419,19 @@ def _eval_batch(
     At a retained zero the value is exactly 0 and the log has real part -inf.
     """
     exponents, real = _log_sums(spec.zero_sequence, spec.genus, spec.q_constant, points, n, radius)
-    v0, log_v0 = spec.value_at_zero, cmath.log(spec.value_at_zero)
-    # a real product takes its sign in the scale, so a real V(0) gives a real value
-    values = [
+    log_v0 = cmath.log(spec.value_at_zero)
+    values = _values_from_logs(exponents, real, spec.value_at_zero, log_v0)
+    return np.array(values, dtype=np.complex128), log_v0 + exponents
+
+
+def _values_from_logs(exponents: np.ndarray, real: np.ndarray, v0: complex, log_v0: complex) -> list[complex]:
+    """v0 times each product of ``_log_sums``; a real one's sign (log 0 or i pi) goes
+    into the scale, so a real v0 gives a real value."""
+    return [
         _value_from_log(complex(e.real), v0 * (-1.0 if e.imag else 1.0), log_v0 + 1j * e.imag)
         if r else _value_from_log(e, v0, log_v0)
         for e, r in zip(exponents.tolist(), real.tolist())
     ]
-    return np.array(values, dtype=np.complex128), log_v0 + exponents
 
 
 def _log_derivatives(spec: EntireFunctionSpec, points, n: int, radius: float) -> np.ndarray:

@@ -8,7 +8,9 @@ from _oracles import FROZEN_SINC_AT_HALF, sinc_ratio
 
 from entirefn import (
     CriticalLineProfile,
+    _numeric,
     critical_line,
+    identities,
     product_engine,
     critical_line_profile,
     eval_product,
@@ -146,6 +148,14 @@ class TestEvenProductForm:
             assert even_product_form(spec, x) == pytest.approx(expected, rel=1e-14)
             assert eval_product(spec, complex(1.0, x)).value == pytest.approx(expected, rel=1e-14)
 
+    def test_repeated_offsets_give_real_values(self, duplicated_zero_spec) -> None:
+        # V(x) = (1 - x^2)^2 with V(0) = 1: the repeated +-1 still pair up
+        for x in (0.5, 1.5, -2.5):
+            value = even_product_form(duplicated_zero_spec, x)
+            assert value.imag == 0.0
+            assert value.real == pytest.approx((1.0 - x * x) ** 2, rel=1e-14)
+        assert even_product_form(duplicated_zero_spec, 1.0) == 0j
+
     def test_asymmetric_offsets_rejected(self) -> None:
         spec = make_symmetric_spec(xi=1.0, taus=[1.0, -1.0, 2.0], value_at_center=1.0 + 0j)
         with pytest.raises(ValueError, match="symmetry"):
@@ -173,6 +183,33 @@ class TestEvenProductForm:
         monkeypatch.undo()
         even = critical_line._even_product_values(sinh_line_spec, grid, None)
         assert even == [even_product_form(sinh_line_spec, float(x)) for x in grid]
+
+    @pytest.mark.parametrize("x", [31.0 + 1e-11, 100.0 - 1e-9, 2.0 - 1e-11])
+    def test_even_and_literal_products_match_200_bit_next_to_roots(self, sinh_line_spec, x) -> None:
+        mpmath = pytest.importorskip("mpmath")
+        zeros = sinh_line_spec.zero_sequence.zeros
+        v0 = eval_product(sinh_line_spec, 1.0).value
+        # the literal product of T7, with the far offsets beyond x from their power sums
+        (literal,) = identities._literal_values(sinh_line_spec, zeros, np.array([x]), v0)
+        with mpmath.workprec(200):
+            s = mpmath.mpc(1.0, x)
+            reference = mpmath.mpc(sinh_line_spec.value_at_zero)
+            for z in zeros:
+                reference *= 1 - s / mpmath.mpc(z)
+            for value in (even_product_form(sinh_line_spec, x), literal):
+                assert value.imag == 0.0
+                assert float(abs(mpmath.mpc(value) - reference) / abs(reference)) <= 1e-13
+
+    def test_line_form_far_powers_take_the_halved_sums(self, sinh_line_spec, monkeypatch) -> None:
+        # the far offsets +-i tau are conjugate pairs: exact_power_sums sums one member of each
+        full = []
+        original = _numeric.complex_sum
+        monkeypatch.setattr(_numeric, "complex_sum", lambda values: full.append(1) or original(values))
+        zeros = sinh_line_spec.zero_sequence.zeros
+        literal = identities._literal_values(sinh_line_spec, zeros, np.linspace(13.8, 15.3, 48), 1.0)
+        assert np.all(literal.imag == 0.0)
+        assert verify_identity(sinh_line_spec, "T7", x_min=13.8, x_max=15.3, samples=48).passed
+        assert full == []
 
     @pytest.mark.parametrize("theorem", ["T6", "T7"])
     def test_line_form_quantities_are_python_floats(self, theorem, request) -> None:
@@ -240,13 +277,11 @@ class TestLinePairKernel:
             profile = critical_line_profile(sinh_line_spec, -10.0, 10.0, 321, n)
             assert profile.imag_max == 0.0
 
-    @pytest.mark.parametrize("case", ["genus 1", "unpaired", "out of range", "odd truncation"])
+    @pytest.mark.parametrize("case", ["genus 1", "unpaired", "odd truncation"])
     def test_other_specs_keep_the_complex_kernel(self, case, lbar_spec) -> None:
         spec, s, n = {
             "genus 1": (lbar_spec, 1.0 + 2.5j, 400),
             "unpaired": (make_symmetric_spec(1.0, [1.0, -1.0, 2.0], 1.0), 1.0 + 1.5j, 3),
-            # |x| past 2^255 times the least tau
-            "out of range": (make_symmetric_spec(1.0, [1.0, -1.0], 1.0), 1.0 + 1e80j, 2),
             "odd truncation": (make_symmetric_spec(1.0, [1.0, -1.0, 2.0, -2.0], 1.0), 1.0 + 1.5j, 3),
         }[case]
         seq = spec.zero_sequence
@@ -254,6 +289,25 @@ class TestLinePairKernel:
         assert not real.any()
         log_sum = product_engine._log_sum([s], seq.zeros[:n], spec.genus)[0]
         assert exponents[0] == log_sum + (spec.q_constant * s if spec.genus else 0)
+
+    @pytest.mark.parametrize(
+        "taus, x, sign",
+        [([1.0, -1.0], 1e80, -1.0), ([1.0, -1.0, 2.0, -2.0], -1e80, 1.0), ([1e30, -1e30], 1e110, -1.0)],
+        ids=["one pair", "two pairs", "pair at 1e30"],
+    )
+    def test_points_past_the_pair_range_are_real(self, taus, x, sign) -> None:
+        # |x| past 2^255 times the least tau: the complex kernel's log |V|, the sign (-1)^#{tau < |x|}
+        spec = make_symmetric_spec(1.0, taus, 1e-200)
+        s = complex(1.0, x)
+        exponents, real = product_engine._log_sums(spec.zero_sequence, 0, 0j, [s], len(taus))
+        assert real.all()
+        log_abs = product_engine._log_sum([s], spec.zero_sequence.zeros, 0)[0].real
+        assert exponents[0].real == log_abs
+        for value in (eval_product(spec, s).value, even_product_form(spec, x)):
+            assert value.imag == 0.0 and math.copysign(1.0, value.real) == sign
+            assert abs(value) == pytest.approx(math.exp(math.log(abs(spec.value_at_zero)) + log_abs), rel=1e-14)
+        pair = make_symmetric_spec(1.0, [1e30, -1e30], 1.0)
+        assert eval_product(pair, 1.0 + 1e110j).value == -1.0000000000000063e160
 
     def test_nearest_on_the_line_reads_the_same_double(self, sinh_line_spec) -> None:
         zeros = sinh_line_spec.zero_sequence.zeros

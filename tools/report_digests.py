@@ -60,6 +60,7 @@ SMALL_SPECS = {
     "duplicated.spec": lambda: _line_spec(1.0, [1.0, 1.0, -1.0, -1.0]),
     "tiny_zero_g0.spec": lambda: _pairs_spec("Y", [1e-10 + 0j]),
     "tiny_zero_g1.spec": lambda: _pairs_spec("L", [1e-10 + 0j]),
+    "far_pair.spec": lambda: _line_spec(1.0, [1e30, -1e30]),
 }
 
 SMALL_COMMANDS = (
@@ -93,6 +94,8 @@ SMALL_COMMANDS = (
     ("mult", "--spec", "duplicated.spec", "--center", "1+1i", "--radius", "0.2", "--nodes", "64"),
     ("shift", "--spec", "tiny_zero_g0.spec", "--alpha=1e300", "--s=1"),
     ("shift", "--spec", "tiny_zero_g1.spec", "--alpha=1e300", "--s=1"),
+    # line points past 2^255 times the least tau: real, with the sign of the taus below |x|
+    ("line", "--spec", "far_pair.spec", "--x-min=-1e110", "--x-max=1e110", "--samples", "3"),
 )
 
 
