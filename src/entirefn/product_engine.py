@@ -228,8 +228,13 @@ def _log_sum(points, zeros: np.ndarray, genus: int, center: complex = 0j) -> np.
 
 
 class _LinePairs(NamedTuple):
-    """The leading mirrored pairs (xi + i tau, xi - i tau), tau > 0, of a line sequence.
+    """The mirrored pairs (xi + i tau, xi - i tau), tau > 0, of a line sequence, ascending in tau.
 
+    Pair j is the j-th positive offset with the j-th negative one, for as
+    long as these are equal and ascending: each run of equal |tau| pairs
+    its positive entries with its negative ones, in any layout (+tau, -tau,
+    +tau, -tau or +tau, +tau, -tau, -tau).  ``closed[j]`` tells whether the
+    first j zeros are the first j/2 pairs, and ``offsets`` lists the taus.
     Per pair, with tau = t 2^e and t in [1/2, 1): ``scale`` 2^-e, ``tau`` t,
     ``xi2`` (xi 2^-e)^2 and ``d`` xi2 + t^2, that is (xi^2 + tau^2) 4^-e.
     ``limit[k]`` is 2^255 times the least of the first k + 1 taus, or 0
@@ -241,6 +246,8 @@ class _LinePairs(NamedTuple):
     xi2: np.ndarray
     d: np.ndarray
     limit: np.ndarray
+    closed: np.ndarray
+    offsets: np.ndarray
 
 
 def _line_pairs(seq: ZeroSequence) -> _LinePairs:
@@ -248,17 +255,23 @@ def _line_pairs(seq: ZeroSequence) -> _LinePairs:
     pairs = seq._pair_cache  # type: ignore[attr-defined]
     if pairs is None:
         im = seq.zeros.imag
-        k = im.size // 2
-        upper, lower = im[0 : 2 * k : 2], im[1 : 2 * k : 2]
-        mirrored = (upper > 0.0) & (lower == -upper)
+        upper, lower = im[im > 0.0], -im[im < 0.0]
+        k = min(upper.size, lower.size)
+        upper, lower = upper[:k], lower[:k]
+        mirrored = upper == lower
+        mirrored[1:] &= upper[1:] >= upper[:-1]
         count = k if mirrored.all() else int(np.argmin(mirrored))
+        positive = np.cumsum(im > 0.0, dtype=np.int64)
+        closed = np.ones(im.size + 1, dtype=bool)
+        closed[1:] = (2 * positive == np.arange(1, im.size + 1)) & (positive <= count)
+        closed[1:] &= np.cumsum(im < 0.0, dtype=np.int64) == positive
         tau, exponent = np.frexp(upper[:count])
         least = np.minimum.accumulate(upper[:count])
         with np.errstate(over="ignore"):  # inf only where no point in range reaches
             xi2 = np.square(np.ldexp(seq._line, -exponent))  # type: ignore[attr-defined]
             scale = np.ldexp(1.0, -exponent)
             limit = np.where(least >= 2.0**-1000, _PAIR_RANGE * least, 0.0)
-        pairs = _LinePairs(scale, tau, xi2, xi2 + tau * tau, limit)
+        pairs = _LinePairs(scale, tau, xi2, xi2 + tau * tau, limit, closed, upper[:count])
         object.__setattr__(seq, "_pair_cache", pairs)
     return pairs
 
@@ -370,7 +383,8 @@ def _log_sums(
     A point that is a retained zero gets -inf, the log of an exact 0.  With
     a radius >= max |s| the zeros beyond 4 * radius enter as power sums.  At
     genus 0 a point xi + i x, x != 0, on the line xi of a sequence whose
-    first n zeros are mirrored pairs (only then is the pair data built) takes
+    first n zeros and near zeros are mirrored pairs (``_LinePairs.closed``;
+    only then is the pair data built) takes
     ``_pair_log_sum`` over the near pairs (the complex kernel's real part
     past their range) and the real part of the far series (the far pairs'
     factors are positive): its product is real, and the imaginary part of
@@ -382,7 +396,7 @@ def _log_sums(
     if not genus and line is not None and not n % 2:
         np.logical_and(points.real == line, points.imag != 0.0, out=real)
         pairs = _line_pairs(seq) if real.any() else None
-        if pairs is not None and n > 2 * pairs.tau.size:
+        if pairs is not None and not (pairs.closed[n] and pairs.closed[near.size]):
             real[:], pairs = False, None
     exponents = np.zeros(points.size, dtype=np.complex128)
     if genus == 1:  # q s part by part as Python forms it: numpy's complex product may fuse multiply-adds
@@ -399,7 +413,8 @@ def _log_sums(
         if not fit.all():  # past the pair range the complex kernel gives log |V|
             exponents[~fit] = _log_sum(points[~fit], near, genus)
         # a real product's sign, (-1)^#{tau < |x|} over the near taus (ascending)
-        exponents.imag[real] = np.where(np.searchsorted(near.imag[0::2], ax[real]) % 2, math.pi, 0.0)
+        taus = pairs.offsets[:count]
+        exponents.imag[real] = np.where(np.searchsorted(taus, ax[real]) % 2, math.pi, 0.0)
     elif near.size:
         log_sums = _log_sum(points, near, genus)
         exponents += log_sums

@@ -277,6 +277,21 @@ class TestLinePairKernel:
             profile = critical_line_profile(sinh_line_spec, -10.0, 10.0, 321, n)
             assert profile.imag_max == 0.0
 
+    def test_repeated_offsets_pair_across_signs(self, duplicated_zero_spec) -> None:
+        # modulus order lists +1, +1, -1, -1: each +tau of the run pairs with a -tau
+        spec = duplicated_zero_spec
+        assert critical_line_profile(spec, -1.5, 1.5, 128).imag_max == 0.0
+        result = verify_identity(spec, "T7", x_min=0.3, x_max=1.4, samples=24)
+        assert dict(result.quantities)["reality_ratio"] == 0.0
+        for x in (0.5, 1.5, -2.5):
+            value = eval_product(spec, complex(1.0, x)).value
+            assert value.imag == 0.0
+            assert value.real == pytest.approx((1.0 - x * x) ** 2, rel=1e-14)
+        assert eval_product(spec, 1.0 - 1.0j).value == 0j
+        # the first two zeros, +1 and +1, are no set of pairs: the complex kernel
+        _, real = product_engine._log_sums(spec.zero_sequence, 0, 0j, [1.0 + 0.5j], 2)
+        assert not real.any()
+
     @pytest.mark.parametrize("case", ["genus 1", "unpaired", "odd truncation"])
     def test_other_specs_keep_the_complex_kernel(self, case, lbar_spec) -> None:
         spec, s, n = {

@@ -6,6 +6,7 @@ import math
 from unittest.mock import patch
 
 import numpy as np
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -230,3 +231,102 @@ def test_halved_power_sums_match_the_full_path(seed, pairs, layout, m_max) -> No
     with patch.object(_numeric, "_conjugate_half", return_value=None):
         full = power_sum_outcome(base, m_max)
     assert power_sum_outcome(base, m_max) == full
+
+
+def reference_power_sums(base: np.ndarray, m_max: int) -> list[tuple[str, str]]:
+    """Every power of the whole base by repeated multiplication, each part summed by math.fsum."""
+    out, power = [], base
+    for m in range(1, m_max + 1):
+        if m > 1:
+            power = power * base
+        out.append((math.fsum(power.real).hex(), math.fsum(power.imag).hex()))
+    return out
+
+
+def power_sum_bits(base: np.ndarray, m_max: int) -> list[tuple[str, str]]:
+    return [(p.real.hex(), p.imag.hex()) for p in exact_power_sums(base, m_max)]
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    size=st.sampled_from([0, 1, 7, 40, 300, 1100]),
+    layout=st.sampled_from(["complex", "paired", "imaginary", "ties", "underflow"]),
+    m_max=st.integers(min_value=1, max_value=300),
+)
+@example(seed=3, size=1100, layout="underflow", m_max=300)
+def test_head_sums_match_fsum_of_every_power(seed, size, layout, m_max) -> None:
+    rng = np.random.default_rng(seed)
+    # moduli spread over decades, as the reciprocals of growing zeros are
+    radii = 10.0 ** rng.uniform(-4.0, 0.1, size)
+    if layout == "underflow":  # the last powers span the subnormals, and some are 0
+        radii = 10.0 ** (rng.uniform(-330.0, -290.0, size) / m_max)
+    half = radii * np.exp(1j * rng.uniform(-math.pi, math.pi, size))
+    if layout == "paired":
+        base = interleave(half[: size // 2])
+    elif layout == "imaginary":  # 1/(+-i tau) about a real centre: every Re b is +-0
+        base = interleave(np.zeros(size // 2) + 1j * radii[: size // 2])
+        base.real = np.where(rng.random(base.size) < 0.5, 0.0, -0.0)
+    elif layout == "ties":  # each modulus four times, in the rotations by i
+        base = np.repeat(half[: size // 4], 4) * np.tile([1, 1j, -1, -1j], size // 4)
+    else:
+        base = half
+    assert power_sum_bits(base, m_max) == reference_power_sums(base, m_max)
+
+
+def spy_on_heads(tried: list):
+    """Patch _numeric._settled to record (head size, settled) per call."""
+    original = _numeric._settled
+
+    def spy(values, bound):
+        result = original(values, bound)
+        tried.append((values.size, result is not None))
+        return result
+
+    return patch.object(_numeric, "_settled", spy)
+
+
+@pytest.mark.parametrize("crosses", [False, True])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_tail_next_to_a_rounding_boundary(crosses, sign) -> None:
+    # The head (the _HEAD largest) sums to 1.5 + 2^-53 - 2^-61, 2^-61 short of
+    # the midpoint between 1.5 and its successor, so it rounds to 1.5.  The 44 tail
+    # entries add 44 * 2^-66 > 2^-61, which crosses the midpoint, or 44 * 2^-68,
+    # which does not.
+    pairs = (_numeric._HEAD - 2) // 2
+    head = [1.5, 2.0**-53 - 2.0**-61] + [2.0**-62, -(2.0**-62)] * pairs
+    tail = [2.0 ** (-66 if crosses else -68)] * 44
+    base = sign * np.array(head + tail, dtype=np.complex128)
+    assert (math.fsum(head) != math.fsum(head + tail)) == crosses
+    tried = []
+    with spy_on_heads(tried):
+        assert power_sum_bits(base, 1) == reference_power_sums(base, 1)
+    # settled on the head, or summed in full
+    assert tried[0] == (len(head), not crosses)
+    assert exact_power_sums(base, 1)[0].real == sign * math.fsum(head + tail)
+
+
+def test_later_power_extends_the_head() -> None:
+    # _HEAD / 2 values x on the real axis and the same on the imaginary one, of
+    # few bits, so their power sums are exact: p_1 settles on these, but the
+    # squares x^2 and (ix)^2 = -x^2 cancel, so p_2 needs the tail, whose
+    # squares the extension computes from the base
+    rng = np.random.default_rng(4)
+    x = rng.integers(8, 16, _numeric._HEAD // 2) / 8.0
+    tail = 1e-20 * np.exp(1j * rng.uniform(-math.pi, math.pi, 1000))
+    base = np.concatenate([x + 0j, 1j * x, tail])
+    tried = []
+    with spy_on_heads(tried):
+        bits = power_sum_bits(base, 6)
+    assert bits == reference_power_sums(base, 6)
+    # both parts of p_1 settle on the head; neither of p_2 does (its head sums are 0)
+    head = _numeric._HEAD
+    assert tried[:4] == [(head, True), (head, True), (head, False), (head, False)]
+    assert (head * _numeric._HEAD_GROWTH, False) in tried
+
+
+def test_mirrored_imaginary_base_of_1e5_entries() -> None:
+    # 1/(+-i k): the halved path, with the odd powers 0 by parity
+    k = np.arange(1.0, 50001.0)
+    base = interleave(1.0 / (1j * k))
+    assert _conjugate_half(base) is not None and not np.count_nonzero(base.real)
+    assert power_sum_bits(base, 20) == reference_power_sums(base, 20)

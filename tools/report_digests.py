@@ -6,7 +6,7 @@ Run from the repository root.  The corpus is
 
 * the ``line-dense`` and ``genus1-growth`` command mixes of ``perfbench`` at
   each seed, on the fixtures that seed writes;
-* about twenty commands on small specs (the fixtures of ``tests/conftest.py``
+* about thirty commands on small specs (the fixtures of ``tests/conftest.py``
   and a few edge inputs), at the default and at a reduced ``--terms``.
 
 Each line is the run's ``meta report_digest`` (a hash of every deterministic
@@ -67,6 +67,10 @@ SMALL_COMMANDS = (
     ("eval", "--spec", "sinh_line.spec", "--s", "1.3+0.2i"),
     ("series", "--spec", "sinh_line.spec", "--center", "1+0.5i", "--kmax", "6"),
     ("series", "--spec", "sinh_line.spec", "--even", "--kmax", "6"),
+    # power sums past their first head: the halved sums with the parity rule
+    # (5000 pairs about the line's centre), and the full complex sums at genus 1
+    ("series", "--spec", "sinh_line.spec", "--even", "--kmax", "60"),
+    ("series", "--spec", "sinh_genus1.spec", "--center", "0.3+0.1i", "--kmax", "120"),
     ("shift", "--spec", "sinh_line.spec", "--alpha", "0.6+0.4i", "--s", "1.3+0.2i"),
     ("line", "--spec", "sinh_line.spec", "--x-min", "0.5", "--x-max", "3.5", "--samples", "40"),
     ("scan", "--spec", "sinh_line.spec", "--x-min", "0.5", "--x-max", "3.5", "--samples", "40"),
@@ -92,6 +96,8 @@ SMALL_COMMANDS = (
     ("eval", "--spec", "poly.spec", "--s", "2"),
     ("shift", "--spec", "poly.spec", "--alpha", "1+1i", "--s", "0.5"),
     ("mult", "--spec", "duplicated.spec", "--center", "1+1i", "--radius", "0.2", "--nodes", "64"),
+    # repeated offsets in modulus order, +1, +1, -1, -1: real line values
+    ("line", "--spec", "duplicated.spec", "--x-min", "-1.5", "--x-max", "1.5", "--samples", "16"),
     ("shift", "--spec", "tiny_zero_g0.spec", "--alpha=1e300", "--s=1"),
     ("shift", "--spec", "tiny_zero_g1.spec", "--alpha=1e300", "--s=1"),
     # line points past 2^255 times the least tau: real, with the sign of the taus below |x|
