@@ -13,7 +13,9 @@ with a pass flag gated by ``tolerance``:
            (Y_tilde) or retained ones (L_bar), at most 8 per run
 
 T1-T4 draw from ``numpy.random.default_rng(seed)``, the evaluation points
-before the shift points, so a seed fixes every draw.
+before the shift points, so a seed fixes every draw.  Their batches take
+the zeros beyond 4R, R the largest |p| over the draws, from power sums;
+only the shifted products about each alpha sum every zero.
 """
 
 from __future__ import annotations
@@ -176,13 +178,17 @@ def _shift_identity(spec, at_center: bool, seed: int, draws: int, n_terms, toler
 def _shift_measures(spec, s_points: list[complex], alphas: list[complex], n_terms) -> list[tuple]:
     """(disagreement, constant residual) per draw, in the order one draw takes
     them: S(alpha) and the residual at each distinct alpha, then the shifted
-    and the direct values, each stage one batch over the draws."""
+    and the direct values, each stage one batch over the draws.  With R the
+    largest |p| over the points and shift points, every stage but the
+    shifted products about alpha takes the zeros beyond 4R from their power
+    sums, computed once."""
+    radius = max(abs(p) for p in (*s_points, *alphas))
     distinct = list(dict.fromkeys(alphas))
-    zeros, at_distinct = _at_shift_points(spec, distinct, n_terms)
-    residual_at = dict(zip(distinct, _internal_residuals(spec, distinct, zeros, at_distinct)))
+    zeros, at_distinct = _at_shift_points(spec, distinct, n_terms, radius)
+    residual_at = dict(zip(distinct, _internal_residuals(spec, distinct, zeros, at_distinct, radius)))
     at_alpha = dict(zip(distinct, at_distinct))
-    shifted = _shifted_values(spec, alphas, s_points, zeros, [at_alpha[a] for a in alphas])
-    values, logs = _eval_batch(spec, s_points, zeros.size, None)
+    shifted = _shifted_values(spec, alphas, s_points, zeros, [at_alpha[a] for a in alphas], radius)
+    values, logs = _eval_batch(spec, s_points, zeros.size, radius)
     direct = [
         _evaluation(spec, s, zeros, value, log)
         for s, value, log in zip(s_points, values.tolist(), logs.tolist())

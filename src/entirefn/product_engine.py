@@ -35,15 +35,17 @@ scale, so the value is real where V(0) is.  The line offsets of
 ``critical_line``, the zeros i tau on the line 0 at s = i x, are such a
 sequence.  s = xi, genus 1, and other sets keep the complex kernel.
 
-Batches of points (line profiles, max-modulus rings, winding contours and
-the line-form identities) split the zeros at |z| = 4R, R >= max |s|: near
+Batches of points (line profiles, max-modulus rings, winding contours, the
+line-form identities, and the shift identities' S(alpha), direct values
+and constant residuals) split the zeros at |z| = 4R, R >= max |s|: near
 zeros go through the reducer, far zeros through their power sums
 p_m = sum z^-m:
 
     sum_far log(1 - s/z)    = -sum_{m>=1} p_m s^m / m
     sum_far 1/(s - z) (S'/S) = -sum_{m>=1} p_m s^(m-1)
 
-with the m = 1 term dropped at genus 1.  p_1..p_K are exact sums, cached on
+with the m = 1 term dropped at genus 1, and the genus-1 sums of the shift
+identities as sum_far u/z = u p_1 (``_quotient_sums``).  p_1..p_K are exact sums, cached on
 the zero sequence per (N, near count); K is the least degree whose
 remainder bound sum_far |w|^(K+1) / ((K+1)(1 - |w|)), |w| <= 1/4, is below
 1e-17.  Single-point calls (``eval_product``, ``log_derivative``) are the
@@ -336,28 +338,36 @@ def _far_sums(far: np.ndarray) -> tuple[float, np.ndarray]:
     return scale, np.array(exact_power_sums(scale / far, degree))
 
 
-def _split(
-    seq: ZeroSequence, genus: int, points: np.ndarray, n: int, radius: float | None,
-    derivative: bool,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Near zeros of the first n, and the far series at each point.
+def _near_far(seq: ZeroSequence, n: int, radius: float | None) -> tuple[np.ndarray, float, np.ndarray]:
+    """Near zeros of the first n, and the scaled power sums (c, p) of the far ones.
 
     Without a radius every retained zero is near.  Otherwise the zeros with
-    |z| > 4 * radius are far; their power sums are cached on the sequence by
-    (n, near count), which fixes the far set.  With no far terms the series
-    is None, so the batch takes the direct path's operations exactly.  A
-    point's series has the same bits in any batch (``_horner``).
+    |z| > 4 * radius are far; their ``_far_sums`` are cached on the sequence
+    by (n, near count), which fixes the far set.
     """
     zeros = seq.zeros[:n]
     if radius is None:
-        return zeros, None
+        return zeros, *_far_sums(zeros[:0])
     keep = seq.moduli[:n] <= _FAR_RATIO * radius
     near = zeros[keep]
     cache = seq._far_cache  # type: ignore[attr-defined]
     key = (n, near.size)
     if key not in cache:
         cache[key] = _far_sums(zeros[~keep])
-    scale, sums = cache[key]
+    return near, *cache[key]
+
+
+def _split(
+    seq: ZeroSequence, genus: int, points: np.ndarray, n: int, radius: float | None,
+    derivative: bool,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Near zeros of the first n (``_near_far``), and the far series at each point.
+
+    With no far terms the series is None, so the batch takes the direct
+    path's operations exactly.  A point's series has the same bits in any
+    batch (``_horner``).
+    """
+    near, scale, sums = _near_far(seq, n, radius)
     # with u = s/c: log -sum p_m u^m / m, S'/S -sum p_m u^(m-1) / c; genus 1 drops m = 1
     coeffs = (sums if derivative else sums / np.arange(1, sums.size + 1))[genus:]
     if coeffs.size == 0:
@@ -586,15 +596,16 @@ def eval_product(spec: EntireFunctionSpec, s: complex, n_terms: int | None = Non
 
 @np.errstate(over="ignore", invalid="ignore")
 def _at_shift_points(
-    spec: EntireFunctionSpec, alphas, n_terms: int | None
+    spec: EntireFunctionSpec, alphas, n_terms: int | None, radius: float | None = None
 ) -> tuple[np.ndarray, list[TruncatedEvaluation]]:
-    """The retained zeros and S(alpha) at each shift point, from one batch, for
-    shift points clear of the zeros whose logs S(alpha) are finite."""
+    """The retained zeros and S(alpha) at each shift point, from one batch
+    (``_eval_batch``, every |alpha| <= radius), for shift points clear of the
+    zeros whose logs S(alpha) are finite."""
     alphas = [complex(alpha) for alpha in alphas]
     if 0 in alphas:
         raise ValueError("shift point must be nonzero")
     zeros = _retained(spec, n_terms)
-    values, logs = _eval_batch(spec, alphas, zeros.size, None)
+    values, logs = _eval_batch(spec, alphas, zeros.size, radius)
     at_alphas = []
     for alpha, value, log in zip(alphas, values.tolist(), logs.tolist()):
         at_alpha = _evaluation(spec, alpha, zeros, value, log)
@@ -605,19 +616,24 @@ def _at_shift_points(
     return zeros, at_alphas
 
 
-def _quotient_sums(numerators, zeros: np.ndarray) -> np.ndarray:
-    """``complex_sum(u / zeros)`` at each u, in blocks of rows of about
-    _BLOCK_ELEMENTS quotients, each row its own exact sums."""
+def _quotient_sums(seq: ZeroSequence, numerators, n: int, radius: float | None) -> np.ndarray:
+    """sum u/z over the first n zeros at each u: the near zeros (``_near_far``)
+    in blocks of rows of about _BLOCK_ELEMENTS quotients, each row its own
+    exact sums, and the far ones as u p_1 / c from their power sums."""
+    near, scale, sums = _near_far(seq, n, radius)
     numerators = np.asarray(numerators, dtype=np.complex128).reshape(-1)
-    step = max(1, _BLOCK_ELEMENTS // max(zeros.size, 1))
-    sums = []
+    step = max(1, _BLOCK_ELEMENTS // max(near.size, 1))
+    out = []
     for first in range(0, numerators.size, step):
-        quotients = numerators[first : first + step, None] / zeros
+        quotients = numerators[first : first + step, None] / near
         real, imag = ExactSum(len(quotients)), ExactSum(len(quotients))
         real.add(quotients.real)
         imag.add(quotients.imag)
-        sums += [complex(real.total(j), imag.total(j)) for j in range(len(quotients))]
-    return np.array(sums, dtype=np.complex128)
+        out += [complex(real.total(j), imag.total(j)) for j in range(len(quotients))]
+    if sums.size:
+        p1 = complex(sums[0])
+        out = [total + u * p1 / scale for total, u in zip(out, numerators.tolist())]
+    return np.array(out, dtype=np.complex128)
 
 
 def eval_shifted_product(
@@ -646,11 +662,12 @@ def eval_shifted_product(
 @np.errstate(over="ignore", invalid="ignore")
 def _shifted_values(
     spec: EntireFunctionSpec, alphas: list[complex], points: list[complex], zeros: np.ndarray,
-    at_alphas: list[TruncatedEvaluation],
+    at_alphas: list[TruncatedEvaluation], radius: float | None = None,
 ) -> list[TruncatedEvaluation]:
     """``eval_shifted_product`` at each points[j] about alphas[j], from the zeros
-    and S(alphas[j]) of ``_at_shift_points``: one ``_log_sum`` per distinct
-    alpha, one ``_quotient_sums`` for the genus-1 sums of u/z."""
+    and S(alphas[j]) of ``_at_shift_points``: one ``_log_sum`` over every
+    zero per distinct alpha, one ``_quotient_sums`` for the genus-1 sums of
+    u/z, split at 4 * radius."""
     us = [s - alpha for s, alpha in zip(points, alphas)]
     exponents = [spec.q_constant * u if spec.genus == 1 else 0j for u in us]
     for s, exponent in zip(points, exponents):
@@ -667,7 +684,8 @@ def _shifted_values(
         exponents = [e + l for e, l in zip(exponents, log_sums.tolist())]
         if spec.genus == 1:
             live = [j for j in range(len(points)) if j not in dead]
-            for j, recip_sum in zip(live, _quotient_sums(np.array(us)[live], zeros).tolist()):
+            recip_sums = _quotient_sums(spec.zero_sequence, np.array(us)[live], zeros.size, radius)
+            for j, recip_sum in zip(live, recip_sums.tolist()):
                 exponents[j] += recip_sum
     out = []
     for j, (s, exponent, at_alpha) in enumerate(zip(points, exponents, at_alphas)):
@@ -714,34 +732,35 @@ def shift_constant_residual(
     return _constant_residuals(spec, [alpha], zeros, [s_alpha], [log_s_alpha])[0]
 
 
-def _internal_residuals(spec, alphas, zeros: np.ndarray, at_alphas) -> list[float]:
+def _internal_residuals(spec, alphas, zeros: np.ndarray, at_alphas, radius: float | None = None) -> list[float]:
     """``shift_constant_residual`` against each S(alpha) from ``_at_shift_points``.  At genus 0
     that S(alpha) is S(0) prod (1 - alpha/z) at the same N, from the same
     ``_value_from_log`` call as the left side: the residual is 0 by construction."""
     if spec.genus == 0:
         return [0.0] * len(alphas)
     return _constant_residuals(
-        spec, alphas, zeros, [a.value for a in at_alphas], [a.log_value for a in at_alphas]
+        spec, alphas, zeros, [a.value for a in at_alphas], [a.log_value for a in at_alphas], radius
     )
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _constant_residuals(
-    spec: EntireFunctionSpec, alphas, zeros: np.ndarray, s_alphas, log_s_alphas
+    spec: EntireFunctionSpec, alphas, zeros: np.ndarray, s_alphas, log_s_alphas,
+    radius: float | None = None,
 ) -> list[float]:
     """``shift_constant_residual`` at each checked shift point alpha, given S(alpha)
-    and its log: one ``_log_sum`` for the left sides, one ``_quotient_sums``
-    for the genus-1 sums of alpha/z."""
-    log_prods = _log_sum(alphas, zeros, 0).tolist()
-    recip_sums = [0j] * len(alphas)
-    if spec.genus == 1 and zeros.size:
-        recip_sums = _quotient_sums(alphas, zeros).tolist()
+    and its log: one genus-0 ``_log_sums`` for the left sides, one
+    ``_quotient_sums`` for the genus-1 sums of alpha/z, both split at
+    4 * radius (every |alpha| <= radius)."""
+    seq, n = spec.zero_sequence, zeros.size
+    log_prods, real = _log_sums(seq, 0, 0j, alphas, n, radius)
+    recip_sums = _quotient_sums(seq, alphas, n, radius).tolist() if spec.genus == 1 else [0j] * len(alphas)
     log_v0 = cmath.log(spec.value_at_zero)
+    left_sides = _values_from_logs(log_prods, real, spec.value_at_zero, log_v0)
     residuals = []
-    for alpha, s_alpha, log_s_alpha, log_prod, recip_sum in zip(
-        alphas, s_alphas, log_s_alphas, log_prods, recip_sums
+    for alpha, s_alpha, log_s_alpha, log_prod, recip_sum, lhs in zip(
+        alphas, s_alphas, log_s_alphas, log_prods.tolist(), recip_sums, left_sides
     ):
-        lhs = _value_from_log(log_prod, spec.value_at_zero, log_v0)
         rhs_exponent = 0j
         if spec.genus == 1:
             rhs_exponent = -spec.q_constant * alpha - recip_sum

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from conftest import interleaved_taus
 
 from entirefn import (
     ClassTag,
@@ -19,8 +20,11 @@ from entirefn import (
     eval_shifted_product,
     log_derivative,
     make_symmetric_spec,
+    shift_constant_residual,
 )
+from entirefn import identities, product_engine
 from entirefn._numeric import _FSUM_BELOW, BLOCK
+from entirefn.identities import compare_shift, verify_identity
 from entirefn.product_engine import (
     _BLOCK_ELEMENTS,
     _FAR_RATIO,
@@ -296,3 +300,87 @@ def test_far_series_bits_do_not_depend_on_the_batch(sinh_line_spec) -> None:
         alone = _log_derivatives(sinh_line_spec, [p], n, radius)
         first = _log_derivatives(sinh_line_spec, [p, q], n, radius)
         assert alone[:1].view(np.int64).tolist() == first[:1].view(np.int64).tolist()
+
+
+# The shift identities T1-T4: one radius R over a batch's points and shift
+# points, the zeros beyond 4R from their power sums.
+
+
+def _spy(monkeypatch, module, name: str, calls: list) -> None:
+    """Record (args, result) of every call of module.name."""
+    original = getattr(module, name)
+
+    def spy(*args):
+        result = original(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(module, name, spy)
+
+
+@pytest.mark.parametrize("theorem, fixture", [
+    ("T1", "sinh_genus1_spec"),
+    ("T3", "lbar_spec"),
+    ("T4", "sinh_line_spec"),
+])
+def test_shift_batches_match_single_point_values(request, monkeypatch, theorem, fixture) -> None:
+    spec = request.getfixturevalue(fixture)
+    batches = []
+    # S(alpha) inside product_engine, then the direct values of identities
+    for module in (product_engine, identities):
+        _spy(monkeypatch, module, "_eval_batch", batches)
+    assert verify_identity(spec, theorem, seed=11, draws=12).passed
+    monkeypatch.undo()
+    assert len(batches) == 2
+    for (_, points, n, radius), (values, _) in batches:
+        assert np.count_nonzero(spec.zero_sequence.moduli[:n] > _FAR_RATIO * radius)
+        for s, value in zip(points, values):
+            direct = eval_product(spec, s).value
+            assert abs(value - direct) <= 1e-14 * abs(direct)
+
+
+@pytest.mark.parametrize("theorem", ["T1", "T3"])
+def test_one_far_sum_per_shift_identity_run(monkeypatch, theorem) -> None:
+    # fresh specs: no far sums cached yet
+    taus = interleaved_taus(300)
+    if theorem == "T3":
+        spec = make_symmetric_spec(1.0, taus, 1.0, ClassTag.L_BAR, 0.3)
+    else:
+        seq = ZeroSequence(zeros=1j * taus, ordering=Ordering.AS_GIVEN)
+        spec = EntireFunctionSpec(class_tag=ClassTag.L, value_at_zero=1.0, zero_sequence=seq, q_constant=0.2)
+    calls = []
+    _spy(monkeypatch, product_engine, "_far_sums", calls)
+    assert verify_identity(spec, theorem, seed=5, draws=10).passed
+    ((far,), _), = calls
+    assert far.size > 0
+
+
+@pytest.mark.parametrize("genus", [0, 1])
+def test_shift_batch_without_far_zeros_is_the_direct_path(poly_spec, genus) -> None:
+    # every zero within 4R: each draw has the bits of the single-point calls
+    spec = poly_spec
+    if genus:
+        seq = ZeroSequence(zeros=np.array([2.0, -1.0 + 1.5j, -1.0 - 1.5j]), ordering=Ordering.AS_GIVEN)
+        spec = EntireFunctionSpec(class_tag=ClassTag.L, value_at_zero=1.0, zero_sequence=seq, q_constant=0.3)
+    rng = np.random.default_rng(4)
+    s_points = identities._draw_points(rng, spec, 5, avoid_origin=False)
+    alphas = identities._draw_points(rng, spec, 5, avoid_origin=True)
+    radius = max(abs(p) for p in s_points + alphas)
+    assert np.all(spec.zero_sequence.moduli <= _FAR_RATIO * radius)
+    measures = identities._shift_measures(spec, s_points, alphas, None)
+    assert measures == [compare_shift(spec, alpha, s)[2:] for s, alpha in zip(s_points, alphas)]
+
+
+@pytest.mark.parametrize("offset", [0.5, 2.5, -7.25])
+def test_residual_on_the_zero_line_takes_the_pair_kernel(lbar_spec, monkeypatch, offset) -> None:
+    # the left side S(0) prod (1 - alpha/z) at alpha = xi + i x is a genus-0
+    # product on the line: one real log per pair, real where S(0) is
+    alpha = complex(lbar_spec.center_xi, offset)
+    calls = []
+    _spy(monkeypatch, product_engine, "_pair_log_sum", calls)
+    assert shift_constant_residual(lbar_spec, alpha) <= 1e-14
+    radius = abs(alpha)
+    zeros, at_alpha = product_engine._at_shift_points(lbar_spec, [alpha], None, radius)
+    (residual,) = product_engine._internal_residuals(lbar_spec, [alpha], zeros, at_alpha, radius)
+    assert residual <= 1e-14
+    assert len(calls) == 2

@@ -280,22 +280,24 @@ class TestShiftedProduct:
 
 
     def test_first_failing_draw_names_the_error(self) -> None:
-        # q*s, q*(s - alpha) and the logs pass the double range at most draws, each its own way
-        spec = small_spec([1 + 1j, 1 - 1j], 1, 1e308)
-        rng = np.random.default_rng(0)
-        s_points = identities._draw_points(rng, spec, 9, avoid_origin=False)
-        alphas = identities._draw_points(rng, spec, 9, avoid_origin=True)
-        errors = []
-        for s, alpha in zip(s_points, alphas):
-            try:
-                identities._shift_measures(spec, [s], [alpha], None)
-            except ValueError as error:
-                errors.append(str(error))
-        assert len(set(errors)) > 2
-        # the batched draws fail as a whole; the error is the first draw's, as if alone
-        with pytest.raises(ValueError) as info:
-            verify_identity(spec, "T1", seed=0, draws=9)
-        assert str(info.value) == errors[0]
+        # q*s, q*(s - alpha) and the logs pass the double range at most draws, each its own way;
+        # zeros at 40 and 60 lie beyond 4R for every batch of the box
+        for far in ([], [40j, -40j, 60j, -60j]):
+            spec = small_spec([1 + 1j, 1 - 1j, *far], 1, 1e308)
+            rng = np.random.default_rng(0)
+            s_points = identities._draw_points(rng, spec, 9, avoid_origin=False)
+            alphas = identities._draw_points(rng, spec, 9, avoid_origin=True)
+            errors = []
+            for s, alpha in zip(s_points, alphas):
+                try:
+                    identities._shift_measures(spec, [s], [alpha], None)
+                except ValueError as error:
+                    errors.append(str(error))
+            assert len(set(errors)) > 2
+            # the batched draws fail as a whole; the error is the first draw's, as if alone
+            with pytest.raises(ValueError) as info:
+                verify_identity(spec, "T1", seed=0, draws=9)
+            assert str(info.value) == errors[0]
 
 
 class TestShiftConstantResidual:

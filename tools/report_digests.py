@@ -78,6 +78,9 @@ SMALL_COMMANDS = (
      "--angular-samples", "16"),
     ("verify-identity", "--spec", "sinh_line.spec", "--theorem", "T7", "--x-min", "0.3",
      "--x-max", "1.8", "--samples", "24"),
+    # off-centre shift points at genus 0, and the centre, over far zeros
+    ("verify-identity", "--spec", "sinh_line.spec", "--theorem", "T2", "--seed", "4", "--draws", "5"),
+    ("verify-identity", "--spec", "sinh_line.spec", "--theorem", "T4", "--seed", "4", "--draws", "5"),
     ("eval", "--spec", "sinh_genus1.spec", "--s", "0.3+0.7i"),
     # a real point over conjugate pairs, where the reducer halves each pair
     ("eval", "--spec", "sinh_genus1.spec", "--s", "9.6"),
@@ -95,6 +98,8 @@ SMALL_COMMANDS = (
      "--x-max", "2.5"),
     ("eval", "--spec", "poly.spec", "--s", "2"),
     ("shift", "--spec", "poly.spec", "--alpha", "1+1i", "--s", "0.5"),
+    # a zero inside every batch's cut: the batch has no far zeros
+    ("verify-identity", "--spec", "poly.spec", "--theorem", "T2", "--seed", "4", "--draws", "5"),
     ("mult", "--spec", "duplicated.spec", "--center", "1+1i", "--radius", "0.2", "--nodes", "64"),
     # repeated offsets in modulus order, +1, +1, -1, -1: real line values
     ("line", "--spec", "duplicated.spec", "--x-min", "-1.5", "--x-max", "1.5", "--samples", "16"),
