@@ -6,97 +6,20 @@ restricts them to a symmetry line, and estimates growth order, the
 zero-counting exponent, and zero multiplicities.
 """
 
-from __future__ import annotations
-
-from .analysis import (
-    ExponentEstimate,
-    MultiplicityResult,
-    OrderEstimate,
-    estimate_exponent,
-    estimate_order,
-    max_modulus,
-    verify_multiplicity,
-)
-from .core_types import (
-    ClassTag,
-    EntireFunctionSpec,
-    Ordering,
-    Pairing,
-    TailProfile,
-    ValidationCheck,
-    ValidationReport,
-    Verdict,
-    ZeroSequence,
-    make_symmetric_spec,
-    modulus_sort_indices,
-    validate_zero_sequence,
-)
-from .critical_line import (
-    CriticalLineProfile,
-    RealZeroEstimate,
-    RealZeroSet,
-    RotatedDerivatives,
-    critical_line_profile,
-    even_product_form,
-    rotated_derivatives,
-    scan_real_zeros,
-)
-from .product_engine import (
-    TruncatedEvaluation,
-    eval_product,
-    eval_shifted_product,
-    log_derivative,
-    shift_constant_residual,
-)
-from .series_engine import (
-    PowerSums,
-    TaylorExpansion,
-    eval_series,
-    even_series,
-    power_sums,
-    taylor_coefficients,
-)
+from . import analysis, core_types, critical_line, product_engine, series_engine
+from .analysis import *
+from .core_types import *
+from .critical_line import *
+from .product_engine import *
+from .series_engine import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "ClassTag",
-    "Ordering",
-    "Pairing",
-    "Verdict",
-    "ZeroSequence",
-    "TailProfile",
-    "ValidationCheck",
-    "ValidationReport",
-    "EntireFunctionSpec",
-    "modulus_sort_indices",
-    "validate_zero_sequence",
-    "make_symmetric_spec",
-    "TruncatedEvaluation",
-    "eval_product",
-    "eval_shifted_product",
-    "shift_constant_residual",
-    "log_derivative",
-    "PowerSums",
-    "TaylorExpansion",
-    "power_sums",
-    "taylor_coefficients",
-    "eval_series",
-    "even_series",
-    "CriticalLineProfile",
-    "RealZeroEstimate",
-    "RealZeroSet",
-    "RotatedDerivatives",
-    "critical_line_profile",
-    "scan_real_zeros",
-    "even_product_form",
-    "rotated_derivatives",
-    "OrderEstimate",
-    "ExponentEstimate",
-    "MultiplicityResult",
-    "max_modulus",
-    "estimate_order",
-    "estimate_exponent",
-    "verify_multiplicity",
+    *core_types.__all__,
+    *product_engine.__all__,
+    *series_engine.__all__,
+    *critical_line.__all__,
+    *analysis.__all__,
 ]

@@ -35,9 +35,11 @@ __all__ = [
     "Pairing",
     "Verdict",
     "ZeroSequence",
+    "TailProfile",
     "ValidationCheck",
     "ValidationReport",
     "EntireFunctionSpec",
+    "modulus_sort_indices",
     "validate_zero_sequence",
     "make_symmetric_spec",
 ]

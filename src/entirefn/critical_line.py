@@ -12,12 +12,14 @@ zeros i tau on the line 0 at i x, through the one factor reducer of
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from ._numeric import complex_sum
 from .core_types import ClassTag, EntireFunctionSpec, Ordering, ZeroSequence
 from .product_engine import _eval_batch, _log_sums, _nearest, _retained, _values_from_logs, eval_product
 from .series_engine import TaylorExpansion, _require_sign_symmetric
@@ -38,7 +40,7 @@ __all__ = [
 REALITY_GATE = 1e-6
 # Bisection stops when the bracket width is below 1e-12 * (1 + |x|).
 BISECTION_WIDTH_COEFF = 1e-12
-# Accepted zeros must satisfy |V(tau_hat)| <= 1e-9 * (1 + local scale).
+# Accepted zeros: |V(tau_hat)| <= 1e-9 (1 + local scale) + max |Re V| at the bracket's ends.
 RESIDUAL_GATE_COEFF = 1e-9
 # Grid density of a profile whose sample count is not given, per unit of x.
 DEFAULT_SAMPLES_PER_UNIT = 64
@@ -146,8 +148,10 @@ def scan_real_zeros(profile: CriticalLineProfile, spec: EntireFunctionSpec) -> R
 
     Refuses to scan when the profile is measurably non-real (imag_max above
     1e-6 of the largest sampled magnitude).  Each sign change of Re V over a
-    grid cell is refined to a bracket of width 1e-12 * (1 + |x|); the
-    accepted root must satisfy |V(root)| <= 1e-9 * (1 + local |V| scale).
+    grid cell is refined to a bracket of width 1e-12 * (1 + |x|), whose midpoint
+    is accepted where |V| <= 1e-9 * (1 + local |V| scale) plus the larger |Re V|
+    at the bracket's ends, which bounds |V'| times half the width; an end never
+    moved keeps the profile's value, so the profile must be one of ``spec``'s.
     A 0 off the retained tau (an underflow) or a value that is not finite is
     a ValueError naming its cell.  Zeros of even multiplicity are not found.
     """
@@ -168,10 +172,10 @@ def scan_real_zeros(profile: CriticalLineProfile, spec: EntireFunctionSpec) -> R
         a, b = float(profile.grid[j]), float(profile.grid[j + 1])
         cell = (a, b)
         fa, fb = (re_v(x, complex(v), cell) for x, v in zip(cell, profile.values[j : j + 2]))
-        local_scale = max(abs(profile.values[j]), abs(profile.values[j + 1]))
+        gate = RESIDUAL_GATE_COEFF * (1.0 + max(abs(profile.values[j]), abs(profile.values[j + 1])))
         if fa == 0.0 or (j == profile.grid.size - 2 and fb == 0.0):
             root = a if fa == 0.0 else b
-            estimates.append(_accept(spec, xi, n, root, (root, root), local_scale))
+            estimates.append(_accept(spec, xi, n, root, (root, root), gate))
             continue
         if fa * fb >= 0.0:
             continue
@@ -186,8 +190,8 @@ def scan_real_zeros(profile: CriticalLineProfile, spec: EntireFunctionSpec) -> R
             if (fm > 0.0) == (fa > 0.0):
                 a, fa = mid, fm
             else:
-                b = mid
-        estimates.append(_accept(spec, xi, n, 0.5 * (a + b), (a, b), local_scale))
+                b, fb = mid, fm
+        estimates.append(_accept(spec, xi, n, 0.5 * (a + b), (a, b), gate + max(abs(fa), abs(fb))))
     return RealZeroSet(estimates=tuple(estimates), truncation=n)
 
 
@@ -197,10 +201,9 @@ def _accept(
     n: int,
     root: float,
     bracket: tuple[float, float],
-    local_scale: float,
+    gate: float,
 ) -> RealZeroEstimate:
     residual = abs(eval_product(spec, complex(xi, root), n).value)
-    gate = RESIDUAL_GATE_COEFF * (1.0 + local_scale)
     if residual > gate:
         raise ValueError(
             f"refined zero near x={root!r} has residual {residual:.3e} above gate {gate:.3e}"
@@ -229,6 +232,17 @@ def _even_product_values(spec: EntireFunctionSpec, xs, n_terms: int | None) -> l
     center = eval_product(spec, complex(spec.center_xi), taus.size)
     exponents, real = _offset_logs(np.concatenate([tau_hat, -tau_hat]), xs)
     return _values_from_logs(exponents, real, center.value, center.log_value)
+
+
+def _literal_values(spec: EntireFunctionSpec, zeros: np.ndarray, grid: np.ndarray, v0: complex) -> np.ndarray:
+    """The literal line product V(0) prod (1 - x / tau_k) at each x of the grid,
+    times exp(i x (q + sum 1/z_k)) at genus 1, with the far offsets beyond the grid from power sums."""
+    exponents, real = _offset_logs(zeros.imag, grid, float(np.max(np.abs(grid))))
+    if spec.genus == 1:
+        recip_sum = complex_sum(1.0 / zeros)
+        exponents += 1j * grid * spec.q_constant + 1j * grid * recip_sum
+        real[:] = False
+    return np.array(_values_from_logs(exponents, real, v0, cmath.log(v0)), dtype=np.complex128)
 
 
 def _offset_logs(taus: np.ndarray, xs, radius: float | None = None) -> tuple[np.ndarray, np.ndarray]:

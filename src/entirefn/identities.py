@@ -21,17 +21,14 @@ only the shifted products about each alpha sum every zero.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import complex_sum
 from .analysis import verify_multiplicity
 from .core_types import EntireFunctionSpec
-from .critical_line import _even_product_values, _offset_logs, critical_line_profile, scan_real_zeros
-from .product_engine import _at_shift_points, _eval_batch, _evaluation, _internal_residuals
-from .product_engine import _nearest, _retained, _shifted_values, _value_from_log, _values_from_logs, eval_product
+from .critical_line import _even_product_values, _literal_values, critical_line_profile, scan_real_zeros
+from .product_engine import _nearest, _retained, _shift_measures
 from .series_engine import even_series
 
 __all__ = [
@@ -79,21 +76,7 @@ def compare_shift(
     that ratio is not finite, the disagreement is its limit |e^d - 1|, with
     d the difference of the two logs (-inf for an exact 0).
     """
-    s, alpha = complex(s), complex(alpha)
-    zeros, (at_alpha,) = _at_shift_points(spec, [alpha], n_terms)
-    (shifted,) = _shifted_values(spec, [alpha], [s], zeros, [at_alpha])
-    direct = eval_product(spec, s, n_terms)
-    residual = _internal_residuals(spec, [alpha], zeros, [at_alpha])[0]
-    return shifted.value, direct.value, _disagreement(shifted, direct), residual
-
-
-def _disagreement(shifted, direct) -> float:
-    """|shifted - direct| / (1 + |direct|) of two evaluations, or its limit from their logs."""
-    disagreement = abs(shifted.value - direct.value) / (1.0 + abs(direct.value))
-    if not math.isfinite(disagreement):
-        logs = [-math.inf if ev.log_value is None else ev.log_value for ev in (shifted, direct)]
-        disagreement = abs(_value_from_log(logs[0] - logs[1]) - 1.0)
-    return disagreement
+    return _shift_measures(spec, [complex(s)], [complex(alpha)], n_terms)[0]
 
 
 def verify_identity(
@@ -162,38 +145,17 @@ def _shift_identity(spec, at_center: bool, seed: int, draws: int, n_terms, toler
         alphas = [complex(spec.center_xi)] * draws
     else:
         alphas = _draw_points(rng, spec, draws, avoid_origin=True)
+    # R = max |p| over the batch, and over each draw where the batch fails as a
+    # whole: draw by draw, the first draw to fail raises
+    radius = max(map(abs, s_points + alphas), default=0.0)
     try:
-        measures = _shift_measures(spec, s_points, alphas, n_terms) if s_points else []
+        measures = _shift_measures(spec, s_points, alphas, n_terms, radius) if s_points else []
     except (ValueError, ArithmeticError):
-        # a batch fails as a whole: draw by draw, the first draw to fail raises
-        measures = [
-            m for s, alpha in zip(s_points, alphas) for m in _shift_measures(spec, [s], [alpha], n_terms)
-        ]
-    disagreement = max([0.0, *(d for d, _ in measures)])
-    residual = max([0.0, *(r for _, r in measures)])
+        measures = [_shift_measures(spec, [s], [a], n_terms, max(abs(s), abs(a)))[0] for s, a in zip(s_points, alphas)]
+    disagreement = max([0.0, *(m[2] for m in measures)])
+    residual = max([0.0, *(m[3] for m in measures)])
     quantities = [("disagreement_max", disagreement), ("constant_residual_max", residual)]
     return quantities, disagreement <= tolerance and residual <= tolerance
-
-
-def _shift_measures(spec, s_points: list[complex], alphas: list[complex], n_terms) -> list[tuple]:
-    """(disagreement, constant residual) per draw, in the order one draw takes
-    them: S(alpha) and the residual at each distinct alpha, then the shifted
-    and the direct values, each stage one batch over the draws.  With R the
-    largest |p| over the points and shift points, every stage but the
-    shifted products about alpha takes the zeros beyond 4R from their power
-    sums, computed once."""
-    radius = max(abs(p) for p in (*s_points, *alphas))
-    distinct = list(dict.fromkeys(alphas))
-    zeros, at_distinct = _at_shift_points(spec, distinct, n_terms, radius)
-    residual_at = dict(zip(distinct, _internal_residuals(spec, distinct, zeros, at_distinct, radius)))
-    at_alpha = dict(zip(distinct, at_distinct))
-    shifted = _shifted_values(spec, alphas, s_points, zeros, [at_alpha[a] for a in alphas], radius)
-    values, logs = _eval_batch(spec, s_points, zeros.size, radius)
-    direct = [
-        _evaluation(spec, s, zeros, value, log)
-        for s, value, log in zip(s_points, values.tolist(), logs.tolist())
-    ]
-    return [(_disagreement(sh, di), residual_at[a]) for sh, di, a in zip(shifted, direct, alphas)]
 
 
 def _line_form_identity(spec, with_even_form: bool, x_min, x_max, samples, n_terms, tolerance):
@@ -214,17 +176,6 @@ def _line_form_identity(spec, with_even_form: bool, x_min, x_max, samples, n_ter
         quantities.append(("even_form_residual_max", even_residual))
         passed = passed and reality <= tolerance and even_residual <= tolerance
     return quantities, passed
-
-
-def _literal_values(spec, zeros: np.ndarray, grid: np.ndarray, v0: complex) -> np.ndarray:
-    """The literal line product V(0) prod (1 - x / tau_k) at each x of the grid,
-    times exp(i x (q + sum 1/z_k)) at genus 1, with the far offsets beyond the grid from power sums."""
-    exponents, real = _offset_logs(zeros.imag, grid, float(np.max(np.abs(grid))))
-    if spec.genus == 1:
-        recip_sum = complex_sum(1.0 / zeros)
-        exponents += 1j * grid * spec.q_constant + 1j * grid * recip_sum
-        real[:] = False
-    return np.array(_values_from_logs(exponents, real, v0, cmath.log(v0)), dtype=np.complex128)
 
 
 def _simplicity_identity(spec, scan: bool, x_min: float, x_max: float, samples, n_terms):

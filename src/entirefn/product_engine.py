@@ -104,10 +104,11 @@ def _value_from_log(exponent: complex, scale: complex = 1.0, log_scale: complex 
 
     ``log_scale`` is log(scale).  Real part -inf is the exact 0 at a retained
     zero.  A modulus past the double range is an infinity with the log's
-    phase.  Otherwise, where scale * exp(exponent) is 0 or not finite, the
-    value is exp of the full log, so an underflow comes back into range.  A
-    NaN part or an infinite imaginary part (terms past the double range) is
-    a ValueError.
+    phase; where the scale is real and the exponent's imaginary part is 0,
+    it is the real +-inf of the scale's sign, imaginary part 0.  Otherwise,
+    where scale * exp(exponent) is 0 or not finite, the value is exp of the
+    full log, so an underflow comes back into range.  A NaN part or an
+    infinite imaginary part (terms past the double range) is a ValueError.
     """
     if exponent.real == -math.inf:
         return 0j
@@ -116,6 +117,8 @@ def _value_from_log(exponent: complex, scale: complex = 1.0, log_scale: complex 
     log = log_scale + exponent
     # cmath.exp can return finite parts whose modulus is past the double range
     if log.real >= _LOG_DOUBLE_MAX:
+        if not (exponent.imag or scale.imag):  # rect(inf, pi) would give -inf + inf j
+            return complex(math.copysign(math.inf, scale.real), 0.0)
         return cmath.rect(math.inf, log.imag)
     try:
         value = scale * cmath.exp(exponent)
@@ -588,31 +591,35 @@ def eval_product(spec: EntireFunctionSpec, s: complex, n_terms: int | None = Non
     Raises ValueError when more factors are requested than zeros are
     available.  The value vanishes exactly iff s is a retained zero.
     """
-    s = complex(s)
+    return _evaluations(spec, [complex(s)], n_terms)[1][0]
+
+
+def _evaluations(
+    spec: EntireFunctionSpec, points: list[complex], n_terms: int | None, radius: float | None = None
+) -> tuple[np.ndarray, list[TruncatedEvaluation]]:
+    """The retained zeros, and the record of the product at each point from
+    one batch (``_eval_batch``, every |s| <= radius)."""
     zeros = _retained(spec, n_terms)
-    values, logs = _eval_batch(spec, [s], zeros.size, None)
-    return _evaluation(spec, s, zeros, complex(values[0]), complex(logs[0]))
+    values, logs = _eval_batch(spec, points, zeros.size, radius)
+    return zeros, [
+        _evaluation(spec, s, zeros, value, log) for s, value, log in zip(points, values.tolist(), logs.tolist())
+    ]
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _at_shift_points(
     spec: EntireFunctionSpec, alphas, n_terms: int | None, radius: float | None = None
 ) -> tuple[np.ndarray, list[TruncatedEvaluation]]:
-    """The retained zeros and S(alpha) at each shift point, from one batch
-    (``_eval_batch``, every |alpha| <= radius), for shift points clear of the
-    zeros whose logs S(alpha) are finite."""
+    """The retained zeros and S(alpha) at each shift point (``_evaluations``),
+    for shift points clear of the zeros whose logs S(alpha) are finite."""
     alphas = [complex(alpha) for alpha in alphas]
     if 0 in alphas:
         raise ValueError("shift point must be nonzero")
-    zeros = _retained(spec, n_terms)
-    values, logs = _eval_batch(spec, alphas, zeros.size, radius)
-    at_alphas = []
-    for alpha, value, log in zip(alphas, values.tolist(), logs.tolist()):
-        at_alpha = _evaluation(spec, alpha, zeros, value, log)
+    zeros, at_alphas = _evaluations(spec, alphas, n_terms, radius)
+    for alpha, at_alpha in zip(alphas, at_alphas):
         _guard_coincident(alpha, at_alpha.nearest_zero_distance, "shift point coincides with a retained zero")
         if not cmath.isfinite(at_alpha.log_value):
             raise ValueError(f"log S(alpha) at alpha = {alpha!r} passes the double range")
-        at_alphas.append(at_alpha)
     return zeros, at_alphas
 
 
@@ -779,6 +786,38 @@ def _constant_residuals(
             residual = abs(1.0 - ratio) / (1.0 + abs(ratio))
         residuals.append(residual)
     return residuals
+
+
+def _shift_measures(
+    spec: EntireFunctionSpec, points: list[complex], alphas: list[complex], n_terms: int | None,
+    radius: float | None = None,
+) -> list[tuple[complex, complex, float, float]]:
+    """(shifted, direct, ``_disagreement``, constant residual) at each points[j] about alphas[j].
+
+    Each stage is one batch over the draws, in the order of one draw: S(alpha)
+    at each distinct alpha, the shifted values, the direct values, the
+    constant residuals.  With a radius R >= every |p|, all but the shifted
+    products' sums about alpha take the zeros beyond 4R from their power sums.
+    """
+    distinct = list(dict.fromkeys(alphas))
+    zeros, at_distinct = _at_shift_points(spec, distinct, n_terms, radius)
+    at_alpha = dict(zip(distinct, at_distinct))
+    shifted = _shifted_values(spec, alphas, points, zeros, [at_alpha[a] for a in alphas], radius)
+    _, direct = _evaluations(spec, points, n_terms, radius)
+    residual_at = dict(zip(distinct, _internal_residuals(spec, distinct, zeros, at_distinct, radius)))
+    return [
+        (sh.value, di.value, _disagreement(sh, di), residual_at[a]) for sh, di, a in zip(shifted, direct, alphas)
+    ]
+
+
+def _disagreement(shifted: TruncatedEvaluation, direct: TruncatedEvaluation) -> float:
+    """|shifted - direct| / (1 + |direct|), or where that is not finite (a saturated
+    value) its limit |e^d - 1|, d the difference of the two logs (-inf for an exact 0)."""
+    disagreement = abs(shifted.value - direct.value) / (1.0 + abs(direct.value))
+    if not math.isfinite(disagreement):
+        logs = [-math.inf if ev.log_value is None else ev.log_value for ev in (shifted, direct)]
+        disagreement = abs(_value_from_log(logs[0] - logs[1]) - 1.0)
+    return disagreement
 
 
 def log_derivative(spec: EntireFunctionSpec, s: complex, n_terms: int | None = None) -> complex:

@@ -249,6 +249,17 @@ class TestValidation:
         # asymptotic checks still run on the nonzero remainder
         assert check_by_name(report, "series_convergence").verdict is Verdict.PASS
 
+    def test_all_zero_sequence_fails_the_asymptotic_checks(self) -> None:
+        # no nonzero entry is left to fit
+        seq = ZeroSequence(zeros=np.zeros(3, dtype=np.complex128), ordering=Ordering.AS_GIVEN)
+        report = validate_zero_sequence(seq, genus=0)
+        assert check_by_name(report, "nonzero").verdict is Verdict.FAIL
+        series = check_by_name(report, "series_convergence")
+        growth = check_by_name(report, "modulus_divergence")
+        assert (series.verdict, series.measured) == (Verdict.FAIL, math.inf)
+        assert (growth.verdict, growth.measured) == (Verdict.FAIL, 0.0)
+        assert report.overall is Verdict.FAIL
+
     def test_empty_sequence_raises(self) -> None:
         seq = ZeroSequence(zeros=np.array([], dtype=np.complex128))
         with pytest.raises(ValueError, match="empty"):
@@ -493,6 +504,9 @@ class TestTailProfile:
         pairs=st.integers(min_value=1, max_value=40),
         genus=st.sampled_from([0, 1]),
     )
+    # fit slopes -0.976 and -0.955, inside the dead band: INDETERMINATE
+    @example(seed=646865, pairs=8, genus=0)
+    @example(seed=233441, pairs=8, genus=0)
     def test_bound_never_grows_with_truncation(self, seed, pairs, genus) -> None:
         rng = np.random.default_rng(seed)
         taus = np.cumsum(rng.uniform(0.5, 2.0, pairs))
@@ -506,6 +520,10 @@ class TestTailProfile:
         tails = [seq.tail_profile(genus).tail_beyond(n) for n in range(len(seq) + 1)]
         # the truncations that keep whole pairs
         bounds = [eval_product(spec, 1.0 + 2.5j, n).tail_bound for n in range(0, len(seq) + 1, 2)]
+        if seq.tail_profile(genus).verdict is not Verdict.PASS:
+            # no convergent extrapolation: no tail and no bound, at any truncation
+            assert set(tails) == set(bounds) == {None}
+            return
         assert None not in tails and None not in bounds
         assert all(a >= b for a, b in zip(tails, tails[1:]))
         assert all(a >= b for a, b in zip(bounds, bounds[1:]))
@@ -532,6 +550,16 @@ class TestTailProfile:
         assert profile.fit is not None
         assert profile.fit.intercept > math.log(np.finfo(float).max)
         assert 0.0 < profile.extrapolated_tail < 1e-60
+
+    @pytest.mark.parametrize("positive, verdict, tail", [
+        (0, Verdict.PASS, 0.0),  # an underflowed tail: faster than any fit
+        (1, Verdict.INDETERMINATE, None),
+        (3, Verdict.INDETERMINATE, None),
+    ])
+    def test_fitted_half_with_fewer_than_four_terms(self, positive, verdict, tail) -> None:
+        terms = np.zeros(16)
+        terms[: 8 + positive] = 1.0 / np.arange(1.0, 9.0 + positive) ** 2
+        assert _fit_tail_terms(terms) == (verdict, None, tail)
 
     def test_extrapolated_tail_past_double_range_is_inf(self) -> None:
         # e^712 j^-1.2 on the fitted half, j = 9..16; the log tail passes 709.78

@@ -10,7 +10,6 @@ from entirefn import (
     CriticalLineProfile,
     _numeric,
     critical_line,
-    identities,
     product_engine,
     critical_line_profile,
     eval_product,
@@ -109,6 +108,32 @@ class TestScan:
         profile = critical_line_profile(duplicated_zero_spec, -1.5, 1.5, 128)
         assert scan_real_zeros(profile, duplicated_zero_spec).estimates == ()
 
+    def test_gate_accepts_roots_between_doubles(self) -> None:
+        # offsets 0.3712345 k fall between the doubles a bisection can reach, so
+        # |V| at the refined midpoint is |V'| times up to half the stop width:
+        # the first residual, 5.1e-7, is above 1e-9 (1 + local |V|) = 1.8e-7
+        k = 0.3712345 * np.arange(1.0, 5001.0)
+        spec = make_symmetric_spec(1.0, np.column_stack([k, -k]).ravel(), 1.0)
+        found = scan_real_zeros(critical_line_profile(spec, 100.1, 150.3, None), spec)
+        assert len(found.taus) == 135
+        assert found.estimates[0].residual > 5e-7
+        for tau in found.taus:
+            assert np.min(np.abs(k - tau)) <= critical_line.BISECTION_WIDTH_COEFF * (1.0 + tau)
+        assert verify_identity(spec, "T8", x_min=77.5, x_max=78.5).passed
+
+    def test_tiny_end_without_a_root_is_refused(self) -> None:
+        # the profile changes sign on [0.4, 0.6] and the spec's V (1e6 at 0, no
+        # root below 1) does not: the bracket closes on the tiny end, where |V|
+        # is larger, so |V| at the midpoint exceeds |V| at both ends
+        k = np.arange(1.0, 6.0)
+        spec = make_symmetric_spec(1.0, np.concatenate([k, -k]), 1e6)
+        profile = CriticalLineProfile(
+            xi=1.0, grid=np.array([0.4, 0.6]), values=np.array([-1e-30, 1e-30], dtype=np.complex128),
+            v0=1e6 + 0j, imag_max=0.0, truncation=10,
+        )
+        with pytest.raises(ValueError, match=r"refined zero near x=0\.4000.* above gate"):
+            scan_real_zeros(profile, spec)
+
     def test_nonreal_profile_rejected(self, lbar_spec) -> None:
         profile = critical_line_profile(lbar_spec, -1.5, 1.5, 32)
         scale = float(np.max(np.abs(profile.values)))
@@ -190,7 +215,7 @@ class TestEvenProductForm:
         zeros = sinh_line_spec.zero_sequence.zeros
         v0 = eval_product(sinh_line_spec, 1.0).value
         # the literal product of T7, with the far offsets beyond x from their power sums
-        (literal,) = identities._literal_values(sinh_line_spec, zeros, np.array([x]), v0)
+        (literal,) = critical_line._literal_values(sinh_line_spec, zeros, np.array([x]), v0)
         with mpmath.workprec(200):
             s = mpmath.mpc(1.0, x)
             reference = mpmath.mpc(sinh_line_spec.value_at_zero)
@@ -206,7 +231,7 @@ class TestEvenProductForm:
         original = _numeric.complex_sum
         monkeypatch.setattr(_numeric, "complex_sum", lambda values: full.append(1) or original(values))
         zeros = sinh_line_spec.zero_sequence.zeros
-        literal = identities._literal_values(sinh_line_spec, zeros, np.linspace(13.8, 15.3, 48), 1.0)
+        literal = critical_line._literal_values(sinh_line_spec, zeros, np.linspace(13.8, 15.3, 48), 1.0)
         assert np.all(literal.imag == 0.0)
         assert verify_identity(sinh_line_spec, "T7", x_min=13.8, x_max=15.3, samples=48).passed
         assert full == []

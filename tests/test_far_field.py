@@ -326,9 +326,8 @@ def _spy(monkeypatch, module, name: str, calls: list) -> None:
 def test_shift_batches_match_single_point_values(request, monkeypatch, theorem, fixture) -> None:
     spec = request.getfixturevalue(fixture)
     batches = []
-    # S(alpha) inside product_engine, then the direct values of identities
-    for module in (product_engine, identities):
-        _spy(monkeypatch, module, "_eval_batch", batches)
+    # S(alpha), then the direct values, both in product_engine's shift batch
+    _spy(monkeypatch, product_engine, "_eval_batch", batches)
     assert verify_identity(spec, theorem, seed=11, draws=12).passed
     monkeypatch.undo()
     assert len(batches) == 2
@@ -367,8 +366,8 @@ def test_shift_batch_without_far_zeros_is_the_direct_path(poly_spec, genus) -> N
     alphas = identities._draw_points(rng, spec, 5, avoid_origin=True)
     radius = max(abs(p) for p in s_points + alphas)
     assert np.all(spec.zero_sequence.moduli <= _FAR_RATIO * radius)
-    measures = identities._shift_measures(spec, s_points, alphas, None)
-    assert measures == [compare_shift(spec, alpha, s)[2:] for s, alpha in zip(s_points, alphas)]
+    measures = product_engine._shift_measures(spec, s_points, alphas, None, radius)
+    assert measures == [compare_shift(spec, alpha, s) for s, alpha in zip(s_points, alphas)]
 
 
 @pytest.mark.parametrize("offset", [0.5, 2.5, -7.25])

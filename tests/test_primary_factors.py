@@ -170,13 +170,16 @@ class TestProperties:
         cases = [
             (direct.value, direct.log_value.imag),
             (shifted.value, shifted.log_value.imag),
-            (on_line.value, on_line.log_value.imag),
-            (even_product_form(line, 1e60), even_phase),
             (c0, direct.log_value.imag),
         ]
         for value, phase in cases:
             assert value.real == math.copysign(math.inf, math.cos(phase))
             assert value.imag == math.copysign(math.inf, math.sin(phase))
+        # real products (a real scale, a log with imaginary part 0 or pi) stay
+        # real: sin(pi) > 0 must not give them an infinite imaginary part
+        for value, phase in ((on_line.value, on_line.log_value.imag), (even_product_form(line, 1e60), even_phase)):
+            assert value.real == math.copysign(math.inf, math.cos(phase))
+            assert value.imag == 0.0
 
     def test_modulus_past_the_range_saturates(self) -> None:
         # exp(709.8 + i pi/4) has finite parts but a modulus past the double range

@@ -269,14 +269,15 @@ class TestShiftedProduct:
             batches.append([complex(s) for s in points])
             return original(spec, points, n, radius)
 
-        # S(alpha) is the one product evaluation inside product_engine
+        # the product evaluations are S(alpha), then the direct values
         monkeypatch.setattr(product_engine, "_eval_batch", spy)
         spec = lbar_spec if theorem == "T3" else small_spec(lbar_spec.zero_sequence.zeros, 1, 0.3)
         verify_identity(spec, theorem, draws=6)
         # T3 draws alpha = xi every time; T1 draws six distinct alphas, in one batch
-        (points,) = batches
+        points, direct = batches
         assert len(points) == (1 if theorem == "T3" else 6)
         assert len(set(points)) == len(points)
+        assert len(direct) == 6
 
 
     def test_first_failing_draw_names_the_error(self) -> None:
@@ -290,7 +291,7 @@ class TestShiftedProduct:
             errors = []
             for s, alpha in zip(s_points, alphas):
                 try:
-                    identities._shift_measures(spec, [s], [alpha], None)
+                    product_engine._shift_measures(spec, [s], [alpha], None, max(abs(s), abs(alpha)))
                 except ValueError as error:
                     errors.append(str(error))
             assert len(set(errors)) > 2
@@ -298,6 +299,24 @@ class TestShiftedProduct:
             with pytest.raises(ValueError) as info:
                 verify_identity(spec, "T1", seed=0, draws=9)
             assert str(info.value) == errors[0]
+
+
+class _ScriptedRng:
+    """A generator whose uniform draws are the given values, in order."""
+
+    def __init__(self, values) -> None:
+        self.values = iter(values)
+
+    def uniform(self, low: float, high: float) -> float:
+        return next(self.values)
+
+
+@pytest.mark.parametrize("avoid_origin, point", [(True, 0.5 - 0.5j), (False, 0.001 + 0.002j)])
+def test_draws_skip_points_near_a_zero_and_the_origin(avoid_origin, point) -> None:
+    # candidates 1.005 + i (within 1e-2 of the zero 1 + i), 0.001 + 0.002i, 0.5 - 0.5i
+    rng = _ScriptedRng([1.005, 1.0, 0.001, 0.002, 0.5, -0.5])
+    spec = small_spec([1 + 1j, 1 - 1j])
+    assert identities._draw_points(rng, spec, 1, avoid_origin) == [point]
 
 
 class TestShiftConstantResidual:

@@ -214,6 +214,13 @@ class TestEvenSeries:
         with pytest.raises(ValueError, match="Y_tilde"):
             even_series(sinh_genus1_spec, 4)
 
+    def test_odd_residual_refused(self) -> None:
+        # offsets 1 and -(1 + 5e-7) pass the sign-symmetry test at the scale
+        # 1e6, but c_1 is 5e-7 against c_0 = 1
+        spec = make_symmetric_spec(1.0, [1.0, -(1.0 + 5e-7), 1e6, -1e6], 1.0)
+        with pytest.raises(ValueError, match=r"odd-coefficient residual 5\.000e-07 exceeds 1\.000e-08"):
+            even_series(spec, 6)
+
     def test_near_symmetric_offsets_tolerated(self) -> None:
         taus = [1.0, -(1.0 + 5e-13), 2.0, -2.0]
         spec = make_symmetric_spec(xi=1.0, taus=taus, value_at_center=1.0 + 0j)

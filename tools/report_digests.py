@@ -46,9 +46,9 @@ def _line_spec(xi: float, taus, class_tag: str = "Y_tilde", q: str | None = None
     return "\n".join(head + ["zeros_inline:"] + [repr(t) for t in taus]) + "\n"
 
 
-def _pairs_spec(class_tag: str, zeros) -> str:
+def _pairs_spec(class_tag: str, zeros, s0: str = "1") -> str:
     rows = [f"{z.real!r} {z.imag!r}" for z in zeros]
-    return "\n".join([f"class = {class_tag}", "s0 = 1", "zeros_inline:"] + rows) + "\n"
+    return "\n".join([f"class = {class_tag}", f"s0 = {s0}", "zeros_inline:"] + rows) + "\n"
 
 
 # The fixtures of tests/conftest.py as spec files, and edge inputs.
@@ -61,6 +61,10 @@ SMALL_SPECS = {
     "tiny_zero_g0.spec": lambda: _pairs_spec("Y", [1e-10 + 0j]),
     "tiny_zero_g1.spec": lambda: _pairs_spec("L", [1e-10 + 0j]),
     "far_pair.spec": lambda: _line_spec(1.0, [1e30, -1e30]),
+    # offsets that fall between the doubles a bisection reaches
+    "fractional_line.spec": lambda: _line_spec(1.0, [0.3712345 * t for t in _interleaved(5000)]),
+    # S(-1) = -(1 + 1e200)^2: a negative real product past the double range
+    "negative_s0.spec": lambda: _pairs_spec("Y", [1e-200 + 0j, 1e-200 + 0j], s0="-1"),
 }
 
 SMALL_COMMANDS = (
@@ -107,6 +111,10 @@ SMALL_COMMANDS = (
     ("shift", "--spec", "tiny_zero_g1.spec", "--alpha=1e300", "--s=1"),
     # line points past 2^255 times the least tau: real, with the sign of the taus below |x|
     ("line", "--spec", "far_pair.spec", "--x-min=-1e110", "--x-max=1e110", "--samples", "3"),
+    # residuals of |V'| times up to half the stop width pass the scan's gate
+    ("scan", "--spec", "fractional_line.spec", "--x-min", "100.1", "--x-max", "150.3"),
+    # a saturated real value is a real infinity, imaginary part 0
+    ("eval", "--spec", "negative_s0.spec", "--s", "-1"),
 )
 
 
