@@ -81,21 +81,22 @@ class MultiplicityResult:
             raise ValueError("raw integral does not snap to an integer winding")
 
 
-def _max_log_modulus(
-    spec: EntireFunctionSpec, radius: float, angular_samples: int, n: int, far_radius: float
-) -> float:
-    """max over the angular grid of log |S(radius * e^{i theta})|.
+def _units(nodes: int) -> np.ndarray:
+    """e^{i theta_j}, theta_j = 2*pi*j / nodes: the nodes of every ring and contour."""
+    thetas = (2.0 * math.pi * j / nodes for j in range(nodes))
+    return np.array([complex(math.cos(theta), math.sin(theta)) for theta in thetas])
 
+
+def _max_log_moduli(spec: EntireFunctionSpec, radii, angular_samples: int, n: int) -> list[float]:
+    """max over the angular grid of log |S(r e^{i theta})| for each r of ``radii``.
+
+    One batch serves every ring, its far zeros those beyond 4 max(radii).
     Works in the log domain so radii with astronomically large values stay
     finite.  Points that hit a zero exactly contribute -inf and never win.
-    The zeros beyond 4 * far_radius (>= radius) enter as power sums.
     """
-    points = [
-        radius * complex(math.cos(theta), math.sin(theta))
-        for theta in (2.0 * math.pi * j / angular_samples for j in range(angular_samples))
-    ]
-    _, logs = _eval_batch(spec, points, n, far_radius)
-    return float(np.max(logs.real))
+    points = np.multiply.outer(radii, _units(angular_samples))
+    _, logs = _eval_batch(spec, points, n, float(np.max(radii)))
+    return logs.real.reshape(points.shape).max(axis=1).tolist()
 
 
 def max_modulus(
@@ -115,7 +116,7 @@ def max_modulus(
     if angular_samples < 4:
         raise ValueError(f"angular_samples must be >= 4, got {angular_samples}")
     n = int(_retained(spec, n_terms).size)
-    best = _max_log_modulus(spec, radius, angular_samples, n, radius)
+    (best,) = _max_log_moduli(spec, [radius], angular_samples, n)
     if best == -math.inf:
         return 0.0
     try:
@@ -135,7 +136,8 @@ def estimate_order(
     """Estimate the growth order from max-modulus scaling.
 
     Requires finite 1 < v_min < v_max and at least 3 radii with max|S| > e;
-    radii follow a geometric ladder from v_min to v_max.
+    radii follow a geometric ladder from v_min to v_max, and one batch
+    evaluates every ring.
     """
     for name, bound in (("v_min", v_min), ("v_max", v_max)):
         if not math.isfinite(bound):
@@ -150,12 +152,9 @@ def estimate_order(
     radii = np.geomspace(v_min, v_max, n_radii)
     kept_r: list[float] = []
     kept_log_max: list[float] = []
-    # one far set serves every ring
-    far_radius = float(np.max(radii))
-    for r in radii:
-        log_max = _max_log_modulus(spec, float(r), angular_samples, n, far_radius)
+    for r, log_max in zip(radii.tolist(), _max_log_moduli(spec, radii, angular_samples, n)):
         if MIN_LOG_GROWTH < log_max < math.inf:
-            kept_r.append(float(r))
+            kept_r.append(r)
             kept_log_max.append(log_max)
     if len(kept_r) < 3:
         raise ValueError("insufficient growth range: fewer than 3 radii with max|S| > e")
@@ -218,11 +217,10 @@ def verify_multiplicity(
         clearance = float(np.min(np.abs(np.abs(zeros - center) - radius)))
         if clearance < CONTOUR_CLEARANCE:
             raise ValueError("a retained zero lies on or within 1e-6 of the contour")
-    thetas = [2.0 * math.pi * j / nodes for j in range(nodes)]
-    units = [complex(math.cos(theta), math.sin(theta)) for theta in thetas]
-    points = [center + radius * unit for unit in units]
-    derivs = _log_derivatives(spec, points, int(zeros.size), abs(center) + radius)
-    raw = (radius / nodes) * complex_sum(np.array([d * u for d, u in zip(derivs.tolist(), units)]))
+    units = _units(nodes)
+    derivs = _log_derivatives(spec, center + radius * units, int(zeros.size), abs(center) + radius)
+    terms = [d * u for d, u in zip(derivs.tolist(), units.tolist())]
+    raw = (radius / nodes) * complex_sum(np.array(terms))
     if not cmath.isfinite(raw):
         raise ValueError(f"winding quadrature unresolved: raw integral {raw!r} is not finite")
     winding = round(raw.real)

@@ -26,16 +26,15 @@ Zero tables
 -----------
 ``complex_pairs``: two floats per line (real and imaginary part).
 ``tau_only``: one float per line (offset along the center line; needs xi).
-Floats are read exactly as ``float()`` reads them on every path.  A
-``tau_only`` table (file or inline) of digits, ``. e E + -`` and newlines
-only, with no empty row, is read in one ``np.fromstring`` pass; a clean
-``complex_pairs`` table (no comment, blank or invalid line) in vectorised
-blocks.  Any other table, and a one-pass table with a value that is not a
-finite nonzero offset, goes through the line-numbered parser, which ignores
-``#`` comment lines and blank lines and raises the error of the first bad
-line, so the errors are the same either way; they carry 1-based line
-numbers.  Ingested sequences are normalized to modulus order with the
-deterministic tie-break, sorted once.
+Floats are read exactly as ``float()`` reads them on every path.  A table
+(file or inline) of digits, ``. e E + -`` and newlines only (spaces and tabs
+too in ``complex_pairs``), with its one or two floats on every row, is read
+in one ``np.fromstring`` pass.  Any other table, and a one-pass table with a
+value that is not a finite nonzero zero or offset, goes through the
+line-numbered parser, which ignores ``#`` comment lines and blank lines and
+raises the error of the first bad line, so the errors are the same either
+way; they carry 1-based line numbers.  Ingested sequences are normalized to
+modulus order with the deterministic tie-break, sorted once.
 
 Reports
 -------
@@ -213,38 +212,52 @@ class RunReport:
 # ----------------------------------------------------------------- tables --
 
 
-# Rows per block of the complex_pairs fast path, so the tokens of a large
-# table never exist all at once as Python strings.
-_PAIR_BLOCK = 65536
-# The bytes of a tau_only body that is read in one pass.
-_TAU_BYTES = b"0123456789.eE+-\n"
+# The bytes of a table body that is read in one pass; a complex_pairs body may
+# also hold spaces and tabs.
+_TABLE_BYTES = b"0123456789.eE+-\n"
+
+# Per format: floats per row, and the three error texts that differ.
+_ROW_RULES = {
+    TableFormat.COMPLEX_PAIRS: (2, "expected two floats", "non-finite zero", "zero must be nonzero"),
+    TableFormat.TAU_ONLY: (
+        1, "expected one float", "non-finite tau", "tau must be nonzero (line zeros sit off the center)"
+    ),
+}
 
 
-def _one_pass_taus(text: str) -> np.ndarray | None:
-    """The offsets of a clean tau_only body, read in one pass; else None (values unchecked).
+def _one_pass(text: str, per_row: int) -> np.ndarray | None:
+    """The floats of a clean table body, ``per_row`` to a row, in one pass; else None (values unchecked).
 
-    Clean: only digits, ``. e E + -`` and newlines, no empty row, one float
-    per row.  There numpy's ``fromstring`` reads each row as ``float()``
-    does (both use CPython's string-to-double); elsewhere they differ: with
-    ``sep="\n"``, "1.5 2.5" reads as two values and "\n" as [-1.].
+    Clean: only digits, ``. e E + -`` and newlines (spaces and tabs too at two
+    per row), and ``per_row`` tokens on every row.  numpy's ``fromstring``
+    reads a token as ``float()`` does (both use CPython's string-to-double)
+    where it reads one value per token; elsewhere they differ: it reads "1-2"
+    as two values.
     """
-    if not text.isascii():
+    data = text.encode("ascii") if text.isascii() else b""
+    if not data or data.translate(None, _TABLE_BYTES + (b" \t" if per_row == 2 else b"")):
         return None
-    data = text.encode("ascii")
-    if not data or data.translate(None, _TAU_BYTES):  # empty, or a byte outside the gate
+    codes = np.frombuffer(data, dtype=np.uint8)
+    rows = np.count_nonzero(codes == ord("\n")) + (codes[-1] != ord("\n"))  # the last row may lack its newline
+    events = codes > ord(" ")  # past the gate, the bytes of tokens,
+    events[1:] &= codes[:-1] <= ord(" ")  # where a token begins
+    if np.count_nonzero(events) != per_row * rows:
         return None
-    newline = np.frombuffer(data, dtype=np.uint8) == ord("\n")
-    if newline[0] or np.any(newline[1:] & newline[:-1]):  # an empty row
-        return None
-    rows = int(np.count_nonzero(newline)) + (not newline[-1])
+    # With no space or tab a row holds at most one token.  Else, in text order,
+    # every (per_row + 1)-th of the token starts and row ends must be a row end.
+    if per_row > 1:
+        ends = codes == ord("\n")
+        events |= ends
+        if not np.compress(events, ends)[per_row :: per_row + 1].all():
+            return None
     # unmatched data raises ValueError on numpy 2.4 and warns on older numpy
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         try:
-            taus = np.fromstring(text, dtype=float, sep="\n")
+            values = np.fromstring(text, dtype=float, sep=" ")
         except (ValueError, DeprecationWarning):
             return None
-    return taus if taus.size == rows else None
+    return values if values.size == per_row * rows else None
 
 
 def _parse_rows(
@@ -255,39 +268,24 @@ def _parse_rows(
     ``#`` comment rows and blank rows are skipped; the first bad row raises
     ValueError with its line number (the first row is ``first_lineno``).
     """
+    per_row, expected, non_finite, zero = _ROW_RULES[fmt]
     zeros: list[complex] = []
     for lineno, raw in enumerate(rows, start=first_lineno):
         text = raw.strip()
         if not text or text.startswith("#"):
             continue
         parts = text.split()
-        if fmt is TableFormat.COMPLEX_PAIRS:
-            if len(parts) != 2:
-                raise ValueError(f"{origin} line {lineno}: expected two floats, got {text!r}")
-            try:
-                re_part, im_part = float(parts[0]), float(parts[1])
-            except ValueError as exc:
-                raise ValueError(f"{origin} line {lineno}: malformed float in {text!r}") from exc
-            if not (math.isfinite(re_part) and math.isfinite(im_part)):
-                raise ValueError(f"{origin} line {lineno}: non-finite zero")
-            z = complex(re_part, im_part)
-            if z == 0:
-                raise ValueError(f"{origin} line {lineno}: zero must be nonzero")
-        else:
-            if len(parts) != 1:
-                raise ValueError(f"{origin} line {lineno}: expected one float, got {text!r}")
-            try:
-                tau = float(parts[0])
-            except ValueError as exc:
-                raise ValueError(f"{origin} line {lineno}: malformed float in {text!r}") from exc
-            if not math.isfinite(tau):
-                raise ValueError(f"{origin} line {lineno}: non-finite tau")
-            if tau == 0.0:
-                raise ValueError(
-                    f"{origin} line {lineno}: tau must be nonzero (line zeros sit off the center)"
-                )
-            z = complex(xi, tau)  # type: ignore[arg-type]
-        zeros.append(z)
+        if len(parts) != per_row:
+            raise ValueError(f"{origin} line {lineno}: {expected}, got {text!r}")
+        try:
+            values = [float(part) for part in parts]
+        except ValueError as exc:
+            raise ValueError(f"{origin} line {lineno}: malformed float in {text!r}") from exc
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"{origin} line {lineno}: {non_finite}")
+        if not any(values):
+            raise ValueError(f"{origin} line {lineno}: {zero}")
+        zeros.append(complex(*values) if per_row == 2 else complex(xi, *values))  # type: ignore[arg-type]
     return np.asarray(zeros, dtype=np.complex128)
 
 
@@ -303,7 +301,7 @@ def _line_table(
     """
     if xi is None:
         raise ValueError(f"{origin}: tau_only format requires xi")
-    taus = _one_pass_taus(text)
+    taus = _one_pass(text, 1)
     one_pass = taus is not None
     if not one_pass:
         taus = _parse_rows(text.splitlines(), first_lineno, TableFormat.TAU_ONLY, xi, origin).imag
@@ -316,26 +314,15 @@ def _line_table(
 def _pairs_table(text: str, first_lineno: int, origin: str, source: str) -> ZeroSequence:
     """A complex_pairs table body as a conjugate-paired sequence, in the order given.
 
-    A clean table (no comment, blank or invalid row) is parsed in blocks of
-    rows, its floats as ``float()`` reads them; any other goes through the
-    line-numbered parser, which skips comments and blanks and raises the
-    error of the first bad row.
+    A clean table is read in one pass; any other, and a clean one with a row
+    that is not a finite nonzero zero, goes through the line-numbered parser,
+    which skips comments and blanks and raises the error of the first bad row.
     """
-    rows = text.splitlines()
-    pairs = np.empty((len(rows), 2))
-    clean = all(len(row.split()) == 2 for row in rows)
-    try:
-        for start in range(0, len(rows) if clean else 0, _PAIR_BLOCK):
-            block = rows[start : start + _PAIR_BLOCK]
-            # two tokens per row, so the block's tokens pair up row by row
-            tokens = " ".join(block).split()
-            pairs[start : start + len(block)] = np.array(tokens, dtype=float).reshape(-1, 2)
-    except ValueError:
-        clean = False
-    if clean and (np.isfinite(pairs).all(axis=1) & pairs.any(axis=1)).all():
-        zeros = pairs.view(np.complex128).reshape(-1)
+    pairs = _one_pass(text, 2)
+    if pairs is not None and np.isfinite(pairs).all() and pairs.reshape(-1, 2).any(axis=1).all():
+        zeros = pairs.view(np.complex128)
     else:
-        zeros = _parse_rows(rows, first_lineno, TableFormat.COMPLEX_PAIRS, None, origin)
+        zeros = _parse_rows(text.splitlines(), first_lineno, TableFormat.COMPLEX_PAIRS, None, origin)
     zeros.setflags(write=False)
     return ZeroSequence(
         zeros=zeros, ordering=Ordering.AS_GIVEN, pairing=Pairing.CONJUGATE_PAIRS, source=source
@@ -539,6 +526,13 @@ def _terms(text: str) -> int:
     return n
 
 
+def _tolerance(text: str) -> float:
+    tol = float(text)
+    if not 0.0 <= tol < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return tol
+
+
 @functools.cache  # built once per process: parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -552,7 +546,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         p.add_argument("--spec", required=True, help="path to a spec file")
         p.add_argument("--terms", type=_terms, default=DEFAULT_TERMS, help="product truncation N")
-        p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
+        p.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOLERANCE)
         return p
 
     p = command("eval", "evaluate the truncated product at a point", _cmd_eval)

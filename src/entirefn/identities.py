@@ -97,10 +97,14 @@ def verify_identity(
     ``seed`` and ``draws`` set the random points of T1-T4; ``x_min``,
     ``x_max`` and ``samples`` the line window of T6-T9 (``samples=None``
     takes the profile's default density); ``k_max`` the expansion order of
-    T5.  Raises ValueError when the spec is not of the class the check needs.
+    T5.  Raises ValueError when the spec is not of the class the check needs,
+    and when T1-T4 have no draw or T5 no odd coefficient to measure.
     """
     if theorem not in IDENTITY_TAGS:
         raise ValueError(f"unknown identity check {theorem!r}")
+    option, value = ("k_max", k_max) if theorem == "T5" else ("draws", draws)
+    if theorem in ("T1", "T2", "T3", "T4", "T5") and value < 1:
+        raise ValueError(f"{theorem} needs {option} >= 1, got {value}")
     needed = _REQUIREMENTS.get(theorem)
     if needed and needed.split()[1] not in (f"genus-{spec.genus}", spec.class_tag.value):
         raise ValueError(f"{theorem} requires {needed} spec")
@@ -110,7 +114,7 @@ def verify_identity(
     elif theorem == "T5":
         # even_series raises when an odd coefficient is not negligible
         expansion = even_series(spec, k_max, n_terms)
-        worst = max(expansion.odd_residuals, default=0.0)
+        worst = max(expansion.odd_residuals)
         scale = max(abs(c) for c in expansion.coefficients[0::2])
         quantities, passed = [("odd_residual_max", worst), ("even_magnitude_max", scale)], True
     elif theorem in ("T6", "T7"):
@@ -147,9 +151,9 @@ def _shift_identity(spec, at_center: bool, seed: int, draws: int, n_terms, toler
         alphas = _draw_points(rng, spec, draws, avoid_origin=True)
     # R = max |p| over the batch, and over each draw where the batch fails as a
     # whole: draw by draw, the first draw to fail raises
-    radius = max(map(abs, s_points + alphas), default=0.0)
+    radius = max(map(abs, s_points + alphas))
     try:
-        measures = _shift_measures(spec, s_points, alphas, n_terms, radius) if s_points else []
+        measures = _shift_measures(spec, s_points, alphas, n_terms, radius)
     except (ValueError, ArithmeticError):
         measures = [_shift_measures(spec, [s], [a], n_terms, max(abs(s), abs(a)))[0] for s, a in zip(s_points, alphas)]
     disagreement = max([0.0, *(m[2] for m in measures)])

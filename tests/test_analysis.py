@@ -16,6 +16,7 @@ from entirefn import (
     max_modulus,
     verify_multiplicity,
 )
+from entirefn import analysis
 
 
 def bare_spec(zeros, genus=0, q=0j, s0=1.0 + 0j) -> EntireFunctionSpec:
@@ -78,6 +79,34 @@ class TestEstimateOrder:
         estimate = estimate_order(pure_exponential_spec, 2.0, 100.0)
         assert estimate.order == pytest.approx(1.0, abs=1e-12)
         assert estimate.rms_residual <= 1e-12
+
+    @pytest.mark.parametrize("fixture", ["sinh_genus1_spec", "sinh_line_spec"])
+    def test_every_ring_in_one_batch(self, request, monkeypatch, fixture) -> None:
+        spec = request.getfixturevalue(fixture)
+        batches = []
+        original = analysis._eval_batch
+
+        def spy(*args):
+            batches.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(analysis, "_eval_batch", spy)
+        estimate = estimate_order(spec, 2.0, 30.0, n_radii=6, angular_samples=16)
+        monkeypatch.undo()
+        ((_, points, n, far_radius),) = batches
+        assert far_radius == 30.0 and np.count_nonzero(spec.zero_sequence.moduli[:n] > 4 * far_radius)
+        # each ring's maximum has the bits of its own batch at the same far radius
+        kept, rings = [], []
+        for r in np.geomspace(2.0, 30.0, 6).tolist():
+            thetas = [2 * math.pi * j / 16 for j in range(16)]
+            ring = [r * complex(math.cos(theta), math.sin(theta)) for theta in thetas]
+            _, logs = original(spec, ring, n, far_radius)
+            log_max = float(np.max(logs.real))
+            if 1.0 < log_max < math.inf:
+                kept.append((r, math.log(log_max)))
+            rings += ring
+        assert list(zip(estimate.radii, estimate.log_log_max)) == kept
+        assert np.ravel(points).tobytes() == np.array(rings).tobytes()
 
     def test_bounded_spec_rejected(self, constant_spec) -> None:
         with pytest.raises(ValueError, match="insufficient growth"):

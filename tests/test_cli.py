@@ -34,6 +34,7 @@ from entirefn.cli import (
     write_zero_table,
 )
 from entirefn.identities import verify_identity
+from entirefn.series_engine import even_series
 
 SYMMETRIC_SPEC = """\
 class = Y_tilde
@@ -498,6 +499,29 @@ class TestRunCommand:
         assert by_name["audited_zeros"] == 0
         assert by_name["pass"] is False
 
+    def test_identity_that_measures_nothing_is_refused(self, tmp_path) -> None:
+        sym = spec_path(tmp_path, SYMMETRIC_SPEC, "sym.spec")
+        genus1 = spec_path(tmp_path, GENUS1_SPEC, "genus1.spec")
+        lbar = spec_path(tmp_path, LBAR_SPEC, "lbar.spec")
+        cases = [
+            ("T1", genus1, "--draws", "draws", 0),
+            ("T2", sym, "--draws", "draws", 0),
+            ("T3", lbar, "--draws", "draws", -3),
+            ("T4", sym, "--draws", "draws", -3),
+            ("T5", sym, "--kmax", "k_max", 0),
+        ]
+        for tag, path, flag, option, value in cases:
+            message = f"{tag} needs {option} >= 1, got {value}"
+            report = run_command(["verify-identity", "--spec", str(path), "--theorem", tag, flag, str(value)])
+            assert (report.exit_code, report.errors, report.records) == (1, (message,), ())
+            with pytest.raises(ValueError, match=re.escape(message)):
+                verify_identity(load_spec_file(path)[0], tag, **{option: value})
+        # one draw and one odd coefficient are enough; the expansion itself takes k_max = 0
+        for tag, options in (("T2", ["--draws", "1"]), ("T5", ["--kmax", "1"])):
+            report = run_command(["verify-identity", "--spec", str(sym), "--theorem", tag, *options])
+            assert report.exit_code == 0, report.errors
+        assert len(even_series(load_spec_file(sym)[0], 0).coefficients) == 1
+
     def test_identity_class_mismatch(self, tmp_path) -> None:
         sym = spec_path(tmp_path, SYMMETRIC_SPEC, "sym.spec")
         lbar = spec_path(tmp_path, LBAR_SPEC, "lbar.spec")
@@ -729,6 +753,18 @@ class TestRunCommand:
         ):
             report = run_command(argv)
             assert (report.exit_code, report.errors) == (2, ("usage error",))
+
+    @pytest.mark.parametrize("tolerance, exit_code", [
+        ("nan", 2), ("inf", 2), ("-inf", 2), ("-1", 2), ("-0.0", 0), ("0", 0), ("1e-3", 0),
+    ])
+    def test_tolerance_is_finite_and_not_negative(self, tmp_path, tolerance, exit_code) -> None:
+        path = spec_path(tmp_path, SYMMETRIC_SPEC)
+        report = run_command(["eval", "--spec", str(path), "--s", "0.3", "--tolerance", tolerance])
+        assert report.exit_code == exit_code, report.errors
+        if exit_code == 2:
+            assert report.errors == ("usage error",)
+        else:
+            assert report.records[0].tolerance == float(tolerance)
 
     def test_parser_is_built_once(self, tmp_path, capsys) -> None:
         _build_parser.cache_clear()

@@ -9,7 +9,6 @@ the same zeros, or the same error, either way.
 from __future__ import annotations
 
 import hashlib
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -134,7 +133,10 @@ DEFECTS = {
     "complex_pairs": ["", "\t", "# c 1", "#", "1 2 3", "1", "nan 1", "1 inf", "-inf -inf",
                       "0 0", "-0.0 0e5", "1 1.2.3", "abc 1", "1 1__0", "1e400 1",
                       # two rows whose four tokens would pair up if rows were ignored
-                      "1 2 3\n4"],
+                      "1 2 3\n4",
+                      # a token fromstring reads as two values, a cut exponent,
+                      # a row of blanks only
+                      "1-2 3", "1e 2", " \t "],
 }
 
 
@@ -201,18 +203,11 @@ def assert_loaders_agree(folder, fmt: str, key: str, body: str) -> dict:
 
 @pytest.mark.parametrize(("fmt", "key", "defect"), CASES)
 @settings(max_examples=12)
-@given(
-    data=st.data(),
-    newline=st.sampled_from(["\n", "\r\n"]),
-    pair_block=st.sampled_from([1, 2, 5, cli._PAIR_BLOCK]),
-)
-def test_fast_path_matches_line_loop(
-    tmp_path_factory, fmt, key, defect, data, newline, pair_block
-) -> None:
+@given(data=st.data(), newline=st.sampled_from(["\n", "\r\n"]))
+def test_fast_path_matches_line_loop(tmp_path_factory, fmt, key, defect, data, newline) -> None:
     rows = data.draw(table(fmt, defect))
     body = "".join(row + newline for row in rows)
-    with mock.patch.object(cli, "_PAIR_BLOCK", pair_block):
-        assert_loaders_agree(tmp_path_factory.mktemp("tables"), fmt, key, body)
+    assert_loaders_agree(tmp_path_factory.mktemp("tables"), fmt, key, body)
 
 
 # Whole tau_only bodies at the edges of the one-pass gate.
@@ -228,6 +223,22 @@ EDGE_BODIES = [
 @pytest.mark.parametrize("body", EDGE_BODIES)
 def test_edge_bodies_match_line_loop(tmp_path, body, key) -> None:
     assert_loaders_agree(tmp_path, "tau_only", key, body)
+
+
+# Whole complex_pairs bodies at the edges of the one-pass gate.
+PAIR_EDGE_BODIES = [
+    "1 2\n", "1 2", "1\t2\n", "\t1\t2\t", " 1  2 \n", "1 2\n3 4", "1 2 \n\t3 4\n",
+    "\n", "1 2\n\n3 4\n", "\n1 2\n", "1 2\n\n", " \n1 2\n", "1 2\n\t\n", "1 2\n \t \n",
+    "1 2 3\n", "1\n2\n", "1\n2 3 4\n", "1 2 3\n4\n", "1-2 3\n", "1 2-3\n", "1e 2\n",
+    "1 2e\n", "1..2 3\n", "1e5e5 1\n", "+.5 -.5\n", "1.e5 -.5e-3\n", "0 1\n", "1 0\n",
+    "0 0\n", "-0.0 0e5\n", "1e400 1\n", "1 1e-400\n", "5e-324 5e-324\n", "00012 1E5\n",
+    "1 2\x0c\n", "1\x0b2\n", "1 2\n# c\n",
+]
+
+
+@pytest.mark.parametrize("body", PAIR_EDGE_BODIES)
+def test_pair_edge_bodies_match_line_loop(tmp_path, body) -> None:
+    assert_loaders_agree(tmp_path, "complex_pairs", "s0", body)
 
 
 # ------------------------------------------------- guards on the fast path --
@@ -311,6 +322,48 @@ def test_padded_or_crlf_table_matches_line_loop(tmp_path, monkeypatch, body, one
     assert len(calls) == (0 if one_pass else 3)
 
 
+@pytest.mark.parametrize("padded", [False, True])
+def test_padded_pair_table_takes_one_pass_and_a_blank_row_does_not(tmp_path, monkeypatch, padded) -> None:
+    body = " 1.5\t-2.5\n0.5   2.5 \n\t-1e3\t+.5\t\n" if padded else "1.5 -2.5\n\n0.5 2.5\n-1e3 +.5\n"
+    outcomes = assert_loaders_agree(tmp_path, "complex_pairs", "s0", body)
+    assert {name: result[0] for name, result in outcomes.items()} == {
+        "ingest": "sequence", "file": "spec", "inline": "spec"
+    }
+    calls = []
+    original = cli._parse_rows
+    monkeypatch.setattr(cli, "_parse_rows", lambda *args: calls.append(1) or original(*args))
+    load_spec_file(tmp_path / "file.spec")
+    load_spec_file(tmp_path / "inline.spec")
+    ingest_zero_table(tmp_path / "t.zeros", "complex_pairs")
+    assert len(calls) == (0 if padded else 3)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "\n",  # a lone blank row
+        "1 2\n\n3 4\n",  # a blank row between rows
+        " \t\n1 2\n",  # a row of blanks only
+        "1 2 3\n",  # three tokens in a row
+        "1\n2 3 4\n",  # four tokens over two rows, paired wrongly
+        "1-2 3\n",  # a token that fromstring reads as two values
+        "1e 2\n",  # unmatched data: ValueError
+        "1 2\r\n",  # a byte outside the gate
+        "1 2\n#\n",  # a comment row
+        "",  # no rows
+    ],
+)
+def test_one_pass_gate_refuses_pairs(body) -> None:
+    assert cli._one_pass(body, 2) is None
+
+
+def test_one_pass_reads_pairs_as_float_does() -> None:
+    tokens = ["+.5", "1.e5", "-0.25e-3", "5e-324", "1E5", "00012", "1.7976931348623157e308", "-0"]
+    values = cli._one_pass(" {}\t{}\n{}  {} \n\t{}\t{}\n{} {}".format(*tokens), 2)
+    assert values is not None
+    assert values.tobytes() == np.array([float(t) for t in tokens]).tobytes()
+
+
 @pytest.mark.parametrize(
     "body",
     [
@@ -324,7 +377,7 @@ def test_padded_or_crlf_table_matches_line_loop(tmp_path, monkeypatch, body, one
     ],
 )
 def test_one_pass_gate_refuses(body) -> None:
-    assert cli._one_pass_taus(body) is None
+    assert cli._one_pass(body, 1) is None
 
 
 def test_one_pass_gate_takes_a_deprecation_warning_as_unmatched_data(monkeypatch) -> None:
@@ -336,17 +389,17 @@ def test_one_pass_gate_takes_a_deprecation_warning_as_unmatched_data(monkeypatch
         return np.array([1.5])
 
     monkeypatch.setattr(np, "fromstring", warn_and_read)
-    assert cli._one_pass_taus("1.5\n2-5\n") is None
+    assert cli._one_pass("1.5\n2-5\n", 1) is None
 
 
 def test_one_pass_gate_counts_the_values(monkeypatch) -> None:
     monkeypatch.setattr(np, "fromstring", lambda text, dtype, sep: np.array([1.5]))
-    assert cli._one_pass_taus("1.5\n2.5\n") is None
-    assert cli._one_pass_taus("1.5\n") is not None
+    assert cli._one_pass("1.5\n2.5\n", 1) is None
+    assert cli._one_pass("1.5\n", 1) is not None
 
 
 def test_one_pass_reads_as_float_does() -> None:
     rows = ["+.5", "1.e5", "-0.25e-3", "5e-324", "1E5", "00012", "1.7976931348623157e308"]
-    taus = cli._one_pass_taus("\n".join(rows))
+    taus = cli._one_pass("\n".join(rows), 1)
     assert taus is not None
     assert taus.tobytes() == np.array([float(r) for r in rows]).tobytes()

@@ -115,6 +115,9 @@ SMALL_COMMANDS = (
     ("scan", "--spec", "fractional_line.spec", "--x-min", "100.1", "--x-max", "150.3"),
     # a saturated real value is a real infinity, imaginary part 0
     ("eval", "--spec", "negative_s0.spec", "--s", "-1"),
+    # checks that would measure nothing are refused
+    ("verify-identity", "--spec", "poly.spec", "--theorem", "T2", "--draws", "0"),
+    ("verify-identity", "--spec", "sinh_line.spec", "--theorem", "T5", "--kmax", "0"),
 )
 
 
