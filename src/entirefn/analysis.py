@@ -11,7 +11,15 @@ two estimates agree near 1; their consistency is a cheap cross-check.
 Multiplicities come from the argument principle: the winding number
 (1/2*pi*i) * contour integral of S'/S around a circle, computed with the
 trapezoid rule (spectrally accurate on smooth circular contours) and
-snapped to the nearest integer within a 0.1 window.
+snapped to the nearest integer within a 0.1 window.  On N nodes of the
+circle |s - c| = rho a zero z at r = |z - c| moves the raw integral off its
+count by a^N/(1 - a^N) inside, a = (z - c)/rho, or -b^N/(1 - b^N) outside,
+b = rho/(z - c): at most q^N/(1 - q^N), q = min(r, rho)/max(r, rho).  The
+constant part of S'/S integrates to 0, so |raw - winding| <= A(N) =
+sum_k q_k^N/(1 - q_k^N) over the retained zeros (Trefethen & Weideman, "The
+exponentially convergent trapezoidal rule", SIAM Review 56 (2014)).  The
+audits of T8/T9 take the least N in 16, 32, ..., 512 with
+A(N) <= TRAPEZOID_TOLERANCE (``_trapezoid_nodes``), and 512 where none has it.
 """
 
 from __future__ import annotations
@@ -22,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import complex_sum, loglog_fit
+from ._numeric import BLOCK, complex_sum, loglog_fit
 from .core_types import EntireFunctionSpec, ZeroSequence
-from .product_engine import _eval_batch, _log_derivatives, _retained
+from .product_engine import _log_derivatives, _log_sums, _retained, _value_from_log
 
 __all__ = [
     "OrderEstimate",
@@ -38,6 +46,9 @@ __all__ = [
 
 # Winding snap window: the raw integral must sit within 0.1 of an integer.
 WINDING_SNAP = 0.1
+# Trapezoid aliasing bound A(N) a winding audit's node count must meet: far
+# inside WINDING_SNAP, so the rounded raw integral is the exact zero count.
+TRAPEZOID_TOLERANCE = 1e-6
 # Contour guard: no retained zero within this absolute distance of the circle.
 CONTOUR_CLEARANCE = 1e-6
 # Radii enter the order fit only where log max|S| exceeds this (max|S| > e).
@@ -90,13 +101,28 @@ def _units(nodes: int) -> np.ndarray:
 def _max_log_moduli(spec: EntireFunctionSpec, radii, angular_samples: int, n: int) -> list[float]:
     """max over the angular grid of log |S(r e^{i theta})| for each r of ``radii``.
 
-    One batch serves every ring, its far zeros those beyond 4 max(radii).
-    Works in the log domain so radii with astronomically large values stay
-    finite.  Points that hit a zero exactly contribute -inf and never win.
+    Groups of at most BLOCK points, all at the far radius max(radii) (far
+    zeros those beyond 4 max(radii)), take the products' logs alone: each
+    ring keeps the largest real part of its exponents, and log |v0| is added
+    once (rounding is monotone, so that is the largest log |S|).  Works in
+    the log domain so radii with astronomically large values stay finite.
+    Points that hit a zero exactly contribute -inf and never win.
     """
-    points = np.multiply.outer(radii, _units(angular_samples))
-    _, logs = _eval_batch(spec, points, n, float(np.max(radii)))
-    return logs.real.reshape(points.shape).max(axis=1).tolist()
+    seq, genus, q = spec.zero_sequence, spec.genus, spec.q_constant
+    radii, units = np.asarray(radii, dtype=float), _units(angular_samples)
+    far_radius = float(np.max(radii))
+    log_moduli = np.full(radii.size, -math.inf)
+    first_bad, total = None, radii.size * angular_samples
+    for start in range(0, total, BLOCK):
+        ring, node = np.divmod(np.arange(start, min(start + BLOCK, total)), angular_samples)
+        exponents, _ = _log_sums(seq, genus, q, radii[ring] * units[node], n, far_radius)
+        bad = (exponents.real != -math.inf) & (np.isnan(exponents.real) | ~np.isfinite(exponents.imag))
+        if first_bad is None and np.count_nonzero(bad):
+            first_bad = complex(exponents[np.argmax(bad)])
+        np.maximum.at(log_moduli, ring, exponents.real)
+    if first_bad is not None:  # a log with no phase has no value: the value rule's error
+        _value_from_log(first_bad)
+    return (cmath.log(spec.value_at_zero).real + log_moduli).tolist()
 
 
 def max_modulus(
@@ -136,8 +162,8 @@ def estimate_order(
     """Estimate the growth order from max-modulus scaling.
 
     Requires finite 1 < v_min < v_max and at least 3 radii with max|S| > e;
-    radii follow a geometric ladder from v_min to v_max, and one batch
-    evaluates every ring.
+    radii follow a geometric ladder from v_min to v_max, evaluated in groups
+    of at most BLOCK points at one far radius.
     """
     for name, bound in (("v_min", v_min), ("v_max", v_max)):
         if not math.isfinite(bound):
@@ -189,6 +215,27 @@ def estimate_exponent(seq: ZeroSequence, r_min: float, r_max: float) -> Exponent
     fit = loglog_fit(ladder[keep], counts[keep])
     pairs = tuple((float(r), int(c)) for r, c in zip(ladder[keep], counts[keep]))
     return ExponentEstimate(exponent=fit.slope, counting_pairs=pairs, rms_residual=fit.rms_residual)
+
+
+@np.errstate(divide="ignore")  # q = 1, a zero on the circle: A(N) = inf
+def _trapezoid_nodes(zeros: np.ndarray, center: complex, radius: float) -> int:
+    """The least N in 16, 32, ..., 512 whose aliasing bound A(N) is at most
+    TRAPEZOID_TOLERANCE on the circle |s - center| = radius; 512 where none is.
+
+    A(N) = sum_k q_k^N/(1 - q_k^N), q_k = min(r_k, radius)/max(r_k, radius)
+    and r_k = |z_k - center|, bounds |raw - winding| of an N-node winding
+    integral (module docstring).  q^N comes by repeated squaring; where it
+    underflows to 0 that is the bound.
+    """
+    distances = np.abs(zeros - center)
+    power = np.minimum(distances, radius) / np.maximum(distances, radius)
+    for _ in range(4):
+        power = power * power
+    nodes = 16
+    while nodes < 512 and not float(np.sum(power / (1.0 - power))) <= TRAPEZOID_TOLERANCE:
+        power = power * power
+        nodes *= 2
+    return nodes
 
 
 def verify_multiplicity(

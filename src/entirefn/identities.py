@@ -10,7 +10,9 @@ with a pass flag gated by ``tolerance``:
     T6/T7  the line restriction equals the literal offset product (L_bar /
            Y_tilde); T7 also checks profile reality and the even product form
     T8/T9  every line zero in the window has winding number 1: scanned ones
-           (Y_tilde) or retained ones (L_bar), at most 8 per run
+           (Y_tilde) or retained ones (L_bar), at most 8 per run, each on
+           the node count its trapezoid aliasing bound certifies
+           (``analysis._trapezoid_nodes``)
 
 T1-T4 draw from ``numpy.random.default_rng(seed)``, the evaluation points
 before the shift points, so a seed fixes every draw.  Their batches take
@@ -21,11 +23,12 @@ only the shifted products about each alpha sum every zero.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import verify_multiplicity
+from .analysis import _trapezoid_nodes, verify_multiplicity
 from .core_types import EntireFunctionSpec
 from .critical_line import _even_product_values, _literal_values, critical_line_profile, scan_real_zeros
 from .product_engine import _nearest, _retained, _shift_measures
@@ -98,10 +101,13 @@ def verify_identity(
     ``x_max`` and ``samples`` the line window of T6-T9 (``samples=None``
     takes the profile's default density); ``k_max`` the expansion order of
     T5.  Raises ValueError when the spec is not of the class the check needs,
-    and when T1-T4 have no draw or T5 no odd coefficient to measure.
+    when T1-T4 have no draw or T5 no odd coefficient to measure, and when
+    ``tolerance`` is NaN, infinite or negative.
     """
     if theorem not in IDENTITY_TAGS:
         raise ValueError(f"unknown identity check {theorem!r}")
+    if not 0.0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     option, value = ("k_max", k_max) if theorem == "T5" else ("draws", draws)
     if theorem in ("T1", "T2", "T3", "T4", "T5") and value < 1:
         raise ValueError(f"{theorem} needs {option} >= 1, got {value}")
@@ -191,15 +197,18 @@ def _simplicity_identity(spec, scan: bool, x_min: float, x_max: float, samples, 
         centers = [complex(profile.xi, est.tau) for est in found.estimates]
     else:
         centers = []
-        for z in zeros:
-            if x_min <= z.imag <= x_max and all(abs(z - c) > 1e-9 for c in centers):
-                centers.append(complex(z))
+        for z in zeros[(x_min <= zeros.imag) & (zeros.imag <= x_max)].tolist():
+            if len(centers) == MAX_AUDITED_ZEROS:
+                break
+            if all(abs(z - c) > 1e-9 for c in centers):
+                centers.append(z)
     centers = centers[:MAX_AUDITED_ZEROS]
     quantities: list[tuple[str, object]] = [("audited_zeros", len(centers))]
     passed = len(centers) > 0
     for j, center in enumerate(centers):
         radius = 0.4 * min(_nearest(center, zeros[np.abs(zeros - center) > 1e-9]), 1.0)
-        result = verify_multiplicity(spec, center, radius, 512, n)
+        nodes = _trapezoid_nodes(zeros, center, radius)
+        result = verify_multiplicity(spec, center, radius, nodes, n)
         quantities.append((f"winding[{j}]", result.winding))
         passed = passed and result.winding == 1
     return quantities, passed

@@ -16,7 +16,8 @@ from entirefn import (
     max_modulus,
     verify_multiplicity,
 )
-from entirefn import analysis
+from entirefn import analysis, identities
+from entirefn.product_engine import _eval_batch
 
 
 def bare_spec(zeros, genus=0, q=0j, s0=1.0 + 0j) -> EntireFunctionSpec:
@@ -84,29 +85,55 @@ class TestEstimateOrder:
     def test_every_ring_in_one_batch(self, request, monkeypatch, fixture) -> None:
         spec = request.getfixturevalue(fixture)
         batches = []
-        original = analysis._eval_batch
+        original = analysis._log_sums
 
         def spy(*args):
             batches.append(args)
             return original(*args)
 
-        monkeypatch.setattr(analysis, "_eval_batch", spy)
+        monkeypatch.setattr(analysis, "_log_sums", spy)
         estimate = estimate_order(spec, 2.0, 30.0, n_radii=6, angular_samples=16)
         monkeypatch.undo()
-        ((_, points, n, far_radius),) = batches
+        ((*_, points, n, far_radius),) = batches
         assert far_radius == 30.0 and np.count_nonzero(spec.zero_sequence.moduli[:n] > 4 * far_radius)
         # each ring's maximum has the bits of its own batch at the same far radius
         kept, rings = [], []
         for r in np.geomspace(2.0, 30.0, 6).tolist():
             thetas = [2 * math.pi * j / 16 for j in range(16)]
             ring = [r * complex(math.cos(theta), math.sin(theta)) for theta in thetas]
-            _, logs = original(spec, ring, n, far_radius)
+            _, logs = _eval_batch(spec, ring, n, far_radius)
             log_max = float(np.max(logs.real))
             if 1.0 < log_max < math.inf:
                 kept.append((r, math.log(log_max)))
             rings += ring
         assert list(zip(estimate.radii, estimate.log_log_max)) == kept
         assert np.ravel(points).tobytes() == np.array(rings).tobytes()
+
+    @pytest.mark.parametrize("fixture", ["sinh_genus1_spec", "sinh_line_spec", "lbar_spec"])
+    def test_groups_give_the_bits_of_one_batch(self, request, monkeypatch, fixture) -> None:
+        spec = request.getfixturevalue(fixture)
+        args = (spec, 2.0, 30.0, 7, None, 48)
+        whole = estimate_order(*args)
+        groups = []
+        original = analysis._log_sums
+
+        def spy(*spy_args):
+            groups.append(spy_args[3].size)
+            return original(*spy_args)
+
+        # groups of 37 points split rings of 48 across group boundaries
+        monkeypatch.setattr(analysis, "BLOCK", 37)
+        monkeypatch.setattr(analysis, "_log_sums", spy)
+        grouped = estimate_order(*args)
+        assert len(groups) == 10 and max(groups) == 37
+        assert grouped == whole
+        assert np.array(grouped.log_log_max).tobytes() == np.array(whole.log_log_max).tobytes()
+
+    def test_a_log_with_no_phase_is_refused(self) -> None:
+        # Im(q s) passes the double range at a node where Re(q s) does not
+        spec = bare_spec([10.0], genus=1, q=1e308j)
+        with pytest.raises(ValueError, match=r"product log \(-0\.0231435513142097\d\+infj\) has no phase"):
+            max_modulus(spec, 2.0, angular_samples=6)
 
     def test_bounded_spec_rejected(self, constant_spec) -> None:
         with pytest.raises(ValueError, match="insufficient growth"):
@@ -188,3 +215,84 @@ class TestVerifyMultiplicity:
             MultiplicityResult(
                 center=0j, radius=1.0, winding=1, raw_integral=1.3 + 0j, nodes=64
             )
+
+
+def aliasing_bound(zeros, center: complex, radius: float, nodes: int) -> float:
+    """A(N) = sum_k q_k^N/(1 - q_k^N), q_k = min(r_k, radius)/max(r_k, radius), taken directly."""
+    r = np.abs(zeros - center)
+    power = (np.minimum(r, radius) / np.maximum(r, radius)) ** nodes
+    return float(np.sum(power / (1.0 - power)))
+
+
+def audit_radius(zeros, center: complex) -> float:
+    """The T8/T9 contour radius: 0.4 times the distance to the nearest other zero, at most 0.4."""
+    others = np.abs(zeros - center)
+    return 0.4 * min(float(np.min(others[others > 1e-9])), 1.0)
+
+
+class TestTrapezoidNodes:
+    @pytest.mark.parametrize("nodes", [16, 32])
+    @pytest.mark.parametrize("fixture", ["sinh_line_spec", "lbar_spec"])
+    def test_aliasing_bound_holds(self, request, fixture, nodes) -> None:
+        spec = request.getfixturevalue(fixture)
+        zeros = spec.zero_sequence.zeros
+        for k in (1, 2, 7, 33):
+            center = complex(1.0, k)
+            radius = audit_radius(zeros, center)
+            result = verify_multiplicity(spec, center, radius, nodes)
+            bound = aliasing_bound(zeros, center, radius, nodes)
+            assert abs(result.raw_integral - result.winding) <= bound + 1e-13
+            assert result.winding == 1 and bound > 0.0
+
+    def test_fixtures_take_sixteen_nodes(self, sinh_line_spec, lbar_spec) -> None:
+        for spec in (sinh_line_spec, lbar_spec):
+            zeros = spec.zero_sequence.zeros
+            for k in (1, 2, 7, 33):
+                center = complex(1.0, k)
+                radius = audit_radius(zeros, center)
+                assert analysis._trapezoid_nodes(zeros, center, radius) == 16
+                assert aliasing_bound(zeros, center, radius, 16) <= analysis.TRAPEZOID_TOLERANCE
+
+    def test_zero_just_outside_the_contour_takes_512(self) -> None:
+        zeros = np.array([1.0 + 0j, 1.4 + 1e-5, 4.0 + 1j])
+        assert analysis._trapezoid_nodes(zeros, 1.0, 0.4) == 512
+        # the contour clearance admits it; the snap gate of 512 nodes refuses it, as before
+        with pytest.raises(ValueError, match="unresolved"):
+            verify_multiplicity(bare_spec(zeros), 1.0, 0.4, 512)
+
+    def test_four_zeros_at_two_and_a_half_radii_take_32(self) -> None:
+        # q = 0.4 four times: A(16) = 1.7e-6 misses the tolerance, A(32) = 7.4e-13 meets it
+        center, radius = 2.0 + 1j, 0.3
+        zeros = np.array([center] + [center + 2.5 * radius * 1j**k for k in range(4)])
+        assert analysis._trapezoid_nodes(zeros, center, radius) == 32
+        assert aliasing_bound(zeros, center, radius, 16) > analysis.TRAPEZOID_TOLERANCE
+        assert aliasing_bound(zeros, center, radius, 32) <= analysis.TRAPEZOID_TOLERANCE
+        assert verify_multiplicity(bare_spec(zeros), center, radius, 32).winding == 1
+
+    def test_no_zeros_take_sixteen(self) -> None:
+        assert analysis._trapezoid_nodes(np.zeros(0, dtype=np.complex128), 1j, 0.5) == 16
+
+    @pytest.mark.parametrize("fixture, theorem, x_min, x_max", [
+        ("sinh_line_spec", "T8", 0.5, 8.5),
+        ("sinh_line_spec", "T8", 40.6, 43.1),
+        ("duplicated_zero_spec", "T8", -1.5, 1.5),
+        ("lbar_spec", "T9", -3.0, 3.0),
+        ("lbar_spec", "T9", -20.0, 20.0),
+        ("lbar_spec", "T9", 150.5, 152.5),
+    ])
+    def test_audits_match_512_nodes(self, request, monkeypatch, fixture, theorem, x_min, x_max) -> None:
+        spec = request.getfixturevalue(fixture)
+        counts = []
+        original = identities.verify_multiplicity
+
+        def spy(*args):
+            result = original(*args)
+            counts.append(result.nodes)
+            return result
+
+        monkeypatch.setattr(identities, "verify_multiplicity", spy)
+        audited = identities.verify_identity(spec, theorem, x_min=x_min, x_max=x_max)
+        monkeypatch.setattr(identities, "_trapezoid_nodes", lambda *args: 512)
+        fixed = identities.verify_identity(spec, theorem, x_min=x_min, x_max=x_max)
+        assert audited == fixed
+        assert set(counts[: len(counts) // 2]) <= {16} and set(counts[len(counts) // 2 :]) <= {512}

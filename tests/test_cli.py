@@ -766,6 +766,21 @@ class TestRunCommand:
         else:
             assert report.records[0].tolerance == float(tolerance)
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+    def test_library_tolerance_is_finite_and_not_negative(self, tmp_path, tolerance) -> None:
+        path = spec_path(tmp_path, SYMMETRIC_SPEC)
+        spec = load_spec_file(path)[0]
+        message = f"tolerance must be finite and >= 0, got {float(tolerance)!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            verify_identity(spec, "T4", tolerance=float(tolerance), draws=3)
+        report = run_command(["verify-identity", "--spec", str(path), "--theorem", "T4",
+                              "--draws", "3", "--tolerance", tolerance])
+        assert (report.exit_code, report.errors) == (2, ("usage error",))
+        # -0.0 and 0 are tolerances, as on the command line
+        for accepted in (-0.0, 0.0):
+            assert verify_identity(spec, "T4", tolerance=accepted, draws=3).quantities
+        assert verify_identity(spec, "T4", tolerance=1e-6, draws=3).passed
+
     def test_parser_is_built_once(self, tmp_path, capsys) -> None:
         _build_parser.cache_clear()
         path = spec_path(tmp_path, SYMMETRIC_SPEC)

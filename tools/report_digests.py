@@ -6,7 +6,7 @@ Run from the repository root.  The corpus is
 
 * the ``line-dense`` and ``genus1-growth`` command mixes of ``perfbench`` at
   each seed, on the fixtures that seed writes;
-* about thirty commands on small specs (the fixtures of ``tests/conftest.py``
+* about three dozen commands on small specs (the fixtures of ``tests/conftest.py``
   and a few edge inputs), at the default and at a reduced ``--terms``.
 
 Each line is the run's ``meta report_digest`` (a hash of every deterministic
@@ -82,6 +82,8 @@ SMALL_COMMANDS = (
      "--angular-samples", "16"),
     ("verify-identity", "--spec", "sinh_line.spec", "--theorem", "T7", "--x-min", "0.3",
      "--x-max", "1.8", "--samples", "24"),
+    ("verify-identity", "--spec", "sinh_line.spec", "--theorem", "T8", "--x-min", "0.5",
+     "--x-max", "3.5", "--samples", "40"),
     # off-centre shift points at genus 0, and the centre, over far zeros
     ("verify-identity", "--spec", "sinh_line.spec", "--theorem", "T2", "--seed", "4", "--draws", "5"),
     ("verify-identity", "--spec", "sinh_line.spec", "--theorem", "T4", "--seed", "4", "--draws", "5"),
@@ -100,6 +102,9 @@ SMALL_COMMANDS = (
      "--x-max", "1.8", "--samples", "24"),
     ("verify-identity", "--spec", "lbar.spec", "--theorem", "T9", "--x-min", "1.5",
      "--x-max", "2.5"),
+    # twelve retained zeros in the window: the first eight are audited
+    ("verify-identity", "--spec", "lbar.spec", "--theorem", "T9", "--x-min", "-6.5",
+     "--x-max", "6.5"),
     ("eval", "--spec", "poly.spec", "--s", "2"),
     ("shift", "--spec", "poly.spec", "--alpha", "1+1i", "--s", "0.5"),
     # a zero inside every batch's cut: the batch has no far zeros
