@@ -3,7 +3,17 @@
 The growth order is estimated as the least-squares slope of
 log log max|S| against log radius over a geometric radius ladder, using
 only radii where max|S| exceeds e (so the double log is positive) and its
-log stays in the double range.
+log stays in the double range.  The M nodes of a ring pair node j with node
+M - j, its exact conjugate (``_units``).  Where Im q = 0 and the retained
+zeros are mirrored pairs (``_numeric._conjugate_half``), log|S(conj s)| has
+the bits of log|S(s)| (Schwarz reflection, to the bit): a rounded quotient
+or product commutes with conjugation, so the factor logs at conj s are
+those at s with each pair's members swapped; the factor kernel's real part
+is even in Im w, the far power sums are real, and an exact sum does not
+depend on the order of its terms.  A ring then evaluates nodes 0..M/2
+only, and its maximum is the full ring's; a complex q, a lone real zero or
+a truncation that splits the pairs' layout takes every node.
+
 The zero-counting exponent is the slope of log N(r) against log r, with
 N(r) the number of retained zeros of modulus <= r.  For order-one data the
 two estimates agree near 1; their consistency is a cheap cross-check.
@@ -19,7 +29,9 @@ constant part of S'/S integrates to 0, so |raw - winding| <= A(N) =
 sum_k q_k^N/(1 - q_k^N) over the retained zeros (Trefethen & Weideman, "The
 exponentially convergent trapezoidal rule", SIAM Review 56 (2014)).  The
 audits of T8/T9 take the least N in 16, 32, ..., 512 with
-A(N) <= TRAPEZOID_TOLERANCE (``_trapezoid_nodes``), and 512 where none has it.
+A(N) <= TRAPEZOID_TOLERANCE (``_trapezoid_nodes``), and 512 where none has it;
+T8 evaluates each contour with the far field of its line profile
+(``_winding``, far radius max(profile radius, |c| + rho)).
 """
 
 from __future__ import annotations
@@ -30,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import BLOCK, complex_sum, loglog_fit
+from ._numeric import BLOCK, _conjugate_half, complex_sum, loglog_fit
 from .core_types import EntireFunctionSpec, ZeroSequence
 from .product_engine import _log_derivatives, _log_sums, _retained, _value_from_log
 
@@ -93,9 +105,20 @@ class MultiplicityResult:
 
 
 def _units(nodes: int) -> np.ndarray:
-    """e^{i theta_j}, theta_j = 2*pi*j / nodes: the nodes of every ring and contour."""
-    thetas = (2.0 * math.pi * j / nodes for j in range(nodes))
-    return np.array([complex(math.cos(theta), math.sin(theta)) for theta in thetas])
+    """e^{i theta_j}, theta_j = 2*pi*j / nodes: the nodes of every ring and contour.
+
+    Node nodes - j is the exact conjugate of node j, and nodes 0 and nodes/2
+    are real (1 and -1).
+    """
+    half = nodes // 2
+    thetas = (2.0 * math.pi * j / nodes for j in range(half + 1))
+    upper = [complex(math.cos(theta), math.sin(theta)) for theta in thetas]
+    if not nodes % 2:
+        upper[half] = complex(-1.0, 0.0)
+    units = np.empty(nodes, dtype=np.complex128)
+    units[: half + 1] = upper
+    units[half + 1 :] = np.conj(units[1 : nodes - half][::-1])
+    return units
 
 
 def _max_log_moduli(spec: EntireFunctionSpec, radii, angular_samples: int, n: int) -> list[float]:
@@ -104,22 +127,26 @@ def _max_log_moduli(spec: EntireFunctionSpec, radii, angular_samples: int, n: in
     Groups of at most BLOCK points, all at the far radius max(radii) (far
     zeros those beyond 4 max(radii)), take the products' logs alone: each
     ring keeps the largest real part of its exponents, and log |v0| is added
-    once (rounding is monotone, so that is the largest log |S|).  Works in
-    the log domain so radii with astronomically large values stay finite.
-    Points that hit a zero exactly contribute -inf and never win.
+    once (rounding is monotone, so that is the largest log |S|).  Mirrored
+    rings take nodes 0..M/2 only (module docstring).  Works in the log domain
+    so radii with astronomically large values stay finite.  Points that hit
+    a zero exactly contribute -inf and never win.
     """
     seq, genus, q = spec.zero_sequence, spec.genus, spec.q_constant
     radii, units = np.asarray(radii, dtype=float), _units(angular_samples)
+    if not q.imag and _conjugate_half(seq.zeros[:n]) is not None:
+        units = units[: angular_samples // 2 + 1]
     far_radius = float(np.max(radii))
     log_moduli = np.full(radii.size, -math.inf)
-    first_bad, total = None, radii.size * angular_samples
+    first_bad, total = None, radii.size * units.size
     for start in range(0, total, BLOCK):
-        ring, node = np.divmod(np.arange(start, min(start + BLOCK, total)), angular_samples)
+        ring, node = np.divmod(np.arange(start, min(start + BLOCK, total)), units.size)
         exponents, _ = _log_sums(seq, genus, q, radii[ring] * units[node], n, far_radius)
         bad = (exponents.real != -math.inf) & (np.isnan(exponents.real) | ~np.isfinite(exponents.imag))
         if first_bad is None and np.count_nonzero(bad):
             first_bad = complex(exponents[np.argmax(bad)])
-        np.maximum.at(log_moduli, ring, exponents.real)
+        if first_bad is None:  # past a NaN no maximum is kept: the call raises
+            np.maximum.at(log_moduli, ring, exponents.real)
     if first_bad is not None:  # a log with no phase has no value: the value rule's error
         _value_from_log(first_bad)
     return (cmath.log(spec.value_at_zero).real + log_moduli).tolist()
@@ -259,13 +286,22 @@ def verify_multiplicity(
         raise ValueError(f"radius must be positive and finite, got {radius}")
     if nodes < 16:
         raise ValueError(f"nodes must be >= 16, got {nodes}")
-    zeros = _retained(spec, n_terms)
+    return _winding(spec, _retained(spec, n_terms), center, radius, nodes, abs(center) + radius)
+
+
+def _winding(
+    spec: EntireFunctionSpec, zeros: np.ndarray, center: complex, radius: float, nodes: int,
+    far_radius: float,
+) -> MultiplicityResult:
+    """``verify_multiplicity`` over the retained ``zeros``, the contour's S'/S taking
+    the zeros beyond 4 * far_radius (far_radius >= |center| + radius) from
+    their power sums."""
     if zeros.size:
         clearance = float(np.min(np.abs(np.abs(zeros - center) - radius)))
         if clearance < CONTOUR_CLEARANCE:
             raise ValueError("a retained zero lies on or within 1e-6 of the contour")
     units = _units(nodes)
-    derivs = _log_derivatives(spec, center + radius * units, int(zeros.size), abs(center) + radius)
+    derivs = _log_derivatives(spec, center + radius * units, int(zeros.size), far_radius)
     terms = [d * u for d, u in zip(derivs.tolist(), units.tolist())]
     raw = (radius / nodes) * complex_sum(np.array(terms))
     if not cmath.isfinite(raw):

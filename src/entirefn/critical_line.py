@@ -134,13 +134,19 @@ def critical_line_profile(
     points.real = xi
     points.imag[:-1] = grid
     points.imag[-1] = 0.0
-    radius = float(np.max(np.abs(points[[0, samples - 1]])))
-    line, _ = _eval_batch(spec, points, n, radius)
+    line, _ = _eval_batch(spec, points, n, _line_radius(xi, grid))
     values, v0 = line[:-1], complex(line[-1])
     imag_max = float(np.max(np.abs(values.imag)))
     return CriticalLineProfile(
         xi=xi, grid=grid, values=values, v0=v0, imag_max=imag_max, truncation=n
     )
+
+
+def _line_radius(xi: float, grid: np.ndarray) -> float:
+    """max |xi + i x| over the grid, the far radius of a profile: it peaks at an end."""
+    ends = np.empty(2, dtype=np.complex128)
+    ends.real, ends.imag = xi, grid[[0, -1]]
+    return float(np.max(np.abs(ends)))
 
 
 def scan_real_zeros(profile: CriticalLineProfile, spec: EntireFunctionSpec) -> RealZeroSet:

@@ -36,20 +36,26 @@ scale, so the value is real where V(0) is.  The line offsets of
 sequence.  s = xi, genus 1, and other sets keep the complex kernel.
 
 Batches of points (line profiles, max-modulus rings, winding contours, the
-line-form identities, and the shift identities' S(alpha), direct values
-and constant residuals) split the zeros at |z| = 4R, R >= max |s|: near
-zeros go through the reducer, far zeros through their power sums
-p_m = sum z^-m:
+line-form identities, and the shift identities' S(alpha), shifted and
+direct values and constant residuals) split the zeros at |z| = 4R,
+R >= max |s|: near zeros go through the reducer, far zeros through their
+power sums p_m = sum z^-m:
 
-    sum_far log(1 - s/z)    = -sum_{m>=1} p_m s^m / m
+    sum_far log(1 - s/z)    = -sum_{m>=1} p_m s^m / m  =: G(s)
     sum_far 1/(s - z) (S'/S) = -sum_{m>=1} p_m s^(m-1)
+    sum_far log(1 - (s - alpha)/(z - alpha)) = G(s) - G(alpha)
 
 with the m = 1 term dropped at genus 1, and the genus-1 sums of the shift
-identities as sum_far u/z = u p_1 (``_quotient_sums``).  p_1..p_K are exact sums, cached on
-the zero sequence per (N, near count); K is the least degree whose
-remainder bound sum_far |w|^(K+1) / ((K+1)(1 - |w|)), |w| <= 1/4, is below
-1e-17.  Single-point calls (``eval_product``, ``log_derivative``) are the
-case with no far zeros and keep their bits.
+identities as sum_far u/z = u p_1 (``_quotient_sums``).  The recentred
+rule holds factor by factor: 1 - (s - alpha)/(z - alpha) = (1 - s/z)/(1 -
+alpha/z), and |s/z|, |alpha/z| <= 1/4 keep both logs principal; the genus-0
+G serves both genera there.  p_1..p_K are exact sums, cached on the zero
+sequence per (N, near count); K is the least degree whose remainder bound
+sum_far |w|^(K+1) / ((K+1)(1 - |w|)), |w| <= 1/4, is below 1e-17.  A
+batch's records read min |s - z| from the near zeros where it is below 2R,
+the same double (far zeros lie beyond 3R), and from every zero otherwise.
+Single-point calls (``eval_product``, ``eval_shifted_product``,
+``log_derivative``) are the case with no far zeros and keep their bits.
 
 Only |exp(...)| and per-factor phases are contractually meaningful: summed
 imaginary parts are not unwound to a continuous branch.  Every value comes
@@ -571,9 +577,21 @@ def _tail_bound(spec: EntireFunctionSpec, s: complex, n: int) -> float | None:
     return math.expm1(exponent) if exponent <= 700.0 else math.inf
 
 
-def _evaluation(spec, s: complex, zeros: np.ndarray, value: complex, log_value) -> TruncatedEvaluation:
-    """The record of a value at s; at distance 0 from the zeros it is the exact 0, with no log."""
-    nearest = _nearest(s, zeros, spec.zero_sequence._line)
+def _evaluation(
+    spec, s: complex, zeros: np.ndarray, value: complex, log_value,
+    near: np.ndarray | None = None, radius: float | None = None,
+) -> TruncatedEvaluation:
+    """The record of a value at s; at distance 0 from the zeros it is the exact 0, with no log.
+
+    In a batch with radius R >= |s| whose near zeros (|z| <= 4R) are ``near``,
+    a least distance below 2R to them is the least over all zeros, the same
+    double: the far zeros lie beyond 3R.  Otherwise all zeros are read.
+    """
+    line = spec.zero_sequence._line
+    if radius is not None:
+        nearest = _nearest(s, near, line)
+    if radius is None or not nearest < 2.0 * radius:
+        nearest = _nearest(s, zeros, line)
     return TruncatedEvaluation(
         value=value, terms_used=zeros.size, nearest_zero_distance=nearest,
         near_zero=nearest < NEAR_ZERO_COEFF * (1.0 + abs(s)),
@@ -601,8 +619,10 @@ def _evaluations(
     one batch (``_eval_batch``, every |s| <= radius)."""
     zeros = _retained(spec, n_terms)
     values, logs = _eval_batch(spec, points, zeros.size, radius)
+    near = _near_far(spec.zero_sequence, zeros.size, radius)[0]
     return zeros, [
-        _evaluation(spec, s, zeros, value, log) for s, value, log in zip(points, values.tolist(), logs.tolist())
+        _evaluation(spec, s, zeros, value, log, near, radius)
+        for s, value, log in zip(points, values.tolist(), logs.tolist())
     ]
 
 
@@ -672,20 +692,25 @@ def _shifted_values(
     at_alphas: list[TruncatedEvaluation], radius: float | None = None,
 ) -> list[TruncatedEvaluation]:
     """``eval_shifted_product`` at each points[j] about alphas[j], from the zeros
-    and S(alphas[j]) of ``_at_shift_points``: one ``_log_sum`` over every
-    zero per distinct alpha, one ``_quotient_sums`` for the genus-1 sums of
-    u/z, split at 4 * radius."""
+    and S(alphas[j]) of ``_at_shift_points``: one ``_log_sum`` about each
+    distinct alpha over the near zeros of radius R >= every |s|, |alpha|, plus
+    G(s) - G(alpha) of the far zeros' genus-0 series (module docstring), and
+    one ``_quotient_sums`` for the genus-1 sums of u/z.  Without a radius
+    every zero is near."""
     us = [s - alpha for s, alpha in zip(points, alphas)]
     exponents = [spec.q_constant * u if spec.genus == 1 else 0j for u in us]
     for s, exponent in zip(points, exponents):
         if exponent.real == -math.inf:  # -inf is kept for the retained zeros
             raise ValueError(f"q*(s - alpha) = {exponent!r} passes the double range at s = {s!r}")
-    dead = {}
+    dead, near = {}, zeros
     if zeros.size:
+        near, far = _split(spec.zero_sequence, 0, np.array(points + alphas), zeros.size, radius, derivative=False)
         log_sums = np.empty(len(points), dtype=np.complex128)
         for alpha in dict.fromkeys(alphas):
             rows = [j for j, a in enumerate(alphas) if a == alpha]
-            log_sums[rows] = _log_sum(np.array(points)[rows], zeros, 0, alpha)
+            log_sums[rows] = _log_sum(np.array(points)[rows], near, 0, alpha)
+        if far is not None:
+            log_sums += far[: len(points)] - far[len(points) :]
         # s is a retained zero, whatever q u and sum u/z are
         dead = {j: log_sums[j] for j in np.flatnonzero(log_sums.real == -math.inf).tolist()}
         exponents = [e + l for e, l in zip(exponents, log_sums.tolist())]
@@ -697,10 +722,10 @@ def _shifted_values(
     out = []
     for j, (s, exponent, at_alpha) in enumerate(zip(points, exponents, at_alphas)):
         if j in dead:
-            out.append(_evaluation(spec, s, zeros, 0j, complex(dead[j])))
+            out.append(_evaluation(spec, s, zeros, 0j, complex(dead[j]), near, radius))
             continue
         value = _value_from_log(exponent, at_alpha.value, at_alpha.log_value)
-        out.append(_evaluation(spec, s, zeros, value, at_alpha.log_value + exponent))
+        out.append(_evaluation(spec, s, zeros, value, at_alpha.log_value + exponent, near, radius))
     return out
 
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from entirefn import (
     verify_multiplicity,
 )
 from entirefn import analysis, identities
+from entirefn.cli import load_spec_file
 from entirefn.product_engine import _eval_batch
 
 
@@ -54,7 +57,7 @@ class TestMaxModulus:
 
     def test_ring_of_retained_zeros_reads_zero(self) -> None:
         # the four grid points themselves are the zeros: every sample is an exact 0
-        ring = [2.0 * complex(math.cos(math.pi * j / 2), math.sin(math.pi * j / 2)) for j in range(4)]
+        ring = 2.0 * analysis._units(4)
         assert max_modulus(bare_spec(ring), 2.0, angular_samples=4) == 0.0
 
     def test_modulus_past_the_double_range_reads_inf(self) -> None:
@@ -96,11 +99,12 @@ class TestEstimateOrder:
         monkeypatch.undo()
         ((*_, points, n, far_radius),) = batches
         assert far_radius == 30.0 and np.count_nonzero(spec.zero_sequence.moduli[:n] > 4 * far_radius)
-        # each ring's maximum has the bits of its own batch at the same far radius
+        # each ring's maximum has the bits of its own batch at the same far radius;
+        # q is real and the zeros are mirrored pairs, so a ring is its upper half
         kept, rings = [], []
         for r in np.geomspace(2.0, 30.0, 6).tolist():
-            thetas = [2 * math.pi * j / 16 for j in range(16)]
-            ring = [r * complex(math.cos(theta), math.sin(theta)) for theta in thetas]
+            thetas = [2 * math.pi * j / 16 for j in range(8)]
+            ring = [r * complex(math.cos(theta), math.sin(theta)) for theta in thetas] + [complex(-r, 0.0)]
             _, logs = _eval_batch(spec, ring, n, far_radius)
             log_max = float(np.max(logs.real))
             if 1.0 < log_max < math.inf:
@@ -121,11 +125,11 @@ class TestEstimateOrder:
             groups.append(spy_args[3].size)
             return original(*spy_args)
 
-        # groups of 37 points split rings of 48 across group boundaries
-        monkeypatch.setattr(analysis, "BLOCK", 37)
+        # groups of 18 points split the upper halves, 25 nodes, of rings of 48
+        monkeypatch.setattr(analysis, "BLOCK", 18)
         monkeypatch.setattr(analysis, "_log_sums", spy)
         grouped = estimate_order(*args)
-        assert len(groups) == 10 and max(groups) == 37
+        assert len(groups) == 10 and max(groups) == 18
         assert grouped == whole
         assert np.array(grouped.log_log_max).tobytes() == np.array(whole.log_log_max).tobytes()
 
@@ -146,6 +150,83 @@ class TestEstimateOrder:
             estimate_order(pure_exponential_spec, 5.0, 5.0)
         with pytest.raises(ValueError, match="n_radii"):
             estimate_order(pure_exponential_spec, 2.0, 10.0, n_radii=2)
+
+
+def _ring_points(monkeypatch, spec, radii, samples, n) -> tuple[list[float], int]:
+    """``_max_log_moduli`` over the rings, and the number of points it evaluated."""
+    counts = []
+    original = analysis._log_sums
+
+    def spy(*args):
+        counts.append(np.size(args[3]))
+        return original(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(analysis, "_log_sums", spy)
+        maxima = analysis._max_log_moduli(spec, radii, samples, n)
+    return maxima, sum(counts)
+
+
+@pytest.fixture(scope="module")
+def perfbench_specs(tmp_path_factory) -> dict[str, EntireFunctionSpec]:
+    """The specs of the benchmark's line-dense and genus1-growth workloads."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from fixtures import write_fixtures
+
+    paths = write_fixtures(tmp_path_factory.mktemp("perfbench"), ("line1e4", "genus1_L", "lbar"), 7)
+    return {name: load_spec_file(path)[0] for name, path in paths.items()}
+
+
+# M = 4..256 in full, and the powers of two up to 4096 with their odd neighbours
+_NODE_COUNTS = sorted({*range(4, 257), *(2**k + d for k in range(9, 13) for d in (-1, 0, 1))})
+
+
+class TestConjugateRings:
+    def test_node_m_minus_j_is_the_conjugate_of_node_j(self) -> None:
+        for m in _NODE_COUNTS:
+            units = analysis._units(m)
+            assert np.array_equal(units[1:], np.conj(units[:0:-1]))
+            half = m // 2
+            # bit for bit below the real node M/2, which is its own mirror
+            assert units[half + 1 :].tobytes() == np.conj(units[m - half - 1 : 0 : -1]).tobytes()
+            assert units[0] == 1.0 and (m % 2 or units[half] == -1.0)
+            assert not units[0].imag and (m % 2 or not units[half].imag)
+            # the upper half below M/2 keeps the nodes it always had
+            thetas = [2.0 * math.pi * j / m for j in range(half + m % 2)]
+            expected = [complex(math.cos(theta), math.sin(theta)) for theta in thetas]
+            assert units[: len(expected)].tolist() == expected
+
+    @pytest.mark.parametrize("samples", [4, 5, 16, 32, 33, 64])
+    @pytest.mark.parametrize("fixture", ["sinh_line_spec", "sinh_genus1_spec", "lbar_spec"])
+    def test_half_ring_maxima_are_the_full_rings(self, request, monkeypatch, fixture, samples) -> None:
+        self._check_half_ring(monkeypatch, request.getfixturevalue(fixture), samples)
+
+    @pytest.mark.parametrize("name, samples", [("line1e4", 16), ("genus1_L", 32), ("lbar", 32), ("lbar", 7)])
+    def test_half_ring_maxima_on_the_benchmark_specs(self, monkeypatch, perfbench_specs, name, samples) -> None:
+        self._check_half_ring(monkeypatch, perfbench_specs[name], samples)
+
+    @staticmethod
+    def _check_half_ring(monkeypatch, spec, samples) -> None:
+        radii, n = np.geomspace(2.0, 40.0, 8), len(spec.zero_sequence)
+        half, points = _ring_points(monkeypatch, spec, radii, samples, n)
+        assert points == radii.size * (samples // 2 + 1)
+        monkeypatch.setattr(analysis, "_conjugate_half", lambda values: None)
+        full, points = _ring_points(monkeypatch, spec, radii, samples, n)
+        assert points == radii.size * samples
+        assert np.array(half).tobytes() == np.array(full).tobytes()
+
+    def test_every_node_where_the_rings_are_not_mirrored(self, monkeypatch, poly_spec) -> None:
+        mirrored = [1 + 1j, 1 - 1j, 2 + 2j, 2 - 2j, 3 + 0.5j, 3 - 0.5j]
+        cases = [
+            (bare_spec(mirrored, genus=1, q=0.3 + 0.1j), 6),  # complex q: |S(conj s)| != |S(s)|
+            (poly_spec, 1),  # a lone real zero
+            (bare_spec(mirrored), 3),  # the truncation splits the third pair
+            (bare_spec([1 + 1j, 2 + 2j, 1 - 1j, 2 - 2j]), 4),  # conjugate-closed, not in pairs
+        ]
+        radii = np.geomspace(2.0, 40.0, 5)
+        for spec, n in cases:
+            _, points = _ring_points(monkeypatch, spec, radii, 16, n)
+            assert points == radii.size * 16
 
 
 class TestEstimateExponent:
@@ -283,14 +364,14 @@ class TestTrapezoidNodes:
     def test_audits_match_512_nodes(self, request, monkeypatch, fixture, theorem, x_min, x_max) -> None:
         spec = request.getfixturevalue(fixture)
         counts = []
-        original = identities.verify_multiplicity
+        original = identities._winding
 
         def spy(*args):
             result = original(*args)
             counts.append(result.nodes)
             return result
 
-        monkeypatch.setattr(identities, "verify_multiplicity", spy)
+        monkeypatch.setattr(identities, "_winding", spy)
         audited = identities.verify_identity(spec, theorem, x_min=x_min, x_max=x_max)
         monkeypatch.setattr(identities, "_trapezoid_nodes", lambda *args: 512)
         fixed = identities.verify_identity(spec, theorem, x_min=x_min, x_max=x_max)

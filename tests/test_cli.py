@@ -679,7 +679,7 @@ class TestRunCommand:
         report = quiet_run(argv)
         assert report.exit_code == 1
         assert report.errors == (
-            "winding quadrature unresolved: raw integral (-inf-infj) is not finite",
+            "winding quadrature unresolved: raw integral (inf+0j) is not finite",
         )
 
     def test_eval_on_a_retained_zero_is_exactly_zero(self, tmp_path) -> None:

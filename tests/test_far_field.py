@@ -370,6 +370,126 @@ def test_shift_batch_without_far_zeros_is_the_direct_path(poly_spec, genus) -> N
     assert measures == [compare_shift(spec, alpha, s) for s, alpha in zip(s_points, alphas)]
 
 
+def _draws(spec, seed: int, count: int, at_center: bool) -> tuple[list[complex], list[complex], float]:
+    """A shift identity's points and shift points for a seed, and the batch radius R."""
+    rng = np.random.default_rng(seed)
+    s_points = identities._draw_points(rng, spec, count, avoid_origin=False)
+    if at_center:
+        alphas = [complex(spec.center_xi)] * count
+    else:
+        alphas = identities._draw_points(rng, spec, count, avoid_origin=True)
+    return s_points, alphas, max(map(abs, s_points + alphas))
+
+
+@pytest.mark.parametrize("fixture, at_center", [
+    ("sinh_genus1_spec", False),
+    ("sinh_line_spec", False),
+    ("sinh_line_spec", True),
+    ("lbar_spec", False),
+    ("lbar_spec", True),
+    ("poly_spec", False),
+])
+def test_batched_shifted_values_match_the_all_zeros_reduction(request, fixture, at_center) -> None:
+    # near zeros about alpha plus G(s) - G(alpha) of the far series, against
+    # the sums about alpha over every zero (no radius)
+    spec = request.getfixturevalue(fixture)
+    for seed in range(5):
+        s_points, alphas, radius = _draws(spec, seed, 12, at_center)
+        zeros, at_alphas = product_engine._at_shift_points(spec, alphas, None, radius)
+        batched = product_engine._shifted_values(spec, alphas, s_points, zeros, at_alphas, radius)
+        whole = product_engine._shifted_values(spec, alphas, s_points, zeros, at_alphas)
+        for b, w in zip(batched, whole):
+            assert abs(b.value - w.value) <= 1e-14 * abs(w.value)
+        if fixture != "poly_spec":
+            assert np.count_nonzero(spec.zero_sequence.moduli > _FAR_RATIO * radius)
+
+
+@pytest.mark.parametrize("theorem, fixture", [
+    ("T1", "sinh_genus1_spec"),
+    ("T2", "sinh_line_spec"),
+    ("T2", "poly_spec"),
+    ("T3", "lbar_spec"),
+    ("T4", "sinh_line_spec"),
+])
+def test_shift_verdicts_over_seeds_are_those_of_all_zeros(request, monkeypatch, theorem, fixture) -> None:
+    spec = request.getfixturevalue(fixture)
+    batched = [verify_identity(spec, theorem, seed=seed, draws=5) for seed in range(50)]
+    original = product_engine._shifted_values
+    # the shifted products summed over every zero about alpha, as with no far series
+    monkeypatch.setattr(product_engine, "_shifted_values", lambda *args: original(*args[:5]))
+    whole = [verify_identity(spec, theorem, seed=seed, draws=5) for seed in range(50)]
+    assert [r.passed for r in batched] == [r.passed for r in whole] == [True] * 50
+    for b, w in zip(batched, whole):
+        (_, b_disagreement), (_, b_residual) = b.quantities
+        (_, w_disagreement), (_, w_residual) = w.quantities
+        assert b_residual == w_residual and abs(b_disagreement - w_disagreement) <= 1e-14
+
+
+@pytest.mark.parametrize("fixture", ["sinh_line_spec", "sinh_genus1_spec", "lbar_spec", "poly_spec", "far_line"])
+def test_batch_nearest_distances_are_those_of_all_zeros(request, fixture) -> None:
+    if fixture == "far_line":  # no near zero at all
+        spec = make_symmetric_spec(1.0, [1e30, -1e30], 1.0)
+    else:
+        spec = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(8)
+    s_points, alphas, radius = _draws(spec, 8, 16, at_center=False)
+    if fixture == "poly_spec":  # R = 0.7: the zero at 2 is near, but no point is within 2R of it
+        s_points, alphas, radius = [0.25 * s for s in s_points], [0.25 * a for a in alphas], 0.25 * radius
+    line = spec.zero_sequence._line
+    if line is not None:  # points on the line read the distances from the imaginary parts
+        s_points += [complex(line, y) for y in rng.uniform(-2.0, 2.0, 6)]
+    zeros, records = product_engine._evaluations(spec, s_points, None, radius)
+    shifted = product_engine._shifted_values(spec, alphas[:1] * len(s_points), s_points, zeros, records, radius)
+    near = zeros[spec.zero_sequence.moduli <= _FAR_RATIO * radius]
+    fallback = 0
+    for s, record, shifted_record in zip(s_points, records, shifted):
+        expected = product_engine._nearest(s, zeros, line)
+        assert record.nearest_zero_distance == expected == shifted_record.nearest_zero_distance
+        fallback += not product_engine._nearest(s, near, line) < 2.0 * radius
+    # the fallback reads every zero: no near zero, or none within 2R
+    assert fallback == (len(s_points) if fixture in ("poly_spec", "far_line") else 0)
+
+
+def _draws_over_every_zero(rng, spec, count: int, avoid_origin: bool) -> list[complex]:
+    """``identities._draw_points`` as it was, testing each draw against every zero."""
+    zeros = spec.zero_sequence.zeros
+    points: list[complex] = []
+    while len(points) < count:
+        z = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+        if avoid_origin and abs(z) < 1e-2:
+            continue
+        if product_engine._nearest(z, zeros) < 1e-2:
+            continue
+        points.append(z)
+    return points
+
+
+def test_fixed_seeds_draw_the_points_they_drew_before(sinh_line_spec, sinh_genus1_spec) -> None:
+    # a grid of zeros at spacing 0.05 over the box and out to |z| = 3.5 rejects about
+    # one draw in eight
+    grid = np.arange(-3.5, 3.5001, 0.05)
+    zeros = (grid[:, None] + 1j * grid[None, :]).ravel()
+    dense = EntireFunctionSpec(
+        class_tag=ClassTag.Y, value_at_zero=1.0, zero_sequence=ZeroSequence(zeros=zeros, ordering=Ordering.AS_GIVEN)
+    )
+    for spec in (sinh_line_spec, sinh_genus1_spec, dense):
+        for seed in range(10):
+            for avoid_origin in (False, True):
+                drawn = identities._draw_points(np.random.default_rng(seed), spec, 30, avoid_origin)
+                assert drawn == _draws_over_every_zero(np.random.default_rng(seed), spec, 30, avoid_origin)
+
+
+def test_t8_audits_take_the_profile_far_field(monkeypatch) -> None:
+    # fresh spec: the profile (radius 4.03, near taus up to 16) builds the one far
+    # field, and the contour about 1 + 3i (|c| + r = 3.56: up to 14) reads it too
+    spec = make_symmetric_spec(1.0, interleaved_taus(3000), 1.0)
+    calls = []
+    _spy(monkeypatch, product_engine, "_far_sums", calls)
+    result = verify_identity(spec, "T8", x_min=2.57, x_max=3.9, samples=32)
+    assert result.quantities == (("audited_zeros", 1), ("winding[0]", 1)) and result.passed
+    assert len([far for (far,), _ in calls if far.size]) == 1
+
+
 @pytest.mark.parametrize("offset", [0.5, 2.5, -7.25])
 def test_residual_on_the_zero_line_takes_the_pair_kernel(lbar_spec, monkeypatch, offset) -> None:
     # the left side S(0) prod (1 - alpha/z) at alpha = xi + i x is a genus-0

@@ -6,7 +6,7 @@ import cmath
 import warnings
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from entirefn.cli import run_command
@@ -106,6 +106,11 @@ def spec_path(tmp_path_factory):
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(text=spec_files(), argv=arguments())
+# a NaN log on a ring: the call refuses it, with no warning from the ring maxima
+@example(
+    text="class = L\ns0 = 1.0+0.0i\nzeros_inline:\n1e-41 0.0\n",
+    argv=["order", "--v-min", "10", "--v-max", "1e268", "--radii", "3", "--angular-samples", "4"],
+)
 def test_run_command_never_raises(spec_path, text, argv) -> None:
     spec_path.write_text(text)
     with warnings.catch_warnings(record=True) as caught:

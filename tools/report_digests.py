@@ -97,6 +97,9 @@ SMALL_COMMANDS = (
      "--draws", "5"),
     ("exponent", "--spec", "sinh_genus1.spec", "--r-min", "5", "--r-max", "500"),
     ("line", "--spec", "lbar.spec", "--x-min", "-2", "--x-max", "2", "--samples", "33"),
+    # mirrored pairs and a real q: each ring evaluates its upper half
+    ("order", "--spec", "lbar.spec", "--v-min", "2", "--v-max", "40", "--radii", "6",
+     "--angular-samples", "24"),
     ("verify-identity", "--spec", "lbar.spec", "--theorem", "T3", "--seed", "2", "--draws", "5"),
     ("verify-identity", "--spec", "lbar.spec", "--theorem", "T6", "--x-min", "0.3",
      "--x-max", "1.8", "--samples", "24"),
@@ -106,6 +109,9 @@ SMALL_COMMANDS = (
     ("verify-identity", "--spec", "lbar.spec", "--theorem", "T9", "--x-min", "-6.5",
      "--x-max", "6.5"),
     ("eval", "--spec", "poly.spec", "--s", "2"),
+    # a lone real zero: every node of each ring is evaluated
+    ("order", "--spec", "poly.spec", "--v-min", "4", "--v-max", "400", "--radii", "5",
+     "--angular-samples", "16"),
     ("shift", "--spec", "poly.spec", "--alpha", "1+1i", "--s", "0.5"),
     # a zero inside every batch's cut: the batch has no far zeros
     ("verify-identity", "--spec", "poly.spec", "--theorem", "T2", "--seed", "4", "--draws", "5"),
@@ -114,6 +120,8 @@ SMALL_COMMANDS = (
     ("line", "--spec", "duplicated.spec", "--x-min", "-1.5", "--x-max", "1.5", "--samples", "16"),
     ("shift", "--spec", "tiny_zero_g0.spec", "--alpha=1e300", "--s=1"),
     ("shift", "--spec", "tiny_zero_g1.spec", "--alpha=1e300", "--s=1"),
+    # every zero far from every draw and from alpha: the shifted products are the far series alone
+    ("verify-identity", "--spec", "far_pair.spec", "--theorem", "T4", "--seed", "4", "--draws", "5"),
     # line points past 2^255 times the least tau: real, with the sign of the taus below |x|
     ("line", "--spec", "far_pair.spec", "--x-min=-1e110", "--x-max=1e110", "--samples", "3"),
     # residuals of |V'| times up to half the stop width pass the scan's gate
