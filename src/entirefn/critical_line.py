@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -155,9 +156,10 @@ def scan_real_zeros(profile: CriticalLineProfile, spec: EntireFunctionSpec) -> R
     Refuses to scan when the profile is measurably non-real (imag_max above
     1e-6 of the largest sampled magnitude).  Each sign change of Re V over a
     grid cell is refined to a bracket of width 1e-12 * (1 + |x|), whose midpoint
-    is accepted where |V| <= 1e-9 * (1 + local |V| scale) plus the larger |Re V|
-    at the bracket's ends, which bounds |V'| times half the width; an end never
-    moved keeps the profile's value, so the profile must be one of ``spec``'s.
+    is accepted where |V| <= 1e-9 * (1 + local |V| scale) plus, where ``spec``'s
+    values at the bracket's ends differ in sign, the larger |Re V| there,
+    which bounds |V'| times half the width; an end the bisection never moved
+    is read again from ``spec``, so a profile not of ``spec`` cannot lend it a sign.
     A 0 off the retained tau (an underflow) or a value that is not finite is
     a ValueError naming its cell.  Zeros of even multiplicity are not found.
     """
@@ -197,7 +199,10 @@ def scan_real_zeros(profile: CriticalLineProfile, spec: EntireFunctionSpec) -> R
                 a, fa = mid, fm
             else:
                 b, fb = mid, fm
-        estimates.append(_accept(spec, xi, n, 0.5 * (a + b), (a, b), gate + max(abs(fa), abs(fb))))
+        fa, fb = (re_v(x, eval_product(spec, complex(xi, x), n).value, cell) if x in cell else f
+                  for x, f in ((a, fa), (b, fb)))
+        ends = max(abs(fa), abs(fb)) if fa * fb < 0.0 else 0.0
+        estimates.append(_accept(spec, xi, n, 0.5 * (a + b), (a, b), gate + ends))
     return RealZeroSet(estimates=tuple(estimates), truncation=n)
 
 
@@ -277,16 +282,25 @@ def rotated_derivatives(expansion: TaylorExpansion, orders: Sequence[int]) -> Ro
     The expansion must be centered at the line center xi; order k requires
     coefficient c_k, so every requested order must be <= expansion.k_max.
     """
-    values: list[complex] = []
-    out_orders: list[int] = []
+    orders = tuple(int(k) for k in orders)
     for k in orders:
-        k = int(k)
         if k < 0 or k > expansion.k_max:
             raise ValueError(f"order {k} outside expansion range 0..{expansion.k_max}")
-        values.append((1j) ** k * math.factorial(k) * expansion.coefficients[k])
-        out_orders.append(k)
-    return RotatedDerivatives(
-        orders=tuple(out_orders),
-        values=tuple(values),
-        truncation=expansion.terms_used,
-    )
+    values = tuple(_rotated(k, expansion.coefficients[k]) for k in orders)
+    return RotatedDerivatives(orders=orders, values=values, truncation=expansion.terms_used)
+
+
+def _rotated(k: int, c: complex) -> complex:
+    """i^k k! c.  Past k = 170, where k! passes the double range, each part of
+    k! c is the exactly rounded product, +-inf past the double range, and i^k
+    permutes the parts."""
+    if k <= 170:
+        return (1j) ** k * math.factorial(k) * c
+    parts = []
+    for x in (c.real, c.imag):
+        try:
+            parts.append(float(Fraction(x) * math.factorial(k)) if x and math.isfinite(x) else x)
+        except OverflowError:
+            parts.append(math.copysign(math.inf, x))
+    x, y = parts
+    return (complex(x, y), complex(-y, x), complex(-x, -y), complex(y, -x))[k % 4]

@@ -15,12 +15,12 @@ with a pass flag gated by ``tolerance``:
            (``analysis._trapezoid_nodes``)
 
 T1-T4 draw from ``numpy.random.default_rng(seed)``, the evaluation points
-before the shift points, so a seed fixes every draw.  Their batches take
-the zeros beyond 4R, R the largest |p| over the draws, from power sums,
-the shifted products about each alpha included (as G(s) - G(alpha) of the
-far series G).  So T1-T4 measure the recentring over the near zeros, S(alpha),
-q and sum u/z; for the far zeros the identity holds by the series identity
-itself, which they do not test.
+before the shift points, so a seed fixes every draw.  Each stage of their
+batch is one reduction over the draws that takes the zeros beyond 4R, R the
+largest |p| over the draws, from power sums; the shifted products about the
+alphas take them as G(s) - G(alpha) (``product_engine._log_sums``).  So T1-T4
+measure the recentring over the near zeros, S(alpha), q and sum u/z; for the
+far zeros the identity holds by the series identity itself, not tested.
 """
 
 from __future__ import annotations

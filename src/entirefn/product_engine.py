@@ -36,26 +36,24 @@ scale, so the value is real where V(0) is.  The line offsets of
 sequence.  s = xi, genus 1, and other sets keep the complex kernel.
 
 Batches of points (line profiles, max-modulus rings, winding contours, the
-line-form identities, and the shift identities' S(alpha), shifted and
-direct values and constant residuals) split the zeros at |z| = 4R,
-R >= max |s|: near zeros go through the reducer, far zeros through their
-power sums p_m = sum z^-m:
+line-form identities, and each stage of the shift identities: S(alpha),
+the shifted and direct values, the constant residuals) split the zeros at
+|z| = 4R, R >= max |s|: near zeros go through the reducer, far zeros
+through their power sums p_m = sum z^-m:
 
     sum_far log(1 - s/z)    = -sum_{m>=1} p_m s^m / m  =: G(s)
     sum_far 1/(s - z) (S'/S) = -sum_{m>=1} p_m s^(m-1)
-    sum_far log(1 - (s - alpha)/(z - alpha)) = G(s) - G(alpha)
 
-with the m = 1 term dropped at genus 1, and the genus-1 sums of the shift
-identities as sum_far u/z = u p_1 (``_quotient_sums``).  The recentred
-rule holds factor by factor: 1 - (s - alpha)/(z - alpha) = (1 - s/z)/(1 -
-alpha/z), and |s/z|, |alpha/z| <= 1/4 keep both logs principal; the genus-0
-G serves both genera there.  p_1..p_K are exact sums, cached on the zero
+with the m = 1 term dropped at genus 1.  The shifted products' sums about
+alpha take G(s) - G(alpha) (``_log_sums``, the one place the recentred
+rule is formed) at both genera, and their genus-1 sums of u/z take u p_1
+(``_quotient_sums``).  p_1..p_K are exact sums, cached on the zero
 sequence per (N, near count); K is the least degree whose remainder bound
 sum_far |w|^(K+1) / ((K+1)(1 - |w|)), |w| <= 1/4, is below 1e-17.  A
-batch's records read min |s - z| from the near zeros where it is below 2R,
-the same double (far zeros lie beyond 3R), and from every zero otherwise.
-Single-point calls (``eval_product``, ``eval_shifted_product``,
-``log_derivative``) are the case with no far zeros and keep their bits.
+batch gives values and logs; only the point evaluators (``eval_product``,
+``eval_shifted_product``) build records, which read min |s - z| over every
+retained zero.  Single-point calls (those two and ``log_derivative``) are
+the case with no far zeros and keep their bits.
 
 Only |exp(...)| and per-factor phases are contractually meaningful: summed
 imaginary parts are not unwound to a continuous branch.  Every value comes
@@ -188,34 +186,40 @@ def _log_factors(w, genus: int) -> tuple[np.ndarray, np.ndarray]:
     return real, imag
 
 
-def _log_sum(points, zeros: np.ndarray, genus: int, center: complex = 0j) -> np.ndarray:
-    """Exactly rounded sums of the factor logs at w = (s - center)/(z - center), one per point s.
+def _log_sum(points, zeros: np.ndarray, genus: int, center: complex | np.ndarray | None = None) -> np.ndarray:
+    """Exactly rounded sums of the factor logs at w = (s - c)/(z - c), one per point s.
 
-    Blocks of rows of about _BLOCK_ELEMENTS (point, zero) pairs, a longer
-    row alone in column blocks of BLOCK zeros, each take one ``_log_factors``
-    call; each row adds to its own exact sums.  Real part -inf (an exact 0)
-    iff s equals some z.  At s != z a w that rounds to 1, or at genus 0
-    passes the double range, takes log(z - s) - log(z - center), plus genus,
-    instead.  Raises ValueError when a sum passes the double range.
+    ``center`` is c: None (w = s/z), one point, or one per point; a row's
+    w is the same elementwise operation in each form.  Blocks of rows of
+    about _BLOCK_ELEMENTS (point, zero) pairs, a longer row alone in column
+    blocks of BLOCK zeros, each take one ``_log_factors`` call; each row
+    adds to its own exact sums.  Real part -inf (an exact 0) iff s equals
+    some z.  At s != z a w that rounds to 1, or at genus 0 passes the double
+    range, takes log(z - s) - log(z - c), plus genus, instead.  Raises
+    ValueError when a sum passes the double range.
 
-    With every s and center real, a block whose w lists conjugate pairs
+    With every s and c real, a block whose w lists conjugate pairs
     (``_conjugate_half``) runs the kernel on one member of each: its real
     part is even in Im w and its imaginary part odd, so each row adds twice
     the real parts and nothing to its imaginary sum, the full row's exact
     sums.  A half whose logs fail ``_doubles_exactly`` takes the full block.
     """
     points = np.asarray(points, dtype=np.complex128).reshape(-1)
-    on_axis = not center.imag and not np.count_nonzero(points.imag)
+    on_axis = not np.count_nonzero(points.imag)
+    if center is not None:
+        center = np.broadcast_to(np.asarray(center, dtype=np.complex128), points.shape)[:, None]
+        on_axis = on_axis and not np.count_nonzero(center.imag)
     step = max(1, _BLOCK_ELEMENTS // max(zeros.size, 1))
     sums = []
     for first in range(0, points.size, step):
         s = points[first : first + step, None]
+        c = None if center is None else center[first : first + step]
         real, imag, dead = ExactSum(len(s)), ExactSum(len(s)), set()
         for start in range(0, zeros.size, BLOCK):
             z = zeros[start : start + BLOCK]
             if np.count_nonzero(hit := z == s):
                 dead.update(np.flatnonzero(hit.any(axis=1)).tolist())
-            w = (s - center if center else s) / (z - center if center else z)
+            w = s / z if c is None else (s - c) / (z - c)
             half = _conjugate_half(w) if on_axis else None
             if half is not None:
                 log_real, log_imag = _log_factors(half.ravel(), genus)
@@ -226,7 +230,7 @@ def _log_sum(points, zeros: np.ndarray, genus: int, center: complex = 0j) -> np.
             stray = np.isinf(log_real) if genus == 0 else log_real == -math.inf
             if np.count_nonzero(stray):
                 row, col = np.divmod(flat := np.flatnonzero(stray & ~hit.ravel()), z.size)
-                exact = np.log(z[col] - s[row, 0]) - np.log(z[col] - center)
+                exact = np.log(z[col] - s[row, 0]) - np.log(z[col] if c is None else z[col] - c[row, 0])
                 log_real[flat], log_imag[flat] = exact.real + genus, exact.imag
             real.add(log_real)
             imag.add(log_imag)
@@ -394,7 +398,8 @@ def _split(
 # s/z past the double range gives infinite factor logs, which the value rule handles
 @np.errstate(over="ignore", invalid="ignore")
 def _log_sums(
-    seq: ZeroSequence, genus: int, q: complex, points, n: int, radius: float | None = None
+    seq: ZeroSequence, genus: int, q: complex, points, n: int, radius: float | None = None,
+    centers=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """q s (genus 1) plus the sum of the factor logs of the first n zeros, per
     point, and which points' products are real.
@@ -408,8 +413,20 @@ def _log_sums(
     past their range) and the real part of the far series (the far pairs'
     factors are positive): its product is real, and the imaginary part of
     its log is 0 or pi, the log of its sign.
+
+    With ``centers`` (one c per point, every |c| <= radius too) the sums are
+    the genus-0 sums of log(1 - (s - c)/(z - c)), none marked real: the near
+    zeros in one ``_log_sum`` call, the far zeros as G(s) - G(c), G the
+    far series.  The rule holds factor by factor: 1 - (s - c)/(z - c) =
+    (1 - s/z)/(1 - c/z), and |s/z|, |c/z| <= 1/4 keep both logs principal.
     """
     points = np.ascontiguousarray(points, dtype=np.complex128).reshape(-1)
+    if centers is not None:
+        near, far = _split(seq, 0, np.concatenate([points, centers]), n, radius, derivative=False)
+        sums = _log_sum(points, near, 0, centers)
+        if far is not None:
+            sums += far[: points.size] - far[points.size :]
+        return sums, np.zeros(points.size, dtype=bool)
     near, far = _split(seq, genus, points, n, radius, derivative=False)
     line, real, pairs = seq._line, np.zeros(points.size, dtype=bool), None  # type: ignore[attr-defined]
     if not genus and line is not None and not n % 2:
@@ -577,21 +594,9 @@ def _tail_bound(spec: EntireFunctionSpec, s: complex, n: int) -> float | None:
     return math.expm1(exponent) if exponent <= 700.0 else math.inf
 
 
-def _evaluation(
-    spec, s: complex, zeros: np.ndarray, value: complex, log_value,
-    near: np.ndarray | None = None, radius: float | None = None,
-) -> TruncatedEvaluation:
-    """The record of a value at s; at distance 0 from the zeros it is the exact 0, with no log.
-
-    In a batch with radius R >= |s| whose near zeros (|z| <= 4R) are ``near``,
-    a least distance below 2R to them is the least over all zeros, the same
-    double: the far zeros lie beyond 3R.  Otherwise all zeros are read.
-    """
-    line = spec.zero_sequence._line
-    if radius is not None:
-        nearest = _nearest(s, near, line)
-    if radius is None or not nearest < 2.0 * radius:
-        nearest = _nearest(s, zeros, line)
+def _evaluation(spec, s: complex, zeros: np.ndarray, value: complex, log_value) -> TruncatedEvaluation:
+    """The record of a value at s; at distance 0 from the zeros it is the exact 0, with no log."""
+    nearest = _nearest(s, zeros, spec.zero_sequence._line)
     return TruncatedEvaluation(
         value=value, terms_used=zeros.size, nearest_zero_distance=nearest,
         near_zero=nearest < NEAR_ZERO_COEFF * (1.0 + abs(s)),
@@ -609,38 +614,31 @@ def eval_product(spec: EntireFunctionSpec, s: complex, n_terms: int | None = Non
     Raises ValueError when more factors are requested than zeros are
     available.  The value vanishes exactly iff s is a retained zero.
     """
-    return _evaluations(spec, [complex(s)], n_terms)[1][0]
-
-
-def _evaluations(
-    spec: EntireFunctionSpec, points: list[complex], n_terms: int | None, radius: float | None = None
-) -> tuple[np.ndarray, list[TruncatedEvaluation]]:
-    """The retained zeros, and the record of the product at each point from
-    one batch (``_eval_batch``, every |s| <= radius)."""
+    s = complex(s)
     zeros = _retained(spec, n_terms)
-    values, logs = _eval_batch(spec, points, zeros.size, radius)
-    near = _near_far(spec.zero_sequence, zeros.size, radius)[0]
-    return zeros, [
-        _evaluation(spec, s, zeros, value, log, near, radius)
-        for s, value, log in zip(points, values.tolist(), logs.tolist())
-    ]
+    values, logs = _eval_batch(spec, [s], zeros.size, None)
+    return _evaluation(spec, s, zeros, complex(values[0]), complex(logs[0]))
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _at_shift_points(
     spec: EntireFunctionSpec, alphas, n_terms: int | None, radius: float | None = None
-) -> tuple[np.ndarray, list[TruncatedEvaluation]]:
-    """The retained zeros and S(alpha) at each shift point (``_evaluations``),
-    for shift points clear of the zeros whose logs S(alpha) are finite."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The retained zeros, and S(alpha) and its log at each shift point (one
+    ``_eval_batch``, every |alpha| <= radius), for shift points clear of the
+    zeros whose logs are finite."""
     alphas = [complex(alpha) for alpha in alphas]
     if 0 in alphas:
         raise ValueError("shift point must be nonzero")
-    zeros, at_alphas = _evaluations(spec, alphas, n_terms, radius)
-    for alpha, at_alpha in zip(alphas, at_alphas):
-        _guard_coincident(alpha, at_alpha.nearest_zero_distance, "shift point coincides with a retained zero")
-        if not cmath.isfinite(at_alpha.log_value):
+    zeros = _retained(spec, n_terms)
+    values, logs = _eval_batch(spec, alphas, zeros.size, radius)
+    # a zero within 1e-12 (1 + |alpha|) of alpha has |z| <= 4R where R >= 1e-12: the near zeros decide
+    near = _near_far(spec.zero_sequence, zeros.size, radius if radius and radius >= 1e-12 else None)[0]
+    for alpha, log in zip(alphas, logs.tolist()):
+        _guard_coincident(alpha, _nearest(alpha, near), "shift point coincides with a retained zero")
+        if not cmath.isfinite(log):
             raise ValueError(f"log S(alpha) at alpha = {alpha!r} passes the double range")
-    return zeros, at_alphas
+    return zeros, values, logs
 
 
 def _quotient_sums(seq: ZeroSequence, numerators, n: int, radius: float | None) -> np.ndarray:
@@ -681,52 +679,39 @@ def eval_shifted_product(
     recentered value is S(alpha) itself.  Raises ValueError where q*(s-alpha)
     passes the double range, as ``eval_product`` does for q*s.
     """
-    s = complex(s)
-    zeros, (at_alpha,) = _at_shift_points(spec, [alpha], n_terms)
-    return _shifted_values(spec, [complex(alpha)], [s], zeros, [at_alpha])[0]
+    s, alpha = complex(s), complex(alpha)
+    zeros, s_alpha, log_s_alpha = _at_shift_points(spec, [alpha], n_terms)
+    values, logs = _shifted_values(spec, [alpha], [s], zeros, s_alpha, log_s_alpha)
+    return _evaluation(spec, s, zeros, complex(values[0]), complex(logs[0]))
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _shifted_values(
-    spec: EntireFunctionSpec, alphas: list[complex], points: list[complex], zeros: np.ndarray,
-    at_alphas: list[TruncatedEvaluation], radius: float | None = None,
-) -> list[TruncatedEvaluation]:
-    """``eval_shifted_product`` at each points[j] about alphas[j], from the zeros
-    and S(alphas[j]) of ``_at_shift_points``: one ``_log_sum`` about each
-    distinct alpha over the near zeros of radius R >= every |s|, |alpha|, plus
-    G(s) - G(alpha) of the far zeros' genus-0 series (module docstring), and
-    one ``_quotient_sums`` for the genus-1 sums of u/z.  Without a radius
-    every zero is near."""
-    us = [s - alpha for s, alpha in zip(points, alphas)]
-    exponents = [spec.q_constant * u if spec.genus == 1 else 0j for u in us]
-    for s, exponent in zip(points, exponents):
+    spec: EntireFunctionSpec, alphas, points, zeros: np.ndarray, s_alphas: np.ndarray,
+    log_s_alphas: np.ndarray, radius: float | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Values and logs of ``eval_shifted_product`` at each points[j] about alphas[j],
+    given S(alphas[j]) and its log (``_at_shift_points``), with u = s - alpha:
+    q u at genus 1, one recentred ``_log_sums`` over the draws (radius R >=
+    every |s|, |alpha|; without one every zero is near) and one
+    ``_quotient_sums`` for the genus-1 sums of u/z.  At a retained zero the
+    value is the exact 0 and the log's real part -inf, whatever q u and sum
+    u/z are."""
+    points = np.asarray(points, dtype=np.complex128).reshape(-1)
+    us = points - np.asarray(alphas, dtype=np.complex128)
+    exponents = np.array([spec.q_constant * u if spec.genus == 1 else 0j for u in us.tolist()], dtype=np.complex128)
+    for s, exponent in zip(points.tolist(), exponents.tolist()):
         if exponent.real == -math.inf:  # -inf is kept for the retained zeros
             raise ValueError(f"q*(s - alpha) = {exponent!r} passes the double range at s = {s!r}")
-    dead, near = {}, zeros
     if zeros.size:
-        near, far = _split(spec.zero_sequence, 0, np.array(points + alphas), zeros.size, radius, derivative=False)
-        log_sums = np.empty(len(points), dtype=np.complex128)
-        for alpha in dict.fromkeys(alphas):
-            rows = [j for j, a in enumerate(alphas) if a == alpha]
-            log_sums[rows] = _log_sum(np.array(points)[rows], near, 0, alpha)
-        if far is not None:
-            log_sums += far[: len(points)] - far[len(points) :]
-        # s is a retained zero, whatever q u and sum u/z are
-        dead = {j: log_sums[j] for j in np.flatnonzero(log_sums.real == -math.inf).tolist()}
-        exponents = [e + l for e, l in zip(exponents, log_sums.tolist())]
+        log_sums = _log_sums(spec.zero_sequence, 0, 0j, points, zeros.size, radius, alphas)[0]
+        exponents += log_sums
+        dead = log_sums.real == -math.inf
+        np.copyto(exponents, log_sums, where=dead)
         if spec.genus == 1:
-            live = [j for j in range(len(points)) if j not in dead]
-            recip_sums = _quotient_sums(spec.zero_sequence, np.array(us)[live], zeros.size, radius)
-            for j, recip_sum in zip(live, recip_sums.tolist()):
-                exponents[j] += recip_sum
-    out = []
-    for j, (s, exponent, at_alpha) in enumerate(zip(points, exponents, at_alphas)):
-        if j in dead:
-            out.append(_evaluation(spec, s, zeros, 0j, complex(dead[j]), near, radius))
-            continue
-        value = _value_from_log(exponent, at_alpha.value, at_alpha.log_value)
-        out.append(_evaluation(spec, s, zeros, value, at_alpha.log_value + exponent, near, radius))
-    return out
+            exponents[~dead] += _quotient_sums(spec.zero_sequence, us[~dead], zeros.size, radius)
+    values = [_value_from_log(*row) for row in zip(exponents.tolist(), s_alphas.tolist(), log_s_alphas.tolist())]
+    return np.array(values, dtype=np.complex128), log_s_alphas + exponents
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -752,8 +737,8 @@ def shift_constant_residual(
     d = log(lhs / rhs); a d that is not a number raises ValueError.
     """
     if value_at_alpha is None:
-        zeros, (at_alpha,) = _at_shift_points(spec, [alpha], n_terms)
-        return _internal_residuals(spec, [complex(alpha)], zeros, [at_alpha])[0]
+        zeros, s_alpha, log_s_alpha = _at_shift_points(spec, [alpha], n_terms)
+        return _internal_residuals(spec, [complex(alpha)], zeros, s_alpha, log_s_alpha)[0]
     alpha = complex(alpha)
     if alpha == 0:
         raise ValueError("shift point must be nonzero")
@@ -764,15 +749,15 @@ def shift_constant_residual(
     return _constant_residuals(spec, [alpha], zeros, [s_alpha], [log_s_alpha])[0]
 
 
-def _internal_residuals(spec, alphas, zeros: np.ndarray, at_alphas, radius: float | None = None) -> list[float]:
-    """``shift_constant_residual`` against each S(alpha) from ``_at_shift_points``.  At genus 0
+def _internal_residuals(
+    spec, alphas, zeros: np.ndarray, s_alphas: np.ndarray, log_s_alphas: np.ndarray, radius: float | None = None
+) -> list[float]:
+    """``shift_constant_residual`` against each S(alpha) and log from ``_at_shift_points``.  At genus 0
     that S(alpha) is S(0) prod (1 - alpha/z) at the same N, from the same
     ``_value_from_log`` call as the left side: the residual is 0 by construction."""
     if spec.genus == 0:
         return [0.0] * len(alphas)
-    return _constant_residuals(
-        spec, alphas, zeros, [a.value for a in at_alphas], [a.log_value for a in at_alphas], radius
-    )
+    return _constant_residuals(spec, alphas, zeros, s_alphas.tolist(), log_s_alphas.tolist(), radius)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -817,32 +802,30 @@ def _shift_measures(
     spec: EntireFunctionSpec, points: list[complex], alphas: list[complex], n_terms: int | None,
     radius: float | None = None,
 ) -> list[tuple[complex, complex, float, float]]:
-    """(shifted, direct, ``_disagreement``, constant residual) at each points[j] about alphas[j].
+    """(shifted, direct, disagreement, constant residual) at each points[j] about alphas[j] (``compare_shift``).
 
-    Each stage is one batch over the draws, in the order of one draw: S(alpha)
-    at each distinct alpha, the shifted values, the direct values, the
-    constant residuals.  With a radius R >= every |p|, all but the shifted
-    products' sums about alpha take the zeros beyond 4R from their power sums.
+    Each stage is one reduction over the draws, in the order of one draw:
+    S(alpha) at each distinct alpha, the shifted values, the direct values
+    (``_eval_batch``), the constant residuals.  With a radius R >= every
+    |p|, every stage takes the zeros beyond 4R from their power sums.
     """
-    distinct = list(dict.fromkeys(alphas))
-    zeros, at_distinct = _at_shift_points(spec, distinct, n_terms, radius)
-    at_alpha = dict(zip(distinct, at_distinct))
-    shifted = _shifted_values(spec, alphas, points, zeros, [at_alpha[a] for a in alphas], radius)
-    _, direct = _evaluations(spec, points, n_terms, radius)
-    residual_at = dict(zip(distinct, _internal_residuals(spec, distinct, zeros, at_distinct, radius)))
-    return [
-        (sh.value, di.value, _disagreement(sh, di), residual_at[a]) for sh, di, a in zip(shifted, direct, alphas)
-    ]
-
-
-def _disagreement(shifted: TruncatedEvaluation, direct: TruncatedEvaluation) -> float:
-    """|shifted - direct| / (1 + |direct|), or where that is not finite (a saturated
-    value) its limit |e^d - 1|, d the difference of the two logs (-inf for an exact 0)."""
-    disagreement = abs(shifted.value - direct.value) / (1.0 + abs(direct.value))
-    if not math.isfinite(disagreement):
-        logs = [-math.inf if ev.log_value is None else ev.log_value for ev in (shifted, direct)]
-        disagreement = abs(_value_from_log(logs[0] - logs[1]) - 1.0)
-    return disagreement
+    position = {a: j for j, a in enumerate(dict.fromkeys(alphas))}
+    zeros, s_alphas, log_s_alphas = _at_shift_points(spec, list(position), n_terms, radius)
+    rows = [position[a] for a in alphas]
+    shifted, shifted_logs = _shifted_values(spec, alphas, points, zeros, s_alphas[rows], log_s_alphas[rows], radius)
+    direct, direct_logs = _eval_batch(spec, points, zeros.size, radius)
+    residuals = _internal_residuals(spec, list(position), zeros, s_alphas, log_s_alphas, radius)
+    measures = []
+    for sh, di, sh_log, di_log, row in zip(
+        shifted.tolist(), direct.tolist(), shifted_logs.tolist(), direct_logs.tolist(), rows
+    ):
+        # where |sh - di| / (1 + |di|) is not finite (a saturated value), its limit |e^d - 1|,
+        # d the difference of the two logs (real part -inf for an exact 0)
+        disagreement = abs(sh - di) / (1.0 + abs(di))
+        if not math.isfinite(disagreement):
+            disagreement = abs(_value_from_log(sh_log - di_log) - 1.0)
+        measures.append((sh, di, disagreement, residuals[row]))
+    return measures
 
 
 def log_derivative(spec: EntireFunctionSpec, s: complex, n_terms: int | None = None) -> complex:

@@ -20,6 +20,7 @@ from entirefn import (
     taylor_coefficients,
 )
 from entirefn.identities import verify_identity
+from entirefn.series_engine import TaylorExpansion, even_series
 
 
 class TestProfile:
@@ -132,6 +133,20 @@ class TestScan:
             v0=1e6 + 0j, imag_max=0.0, truncation=10,
         )
         with pytest.raises(ValueError, match=r"refined zero near x=0\.4000.* above gate"):
+            scan_real_zeros(profile, spec)
+
+    def test_unmoved_end_is_read_from_the_spec(self) -> None:
+        # as above with V(0) = 1: |V| is about 0.78 at both ends and at the
+        # midpoint, so the profile's -1e-30 at the end bisection never moves
+        # must not lend the bracket a sign change or its end term
+        k = np.arange(1.0, 6.0)
+        spec = make_symmetric_spec(1.0, np.concatenate([k, -k]), 1.0)
+        profile = CriticalLineProfile(
+            xi=1.0, grid=np.array([0.4, 0.6]), values=np.array([-1e-30, 1e-30], dtype=np.complex128),
+            v0=1.0 + 0j, imag_max=0.0, truncation=10,
+        )
+        message = r"refined zero near x=0\.40000000000036384 has residual 7\.791e-01 above gate 1\.000e-09"
+        with pytest.raises(ValueError, match=message):
             scan_real_zeros(profile, spec)
 
     def test_nonreal_profile_rejected(self, lbar_spec) -> None:
@@ -382,6 +397,26 @@ class TestRotatedDerivatives:
         derivs = rotated_derivatives(expansion, (2,))
         assert derivs.values[0].real == pytest.approx(-math.pi**2 / 3.0, rel=1e-3)
         assert abs(derivs.values[0].imag) <= 1e-12
+
+    def test_orders_past_the_factorial_range(self) -> None:
+        # k! passes the double range at k = 171; k! c_k is each part exactly
+        # rounded, +-inf past the range, against mpmath at 2000 bits
+        mpmath = pytest.importorskip("mpmath")
+        coefficients = [0j] * 175
+        coefficients[171] = complex(1e-300, -3.7e-305)
+        coefficients[172] = complex(2.0, 1e-310)
+        coefficients[174] = complex(-1e-290, 5.0)
+        expansion = TaylorExpansion(center=1.0 + 0j, coefficients=tuple(coefficients), terms_used=0, genus=0)
+        orders = (170, 171, 172, 173, 174)
+        values = rotated_derivatives(expansion, orders).values
+        with mpmath.workprec(2000):
+            for k, value in zip(orders, values):
+                exact = mpmath.mpc(0, 1) ** k * mpmath.factorial(k) * mpmath.mpc(coefficients[k])
+                assert value == complex(float(exact.real), float(exact.imag))
+        assert math.isinf(values[2].real) and math.isinf(values[4].imag) and math.isfinite(values[1].imag)
+        # the odd orders of an even series are 0 past the range too
+        spec = make_symmetric_spec(1.0, [1.0, -1.0, 2.0, -2.0], 1.0)
+        assert rotated_derivatives(even_series(spec, 180), [171]).values == (0j,)
 
     def test_order_out_of_range(self, sinh_line_spec) -> None:
         expansion = taylor_coefficients(sinh_line_spec, 1.0 + 0j, 2, 500)

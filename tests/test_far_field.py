@@ -159,13 +159,18 @@ def _block_case(rng, layout: str) -> tuple[np.ndarray, np.ndarray]:
         ["under cap", "at cap", "over cap", "long row", "wide rows", "on a zero", "rounds to one",
          "mixed series", "halved"]
     ),
-    center=st.sampled_from([0.0, 0.5]),
+    center=st.sampled_from([None, 0.0, 0.5, "per row"]),
 )
 def test_blocked_reducer_matches_one_row_at_a_time(seed, genus, layout, center) -> None:
-    zeros, points = _block_case(np.random.default_rng(seed), layout)
+    rng = np.random.default_rng(seed)
+    zeros, points = _block_case(rng, layout)
+    centers = [center] * points.size
+    if center == "per row":  # each row its own centre, real where the points are
+        centers = rng.uniform(-1.0, 1.0, points.size) + 1j * rng.uniform(-1.0, 1.0, points.size)
+        center = centers = centers.real if layout == "halved" else centers
     with np.errstate(over="ignore", invalid="ignore"):
-        blocked = _log_sum(points, zeros, genus, complex(center))
-        rows = np.concatenate([_log_sum([s], zeros, genus, complex(center)) for s in points])
+        blocked = _log_sum(points, zeros, genus, center)
+        rows = np.concatenate([_log_sum([s], zeros, genus, c) for s, c in zip(points, centers)])
     assert blocked.shape == points.shape
     assert np.array_equal(blocked.view(np.int64), rows.view(np.int64))
     if layout == "on a zero":
@@ -395,11 +400,11 @@ def test_batched_shifted_values_match_the_all_zeros_reduction(request, fixture, 
     spec = request.getfixturevalue(fixture)
     for seed in range(5):
         s_points, alphas, radius = _draws(spec, seed, 12, at_center)
-        zeros, at_alphas = product_engine._at_shift_points(spec, alphas, None, radius)
-        batched = product_engine._shifted_values(spec, alphas, s_points, zeros, at_alphas, radius)
-        whole = product_engine._shifted_values(spec, alphas, s_points, zeros, at_alphas)
-        for b, w in zip(batched, whole):
-            assert abs(b.value - w.value) <= 1e-14 * abs(w.value)
+        zeros, s_alphas, log_s_alphas = product_engine._at_shift_points(spec, alphas, None, radius)
+        at_alphas = (zeros, s_alphas, log_s_alphas)
+        batched, _ = product_engine._shifted_values(spec, alphas, s_points, *at_alphas, radius)
+        whole, _ = product_engine._shifted_values(spec, alphas, s_points, *at_alphas)
+        assert np.all(np.abs(batched - whole) <= 1e-14 * np.abs(whole))
         if fixture != "poly_spec":
             assert np.count_nonzero(spec.zero_sequence.moduli > _FAR_RATIO * radius)
 
@@ -416,7 +421,7 @@ def test_shift_verdicts_over_seeds_are_those_of_all_zeros(request, monkeypatch, 
     batched = [verify_identity(spec, theorem, seed=seed, draws=5) for seed in range(50)]
     original = product_engine._shifted_values
     # the shifted products summed over every zero about alpha, as with no far series
-    monkeypatch.setattr(product_engine, "_shifted_values", lambda *args: original(*args[:5]))
+    monkeypatch.setattr(product_engine, "_shifted_values", lambda *args: original(*args[:6]))
     whole = [verify_identity(spec, theorem, seed=seed, draws=5) for seed in range(50)]
     assert [r.passed for r in batched] == [r.passed for r in whole] == [True] * 50
     for b, w in zip(batched, whole):
@@ -427,27 +432,62 @@ def test_shift_verdicts_over_seeds_are_those_of_all_zeros(request, monkeypatch, 
 
 @pytest.mark.parametrize("fixture", ["sinh_line_spec", "sinh_genus1_spec", "lbar_spec", "poly_spec", "far_line"])
 def test_batch_nearest_distances_are_those_of_all_zeros(request, fixture) -> None:
+    # only the point evaluators build records, and they read every retained zero;
+    # a batch's exact 0, shifted and direct, is where that distance is 0
     if fixture == "far_line":  # no near zero at all
         spec = make_symmetric_spec(1.0, [1e30, -1e30], 1.0)
     else:
         spec = request.getfixturevalue(fixture)
     rng = np.random.default_rng(8)
     s_points, alphas, radius = _draws(spec, 8, 16, at_center=False)
-    if fixture == "poly_spec":  # R = 0.7: the zero at 2 is near, but no point is within 2R of it
-        s_points, alphas, radius = [0.25 * s for s in s_points], [0.25 * a for a in alphas], 0.25 * radius
+    zeros = spec.zero_sequence.zeros
     line = spec.zero_sequence._line
     if line is not None:  # points on the line read the distances from the imaginary parts
         s_points += [complex(line, y) for y in rng.uniform(-2.0, 2.0, 6)]
-    zeros, records = product_engine._evaluations(spec, s_points, None, radius)
-    shifted = product_engine._shifted_values(spec, alphas[:1] * len(s_points), s_points, zeros, records, radius)
-    near = zeros[spec.zero_sequence.moduli <= _FAR_RATIO * radius]
-    fallback = 0
-    for s, record, shifted_record in zip(s_points, records, shifted):
-        expected = product_engine._nearest(s, zeros, line)
-        assert record.nearest_zero_distance == expected == shifted_record.nearest_zero_distance
-        fallback += not product_engine._nearest(s, near, line) < 2.0 * radius
-    # the fallback reads every zero: no near zero, or none within 2R
-    assert fallback == (len(s_points) if fixture in ("poly_spec", "far_line") else 0)
+    on_zero = [complex(z) for z in zeros[:2] if abs(z) <= radius]
+    s_points += on_zero
+    measures = product_engine._shift_measures(spec, s_points, alphas[:1] * len(s_points), None, radius)
+    for s, (shifted, direct, disagreement, _) in zip(s_points, measures):
+        expected = product_engine._nearest(s, zeros)
+        assert eval_product(spec, s).nearest_zero_distance == expected
+        assert eval_shifted_product(spec, alphas[0], s).nearest_zero_distance == expected
+        assert (shifted == 0) == (direct == 0) == (expected == 0)
+    assert sum(m[1] == 0 and m[2] == 0 for m in measures) == len(on_zero)
+    assert len(on_zero) == {"poly_spec": 1, "far_line": 0}.get(fixture, 2)
+    for z in on_zero:  # the batch's shift-point guard refuses a retained zero
+        with pytest.raises(ValueError, match="coincides"):
+            product_engine._at_shift_points(spec, [z], None, radius)
+
+
+@pytest.mark.parametrize("zero, refused", [(1.1e-12, True), (1.3e-12, False)])
+def test_shift_point_guard_below_the_near_rule(zero, refused) -> None:
+    # R = 2e-13 < 1e-12: the zero lies beyond 4R yet may be within 1e-12 (1 + |alpha|)
+    # of alpha, so the guard reads every zero
+    seq = ZeroSequence(zeros=np.array([zero + 0j]), ordering=Ordering.AS_GIVEN)
+    spec = EntireFunctionSpec(class_tag=ClassTag.Y, value_at_zero=1.0, zero_sequence=seq)
+    assert zero > _FAR_RATIO * 2e-13
+    if refused:
+        with pytest.raises(ValueError, match="coincides"):
+            product_engine._at_shift_points(spec, [2e-13], None, 2e-13)
+    else:
+        product_engine._at_shift_points(spec, [2e-13], None, 2e-13)
+
+
+def test_shifted_stage_is_one_reduction_with_no_records(monkeypatch, sinh_genus1_spec) -> None:
+    # the 20 draws' sums about their own alphas in one reducer call; no stage builds a record
+    calls, records = [], []
+    _spy(monkeypatch, product_engine, "_log_sum", calls)
+    original = product_engine.TruncatedEvaluation
+
+    def record(**fields):
+        records.append(fields)
+        return original(**fields)
+
+    monkeypatch.setattr(product_engine, "TruncatedEvaluation", record)
+    assert verify_identity(sinh_genus1_spec, "T1", draws=20).passed
+    recentred = [args for args, _ in calls if len(args) == 4]
+    assert len(recentred) == 1 and np.size(recentred[0][0]) == np.size(recentred[0][3]) == 20
+    assert records == []
 
 
 def _draws_over_every_zero(rng, spec, count: int, avoid_origin: bool) -> list[complex]:
@@ -499,7 +539,7 @@ def test_residual_on_the_zero_line_takes_the_pair_kernel(lbar_spec, monkeypatch,
     _spy(monkeypatch, product_engine, "_pair_log_sum", calls)
     assert shift_constant_residual(lbar_spec, alpha) <= 1e-14
     radius = abs(alpha)
-    zeros, at_alpha = product_engine._at_shift_points(lbar_spec, [alpha], None, radius)
-    (residual,) = product_engine._internal_residuals(lbar_spec, [alpha], zeros, at_alpha, radius)
+    zeros, s_alpha, log_s_alpha = product_engine._at_shift_points(lbar_spec, [alpha], None, radius)
+    (residual,) = product_engine._internal_residuals(lbar_spec, [alpha], zeros, s_alpha, log_s_alpha, radius)
     assert residual <= 1e-14
     assert len(calls) == 2

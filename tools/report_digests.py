@@ -113,6 +113,9 @@ SMALL_COMMANDS = (
     ("order", "--spec", "poly.spec", "--v-min", "4", "--v-max", "400", "--radii", "5",
      "--angular-samples", "16"),
     ("shift", "--spec", "poly.spec", "--alpha", "1+1i", "--s", "0.5"),
+    # s at a retained zero: the shifted value is the exact 0, at genus 0 and 1
+    ("shift", "--spec", "poly.spec", "--alpha", "1+1i", "--s", "2"),
+    ("shift", "--spec", "sinh_genus1.spec", "--alpha", "0.5+0.5i", "--s", "1i"),
     # a zero inside every batch's cut: the batch has no far zeros
     ("verify-identity", "--spec", "poly.spec", "--theorem", "T2", "--seed", "4", "--draws", "5"),
     ("mult", "--spec", "duplicated.spec", "--center", "1+1i", "--radius", "0.2", "--nodes", "64"),
