@@ -44,6 +44,7 @@ size, where no sum can overflow, 2 * fsum(x) has the bits of fsum(x + x).
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -131,8 +132,11 @@ class ExactSum:
 
 def real_sum(values) -> float:
     """Exactly rounded sum of real values, bit-identical to ``math.fsum``."""
+    values = np.asarray(values, dtype=np.float64).reshape(-1)  # a strided 1-d view stays uncopied
+    if values.size < _FSUM_BELOW:  # what ExactSum does with them, without its bookkeeping
+        return math.fsum(values.tolist())
     acc = ExactSum()
-    acc.add(np.ravel(np.asarray(values, dtype=np.float64)))
+    acc.add(values)
     return acc.total()
 
 
@@ -142,23 +146,25 @@ def complex_sum(values: np.ndarray) -> complex:
     return complex(real_sum(arr.real), real_sum(arr.imag))
 
 
-def _conjugate_half(values: np.ndarray) -> np.ndarray | None:
-    """values[..., 0::2] where, along the last axis, each odd entry mirrors the one before it.
+def _mirrored(values: np.ndarray) -> np.ndarray:
+    """Along the last axis (even length), whether each odd entry mirrors the one before it.
 
-    Mirrors means: the axis has even length, every part is finite, the real
-    parts are equal and the imaginary parts each other's exact negation,
-    sign of zero included (a real part 0 may meet a -0).  None otherwise.
+    Mirrors means: every part is finite, the real parts are equal and the
+    imaginary parts each other's exact negation, sign of zero included (a
+    real part 0 may meet a -0).
     """
-    if values.shape[-1] % 2:
-        return None
     half, other = values[..., 0::2], values[..., 1::2]
     # finite parts are each other's negation, zeros included, iff their bits differ in the sign bit
-    mirrored = not (
-        np.count_nonzero(half.real != other.real)
-        or np.count_nonzero(half.imag.view(np.int64) != other.imag.view(np.int64) ^ np.int64(-(2**63)))
-        or np.count_nonzero(~np.isfinite(half))
-    )
-    return half.copy() if mirrored else None
+    negated = half.imag.view(np.int64) == other.imag.view(np.int64) ^ np.int64(-(2**63))
+    return (half.real == other.real) & negated & np.isfinite(half)
+
+
+def _conjugate_half(values: np.ndarray) -> np.ndarray | None:
+    """values[..., 0::2] where, along the last axis, each odd entry mirrors the one before it
+    (``_mirrored``); None otherwise."""
+    if values.shape[-1] % 2 or not _mirrored(values).all():
+        return None
+    return values[..., 0::2].copy()
 
 
 def _doubles_exactly(*parts: np.ndarray) -> bool:
@@ -251,8 +257,10 @@ def _head_sums(base: np.ndarray, m_max: int, halved: bool) -> list[complex] | No
     power = base  # the m-th powers of base[: power.size]
     sums = []
     for m in range(1, m_max + 1):
-        if m > 1:
+        if m == 2:
             power = power * base[: power.size]
+        elif m > 2:  # in place, but for a lone element (see product_engine._horner)
+            power = np.multiply(power, base[: power.size], power if power.size > 1 else None)
         wanted = (0,) if halved else (0, 1)
         if imaginary:
             wanted = tuple(part for part in wanted if part != 1 - m % 2)
@@ -262,10 +270,22 @@ def _head_sums(base: np.ndarray, m_max: int, halved: bool) -> list[complex] | No
             limit, tries = whole * 2.0**-52, sizes
         else:  # nothing to sum: keep the head, if its tail is in range
             limit, tries = _DOUBLING_LIMIT, [size for size in sizes if size >= power.size]
-        for k in tries:
-            tail = bound(k, m)
-            if k < n and tail >= limit:
-                continue
+        tails: dict[int, float] = {}
+
+        def fits(j: int) -> bool:
+            tails[tries[j]] = tail = bound(tries[j], m)
+            return tries[j] == n or tail < limit
+
+        # tails fall as heads grow: the least head that fits, sought from the last power's
+        j = min(bisect.bisect_left(tries, power.size), len(tries) - 1)
+        if fits(j):
+            while j and fits(j - 1):
+                j -= 1
+        else:
+            while not fits(j):
+                j += 1
+        for k in tries[j:]:
+            tail = tails[k] if k in tails else bound(k, m)
             if k > power.size:  # late entries take the same repeated multiplication
                 late = extra = base[power.size : k]
                 for _ in range(m - 1):
@@ -302,7 +322,9 @@ def exact_power_sums(base: np.ndarray, m_max: int) -> list[complex]:
     Head.  The entries are put in descending order of their computed moduli
     a_i (one stable sort), and a part is summed over the first k of them, k =
     _HEAD, _HEAD_GROWTH times more and so on, or all N, until the tail i >= k
-    cannot change the rounding.  Only the head's powers are carried to the
+    cannot change the rounding.  The tail bounds fall as the head grows, so
+    each power seeks the least head whose bound fits from the previous
+    power's head, in a step or two.  Only the head's powers are carried to the
     next power; an entry that joins a head late takes its power by the same
     repeated multiplication, so it has the bits the whole array gives it.
 

@@ -291,13 +291,15 @@ def rotated_derivatives(expansion: TaylorExpansion, orders: Sequence[int]) -> Ro
 
 
 def _rotated(k: int, c: complex) -> complex:
-    """i^k k! c.  Past k = 170, where k! passes the double range, each part of
-    k! c is the exactly rounded product, +-inf past the double range, and i^k
-    permutes the parts."""
-    if k <= 170:
-        return (1j) ** k * math.factorial(k) * c
+    """i^k k! c, part by part: each part of k! c is the part times k! as a double
+    up to k = 170, and the exactly rounded product past it, where k! passes the
+    double range (+-inf past the double range); i^k permutes the parts, so an
+    infinite part never meets a 0 and no part is NaN where c has none."""
     parts = []
     for x in (c.real, c.imag):
+        if k <= 170:
+            parts.append(x * float(math.factorial(k)))
+            continue
         try:
             parts.append(float(Fraction(x) * math.factorial(k)) if x and math.isfinite(x) else x)
         except OverflowError:

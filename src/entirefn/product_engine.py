@@ -33,7 +33,8 @@ the least tau, the real part of the complex kernel).  The sum is -inf iff
 |x| is a retained tau; the sign (-1)^#{tau < |x|} rides in the value's
 scale, so the value is real where V(0) is.  The line offsets of
 ``critical_line``, the zeros i tau on the line 0 at s = i x, are such a
-sequence.  s = xi, genus 1, and other sets keep the complex kernel.
+sequence.  s = xi keeps the complex kernel, and so does genus 1 outside
+far-field batches (below).
 
 Batches of points (line profiles, max-modulus rings, winding contours, the
 line-form identities, and each stage of the shift identities: S(alpha),
@@ -53,7 +54,36 @@ sum_far |w|^(K+1) / ((K+1)(1 - |w|)), |w| <= 1/4, is below 1e-17.  A
 batch gives values and logs; only the point evaluators (``eval_product``,
 ``eval_shifted_product``) build records, which read min |s - z| over every
 retained zero.  Single-point calls (those two and ``log_derivative``) are
-the case with no far zeros and keep their bits.
+the case with no far zeros.
+
+One term per conjugate pair
+---------------------------
+A pair's factors multiply to one quadratic factor, (1 - s/z)(1 - s/conj z)
+= 1 - w', w' = s (2 Re z - s)/|z|^2, times e^(2 s Re z/|z|^2) at genus 1,
+and its two terms of S'/S add to 2 (s - Re z)/((s - z)(s - conj z)).
+These reductions take one term per pair:
+
+* far-field batches (a non-empty far series) whose near zeros list closed
+  conjugate pairs: one log of 1 - w' per pair (``_conjugate_log_sum``),
+  with the genus-1 factors as one more exact term s C, and on a line
+  sequence's line the real ``_pair_log_sum`` at both genera;
+* ``log_derivative``, where its retained zeros open with closed pairs
+  (``_conjugate_pairs``, found once per sequence): one term per pair, at
+  genus 1 both brackets in one;
+* genus-0 points on the line of a line sequence, in every batch.
+
+These keep one term per factor: the direct paths (``eval_product``,
+``eval_shifted_product``, ``shift``, the scan's bisection, the inversion
+at xi when a spec loads: no far series, so no batch split), near sets that
+are not closed pairs (a lone real zero, the +tau, +tau, -tau, -tau layout
+of a double zero), and points past the pair range, 2^255 times the
+pairs' least power of two.  The direct paths keep their bits on purpose:
+the values that set the benchmark's ``err_max`` against its mpmath
+references (``eval``, ``shift``, the scan's roots) come from them, and a point
+evaluator's value should not hang on how a batch was cut.  The
+genus-1 single-point kernel still loses log |S| far out (ROADMAP item 8);
+a batch's pair logs do not, since the terms 2 s Re z/|z|^2 of a pair no
+longer round at the scale of |s|/|z| on each member.
 
 Only |exp(...)| and per-factor phases are contractually meaningful: summed
 imaginary parts are not unwound to a continuous branch.  Every value comes
@@ -66,14 +96,15 @@ from __future__ import annotations
 
 import cmath
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._numeric import BLOCK, ExactSum, complex_sum, exact_power_sums
-from ._numeric import _conjugate_half, _doubles_exactly
+from ._numeric import BLOCK, ExactSum, complex_sum, exact_power_sums, real_sum
+from ._numeric import _conjugate_half, _doubles_exactly, _mirrored
 from .core_types import _LOG_DOUBLE_MAX, EntireFunctionSpec, Ordering, Pairing, ZeroSequence
 
 __all__ = [
@@ -101,6 +132,8 @@ _BLOCK_ELEMENTS = 1 << 12  # (point, zero) pairs per block of _log_sum: small te
 # On the line, |x| and |xi| up to this many times the least near tau keep
 # every scaled quantity of the pair kernel a normal double (_log_sums).
 _PAIR_RANGE = 2.0**255
+# log_derivative's pair sums stay in the double range below this |s| and |z| (_ConjugatePairs)
+_PAIR_REACH = 2.0**500
 
 
 def _value_from_log(exponent: complex, scale: complex = 1.0, log_scale: complex = 0j) -> complex:
@@ -242,6 +275,120 @@ def _log_sum(points, zeros: np.ndarray, genus: int, center: complex | np.ndarray
     return np.array(sums, dtype=np.complex128)
 
 
+def _pair_linear(near: np.ndarray) -> float:
+    """C, the exactly rounded sum of Re(1/z) = Re z/|z|^2 over near zeros that close
+    conjugate pairs: their exponential factors at genus 1 multiply to e^(s C)."""
+    moduli = np.abs(near)
+    return real_sum(near.real / moduli / moduli)
+
+
+class _NearPairs(NamedTuple):
+    """A batch's near zeros as the conjugate pairs (z, conj z) of ``_conjugate_log_sum``.
+
+    Per pair, with 2^e the power of two of the larger part of z: ``scale``
+    2^-e, ``a`` and ``b`` the parts of z 2^-e, ``d`` a^2 + b^2, ``two_a``
+    2a and ``neg_half_d`` -d/2.  ``limit`` is the pair range, 2^(255 + e)
+    for the least e (0 where that e is below -960), and ``linear`` is C of
+    ``_pair_linear``.
+    """
+
+    scale: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    d: np.ndarray
+    two_a: np.ndarray
+    neg_half_d: np.ndarray
+    limit: float
+    linear: float
+
+
+def _near_pairs(seq: ZeroSequence, n: int, near: np.ndarray) -> _NearPairs | None:
+    """The pair data of the near zeros of the first n, None where they are not closed
+    conjugate pairs (``_conjugate_half``); cached on the sequence by (n, near
+    count), which fixes the near set."""
+    cache = seq._conjugate_cache  # type: ignore[attr-defined]
+    key = (n, near.size)
+    if key not in cache:
+        half = _conjugate_half(near)
+        if half is None or not half.size:
+            cache[key] = None
+        else:
+            exponent = np.frexp(np.maximum(np.abs(half.real), np.abs(half.imag)))[1]
+            scale = np.ldexp(1.0, -exponent)
+            a, b = half.real * scale, half.imag * scale
+            d = a * a + b * b
+            least = int(exponent.min())
+            limit = math.ldexp(1.0, 255 + least) if least >= -960 else 0.0
+            cache[key] = _NearPairs(scale, a, b, d, a + a, -0.5 * d, limit, _pair_linear(near))
+    return cache[key]
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _conjugate_log_sum(points: np.ndarray, near: np.ndarray, pairs: _NearPairs, genus: int) -> np.ndarray:
+    """``_log_sum(points, near, genus)`` with one log per pair, near listing the pairs (z, conj z) of ``pairs``.
+
+    A pair's factors multiply to 1 - w', w' = s (2 Re z - s)/|z|^2, formed
+    from s and z scaled by the power of two of the larger part of z.  Where
+    |w'| < 1/2 the log is that of ``_log_factors`` at w'; elsewhere it is
+    the log of (s - z)(s - conj z)/|z|^2, from the exact scaled differences,
+    so factors near a zero keep full accuracy.  Genus 1 adds s C, C the
+    exactly rounded sum of 2 Re z/|z|^2 over the pairs (``_pair_linear``),
+    as one more term of the same exact sums.  Points past the pair range (a
+    part of s past ``pairs.limit``) and rows with a log that is not finite
+    take ``_log_sum``, but for the exact 0 where s is z or conj z.  A row's
+    sums have the same bits in any batch.
+    """
+    scale, a, b, d, two_a, neg_half_d, limit, linear = pairs
+    linear = linear if genus else 0.0
+    fit = np.maximum(np.abs(points.real), np.abs(points.imag)) <= limit
+    sums = np.empty(points.size, dtype=np.complex128)
+    direct = (~fit).nonzero()[0].tolist()
+    rows = fit.nonzero()[0]
+    step = max(1, _BLOCK_ELEMENTS // scale.size)
+    for first in range(0, rows.size, step):
+        block = rows[first : first + step]
+        s = points[block, None]
+        real, imag = ExactSum(block.size), ExactSum(block.size)
+        finite = np.ones(block.size, dtype=bool)
+        for start in range(0, scale.size, BLOCK):
+            cols = slice(start, start + BLOCK)
+            x, y = s.real * scale[cols], s.imag * scale[cols]
+            dx = x - a[cols]
+            # w' = (x (2a - x) + y^2 + i 2 y (a - x))/d, all scaled
+            wr = two_a[cols] - x
+            wr *= x
+            wr += y * y
+            wr /= d[cols]
+            wi = dx * y
+            wi /= neg_half_d[cols]
+            r2 = wr * wr
+            r2 += wi * wi
+            far = (r2 >= 0.25).nonzero()
+            log_real = 0.5 * np.log1p(r2 - 2.0 * wr)  # log |1 - w'|, |1 - w'|^2 = 1 + |w'|^2 - 2 Re w'
+            log_imag = np.arctan2(-wi, 1.0 - wr)
+            dx, y, beta, col = dx[far], y[far], b[cols][far[1]], d[cols][far[1]]
+            # (s - z)(s - conj z) = dx^2 - (y - b)(y + b) + 2 i dx y, scaled by the pair's 4^-e
+            p_real = dx * dx - (y - beta) * (y + beta)
+            p_imag = 2.0 * dx * y
+            log_real[far] = np.log(np.hypot(p_real, p_imag) / col)
+            log_imag[far] = np.arctan2(p_imag, p_real)
+            finite &= np.isfinite(log_real).all(axis=1)
+            if linear and start + BLOCK >= scale.size:  # s C joins the last block of each row
+                log_real = np.concatenate([log_real, s.real * linear], axis=1)
+                log_imag = np.concatenate([log_imag, s.imag * linear], axis=1)
+            real.add(log_real)
+            imag.add(log_imag)
+        sums[block[finite]] = [complex(real.total(j), imag.total(j)) for j in finite.nonzero()[0].tolist()]
+        for row in block[~finite].tolist():
+            if np.count_nonzero(near == points[row]):
+                sums[row] = complex(-math.inf)
+            else:
+                direct.append(row)
+    if direct:
+        sums[direct] = _log_sum(points[direct], near, genus)
+    return sums
+
+
 class _LinePairs(NamedTuple):
     """The mirrored pairs (xi + i tau, xi - i tau), tau > 0, of a line sequence, ascending in tau.
 
@@ -345,7 +492,7 @@ def _far_sums(far: np.ndarray) -> tuple[float, np.ndarray]:
     degree = 0
     while True:
         degree += 1
-        bound = bound * ratio
+        bound *= ratio
         if float(np.sum(bound)) / (degree + 1) < _FAR_TOLERANCE:
             break
     return scale, np.array(exact_power_sums(scale / far, degree))
@@ -405,14 +552,17 @@ def _log_sums(
     point, and which points' products are real.
 
     A point that is a retained zero gets -inf, the log of an exact 0.  With
-    a radius >= max |s| the zeros beyond 4 * radius enter as power sums.  At
-    genus 0 a point xi + i x, x != 0, on the line xi of a sequence whose
-    first n zeros and near zeros are mirrored pairs (``_LinePairs.closed``;
-    only then is the pair data built) takes
-    ``_pair_log_sum`` over the near pairs (the complex kernel's real part
-    past their range) and the real part of the far series (the far pairs'
-    factors are positive): its product is real, and the imaginary part of
-    its log is 0 or pi, the log of its sign.
+    a radius >= max |s| the zeros beyond 4 * radius enter as power sums, and
+    where some do and the near zeros list conjugate pairs (``_near_pairs``)
+    the near sums take one log per pair (``_conjugate_log_sum``).  A point xi + i x, x != 0, on the line xi of a
+    sequence whose first n zeros and near zeros are mirrored pairs
+    (``_LinePairs.closed``; only then is the pair data built) takes
+    ``_pair_log_sum`` over the near pairs, at genus 0 in every batch and at
+    genus 1 in one with far zeros, plus s C at genus 1 (``_pair_linear``);
+    past the pairs' range it takes the batch's complex kernel.  At genus 0
+    such a product is real: the far pairs' factors are positive, the far
+    series' real part is kept, and the imaginary part of the log is 0 or
+    pi, the log of its sign.
 
     With ``centers`` (one c per point, every |c| <= radius too) the sums are
     the genus-0 sums of log(1 - (s - c)/(z - c)), none marked real: the near
@@ -428,12 +578,12 @@ def _log_sums(
             sums += far[: points.size] - far[points.size :]
         return sums, np.zeros(points.size, dtype=bool)
     near, far = _split(seq, genus, points, n, radius, derivative=False)
-    line, real, pairs = seq._line, np.zeros(points.size, dtype=bool), None  # type: ignore[attr-defined]
-    if not genus and line is not None and not n % 2:
-        np.logical_and(points.real == line, points.imag != 0.0, out=real)
-        pairs = _line_pairs(seq) if real.any() else None
+    line, on_line, pairs = seq._line, np.zeros(points.size, dtype=bool), None  # type: ignore[attr-defined]
+    if line is not None and not n % 2 and (not genus or far is not None):
+        np.logical_and(points.real == line, points.imag != 0.0, out=on_line)
+        pairs = _line_pairs(seq) if on_line.any() else None
         if pairs is not None and not (pairs.closed[n] and pairs.closed[near.size]):
-            real[:], pairs = False, None
+            on_line[:], pairs = False, None
     exponents = np.zeros(points.size, dtype=np.complex128)
     if genus == 1:  # q s part by part as Python forms it: numpy's complex product may fuse multiply-adds
         parts = points.view(np.float64).reshape(-1, 2)
@@ -442,24 +592,40 @@ def _log_sums(
             j = int(np.argmax(bad))
             _log_sum(points[:j], near, genus)  # an earlier point's range error comes first
             raise ValueError(f"q*s = {complex(exponents[j])!r} passes the double range at s = {complex(points[j])!r}")
+    near_pairs = _near_pairs(seq, n, near) if far is not None else None
+
+    def kernel(points: np.ndarray) -> np.ndarray:  # far-field batches take one log per conjugate pair
+        if near_pairs is None:
+            return _log_sum(points, near, genus)
+        return _conjugate_log_sum(points, near, near_pairs, genus)
+
     if near.size and pairs is not None:
         count, ax = near.size // 2, np.abs(points.imag)
-        fit = real & (np.maximum(ax, abs(line)) <= pairs.limit[count - 1])
-        exponents.real[fit] = _pair_log_sum(ax[fit], pairs, count)
+        fit = on_line & (np.maximum(ax, abs(line)) <= pairs.limit[count - 1])
+        if genus:  # past the pair range a genus-1 point takes the complex log whole
+            on_line &= fit
+        log_sums = np.zeros(points.size, dtype=np.complex128)
+        log_sums.real[fit] = _pair_log_sum(ax[fit], pairs, count)
         if not fit.all():  # past the pair range the complex kernel gives log |V|
-            exponents[~fit] = _log_sum(points[~fit], near, genus)
+            log_sums[~fit] = kernel(points[~fit])
         # a real product's sign, (-1)^#{tau < |x|} over the near taus (ascending)
         taus = pairs.offsets[:count]
-        exponents.imag[real] = np.where(np.searchsorted(taus, ax[real]) % 2, math.pi, 0.0)
+        log_sums.imag[on_line] = np.where(np.searchsorted(taus, ax[on_line]) % 2, math.pi, 0.0)
+        if genus:  # and the pairs' exponential factors, e^(s C)
+            linear = _pair_linear(near) if near_pairs is None else near_pairs.linear
+            log_sums.real[on_line] += line * linear
+            log_sums.imag[on_line] += points.imag[on_line] * linear
+            on_line[:] = False
     elif near.size:
-        log_sums = _log_sum(points, near, genus)
+        log_sums = kernel(points)
+    if near.size:
         exponents += log_sums
         if genus == 1:  # an exact 0 whatever q*s is
             np.copyto(exponents, log_sums, where=log_sums.real == -math.inf)
     if far is None:
-        return exponents, real
-    far.imag[real] = 0.0
-    return exponents + far, real
+        return exponents, on_line
+    far.imag[on_line] = 0.0
+    return exponents + far, on_line
 
 
 def _eval_batch(
@@ -828,22 +994,79 @@ def _shift_measures(
     return measures
 
 
+class _ConjugatePairs(NamedTuple):
+    """The leading pairs (z, conj z) of a sequence's zeros: ``count`` of them, their
+    first members ``z`` and second ``conj``, and per pair, as complex arrays,
+    ``two_re`` 2 Re z, ``u`` Re z/|z|^2 and ``v`` ((Im z)^2 - (Re z)^2)/|z|^2,
+    each part divided by |z| before it is squared.  Below ``reach``, 2^500
+    times the least of 1 and min |z| (0 where some |z| passes 2^500), no
+    step of ``log_derivative``'s pair sum at s clear of the zeros can leave
+    the double range."""
+
+    count: int
+    reach: float
+    z: np.ndarray
+    conj: np.ndarray
+    two_re: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+
+
+def _conjugate_pairs(seq: ZeroSequence) -> _ConjugatePairs:
+    """The conjugate pairs that open a sequence (``_numeric._mirrored``), built on first use and cached on it."""
+    pairs = seq._conjugate_cache.get("leading")  # type: ignore[attr-defined]
+    if pairs is None:
+        zeros = seq.zeros[: seq.zeros.size - seq.zeros.size % 2]
+        mirrored = _mirrored(zeros)
+        count = mirrored.size if mirrored.all() else int(np.argmin(mirrored))
+        z, conj = zeros[0 : 2 * count : 2], zeros[1 : 2 * count : 2]
+        moduli = np.abs(z)
+        re, im = z.real / moduli, z.imag / moduli
+        parts = (2.0 * z.real, re / moduli, (im - re) * (im + re))
+        least = min(1.0, float(moduli.min(initial=1.0)))
+        reach = _PAIR_REACH * least if np.all(moduli <= _PAIR_REACH) else 0.0
+        pairs = _ConjugatePairs(count, reach, z, conj, *(part.astype(np.complex128) for part in parts))
+        seq._conjugate_cache["leading"] = pairs  # type: ignore[attr-defined]
+    return pairs
+
+
 def log_derivative(spec: EntireFunctionSpec, s: complex, n_terms: int | None = None) -> complex:
     """Logarithmic derivative S'/S of the truncated representation at s.
 
     Genus 0:  sum 1/(s - z_k)
     Genus 1:  q + sum [1/(s - z_k) + 1/z_k]     (bracket summed per factor)
 
-    Raises ValueError when s lies within relative distance 1e-12 of a
-    retained zero (a pole).
+    Where the retained zeros are conjugate pairs (``_conjugate_pairs``) the
+    sum takes one term per pair: 2 (s - Re z)/((s - z)(s - conj z)), and at
+    genus 1 the pair's two brackets, 2 s (u s + v)/((s - z)(s - conj z)),
+    u = Re z/|z|^2 and v = ((Im z)^2 - (Re z)^2)/|z|^2, which vanish at
+    s = 0 as each bracket does.  A term that is not finite (the product passes the
+    double range) sends the sum back to one term per factor.  Raises
+    ValueError when s lies within relative distance 1e-12 of a retained
+    zero (a pole).
     """
     s = complex(s)
     zeros = _retained(spec, n_terms)
-    n = int(zeros.size)
+    n, genus = int(zeros.size), spec.genus
     _guard_coincident(s, _nearest(s, zeros), "logarithmic derivative has a pole at a retained zero")
-    if spec.genus == 0:
-        return complex_sum(1.0 / (s - zeros)) if n else 0j
-    total = spec.q_constant
-    if n:
-        total += complex_sum(1.0 / (s - zeros) + 1.0 / zeros)
-    return total
+    total = spec.q_constant if genus == 1 else 0j
+    if not n:
+        return total
+    pairs = _conjugate_pairs(spec.zero_sequence)
+    if not n % 2 and n // 2 <= pairs.count:
+        k = n // 2
+        with nullcontext() if abs(s) <= pairs.reach else np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            product = (s - pairs.z[:k]) * (s - pairs.conj[:k])
+            if genus == 1:
+                terms = (2.0 * s) * (pairs.u[:k] * s + pairs.v[:k]) / product
+            else:
+                terms = (2.0 * s - pairs.two_re[:k]) / product
+        try:  # a term that is not finite makes the sum not finite, or raises
+            paired = complex_sum(terms)
+        except (ValueError, OverflowError):
+            paired = complex(math.nan)
+        if cmath.isfinite(paired):
+            return total + paired if genus == 1 else paired
+    if genus == 0:
+        return complex_sum(1.0 / (s - zeros))
+    return total + complex_sum(1.0 / (s - zeros) + 1.0 / zeros)

@@ -418,6 +418,34 @@ class TestRotatedDerivatives:
         spec = make_symmetric_spec(1.0, [1.0, -1.0, 2.0, -2.0], 1.0)
         assert rotated_derivatives(even_series(spec, 180), [171]).values == (0j,)
 
+    @pytest.mark.parametrize("k", [1, 170])
+    def test_saturated_coefficient_has_no_nan_part(self, k) -> None:
+        # i^k k! c permutes the parts of k! c: the infinite part never meets a 0
+        coefficients = [0j] * (k + 1)
+        coefficients[k] = complex(math.inf, 0.0)
+        expansion = TaylorExpansion(center=1.0 + 0j, coefficients=tuple(coefficients), terms_used=0, genus=0)
+        (value,) = rotated_derivatives(expansion, [k]).values
+        assert value == {1: complex(0.0, math.inf), 170: complex(-math.inf, 0.0)}[k]
+        assert not (math.isnan(value.real) or math.isnan(value.imag))
+
+    def test_finite_coefficients_keep_their_bits(self) -> None:
+        # through k = 100 Python forms i^k exactly, so i^k k! c is each part of c
+        # times k! as a double, the rule at every order up to 170
+        rng = np.random.default_rng(17)
+        mpmath = pytest.importorskip("mpmath")
+        for k in range(171):
+            parts = rng.choice([-1.0, 1.0], 2) * 10.0 ** rng.uniform(-300.0, 300.0 - 3.1 * min(k, 100), 2)
+            c = complex(*parts)
+            expansion = TaylorExpansion(center=1.0 + 0j, coefficients=(0j,) * k + (c,), terms_used=0, genus=0)
+            (value,) = rotated_derivatives(expansion, [k]).values
+            if k <= 100:
+                expected = (1j) ** k * math.factorial(k) * c
+                assert np.array([value]).view(np.int64).tolist() == np.array([expected]).view(np.int64).tolist()
+            with mpmath.workprec(2000):  # within a rounding of k! and one of the product
+                exact = mpmath.mpc(0, 1) ** k * mpmath.factorial(k) * mpmath.mpc(c)
+                for got, ref in ((value.real, exact.real), (value.imag, exact.imag)):
+                    assert abs(got - ref) <= 2.0**-51 * abs(ref)
+
     def test_order_out_of_range(self, sinh_line_spec) -> None:
         expansion = taylor_coefficients(sinh_line_spec, 1.0 + 0j, 2, 500)
         with pytest.raises(ValueError, match="outside expansion range"):

@@ -23,7 +23,7 @@ from entirefn import (
     shift_constant_residual,
 )
 from entirefn import identities, product_engine
-from entirefn._numeric import _FSUM_BELOW, BLOCK
+from entirefn._numeric import _FSUM_BELOW, BLOCK, complex_sum
 from entirefn.identities import compare_shift, verify_identity
 from entirefn.product_engine import (
     _BLOCK_ELEMENTS,
@@ -542,4 +542,143 @@ def test_residual_on_the_zero_line_takes_the_pair_kernel(lbar_spec, monkeypatch,
     zeros, s_alpha, log_s_alpha = product_engine._at_shift_points(lbar_spec, [alpha], None, radius)
     (residual,) = product_engine._internal_residuals(lbar_spec, [alpha], zeros, s_alpha, log_s_alpha, radius)
     assert residual <= 1e-14
-    assert len(calls) == 2
+    # the two left sides, and S(alpha) of the far-field batch: a genus-1 line point there too
+    assert len(calls) == 3
+
+
+# Conjugate pairs in far-field batches: one log of 1 - w' per pair (the product
+# of the pair's two factors), w' = s (2 Re z - s)/|z|^2.
+
+
+def _paired_zeros(line: float, anchors=(1e21, 1e22)) -> np.ndarray:
+    """line +- ik for k <= 400, and the anchor pairs line +- i a, adjacent pairs, ascending."""
+    taus = [t for k in [*range(1, 401), *anchors] for t in (float(k), -float(k))]
+    return np.array([complex(line, t) for t in taus])
+
+
+def _reference_log_modulus(zeros: np.ndarray, s: complex, genus: int, mpmath) -> float:
+    """log |prod (1 - s/z) e^(genus s/z)| at 400 bits."""
+    with mpmath.workprec(400):
+        s_mp, total = mpmath.mpc(s), mpmath.mpf(0)
+        for z in zeros.tolist():
+            w = s_mp / mpmath.mpc(z)
+            total += mpmath.log(abs(1 - w)) + (genus * w.real)
+        return total
+
+
+@pytest.mark.parametrize("case", ["genus-1 pairs", "genus-0 line", "genus-0 pairs off the line"])
+def test_paired_batch_logs_match_400_bit_products(case) -> None:
+    # ROADMAP item 8 for far-field batches on paired sets.  It stays open for
+    # single points: eval_product has no far set and keeps the per-factor
+    # kernel, whose genus-1 terms lose log |S| far out.
+    mpmath = pytest.importorskip("mpmath")
+    if case == "genus-0 line":
+        seq = make_symmetric_spec(1.0, _paired_zeros(1.0).imag, 1.0).zero_sequence
+        genus = 0
+    else:
+        genus = 1 if case == "genus-1 pairs" else 0
+        seq = ZeroSequence(zeros=_paired_zeros(0.0 if genus == 0 else 1.0), ordering=Ordering.AS_GIVEN)
+    spec = EntireFunctionSpec(
+        class_tag=ClassTag.L if genus else ClassTag.Y, value_at_zero=1.0, zero_sequence=seq, q_constant=0j,
+    )
+    for y in (50.5, 1e5, 1e10, 1e15, 1e20):
+        s = complex(1.0, y)
+        assert np.count_nonzero(seq.moduli > _FAR_RATIO * abs(s))  # a far series in every batch
+        if case == "genus-0 line":  # the line route's batch, on the spec's own zero sequence
+            logs, _ = product_engine._log_sums(seq, 0, 0j, [s], len(seq), abs(s))
+        else:
+            _, logs = _eval_batch(spec, [s], len(seq), abs(s))
+        reference = _reference_log_modulus(seq.zeros, s, genus, mpmath)
+        error = float(abs(mpmath.mpf(float(logs[0].real)) - reference))
+        assert error <= 4e-15 * max(1.0, abs(float(reference))), (y, error)
+
+
+@pytest.mark.parametrize("genus", [0, 1])
+def test_paired_batch_is_exactly_zero_at_a_retained_pair(genus) -> None:
+    zeros = _paired_zeros(0.5)
+    seq = ZeroSequence(zeros=zeros, ordering=Ordering.AS_GIVEN)
+    spec = EntireFunctionSpec(
+        class_tag=ClassTag.L if genus else ClassTag.Y, value_at_zero=0.8 + 0.2j, zero_sequence=seq,
+        q_constant=0.3 if genus else 0j,
+    )
+    points = [0.5 + 3j, 0.4 + 3j, 0.5 - 3j, 0.5 + 2.999999999j]
+    values, logs = _eval_batch(spec, points, len(seq), 4.0)
+    assert values[0] == values[2] == 0 and logs[0].real == logs[2].real == -math.inf
+    assert np.all(np.isfinite(logs[[1, 3]])) and np.all(values[[1, 3]] != 0)
+
+
+def _per_factor(monkeypatch, spec, points, radius):
+    """The batch with every near set taken as unpaired: one log per factor."""
+    with monkeypatch.context() as patch:
+        patch.setattr(product_engine, "_conjugate_half", lambda values: None)
+        return _eval_batch(spec, points, len(spec.zero_sequence), radius)
+
+
+@pytest.mark.parametrize("case", ["lone real zero", "duplicated layout", "past the pair range"])
+def test_unpaired_near_sets_keep_the_per_factor_bits(monkeypatch, case) -> None:
+    far = [1e6 + 1e6j, 1e6 - 1e6j]
+    if case == "lone real zero":
+        zeros = [2.0, 1 + 1j, 1 - 1j, *far]
+    elif case == "duplicated layout":  # +tau, +tau, -tau, -tau, as duplicated.spec lists them
+        zeros = [1 + 1j, 1 + 1j, 1 - 1j, 1 - 1j, *far]
+    else:  # |s| beyond 2^255 times the tiny pair's power of two
+        zeros = [1e-100 + 1e-100j, 1e-100 - 1e-100j, *far]
+    seq = ZeroSequence(zeros=np.array(zeros), ordering=Ordering.AS_GIVEN)
+    points = [0.3 + 1.7j, -2.0 + 0.5j, 2.5, 1.0 - 2.0j]
+    for genus in (0, 1):
+        spec = EntireFunctionSpec(
+            class_tag=ClassTag.L if genus else ClassTag.Y, value_at_zero=1.0, zero_sequence=seq,
+            q_constant=0.2 if genus else 0j,
+        )
+        calls = []
+        _spy(monkeypatch, product_engine, "_conjugate_log_sum", calls)
+        values, logs = _eval_batch(spec, points, len(seq), 3.0)
+        monkeypatch.undo()
+        assert bool(calls) == (case == "past the pair range")
+        plain_values, plain_logs = _per_factor(monkeypatch, spec, points, 3.0)
+        assert values.tobytes() == plain_values.tobytes() and logs.tobytes() == plain_logs.tobytes()
+
+
+def test_paired_batches_take_the_pair_kernel(monkeypatch, sinh_genus1_spec, lbar_spec) -> None:
+    # and stay within rounding of the per-factor batches
+    rng = np.random.default_rng(26)
+    points = rng.uniform(-6.0, 6.0, 40) + 1j * rng.uniform(-6.0, 6.0, 40)
+    for spec in (sinh_genus1_spec, lbar_spec):
+        calls = []
+        _spy(monkeypatch, product_engine, "_conjugate_log_sum", calls)
+        _, logs = _eval_batch(spec, points, len(spec.zero_sequence), 9.0)
+        monkeypatch.undo()
+        assert len(calls) == 1
+        _, plain = _per_factor(monkeypatch, spec, points, 9.0)
+        assert np.all(np.abs(logs.real - plain.real) <= 1e-13 * (1.0 + np.abs(plain.real)))
+
+
+@pytest.mark.parametrize("fixture", ["sinh_line_spec", "sinh_genus1_spec", "lbar_spec"])
+def test_log_derivative_takes_one_term_per_pair(request, fixture) -> None:
+    mpmath = pytest.importorskip("mpmath")
+    spec = request.getfixturevalue(fixture)
+    n = 200
+    zeros = spec.zero_sequence.zeros[:n]
+    for s in (0.3 + 2.2j, 1.0 + 7.5j, -4.0 - 0.1j, 150.0 + 3.0j):
+        value = log_derivative(spec, s, n)
+        with mpmath.workprec(200):
+            s_mp = mpmath.mpc(s)
+            exact = sum(1 / (s_mp - mpmath.mpc(z)) + spec.genus / mpmath.mpc(z) for z in zeros.tolist())
+            exact += mpmath.mpc(spec.q_constant) if spec.genus else 0
+        scale = float(np.sum(1.0 / np.abs(s - zeros)))
+        assert abs(value - complex(exact)) <= 1e-15 * scale
+    pairs = spec.zero_sequence._conjugate_cache["leading"]
+    assert pairs is not None and pairs.count == len(spec.zero_sequence) // 2
+    assert product_engine._conjugate_pairs(spec.zero_sequence) is pairs  # built once per sequence
+
+
+def test_log_derivative_of_unpaired_zeros_keeps_one_term_per_factor(poly_spec, duplicated_zero_spec) -> None:
+    for spec, s in ((poly_spec, 0.7 + 0.2j), (duplicated_zero_spec, 0.5 + 0.3j)):
+        zeros = spec.zero_sequence.zeros
+        assert product_engine._conjugate_pairs(spec.zero_sequence).count == 0
+        assert log_derivative(spec, s) == complex_sum(1.0 / (s - zeros))
+    # a pair sum past the double range falls back to the factors' terms
+    seq = ZeroSequence(zeros=np.array([1 + 1j, 1 - 1j]), ordering=Ordering.AS_GIVEN)
+    spec = EntireFunctionSpec(class_tag=ClassTag.Y, value_at_zero=1.0, zero_sequence=seq)
+    s = 3e200 + 1e200j
+    assert log_derivative(spec, s) == complex_sum(1.0 / (s - seq.zeros))

@@ -65,6 +65,12 @@ SMALL_SPECS = {
     "fractional_line.spec": lambda: _line_spec(1.0, [0.3712345 * t for t in _interleaved(5000)]),
     # S(-1) = -(1 + 1e200)^2: a negative real product past the double range
     "negative_s0.spec": lambda: _pairs_spec("Y", [1e-200 + 0j, 1e-200 + 0j], s0="-1"),
+    # a tiny conjugate pair ahead of +-ik: batch points lie past the pair range
+    "tiny_pair.spec": lambda: _pairs_spec(
+        "Y", [complex(1e-100, t) for t in (1e-100, -1e-100)] + [complex(0.0, t) for t in _interleaved(30)]
+    ),
+    # 1 +- ik, k <= 1000: rings out to |s| = 150 keep a far series
+    "lbar_wide.spec": lambda: _line_spec(1.0, _interleaved(1000), "L_bar", "0.3"),
 }
 
 SMALL_COMMANDS = (
@@ -131,6 +137,11 @@ SMALL_COMMANDS = (
     ("scan", "--spec", "fractional_line.spec", "--x-min", "100.1", "--x-max", "150.3"),
     # a saturated real value is a real infinity, imaginary part 0
     ("eval", "--spec", "negative_s0.spec", "--s", "-1"),
+    # every batch point past the tiny pair's range: one log per factor, not per pair
+    ("verify-identity", "--spec", "tiny_pair.spec", "--theorem", "T2", "--seed", "4", "--draws", "5"),
+    # genus-1 rings of one log per pair out to 150, the zeros beyond 600 from power sums
+    ("order", "--spec", "lbar_wide.spec", "--v-min", "10", "--v-max", "150", "--radii", "6",
+     "--angular-samples", "16"),
     # checks that would measure nothing are refused
     ("verify-identity", "--spec", "poly.spec", "--theorem", "T2", "--draws", "0"),
     ("verify-identity", "--spec", "sinh_line.spec", "--theorem", "T5", "--kmax", "0"),
