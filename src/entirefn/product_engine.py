@@ -288,8 +288,8 @@ class _NearPairs(NamedTuple):
     Per pair, with 2^e the power of two of the larger part of z: ``scale``
     2^-e, ``a`` and ``b`` the parts of z 2^-e, ``d`` a^2 + b^2, ``two_a``
     2a and ``neg_half_d`` -d/2.  ``limit`` is the pair range, 2^(255 + e)
-    for the least e (0 where that e is below -960), and ``linear`` is C of
-    ``_pair_linear``.
+    for the least e (0 where that e is below -960, 2^1023 at most), and
+    ``linear`` is C of ``_pair_linear``.
     """
 
     scale: np.ndarray
@@ -318,7 +318,7 @@ def _near_pairs(seq: ZeroSequence, n: int, near: np.ndarray) -> _NearPairs | Non
             a, b = half.real * scale, half.imag * scale
             d = a * a + b * b
             least = int(exponent.min())
-            limit = math.ldexp(1.0, 255 + least) if least >= -960 else 0.0
+            limit = math.ldexp(1.0, min(255 + least, 1023)) if least >= -960 else 0.0
             cache[key] = _NearPairs(scale, a, b, d, a + a, -0.5 * d, limit, _pair_linear(near))
     return cache[key]
 
@@ -1040,10 +1040,10 @@ def log_derivative(spec: EntireFunctionSpec, s: complex, n_terms: int | None = N
     sum takes one term per pair: 2 (s - Re z)/((s - z)(s - conj z)), and at
     genus 1 the pair's two brackets, 2 s (u s + v)/((s - z)(s - conj z)),
     u = Re z/|z|^2 and v = ((Im z)^2 - (Re z)^2)/|z|^2, which vanish at
-    s = 0 as each bracket does.  A term that is not finite (the product passes the
-    double range) sends the sum back to one term per factor.  Raises
-    ValueError when s lies within relative distance 1e-12 of a retained
-    zero (a pole).
+    s = 0 as each bracket does.  A term that is not finite, or a pair's
+    product past the double range (which would make its term 0), sends the
+    sum back to one term per factor.  Raises ValueError when s lies within
+    relative distance 1e-12 of a retained zero (a pole).
     """
     s = complex(s)
     zeros = _retained(spec, n_terms)
@@ -1055,14 +1055,15 @@ def log_derivative(spec: EntireFunctionSpec, s: complex, n_terms: int | None = N
     pairs = _conjugate_pairs(spec.zero_sequence)
     if not n % 2 and n // 2 <= pairs.count:
         k = n // 2
-        with nullcontext() if abs(s) <= pairs.reach else np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        fits = abs(s) < pairs.reach
+        with nullcontext() if fits else np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             product = (s - pairs.z[:k]) * (s - pairs.conj[:k])
             if genus == 1:
                 terms = (2.0 * s) * (pairs.u[:k] * s + pairs.v[:k]) / product
             else:
                 terms = (2.0 * s - pairs.two_re[:k]) / product
         try:  # a term that is not finite makes the sum not finite, or raises
-            paired = complex_sum(terms)
+            paired = complex_sum(terms) if fits or np.isfinite(product).all() else complex(math.nan)
         except (ValueError, OverflowError):
             paired = complex(math.nan)
         if cmath.isfinite(paired):

@@ -653,6 +653,19 @@ def test_paired_batches_take_the_pair_kernel(monkeypatch, sinh_genus1_spec, lbar
         assert np.all(np.abs(logs.real - plain.real) <= 1e-13 * (1.0 + np.abs(plain.real)))
 
 
+@pytest.mark.parametrize("genus", [0, 1])
+def test_paired_batch_of_huge_zeros(monkeypatch, genus) -> None:
+    # pairs near 1e250: the pair range 2^(255 + e) would pass the double range, and is capped
+    zeros = np.array([1e250 + 2e250j, 1e250 - 2e250j, 3e250 + 1e249j, 3e250 - 1e249j, 1e305 + 1e305j, 1e305 - 1e305j])
+    seq = ZeroSequence(zeros=zeros, ordering=Ordering.AS_GIVEN)
+    spec = EntireFunctionSpec(class_tag=ClassTag.L if genus else ClassTag.Y, value_at_zero=1.0, zero_sequence=seq)
+    points = [2e250 + 1e250j, -4e250, zeros[2]]
+    _, logs = _eval_batch(spec, points, len(seq), 5e250)
+    _, plain = _per_factor(monkeypatch, spec, points, 5e250)
+    assert logs[2].real == plain[2].real == -math.inf
+    assert np.all(np.abs(logs[:2] - plain[:2]) <= 1e-13 * (1.0 + np.abs(plain[:2])))
+
+
 @pytest.mark.parametrize("fixture", ["sinh_line_spec", "sinh_genus1_spec", "lbar_spec"])
 def test_log_derivative_takes_one_term_per_pair(request, fixture) -> None:
     mpmath = pytest.importorskip("mpmath")
@@ -677,8 +690,9 @@ def test_log_derivative_of_unpaired_zeros_keeps_one_term_per_factor(poly_spec, d
         zeros = spec.zero_sequence.zeros
         assert product_engine._conjugate_pairs(spec.zero_sequence).count == 0
         assert log_derivative(spec, s) == complex_sum(1.0 / (s - zeros))
-    # a pair sum past the double range falls back to the factors' terms
-    seq = ZeroSequence(zeros=np.array([1 + 1j, 1 - 1j]), ordering=Ordering.AS_GIVEN)
-    spec = EntireFunctionSpec(class_tag=ClassTag.Y, value_at_zero=1.0, zero_sequence=seq)
-    s = 3e200 + 1e200j
-    assert log_derivative(spec, s) == complex_sum(1.0 / (s - seq.zeros))
+    # a pair sum past the double range falls back to the factors' terms, and so
+    # does a pair product past it, which would make a finite term 0
+    for zeros, s in (([1 + 1j, 1 - 1j], 3e200 + 1e200j), ([3e300 + 4e300j, 3e300 - 4e300j], 0j)):
+        seq = ZeroSequence(zeros=np.array(zeros), ordering=Ordering.AS_GIVEN)
+        spec = EntireFunctionSpec(class_tag=ClassTag.Y, value_at_zero=1.0, zero_sequence=seq)
+        assert log_derivative(spec, s) == complex_sum(1.0 / (s - seq.zeros)) != 0
