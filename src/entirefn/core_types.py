@@ -289,9 +289,8 @@ class ZeroSequence:
         object.__setattr__(self, "_far_cache", {})
         # the mirrored +-tau pairs of a line sequence, built by product_engine._line_pairs
         object.__setattr__(self, "_pair_cache", None)
-        # conjugate pairs (z, conj z) of product_engine: the leading ones ("leading",
-        # _conjugate_pairs) and a batch's near ones by (retained count, near count)
-        object.__setattr__(self, "_conjugate_cache", {})
+        # the conjugate pairs (z, conj z) that open the zeros, built by product_engine._conjugate_pairs
+        object.__setattr__(self, "_conjugate_cache", None)
         # xi for zeros that _line_sequence built as xi + i tau from finite
         # nonzero xi and tau, in modulus order, which pass every zero check of
         # a spec on xi; 0 only for the line offsets i tau of critical_line,

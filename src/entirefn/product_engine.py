@@ -33,8 +33,8 @@ the least tau, the real part of the complex kernel).  The sum is -inf iff
 |x| is a retained tau; the sign (-1)^#{tau < |x|} rides in the value's
 scale, so the value is real where V(0) is.  The line offsets of
 ``critical_line``, the zeros i tau on the line 0 at s = i x, are such a
-sequence.  s = xi keeps the complex kernel, and so does genus 1 outside
-far-field batches (below).
+sequence.  s = xi keeps the complex kernel, and so does genus 1, whose
+product is not real on the line.
 
 Batches of points (line profiles, max-modulus rings, winding contours, the
 line-form identities, and each stage of the shift identities: S(alpha),
@@ -63,21 +63,22 @@ A pair's factors multiply to one quadratic factor, (1 - s/z)(1 - s/conj z)
 and its two terms of S'/S add to 2 (s - Re z)/((s - z)(s - conj z)).
 These reductions take one term per pair:
 
-* far-field batches (a non-empty far series) whose near zeros list closed
-  conjugate pairs: one log of 1 - w' per pair (``_conjugate_log_sum``),
-  with the genus-1 factors as one more exact term s C, and on a line
-  sequence's line the real ``_pair_log_sum`` at both genera;
-* ``log_derivative``, where its retained zeros open with closed pairs
-  (``_conjugate_pairs``, found once per sequence): one term per pair, at
-  genus 1 both brackets in one;
-* genus-0 points on the line of a line sequence, in every batch.
+* far-field batches (a non-empty far series) whose near zeros are the
+  conjugate pairs that open the sequence (``_conjugate_pairs``, found once
+  per sequence): one log of 1 - w' per pair (``_conjugate_log_sum``), with
+  the genus-1 factors as one more exact term s C;
+* ``log_derivative``, where its retained zeros are such pairs: one term
+  per pair, at genus 1 both brackets in one;
+* genus-0 points on the line of a line sequence, in every batch
+  (``_pair_log_sum``, above).
 
 These keep one term per factor: the direct paths (``eval_product``,
 ``eval_shifted_product``, ``shift``, the scan's bisection, the inversion
 at xi when a spec loads: no far series, so no batch split), near sets that
 are not closed pairs (a lone real zero, the +tau, +tau, -tau, -tau layout
-of a double zero), and points past the pair range, 2^255 times the
-pairs' least power of two.  The direct paths keep their bits on purpose:
+of a double zero) or, out of modulus order, not the sequence's first
+zeros, and points past the pair range, 2^255 times the pairs' least power
+of two.  The direct paths keep their bits on purpose:
 the values that set the benchmark's ``err_max`` against its mpmath
 references (``eval``, ``shift``, the scan's roots) come from them, and a point
 evaluator's value should not hang on how a batch was cut.  The
@@ -275,57 +276,99 @@ def _log_sum(points, zeros: np.ndarray, genus: int, center: complex | np.ndarray
     return np.array(sums, dtype=np.complex128)
 
 
-def _pair_linear(near: np.ndarray) -> float:
-    """C, the exactly rounded sum of Re(1/z) = Re z/|z|^2 over near zeros that close
-    conjugate pairs: their exponential factors at genus 1 multiply to e^(s C)."""
-    moduli = np.abs(near)
-    return real_sum(near.real / moduli / moduli)
+class _ConjugatePairs(NamedTuple):
+    """The conjugate pairs (z, conj z) that open a sequence's zeros: ``count`` of them
+    among the first ``covered`` (count < covered where a zero that is not a
+    pair's ends the run).
 
+    For ``log_derivative``: the first members ``z`` and second ``conj``,
+    and per pair, as complex arrays, ``two_re`` 2 Re z, ``u`` Re z/|z|^2
+    and ``v`` ((Im z)^2 - (Re z)^2)/|z|^2, each part divided by |z| before
+    it is squared.  Below ``reach``, 2^500 times the least of 1 and min |z|
+    (0 where some |z| passes 2^500), no step of its pair sum at s clear of
+    the zeros can leave the double range.
 
-class _NearPairs(NamedTuple):
-    """A batch's near zeros as the conjugate pairs (z, conj z) of ``_conjugate_log_sum``.
-
-    Per pair, with 2^e the power of two of the larger part of z: ``scale``
-    2^-e, ``a`` and ``b`` the parts of z 2^-e, ``d`` a^2 + b^2, ``two_a``
-    2a and ``neg_half_d`` -d/2.  ``limit`` is the pair range, 2^(255 + e)
-    for the least e (0 where that e is below -960, 2^1023 at most), and
-    ``linear`` is C of ``_pair_linear``.
+    For ``_conjugate_log_sum``, per pair with 2^e the power of two of the
+    larger part of z: ``scale`` 2^-e, ``a`` and ``b`` the parts of z 2^-e
+    and ``d`` a^2 + b^2.  ``limit[k]`` is the pair range of the first k + 1
+    pairs, 2^(255 + e) for their least e (2^1023 at most, 0 where that e is
+    below -960).  ``linear`` keeps C of the first k pairs by k
+    (``_pair_linear``).
     """
 
+    count: int
+    covered: int
+    reach: float
+    z: np.ndarray
+    conj: np.ndarray
+    two_re: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
     scale: np.ndarray
     a: np.ndarray
     b: np.ndarray
     d: np.ndarray
-    two_a: np.ndarray
-    neg_half_d: np.ndarray
-    limit: float
-    linear: float
+    limit: np.ndarray
+    linear: dict[int, float]
 
 
-def _near_pairs(seq: ZeroSequence, n: int, near: np.ndarray) -> _NearPairs | None:
-    """The pair data of the near zeros of the first n, None where they are not closed
-    conjugate pairs (``_conjugate_half``); cached on the sequence by (n, near
-    count), which fixes the near set."""
-    cache = seq._conjugate_cache  # type: ignore[attr-defined]
-    key = (n, near.size)
-    if key not in cache:
-        half = _conjugate_half(near)
-        if half is None or not half.size:
-            cache[key] = None
-        else:
-            exponent = np.frexp(np.maximum(np.abs(half.real), np.abs(half.imag)))[1]
+def _conjugate_pairs(seq: ZeroSequence, k: int) -> _ConjugatePairs:
+    """The conjugate pairs that open a sequence (``_numeric._mirrored``), over at least
+    its first k pairs where it has them, cached on it.  The table grows on
+    demand, to at least twice what it covered, so it spans what the calls
+    read, not every zero of a long sequence."""
+    pairs = seq._conjugate_cache  # type: ignore[attr-defined]
+    if pairs is not None and (k <= pairs.covered or pairs.count < pairs.covered):
+        return pairs
+    available = seq.zeros.size // 2
+    if pairs is None or pairs.covered < available:
+        covered = min(available, max(k, 2 * pairs.covered if pairs else 0))
+        zeros = seq.zeros[: 2 * covered]
+        mirrored = _mirrored(zeros)
+        count = covered if mirrored.all() else int(np.argmin(mirrored))
+        z, conj = zeros[0 : 2 * count : 2], zeros[1 : 2 * count : 2]
+        moduli = np.abs(z)
+        re, im = z.real / moduli, z.imag / moduli
+        parts = (2.0 * z.real, re / moduli, (im - re) * (im + re))
+        least = min(1.0, float(moduli.min(initial=1.0)))
+        reach = _PAIR_REACH * least if np.all(moduli <= _PAIR_REACH) else 0.0
+        exponent = np.frexp(np.maximum(np.abs(z.real), np.abs(z.imag)))[1]
+        least_exponent = np.minimum.accumulate(exponent)
+        with np.errstate(over="ignore", invalid="ignore"):  # only where the limit is 0
             scale = np.ldexp(1.0, -exponent)
-            a, b = half.real * scale, half.imag * scale
-            d = a * a + b * b
-            least = int(exponent.min())
-            limit = math.ldexp(1.0, min(255 + least, 1023)) if least >= -960 else 0.0
-            cache[key] = _NearPairs(scale, a, b, d, a + a, -0.5 * d, limit, _pair_linear(near))
-    return cache[key]
+            a, b = z.real * scale, z.imag * scale
+            limit = np.where(least_exponent >= -960, np.ldexp(1.0, np.minimum(255 + least_exponent, 1023)), 0.0)
+        pairs = _ConjugatePairs(
+            count, covered, reach, z, conj, *(part.astype(np.complex128) for part in parts), scale, a, b,
+            a * a + b * b, limit, pairs.linear if pairs else {},
+        )
+        object.__setattr__(seq, "_conjugate_cache", pairs)
+    return pairs
+
+
+def _pair_linear(pairs: _ConjugatePairs, k: int) -> float:
+    """C, the exactly rounded sum of 2 Re z/|z|^2 over the first k pairs: their
+    exponential factors at genus 1 multiply to e^(s C).  Cached by k."""
+    if k not in pairs.linear:
+        pairs.linear[k] = real_sum(2.0 * pairs.u[:k].real)
+    return pairs.linear[k]
+
+
+def _batch_pairs(seq: ZeroSequence, near: np.ndarray, radius: float) -> _ConjugatePairs | None:
+    """The sequence's conjugate pairs where a batch's near zeros (|z| <= 4 radius) are
+    its first near.size / 2 of them; None elsewhere, as for near sets that
+    are not closed pairs, or not the first zeros of a sequence that is not
+    in modulus order."""
+    m = near.size
+    pairs = _conjugate_pairs(seq, m // 2)
+    if m % 2 or m // 2 > pairs.count or not np.all(seq.moduli[:m] <= _FAR_RATIO * radius):
+        return None
+    return pairs
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def _conjugate_log_sum(points: np.ndarray, near: np.ndarray, pairs: _NearPairs, genus: int) -> np.ndarray:
-    """``_log_sum(points, near, genus)`` with one log per pair, near listing the pairs (z, conj z) of ``pairs``.
+def _conjugate_log_sum(points: np.ndarray, near: np.ndarray, pairs: _ConjugatePairs, genus: int) -> np.ndarray:
+    """``_log_sum(points, near, genus)`` with one log per pair, near the first near.size / 2 pairs of ``pairs``.
 
     A pair's factors multiply to 1 - w', w' = s (2 Re z - s)/|z|^2, formed
     from s and z scaled by the power of two of the larger part of z.  Where
@@ -334,13 +377,15 @@ def _conjugate_log_sum(points: np.ndarray, near: np.ndarray, pairs: _NearPairs, 
     so factors near a zero keep full accuracy.  Genus 1 adds s C, C the
     exactly rounded sum of 2 Re z/|z|^2 over the pairs (``_pair_linear``),
     as one more term of the same exact sums.  Points past the pair range (a
-    part of s past ``pairs.limit``) and rows with a log that is not finite
+    part of s past the pairs' limit) and rows with a log that is not finite
     take ``_log_sum``, but for the exact 0 where s is z or conj z.  A row's
     sums have the same bits in any batch.
     """
-    scale, a, b, d, two_a, neg_half_d, limit, linear = pairs
-    linear = linear if genus else 0.0
-    fit = np.maximum(np.abs(points.real), np.abs(points.imag)) <= limit
+    k = near.size // 2
+    scale, a, b, d = (part[:k] for part in pairs[8:12])
+    two_a, neg_half_d = 2.0 * a, -0.5 * d
+    linear = _pair_linear(pairs, k) if genus else 0.0
+    fit = np.maximum(np.abs(points.real), np.abs(points.imag)) <= pairs.limit[k - 1]
     sums = np.empty(points.size, dtype=np.complex128)
     direct = (~fit).nonzero()[0].tolist()
     rows = fit.nonzero()[0]
@@ -553,16 +598,15 @@ def _log_sums(
 
     A point that is a retained zero gets -inf, the log of an exact 0.  With
     a radius >= max |s| the zeros beyond 4 * radius enter as power sums, and
-    where some do and the near zeros list conjugate pairs (``_near_pairs``)
-    the near sums take one log per pair (``_conjugate_log_sum``).  A point xi + i x, x != 0, on the line xi of a
-    sequence whose first n zeros and near zeros are mirrored pairs
-    (``_LinePairs.closed``; only then is the pair data built) takes
-    ``_pair_log_sum`` over the near pairs, at genus 0 in every batch and at
-    genus 1 in one with far zeros, plus s C at genus 1 (``_pair_linear``);
-    past the pairs' range it takes the batch's complex kernel.  At genus 0
-    such a product is real: the far pairs' factors are positive, the far
-    series' real part is kept, and the imaginary part of the log is 0 or
-    pi, the log of its sign.
+    where some do and the near zeros are the sequence's leading conjugate
+    pairs (``_batch_pairs``) the near sums take one log per pair
+    (``_conjugate_log_sum``).  At genus 0 a point xi + i x, x != 0, on the
+    line xi of a sequence whose first n zeros and near zeros are mirrored
+    pairs (``_LinePairs.closed``; only then is the pair data built) takes
+    ``_pair_log_sum`` over the near pairs (the batch's complex kernel past
+    their range) and the real part of the far series (the far pairs'
+    factors are positive): its product is real, and the imaginary part of
+    its log is 0 or pi, the log of its sign.
 
     With ``centers`` (one c per point, every |c| <= radius too) the sums are
     the genus-0 sums of log(1 - (s - c)/(z - c)), none marked real: the near
@@ -578,12 +622,12 @@ def _log_sums(
             sums += far[: points.size] - far[points.size :]
         return sums, np.zeros(points.size, dtype=bool)
     near, far = _split(seq, genus, points, n, radius, derivative=False)
-    line, on_line, pairs = seq._line, np.zeros(points.size, dtype=bool), None  # type: ignore[attr-defined]
-    if line is not None and not n % 2 and (not genus or far is not None):
-        np.logical_and(points.real == line, points.imag != 0.0, out=on_line)
-        pairs = _line_pairs(seq) if on_line.any() else None
+    line, real, pairs = seq._line, np.zeros(points.size, dtype=bool), None  # type: ignore[attr-defined]
+    if not genus and line is not None and not n % 2:
+        np.logical_and(points.real == line, points.imag != 0.0, out=real)
+        pairs = _line_pairs(seq) if real.any() else None
         if pairs is not None and not (pairs.closed[n] and pairs.closed[near.size]):
-            on_line[:], pairs = False, None
+            real[:], pairs = False, None
     exponents = np.zeros(points.size, dtype=np.complex128)
     if genus == 1:  # q s part by part as Python forms it: numpy's complex product may fuse multiply-adds
         parts = points.view(np.float64).reshape(-1, 2)
@@ -592,40 +636,31 @@ def _log_sums(
             j = int(np.argmax(bad))
             _log_sum(points[:j], near, genus)  # an earlier point's range error comes first
             raise ValueError(f"q*s = {complex(exponents[j])!r} passes the double range at s = {complex(points[j])!r}")
-    near_pairs = _near_pairs(seq, n, near) if far is not None else None
+    conjugate = _batch_pairs(seq, near, radius) if far is not None and near.size else None
 
     def kernel(points: np.ndarray) -> np.ndarray:  # far-field batches take one log per conjugate pair
-        if near_pairs is None:
+        if conjugate is None:
             return _log_sum(points, near, genus)
-        return _conjugate_log_sum(points, near, near_pairs, genus)
+        return _conjugate_log_sum(points, near, conjugate, genus)
 
     if near.size and pairs is not None:
         count, ax = near.size // 2, np.abs(points.imag)
-        fit = on_line & (np.maximum(ax, abs(line)) <= pairs.limit[count - 1])
-        if genus:  # past the pair range a genus-1 point takes the complex log whole
-            on_line &= fit
-        log_sums = np.zeros(points.size, dtype=np.complex128)
-        log_sums.real[fit] = _pair_log_sum(ax[fit], pairs, count)
+        fit = real & (np.maximum(ax, abs(line)) <= pairs.limit[count - 1])
+        exponents.real[fit] = _pair_log_sum(ax[fit], pairs, count)
         if not fit.all():  # past the pair range the complex kernel gives log |V|
-            log_sums[~fit] = kernel(points[~fit])
+            exponents[~fit] = kernel(points[~fit])
         # a real product's sign, (-1)^#{tau < |x|} over the near taus (ascending)
         taus = pairs.offsets[:count]
-        log_sums.imag[on_line] = np.where(np.searchsorted(taus, ax[on_line]) % 2, math.pi, 0.0)
-        if genus:  # and the pairs' exponential factors, e^(s C)
-            linear = _pair_linear(near) if near_pairs is None else near_pairs.linear
-            log_sums.real[on_line] += line * linear
-            log_sums.imag[on_line] += points.imag[on_line] * linear
-            on_line[:] = False
+        exponents.imag[real] = np.where(np.searchsorted(taus, ax[real]) % 2, math.pi, 0.0)
     elif near.size:
         log_sums = kernel(points)
-    if near.size:
         exponents += log_sums
         if genus == 1:  # an exact 0 whatever q*s is
             np.copyto(exponents, log_sums, where=log_sums.real == -math.inf)
     if far is None:
-        return exponents, on_line
-    far.imag[on_line] = 0.0
-    return exponents + far, on_line
+        return exponents, real
+    far.imag[real] = 0.0
+    return exponents + far, real
 
 
 def _eval_batch(
@@ -994,42 +1029,6 @@ def _shift_measures(
     return measures
 
 
-class _ConjugatePairs(NamedTuple):
-    """The leading pairs (z, conj z) of a sequence's zeros: ``count`` of them, their
-    first members ``z`` and second ``conj``, and per pair, as complex arrays,
-    ``two_re`` 2 Re z, ``u`` Re z/|z|^2 and ``v`` ((Im z)^2 - (Re z)^2)/|z|^2,
-    each part divided by |z| before it is squared.  Below ``reach``, 2^500
-    times the least of 1 and min |z| (0 where some |z| passes 2^500), no
-    step of ``log_derivative``'s pair sum at s clear of the zeros can leave
-    the double range."""
-
-    count: int
-    reach: float
-    z: np.ndarray
-    conj: np.ndarray
-    two_re: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-
-
-def _conjugate_pairs(seq: ZeroSequence) -> _ConjugatePairs:
-    """The conjugate pairs that open a sequence (``_numeric._mirrored``), built on first use and cached on it."""
-    pairs = seq._conjugate_cache.get("leading")  # type: ignore[attr-defined]
-    if pairs is None:
-        zeros = seq.zeros[: seq.zeros.size - seq.zeros.size % 2]
-        mirrored = _mirrored(zeros)
-        count = mirrored.size if mirrored.all() else int(np.argmin(mirrored))
-        z, conj = zeros[0 : 2 * count : 2], zeros[1 : 2 * count : 2]
-        moduli = np.abs(z)
-        re, im = z.real / moduli, z.imag / moduli
-        parts = (2.0 * z.real, re / moduli, (im - re) * (im + re))
-        least = min(1.0, float(moduli.min(initial=1.0)))
-        reach = _PAIR_REACH * least if np.all(moduli <= _PAIR_REACH) else 0.0
-        pairs = _ConjugatePairs(count, reach, z, conj, *(part.astype(np.complex128) for part in parts))
-        seq._conjugate_cache["leading"] = pairs  # type: ignore[attr-defined]
-    return pairs
-
-
 def log_derivative(spec: EntireFunctionSpec, s: complex, n_terms: int | None = None) -> complex:
     """Logarithmic derivative S'/S of the truncated representation at s.
 
@@ -1052,7 +1051,7 @@ def log_derivative(spec: EntireFunctionSpec, s: complex, n_terms: int | None = N
     total = spec.q_constant if genus == 1 else 0j
     if not n:
         return total
-    pairs = _conjugate_pairs(spec.zero_sequence)
+    pairs = _conjugate_pairs(spec.zero_sequence, n // 2)
     if not n % 2 and n // 2 <= pairs.count:
         k = n // 2
         fits = abs(s) < pairs.reach

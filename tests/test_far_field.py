@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -542,8 +543,18 @@ def test_residual_on_the_zero_line_takes_the_pair_kernel(lbar_spec, monkeypatch,
     zeros, s_alpha, log_s_alpha = product_engine._at_shift_points(lbar_spec, [alpha], None, radius)
     (residual,) = product_engine._internal_residuals(lbar_spec, [alpha], zeros, s_alpha, log_s_alpha, radius)
     assert residual <= 1e-14
-    # the two left sides, and S(alpha) of the far-field batch: a genus-1 line point there too
-    assert len(calls) == 3
+    assert len(calls) == 2
+
+
+def test_genus1_line_profile_with_every_zero_far() -> None:
+    # a genus-1 product on its line is not real: with every retained zero in
+    # the far series, the profile keeps the phase of q s and of that series
+    spec = make_symmetric_spec(1.0, 100.0 * interleaved_taus(40), 1.0, class_tag=ClassTag.L_BAR, q_constant=0.3)
+    profile = critical_line_profile(spec, -5.0, 5.0, 41)
+    assert np.abs(profile.grid).max() * _FAR_RATIO < spec.zero_sequence.moduli.min()
+    for x, value in zip(profile.grid.tolist(), profile.values.tolist()):
+        expected = eval_product(spec, complex(1.0, x)).value
+        assert abs(value - expected) <= 1e-13 * abs(expected), x
 
 
 # Conjugate pairs in far-field batches: one log of 1 - w' per pair (the product
@@ -610,7 +621,7 @@ def test_paired_batch_is_exactly_zero_at_a_retained_pair(genus) -> None:
 def _per_factor(monkeypatch, spec, points, radius):
     """The batch with every near set taken as unpaired: one log per factor."""
     with monkeypatch.context() as patch:
-        patch.setattr(product_engine, "_conjugate_half", lambda values: None)
+        patch.setattr(product_engine, "_batch_pairs", lambda seq, near, radius: None)
         return _eval_batch(spec, points, len(spec.zero_sequence), radius)
 
 
@@ -680,15 +691,20 @@ def test_log_derivative_takes_one_term_per_pair(request, fixture) -> None:
             exact += mpmath.mpc(spec.q_constant) if spec.genus else 0
         scale = float(np.sum(1.0 / np.abs(s - zeros)))
         assert abs(value - complex(exact)) <= 1e-15 * scale
-    pairs = spec.zero_sequence._conjugate_cache["leading"]
-    assert pairs is not None and pairs.count == len(spec.zero_sequence) // 2
-    assert product_engine._conjugate_pairs(spec.zero_sequence) is pairs  # built once per sequence
+    # on a new sequence: the table spans only the pairs read, built once, and grows on demand
+    seq = ZeroSequence(zeros=spec.zero_sequence.zeros)
+    log_derivative(replace(spec, zero_sequence=seq), 0.3 + 2.2j, n)
+    pairs = seq._conjugate_cache
+    assert pairs is not None and pairs.count == pairs.covered == n // 2
+    assert product_engine._conjugate_pairs(seq, n // 2) is pairs
+    grown = product_engine._conjugate_pairs(seq, n // 2 + 1)
+    assert grown.count == 2 * pairs.count and grown.z[: n // 2].tobytes() == pairs.z.tobytes()
 
 
 def test_log_derivative_of_unpaired_zeros_keeps_one_term_per_factor(poly_spec, duplicated_zero_spec) -> None:
     for spec, s in ((poly_spec, 0.7 + 0.2j), (duplicated_zero_spec, 0.5 + 0.3j)):
         zeros = spec.zero_sequence.zeros
-        assert product_engine._conjugate_pairs(spec.zero_sequence).count == 0
+        assert product_engine._conjugate_pairs(spec.zero_sequence, len(zeros) // 2).count == 0
         assert log_derivative(spec, s) == complex_sum(1.0 / (s - zeros))
     # a pair sum past the double range falls back to the factors' terms, and so
     # does a pair product past it, which would make a finite term 0
