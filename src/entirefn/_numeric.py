@@ -5,34 +5,51 @@ rounded: it returns the same double as ``math.fsum``, the correctly rounded
 exact sum, so results do not depend on accumulation order and repeated runs
 are bit-identical.
 
-The sums are binned, after Neal, "Fast exact summation using small and large
-superaccumulators" (arXiv:1505.05571).  Masking the low 27 mantissa bits
-splits each double x exactly into a high part of 26 significant bits and a
-low rest.  ``np.bincount`` adds each part, block by block, into a bin keyed
-by the biased exponent of x and a lane, the entry's index mod 4.  Real data
-puts a block in a few exponents, and adds to one bin wait on each other; the
-lanes give each exponent four independent chains.  All parts in one bin are
-integer multiples of one power of two, below 2**27 of them in size, so a
-bin's sum is exact for up to 2**26 entries, far more than a block holds.
-
+``ExactSum`` keeps the rows of a batch as exact terms and rounds them all at
+once (``totals``).  A row of at least _BIN_FROM entries is binned, after
+Neal, "Fast exact summation using small and large superaccumulators"
+(arXiv:1505.05571); so is a long row left to ``math.fsum``.  Masking the low
+27 mantissa bits splits each double x exactly into a high part of 26
+significant bits and a low rest.  One ``np.bincount`` per part adds the
+rows, at most BLOCK columns at a time, into bins keyed by the biased
+exponent of x and a lane, the column mod 4 (four independent chains per
+exponent).  The keys of a row are offset by its lowest exponent and then by
+the row times a width common to the rows, a whole number of windows, so
+every row keeps its own bins and its own windows.  The parts in one bin are multiples of one
+power of two, below 2**27 of them in size: a bin's sum is exact.
 ``np.add.reduceat`` then merges the bins of each window of W = 11
-consecutive exponents, lanes included, counted from the block's lowest
-exponent, and this too is exact.  Count a
-window's low parts in units of the spacing of doubles at its lowest
-exponent, and its high parts in units 2**27 times larger.  Every part is an
-integer number of units.  At the top exponent the spacing is at most
-2**(W - 1) times larger, so a part there is below 2**(W + 26) units (low)
-or 2**(W + 25) units (high).  A block holds at most 2**15 entries, so the
-absolute values in a window, and with them every partial sum, stay below
-2**(W + 41) units: exact in a double while W <= 12.  One ``math.fsum`` over
-the nonzero window sums rounds the exact total once.
+exponents, exactly too: counted in units of the spacing at the window's
+lowest exponent, a part is below 2**(W + 26) units, and a row of a block
+holds at most 2**15 entries, so every partial sum stays below 2**(W + 41)
+units, exact while W <= 12.  The window sums are the row's terms.  A block
+with a value of 2**990 or more, or one that is not finite, keeps its values.
+
+Rounding.  A large enough batch is rounded by one
+error-free extraction over all its rows, after Rump, Ogita & Oishi, SIAM J.
+Sci. Comput. 26 (2005) and 31 (2008).  Per row of n terms, sigma is a power
+of two above 2 n max |x|.  Each q = fl(x + sigma) - sigma is exact and a
+multiple of sigma 2^-53, and the q add to at most sigma in size, so
+tau = sum q is exact in any order.  Each p = x - q is exact too, with
+|p| <= sigma 2^-52, so the plain sum P of the p is within
+gamma_(n-1) n sigma 2^-52 < n^2 sigma 2^-104 of theirs.  With
+t = fl(tau + P) and TwoSum's exact rest r, the exact row sum is within
+|r| + delta of t, delta = n^2 sigma 2^-103 + 2^-1070 (the last term covers
+an underflowing product).  Where fl(|r| + delta) is below half the spacing
+of the doubles below |t|, so is |r| + delta (rounding is monotone and the
+half spacing a double), and the exact sum lies strictly nearer t than any
+other double: t is the correctly rounded sum, fsum's.  The extraction is
+trusted only where max |x| < 2^978 / n, so no partial sum, its own or
+fsum's, reaches 2^990, and no total below 2^-1017 passes (delta is past its
+half spacing): every +-0, whose sign fsum decides, and every subnormal
+goes to ``math.fsum`` over its terms, as do rows out of range, with inf or
+NaN, and every row of a smaller batch, in row order.
 
 Power sums p_m = sum b_i^m stop early (``exact_power_sums``): each part is
 summed over a head of the entries of largest modulus, 16, 64, 256, ...
 of them, until a rigorous bound D on the rest shows that it cannot move the
-correctly rounded sum s: |r| (1 + 2^-52) + D below half the spacing of the
-doubles at s, r the rounded rest of the head.  Where every Re b is +-0 the
-parts that are +-0 by the parity of m are 0.0 with no sum.
+correctly rounded sum.  The powers on one head are summed in one
+multi-row pass.  Where every Re b is +-0 the parts that are +-0 by the
+parity of m are 0.0 with no sum.
 
 Values that come in conjugate pairs are summed once (``_conjugate_half``,
 used by ``exact_power_sums`` and the factor reducer of ``product_engine``).
@@ -44,7 +61,7 @@ size, where no sum can overflow, 2 * fsum(x) has the bits of fsum(x + x).
 
 from __future__ import annotations
 
-import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -63,8 +80,16 @@ _LANES = 4
 _LANE = np.arange(BLOCK, dtype=np.int64) % _LANES
 # Exponents per merged window: exact while at most 12 (module docstring).
 _WINDOW = 11
-# Blocks shorter than this skip the bins: math.fsum alone is faster there.
-_FSUM_BELOW = 512
+# Rows this long are binned as they are added; a row left to math.fsum, from
+# _FSUM_BELOW entries on.  Batches of fewer rows or terms than _CERTIFY_ROWS
+# and _CERTIFY_TERMS go to math.fsum row by row, where the extraction would
+# not pay; rows of at most _NARROW terms are reduced as the columns of their
+# transpose.  Set from in-process timings (CHANGES.md).
+_BIN_FROM = 1 << 14
+_FSUM_BELOW = 768
+_CERTIFY_ROWS = 4
+_CERTIFY_TERMS = 1024
+_NARROW = 64
 # Parts below this size sum, and double, without overflow (_doubles_exactly).
 _DOUBLING_LIMIT = 2.0**990
 # exact_power_sums sums a power over the _HEAD entries of largest modulus,
@@ -74,70 +99,123 @@ _HEAD_GROWTH = 4
 # Relative and absolute room of that tail bound (exact_power_sums).
 _SLACK = 2.0**-40
 _TINY = 2.0**-1060
+# Head entries per multi-row pass of _head_sums: its arrays stay below 128 KiB.
+_HEAD_ENTRIES = 15 << 10
 
 
 class ExactSum:
-    """Running exact sums of the rows of float64 blocks, kept uncopied and rounded once by ``total``."""
+    """Running exact sums of the rows of float64 blocks, kept as exact terms and rounded by ``totals``."""
 
     def __init__(self, rows: int = 1) -> None:
-        self._partials: list[list[np.ndarray]] = [[] for _ in range(rows)]  # exact doubles, per row
+        self._rows = rows
+        self._parts: list[np.ndarray] = []  # (rows, k) arrays of exact doubles: each row's terms
 
     def add(self, values: np.ndarray) -> None:
-        """Add row j of a float64 array to row j (a 1-d array is one row), block by block."""
-        rows = values.reshape(len(self._partials), -1)
-        if rows.shape[1] < _FSUM_BELOW:
-            for partials, row in zip(self._partials, rows):
-                partials.append(row)
-            return
-        for partials, row in zip(self._partials, rows):
-            for start in range(0, row.size, BLOCK):
-                block = row[start : start + BLOCK]
-                if block.size < _FSUM_BELOW:
-                    partials.append(block)
-                    continue
-                bits = block.view(np.int64)
-                # exponent * 4 + lane
-                key = bits >> 50
-                key &= 0x7FF << 2
-                key |= _LANE[: block.size]
-                top = int(key.max())
-                if top >> 2 >= _EXPONENT_CAP:
-                    # math.fsum takes these exactly, with its rules for NaN and inf
-                    partials.append(block)
-                    continue
-                # bins and windows start at the block's lowest exponent
-                low = int(key.min()) & -_LANES
-                key -= low
-                starts = np.arange(0, top - low + 1, _WINDOW * _LANES)
-                high = (bits & _HIGH_MASK).view(np.float64)
-                for part in (high, block - high):
-                    windows = np.add.reduceat(np.bincount(key, part), starts)
-                    partials.append(windows[windows != 0])
+        """Add row j of a float64 array to row j (a 1-d array is one row)."""
+        rows = values.reshape(self._rows, -1)
+        self._parts.append(rows if rows.shape[1] < _BIN_FROM else _window_sums(rows))
 
-    def _terms(self, row: int) -> list[float]:
-        parts = self._partials[row]
-        return np.concatenate(parts).tolist() if len(parts) > 1 else parts[0].tolist() if parts else []
+    def _terms(self, rows=None) -> np.ndarray:
+        parts = self._parts
+        terms = np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0] if parts else np.zeros((self._rows, 0))
+        return terms if rows is None else terms[rows]
 
-    def total(self, row: int = 0) -> float:
-        """Correctly rounded sum of everything added so far to a row."""
-        return math.fsum(self._terms(row))
+    def totals(self, rows=None) -> np.ndarray:
+        """Correctly rounded sums of every row, or of the rows ``rows`` indexes,
+        with ``math.fsum``'s bits and its exceptions, the first in row order."""
+        return _complex_totals(self, None, rows).real.copy()
 
-    def rounding(self, row: int = 0) -> tuple[float, float]:
-        """The correctly rounded sum s of a row, and r = fsum(row + [-s]), the rounded rest."""
-        terms = self._terms(row)
-        total = math.fsum(terms)
-        terms.append(-total)
-        return total, math.fsum(terms)
+
+def _window_sums(rows: np.ndarray) -> np.ndarray:
+    """The exact window sums of each row of a 2-d array, by blocks of BLOCK columns (``_binned``)."""
+    if rows.shape[1] <= BLOCK:
+        return _binned(rows)
+    return np.concatenate([_binned(rows[:, start : start + BLOCK]) for start in range(0, rows.shape[1], BLOCK)], axis=1)
+
+
+def _binned(block: np.ndarray) -> np.ndarray:
+    """The exact window sums of each row of a 2-d block, its high parts' then
+    its low parts' (module docstring), or the block itself where a value
+    reaches 2**990 or is not finite."""
+    count, width = block.shape
+    bits = block.view(np.int64)
+    # exponent * 4 + lane
+    key = bits >> 50
+    key &= 0x7FF << 2
+    key |= _LANE[:width]
+    top = key.max(axis=1) if count > 1 else key.max()
+    if int(top.max()) >> 2 >= _EXPONENT_CAP:
+        return block  # math.fsum takes these exactly, with its rules for NaN and inf
+    low = (key.min(axis=1) if count > 1 else key.min()) & -_LANES
+    span = _WINDOW * _LANES
+    size = -(-int((top - low).max() + 1) // span) * span  # bins per row, whole windows
+    key -= low if count == 1 else (low - np.arange(0, count * size, size))[:, None]
+    key, starts = key.ravel(), np.arange(0, count * size, span)
+    part = (bits & _HIGH_MASK).view(np.float64)
+    high = np.add.reduceat(np.bincount(key, part.ravel(), count * size), starts)
+    low = np.add.reduceat(np.bincount(key, np.subtract(block, part, out=part).ravel(), count * size), starts)
+    return np.concatenate([high.reshape(count, -1), low.reshape(count, -1)], axis=1)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _extract(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of a 2-d array of exact terms: t, and fl(|r| + delta) (module
+    docstring), inf where max |x| is not below 2^978 / n."""
+    width = terms.shape[1]
+    values, axis = (np.ascontiguousarray(terms.T), 0) if width <= _NARROW else (terms, 1)
+    largest = np.abs(values).max(axis=axis)
+    sigma = np.ldexp(1.0, np.frexp(largest)[1] + (2 * width).bit_length())  # > 2 n max |x|
+    high = values + (sigma if axis == 0 else sigma[:, None])
+    high -= sigma if axis == 0 else sigma[:, None]
+    tau = high.sum(axis=axis)
+    rest_sum = np.subtract(values, high, out=high).sum(axis=axis)
+    total = tau + rest_sum
+    z = total - tau
+    rest = (tau - (total - z)) + (rest_sum - z)
+    bound = np.abs(rest) + (sigma * (width * width * 2.0**-103) + 2.0**-1070)
+    return total, np.where(largest < 2.0**-12 * _DOUBLING_LIMIT / width, bound, math.inf)
+
+
+def _half_spacing(total: np.ndarray) -> np.ndarray:
+    """Half the spacing of the doubles below each |total|, the smaller of its two; 0 for subnormals."""
+    size = np.abs(total)
+    return (size - np.nextafter(size, 0.0)) * 0.5
+
+
+def _complex_totals(real: ExactSum, imag: ExactSum | None, rows=None) -> np.ndarray:
+    """real.totals(rows) + 1j imag.totals(rows), both parts in one extraction.
+    The rows it leaves take ``math.fsum``, each row's real part before its
+    imaginary part, in row order: the first exception is the one rounding
+    row by row raises, as a row the extraction settles raises none."""
+    terms = [acc._terms(rows) for acc in (real, imag) if acc is not None]
+    count, width = len(terms[0]), max(values.shape[1] for values in terms)
+    if count * len(terms) < _CERTIFY_ROWS or count * len(terms) * width < _CERTIFY_TERMS:
+        rows = zip(*(_fsum_rows(values) for values in terms))
+        return np.array([complex(*map(math.fsum, row)) for row in rows], dtype=np.complex128)
+    stacked = np.full((count * len(terms), width), -0.0)  # -0.0 changes no sum, nor its sign
+    for first, values in zip((0, count), terms):
+        stacked[first : first + count, : values.shape[1]] = values
+    total, bound = _extract(stacked)
+    left = sorted(np.flatnonzero(~(bound < _half_spacing(total))).tolist(), key=lambda j: (j % count, j))
+    if left:
+        total = total.tolist()
+        for j, row in zip(left, _fsum_rows(stacked[left])):
+            total[j] = math.fsum(row)
+    out = np.zeros(count, dtype=np.complex128)
+    out.real, out.imag = total[:count], total[count:] if len(terms) > 1 else 0.0
+    return out
+
+
+def _fsum_rows(rows: np.ndarray) -> list[list[float]]:
+    """Terms for math.fsum of each row of a 2-d array: its window sums where the
+    rows are long (one pass for them all), else the row itself."""
+    return (_window_sums(rows) if rows.shape[1] >= _FSUM_BELOW and len(rows) else rows).tolist()
 
 
 def real_sum(values) -> float:
     """Exactly rounded sum of real values, bit-identical to ``math.fsum``."""
     values = np.asarray(values, dtype=np.float64).reshape(-1)  # a strided 1-d view stays uncopied
-    if values.size < _FSUM_BELOW:  # what ExactSum does with them, without its bookkeeping
-        return math.fsum(values.tolist())
-    acc = ExactSum()
-    acc.add(values)
-    return acc.total()
+    return math.fsum(values.tolist() if values.size < _FSUM_BELOW else _window_sums(values[None, :])[0].tolist())
 
 
 def complex_sum(values: np.ndarray) -> complex:
@@ -178,67 +256,89 @@ def _doubles_exactly(*parts: np.ndarray) -> bool:
     return all(p.size == 0 or -limit < p.min() <= p.max() < limit for p in parts)
 
 
-def _settled(values: np.ndarray, bound: float) -> float | None:
-    """fsum(values), where no rest of size at most bound can change its rounding; None elsewhere."""
-    acc = ExactSum()
-    acc.add(values)
-    total, rest = acc.rounding()
-    if total == 0.0:
-        return total if bound == 0.0 else None
-    # below a power of two the doubles are twice as dense
-    half_ulp = math.ulp(total) / (4.0 if abs(math.frexp(total)[0]) == 0.5 else 2.0)
-    return total if abs(rest) * (1.0 + 2.0**-52) + bound < half_ulp else None
+def _settle_rows(block: np.ndarray, tails: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of a block of head powers: a sum t, and whether every rest of size
+    at most tails[j] leaves t the correctly rounded sum of the row and the rest
+    (the settle test of ``exact_power_sums``)."""
+    terms = _window_sums(block) if block.shape[1] >= _BIN_FROM else block
+    total, bound = _extract(terms)
+    bound *= 1.0 + 2.0**-51
+    settled = bound + tails < _half_spacing(total)
+    # math.fsum for rows out of range, and for the unsettled rows with a tail of exact zeros
+    exact = np.flatnonzero((bound == math.inf) | ~settled & (tails == 0.0)).tolist()
+    for j, row in zip(exact, _fsum_rows(terms[exact])):
+        total[j] = math.fsum(row)
+        row.append(-total[j])
+        bound[j] = abs(math.fsum(row)) * (1.0 + 2.0**-51)
+    if exact:  # an exact head sum (0 included) with a tail of exact zeros settles too
+        settled = (bound + tails < _half_spacing(total)) | (bound == 0.0) & (tails == 0.0)
+    return total, settled
 
 
-class _TailBound:
-    """D(k, m), a bound on the sum over i >= k of the computed |b_i^m|, the moduli a_i descending.
+@np.errstate(over="ignore", invalid="ignore")
+def _tail_bounds(moduli: np.ndarray, heads: list[int], m_max: int) -> np.ndarray:
+    """D(k, m) of ``exact_power_sums`` for each head k (rows, ascending from 0)
+    and m = 1..m_max (columns), the moduli a_i descending.  Any sum of N
+    nonnegative terms is within (N - 1) 2^-53 of its exact sum, which the
+    factor 1 + N 2^-52 covers."""
+    n, k = moduli.size, np.array(heads)
+    inner = k[k < n]
+    tails = np.zeros((k.size, m_max))
+    if not inner.size:
+        return tails
+    count = (n - inner).astype(np.float64)
+    grow = 1.0 + n * 2.0**-52
+    first = np.cumsum(np.add.reduceat(moduli, inner)[::-1])[::-1] * grow * (1.0 + 2.0 * _SLACK) + count * _TINY
+    second = np.cumsum(np.add.reduceat(moduli * moduli, inner)[::-1])[::-1]
+    second = second * grow * (1.0 + 4.0 * _SLACK) + count * 8.0 * _TINY
+    beta = moduli[inner] * (1.0 + _SLACK) + _TINY
+    bound = _power_bounds(count, second, beta, m_max)
+    bound[:, 0] = first * (1.0 + _SLACK)
+    bound[moduli[inner] == 0.0] = 0.0  # every tail entry is exactly 0
+    smallest = float(beta.min())
+    if smallest < 0.5 and smallest ** max(m_max - 2, 0) < 2.0**-960:  # some powers reach the subnormals
+        # the same bound on one entry: from a power whose parts it puts below 2^-1022 (_vanishing)
+        one = _power_bounds(np.ones(inner.size), beta * beta * (1.0 + 4.0 * _SLACK) + 8.0 * _TINY, beta, m_max)
+        one[:, 0] = beta  # b itself
+        for row, (size, small) in enumerate(zip(beta.tolist(), one < 2.0**-1022)):
+            if size < 0.5 and small.any():
+                start = int(np.argmax(small))
+                bound[row, _vanishing(size, start + 1, float(one[row, start]), m_max) - 1 :] = 0.0
+    tails[: inner.size] = np.where(np.logical_or.accumulate(bound == 0.0, axis=0), 0.0, bound)  # and their tails
+    return tails
 
-    The argument is in the ``exact_power_sums`` docstring.  The tail sums
-    of a and a^2 are suffix sums, one reverse cumulative sum each, built
-    once: sequential sums of N nonnegative terms are within (N - 1) 2^-53
-    of their exact sums, which the factor 1 + N 2^-52 covers.
-    """
 
-    def __init__(self, moduli: np.ndarray) -> None:
-        self._moduli = moduli
-        backward = moduli[::-1]
-        with np.errstate(over="ignore"):  # an infinite sum is an infinite bound
-            self._first = np.cumsum(backward)[::-1]
-            self._second = np.cumsum(backward * backward)[::-1]
+def _power_bounds(count: np.ndarray, second: np.ndarray, beta: np.ndarray, m_max: int) -> np.ndarray:
+    """D of ``_tail_bounds`` per row (count tail entries, the bound second on the
+    sum of their squares, beta) and m = 1..m_max, but for m = 1."""
+    m = np.arange(1, m_max + 1)
+    absolute = count[:, None] * (m - 1) * _TINY
+    # log2 of g^(m-1) beta^(m-2) (second + absolute), raised past the rounding of
+    # its terms, each below |log| + 2200 in size; exp2 of it cannot underflow early
+    log_main = np.log2(second[:, None] + absolute) + np.log2(beta)[:, None] * np.maximum(m - 2, 0)
+    log_main += (m - 1) * math.log2(1.0 + _SLACK)
+    log_main += (np.abs(log_main) + 4096.0) * 2.0**-40
+    return (np.exp2(log_main) + absolute + _TINY) * (1.0 + _SLACK)
 
-    def __call__(self, k: int, m: int) -> float:
-        moduli = self._moduli
-        count = moduli.size - k
-        if count == 0 or moduli[k] == 0.0:
-            return 0.0  # no tail, or every tail entry is exactly 0
-        grow = 1.0 + moduli.size * 2.0**-52
-        first = float(self._first[k]) * grow * (1.0 + 2.0 * _SLACK) + count * _TINY
-        second = float(self._second[k]) * grow * (1.0 + 4.0 * _SLACK) + count * 8.0 * _TINY
-        if m == 1:
-            return first * (1.0 + _SLACK)
-        absolute = count * (m - 1) * _TINY
-        # g^(m-1) beta^(m-2) (second + absolute) with beta = fraction * 2^exponent, scaled
-        fraction, exponent = math.frexp(float(moduli[k]) * (1.0 + _SLACK) + _TINY)
-        scale, shift = math.frexp(second + absolute)
-        exponent = exponent * (m - 2) + shift
-        left = m - 2
-        while left:  # fraction >= 1/2, so 1000 factors stay normal
-            step = min(left, 1000)
-            scale, shift = math.frexp(scale * fraction**step)
-            exponent += shift
-            left -= step
-        scale *= (1.0 + _SLACK) ** (m + (m - 2) // 1000)
-        try:
-            main = math.ldexp(scale, exponent)
-        except OverflowError:
-            return math.inf
-        return (main + absolute + _TINY) * (1.0 + _SLACK)
+
+def _vanishing(beta: float, first: int, start: float, m_max: int) -> int:
+    """The least power m <= m_max whose tail parts are all +-0, from parts of
+    power ``first`` at most ``start`` < 2^-1022 and entries at most beta < 1/2
+    (``exact_power_sums``); m_max + 1 where there is none."""
+    units, grow, m = math.ceil(math.ldexp(start, 1074)), beta * (1.0 + 2.0**-50), first
+    while units and m < m_max:
+        product = units * grow
+        following = max(2 * math.ceil(product) if product >= 0.5 else 0, math.ceil(2.0 * product) if product >= 0.25 else 0)
+        if following >= units:
+            return m_max + 1
+        units, m = following, m + 1
+    return m_max + 1 if units else m
 
 
 def _head_sums(base: np.ndarray, m_max: int, halved: bool) -> list[complex] | None:
     """exact_power_sums over the entries of base (one member of each pair where halved), by heads.
 
-    None where a head's power has a part that fails ``_doubles_exactly``.
+    None where a power's bound over every entry is not below 2^990.
     """
     base = np.ascontiguousarray(base)
     moduli = np.abs(base)
@@ -246,68 +346,82 @@ def _head_sums(base: np.ndarray, m_max: int, halved: bool) -> list[complex] | No
         order = np.argsort(-moduli, kind="stable")
         base, moduli = base[order], moduli[order]
     n = base.size
-    sizes, size = [], _HEAD
-    while size < n:
-        sizes.append(size)
-        size *= _HEAD_GROWTH
-    sizes.append(n)
-    bound = _TailBound(moduli)
+    if not n:
+        return [0j] * m_max
+    sizes = [_HEAD * _HEAD_GROWTH**i for i in range(40) if _HEAD * _HEAD_GROWTH**i < n] + [n]
+    bounds = _tail_bounds(moduli, [0, *sizes], m_max)
+    del moduli  # the sums' temporaries come next
+    whole = bounds[0]
+    if not np.all(whole < _DOUBLING_LIMIT):
+        return None
+    # each power's least head whose tail is below the last bit the sums allow
+    fits = (bounds[1:] < whole * 2.0**-58) | (bounds[1:] == 0.0)
+    fits[-1] = True
+    head = np.argmax(fits, axis=0).tolist()
     # every Re b is +-0: so is Re b^m at odd m, and Im b^m at even m
     imaginary = not np.count_nonzero(base.real)
-    power = base  # the m-th powers of base[: power.size]
-    sums = []
-    for m in range(1, m_max + 1):
+    rows = {
+        (m, part): head[m - 1] for m in range(1, m_max + 1)
+        for part in ((0,) if halved else (0, 1)) if not (imaginary and part == 1 - m % 2)
+    }
+    sums = np.zeros((m_max, 2))
+    while rows:  # the rows a head does not settle go to the next head, in one more chain
+        rows = _sum_heads(base, rows, sizes, bounds, sums)
+    if halved:
+        return [complex(2.0 * total, 0.0) for total in sums[:, 0].tolist()]
+    return [complex(re, im) for re, im in sums.tolist()]
+
+
+def _sum_heads(base: np.ndarray, rows: dict, sizes: list[int], bounds: np.ndarray, sums: np.ndarray) -> dict:
+    """One chain of repeated multiplications over the entries that the rows'
+    heads need, each row (m, part) on its head sizes[rows[m, part]].  Rows go
+    in blocks of at most _HEAD_ENTRIES entries, a row shorter than the first
+    padded with -0.0, one multi-row pass each; a head of more by itself,
+    uncopied.  Returns the rows a head did not settle, on the next head."""
+    need = [0] * (max(m for m, _ in rows) + 1)
+    for (m, _), j in rows.items():
+        need[m] = max(need[m], sizes[j])
+    reach = list(itertools.accumulate(need[::-1], max))[::-1]
+    left: dict[tuple[int, int], int] = {}
+    block, labels, power, factor, length = np.empty((0, 0)), [], base, base, base.size
+    for m in range(1, len(need)):
+        if reach[m] != length:
+            length, power, factor = reach[m], power[: reach[m]], base[: reach[m]]
         if m == 2:
-            power = power * base[: power.size]
+            power = power * factor
         elif m > 2:  # in place, but for a lone element (see product_engine._horner)
-            power = np.multiply(power, base[: power.size], power if power.size > 1 else None)
-        wanted = (0,) if halved else (0, 1)
-        if imaginary:
-            wanted = tuple(part for part in wanted if part != 1 - m % 2)
-        whole = bound(0, m)
-        checked = whole < _DOUBLING_LIMIT  # every part of every power is below 2^990
-        if wanted:  # try heads from the least whose tail is below the last bit the sums allow
-            limit, tries = whole * 2.0**-52, sizes
-        else:  # nothing to sum: keep the head, if its tail is in range
-            limit, tries = _DOUBLING_LIMIT, [size for size in sizes if size >= power.size]
-        tails: dict[int, float] = {}
+            power = np.multiply(power, factor, power if length > 1 else None)
+        for part in (0, 1):
+            if (m, part) not in rows:
+                continue
+            k = sizes[rows[m, part]]
+            if labels and (k > block.shape[1] or len(labels) == len(block)):
+                _sum_block(block[: len(labels)], labels, rows, sizes, bounds, sums, left)
+                labels = []
+            row = (power.real, power.imag)[part][:k]
+            if k > _HEAD_ENTRIES:
+                _sum_block(row[None, :], [(m, part)], rows, sizes, bounds, sums, left)
+                continue
+            if not labels:
+                block = np.full((_HEAD_ENTRIES // k, k), -0.0)
+            block[len(labels), :k] = row
+            labels.append((m, part))
+    if labels:
+        _sum_block(block[: len(labels)], labels, rows, sizes, bounds, sums, left)
+    return left
 
-        def fits(j: int) -> bool:
-            tails[tries[j]] = tail = bound(tries[j], m)
-            return tries[j] == n or tail < limit
 
-        # tails fall as heads grow: the least head that fits, sought from the last power's
-        j = min(bisect.bisect_left(tries, power.size), len(tries) - 1)
-        if fits(j):
-            while j and fits(j - 1):
-                j -= 1
+def _sum_block(block: np.ndarray, labels: list, rows: dict, sizes, bounds, sums, left: dict) -> None:
+    """Settle a block of rows, each on its head j: a settled sum, or any sum on
+    the last head (every entry; ``_settle_rows`` takes math.fsum where it does
+    not settle), goes into sums[m - 1, part], another row into left on j + 1."""
+    heads = [rows[label] for label in labels]
+    totals, settled = _settle_rows(block, bounds[[j + 1 for j in heads], [m - 1 for m, _ in labels]])
+    for (m, part), j, total, done in zip(labels, heads, totals.tolist(), settled.tolist()):
+        if done or j == len(sizes) - 1:
+            sums[m - 1, part] = total
         else:
-            while not fits(j):
-                j += 1
-        for k in tries[j:]:
-            tail = tails[k] if k in tails else bound(k, m)
-            if k > power.size:  # late entries take the same repeated multiplication
-                late = extra = base[power.size : k]
-                for _ in range(m - 1):
-                    late = late * extra
-                power = np.concatenate([power, late])
-            head = power[:k]
-            if not (checked or _doubles_exactly(head.view(np.float64))):
-                return None
-            parts = (head.real, head.imag)
-            if k == n:
-                values = [real_sum(parts[part]) for part in wanted]
-                break
-            values = [_settled(parts[part], tail) for part in wanted]
-            if None not in values:
-                break
-        power = power[:k]
-        total = dict(zip(wanted, values))
-        if halved:
-            sums.append(complex(2.0 * total.get(0, 0.0), 0.0))
-        else:
-            sums.append(complex(total.get(0, 0.0), total.get(1, 0.0)))
-    return sums
+            left[m, part] = j + 1
 
 
 def exact_power_sums(base: np.ndarray, m_max: int) -> list[complex]:
@@ -319,38 +433,42 @@ def exact_power_sums(base: np.ndarray, m_max: int) -> list[complex]:
     then twice the real sum over one member of each pair, and 0.0 for the
     imaginary part, where mirrored parts cancel exactly.
 
-    Head.  The entries are put in descending order of their computed moduli
-    a_i (one stable sort), and a part is summed over the first k of them, k =
-    _HEAD, _HEAD_GROWTH times more and so on, or all N, until the tail i >= k
-    cannot change the rounding.  The tail bounds fall as the head grows, so
-    each power seeks the least head whose bound fits from the previous
-    power's head, in a step or two.  Only the head's powers are carried to the
-    next power; an entry that joins a head late takes its power by the same
-    repeated multiplication, so it has the bits the whole array gives it.
+    Heads.  The entries are sorted by their computed moduli a_i, descending,
+    and a part is summed over the first k, k = _HEAD, _HEAD_GROWTH times more
+    and so on, or all N, until the tail i >= k cannot change its rounding.
+    Each power starts on the least head whose tail bound D(k, m), one table
+    for all, is below the last bit its sums allow.  One chain of repeated
+    multiplications carries the entries the heads still need, and the
+    powers on one head are summed in one multi-row pass.  A part its head
+    does not settle goes to the next head, in one more such chain, so every
+    entry has the bits the whole array gives it.
 
     Tail bound.  A rounded complex product is within a relative sqrt(5) 2^-53
-    of the exact one, plus at most 2^-1073 where parts underflow, and a_i,
-    within an ulp, is within 2^-52 a_i + 2^-1074 of |b_i|.  With
-    g = 1 + 2^-40, c = 2^-1060 and
+    of the exact one, plus at most 2^-1073 where parts underflow, and a_i is
+    within 2^-52 a_i + 2^-1074 of |b_i|.  With g = 1 + 2^-40, c = 2^-1060 and
     beta = a_k g + c >= |b_i| for i >= k, induction on m gives
     |b_i^m| <= g^(m-1) |b_i|^m + c (m - 1) max(1, (g beta)^(m-2)), so the
     parts of the T tail powers sum to at most
 
         D = g^(m-1) beta^(m-2) (sum_{i>=k} |b_i|^2 + T (m-1) c) + T (m-1) c,
 
-    and D = sum_{i>=k} |b_i| at m = 1, where b^1 is exact.  ``_TailBound``
-    takes the tail sums of a and a^2 with room for their rounding and for
-    that of a, forms beta^(m-2) scaled by powers of two, so that it cannot
-    underflow while a tail power is a nonzero subnormal, and rounds D up.  A
-    tail of exact zeros has D = 0.
+    and D = sum_{i>=k} |b_i| at m = 1.  ``_tail_bounds`` forms D in the log
+    domain, raised past its rounding (exp2 of it cannot underflow before D
+    itself), and adds its absolute terms.  A tail of exact zeros has D = 0.
 
-    Settle test.  With s = fsum(head) and r = fsum(head + [-s]), the head's
-    exact sum is within |r| (1 + 2^-52) of s (r is the rounded rest, exact
-    where subnormal), and the full sum within |r| (1 + 2^-52) + D.  Where
-    that is strictly below half the spacing of the doubles at s (a quarter
-    where |s| is a power of two, below which the spacing halves), the full
-    sum rounds to s.  s = 0 means the head's exact sum is 0: it settles only
-    where D = 0.
+    Vanishing.  Once the bound with T = 1 puts the parts of a power below
+    2^-1022, every rounding lands on multiples of 2^-1074: count the parts
+    in those units, at most K.  A part of the next power, x u - y v or
+    x v + y u with |x|, |y| <= K and |u|, |v| <= beta, is at most 2 RN(K beta)
+    with two roundings (with or without a fused multiply-add) and RN(2 K beta)
+    with one, RN(v) being 0 below 1/2 and at most ceil(v).  With beta < 1/2
+    the count falls to 0 (``_vanishing``): from that power on D = 0, for k
+    and every larger head, and exact head sums settle.
+
+    Settle test.  With a sum t of the head and a bound e on |exact head
+    sum - t| (the extraction's, or |fsum(head + [-t])| with room), the full
+    sum is within e + D of t: where that is below half the spacing of the
+    doubles below |t|, it rounds to t.  e = 0 settles where D = 0.
 
     Parity.  Where every Re b is +-0 (a purely imaginary base, such as the
     1/(+-i tau) of a line's zeros about its centre), Re b^m at odd m and
@@ -359,9 +477,9 @@ def exact_power_sums(base: np.ndarray, m_max: int) -> list[complex]:
 
     Range.  Where D over every entry is below 2^990, no part of a power
     reaches 2^990, so no sum overflows and none depends on order.  Elsewhere
-    each head is checked with ``_doubles_exactly``, and one that fails sends
-    every power to the full base in its given order through ``complex_sum``,
-    where NaN, infinities and overflow meet math.fsum's rules.
+    every power goes to the full base in its given order through
+    ``complex_sum``, where NaN, infinities and overflow meet math.fsum's
+    rules: the same sums where no part reaches 2^990.
     """
     half = _conjugate_half(base)
     sums = _head_sums(base if half is None else half, m_max, half is not None)

@@ -14,14 +14,14 @@ the fused log(1 - w) + w at genus 1, for w = s/z_k:
 
 so small factors keep full relative accuracy and factors near a zero full
 absolute accuracy.  ``_log_sum``, the one reducer, takes (points x zeros)
-blocks of about 2**12 pairs through one kernel call each, and each point
-adds its row to its own exactly rounded sums (``_numeric.ExactSum``): no
-temporary spans all N zeros, and a point's sum has the same bits in any
-batch, order or run.  The declared pairing still matters for tail estimates
-and power sums, where grouped magnitudes are what converge.  At real points
-(and center) the members of a conjugate pair have mirrored factor logs: the
-kernel runs on one member of each pair and the real parts are doubled, with
-the bits of the full sum.
+blocks of about 2**12 pairs through one kernel call each, and rounds the
+rows of each block together, each to its own exactly rounded sum
+(``_numeric.ExactSum``): no temporary spans all N zeros, and a point's sum
+has the same bits in any batch, order or run.  The declared pairing still
+matters for tail estimates and power sums, where grouped magnitudes are
+what converge.  At real points (and center) the members of a conjugate
+pair have mirrored factor logs: the kernel runs on one member of each pair
+and the real parts are doubled, with the bits of the full sum.
 
 On the zero line of a genus-0 line sequence (``ZeroSequence._line``) whose
 retained zeros are mirrored pairs xi +- i tau, a point s = xi + i x, x != 0,
@@ -105,7 +105,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._numeric import BLOCK, ExactSum, complex_sum, exact_power_sums, real_sum
-from ._numeric import _conjugate_half, _doubles_exactly, _mirrored
+from ._numeric import _complex_totals, _conjugate_half, _doubles_exactly, _mirrored
 from .core_types import _LOG_DOUBLE_MAX, EntireFunctionSpec, Ordering, Pairing, ZeroSequence
 
 __all__ = [
@@ -244,15 +244,15 @@ def _log_sum(points, zeros: np.ndarray, genus: int, center: complex | np.ndarray
         center = np.broadcast_to(np.asarray(center, dtype=np.complex128), points.shape)[:, None]
         on_axis = on_axis and not np.count_nonzero(center.imag)
     step = max(1, _BLOCK_ELEMENTS // max(zeros.size, 1))
-    sums = []
+    sums = np.empty(points.size, dtype=np.complex128)
     for first in range(0, points.size, step):
         s = points[first : first + step, None]
         c = None if center is None else center[first : first + step]
-        real, imag, dead = ExactSum(len(s)), ExactSum(len(s)), set()
+        real, imag, dead = ExactSum(len(s)), ExactSum(len(s)), np.zeros(len(s), dtype=bool)
         for start in range(0, zeros.size, BLOCK):
             z = zeros[start : start + BLOCK]
             if np.count_nonzero(hit := z == s):
-                dead.update(np.flatnonzero(hit.any(axis=1)).tolist())
+                dead |= hit.any(axis=1)
             w = s / z if c is None else (s - c) / (z - c)
             half = _conjugate_half(w) if on_axis else None
             if half is not None:
@@ -268,12 +268,13 @@ def _log_sum(points, zeros: np.ndarray, genus: int, center: complex | np.ndarray
                 log_real[flat], log_imag[flat] = exact.real + genus, exact.imag
             real.add(log_real)
             imag.add(log_imag)
+        rows = sums[first : first + len(s)]
+        rows[dead] = -math.inf
         try:
-            sums += [complex(real.total(j), imag.total(j)) if j not in dead else complex(-math.inf)
-                     for j in range(len(s))]
+            rows[~dead] = _complex_totals(real, imag, ~dead if dead.any() else None)
         except OverflowError:
             raise ValueError("the sum of the factor logs passes the double range") from None
-    return np.array(sums, dtype=np.complex128)
+    return sums
 
 
 class _ConjugatePairs(NamedTuple):
@@ -383,7 +384,6 @@ def _conjugate_log_sum(points: np.ndarray, near: np.ndarray, pairs: _ConjugatePa
     """
     k = near.size // 2
     scale, a, b, d = (part[:k] for part in pairs[8:12])
-    two_a, neg_half_d = 2.0 * a, -0.5 * d
     linear = _pair_linear(pairs, k) if genus else 0.0
     fit = np.maximum(np.abs(points.real), np.abs(points.imag)) <= pairs.limit[k - 1]
     sums = np.empty(points.size, dtype=np.complex128)
@@ -397,33 +397,14 @@ def _conjugate_log_sum(points: np.ndarray, near: np.ndarray, pairs: _ConjugatePa
         finite = np.ones(block.size, dtype=bool)
         for start in range(0, scale.size, BLOCK):
             cols = slice(start, start + BLOCK)
-            x, y = s.real * scale[cols], s.imag * scale[cols]
-            dx = x - a[cols]
-            # w' = (x (2a - x) + y^2 + i 2 y (a - x))/d, all scaled
-            wr = two_a[cols] - x
-            wr *= x
-            wr += y * y
-            wr /= d[cols]
-            wi = dx * y
-            wi /= neg_half_d[cols]
-            r2 = wr * wr
-            r2 += wi * wi
-            far = (r2 >= 0.25).nonzero()
-            log_real = 0.5 * np.log1p(r2 - 2.0 * wr)  # log |1 - w'|, |1 - w'|^2 = 1 + |w'|^2 - 2 Re w'
-            log_imag = np.arctan2(-wi, 1.0 - wr)
-            dx, y, beta, col = dx[far], y[far], b[cols][far[1]], d[cols][far[1]]
-            # (s - z)(s - conj z) = dx^2 - (y - b)(y + b) + 2 i dx y, scaled by the pair's 4^-e
-            p_real = dx * dx - (y - beta) * (y + beta)
-            p_imag = 2.0 * dx * y
-            log_real[far] = np.log(np.hypot(p_real, p_imag) / col)
-            log_imag[far] = np.arctan2(p_imag, p_real)
+            log_real, log_imag = _pair_logs(s, scale[cols], a[cols], b[cols], d[cols])
             finite &= np.isfinite(log_real).all(axis=1)
             if linear and start + BLOCK >= scale.size:  # s C joins the last block of each row
                 log_real = np.concatenate([log_real, s.real * linear], axis=1)
                 log_imag = np.concatenate([log_imag, s.imag * linear], axis=1)
             real.add(log_real)
             imag.add(log_imag)
-        sums[block[finite]] = [complex(real.total(j), imag.total(j)) for j in finite.nonzero()[0].tolist()]
+        sums[block[finite]] = _complex_totals(real, imag, None if finite.all() else finite)
         for row in block[~finite].tolist():
             if np.count_nonzero(near == points[row]):
                 sums[row] = complex(-math.inf)
@@ -432,6 +413,32 @@ def _conjugate_log_sum(points: np.ndarray, near: np.ndarray, pairs: _ConjugatePa
     if direct:
         sums[direct] = _log_sum(points[direct], near, genus)
     return sums
+
+
+def _pair_logs(s: np.ndarray, scale: np.ndarray, a: np.ndarray, b: np.ndarray, d: np.ndarray):
+    """Real and imaginary parts of log(1 - w') for each point s (a column) and pair
+    (``_conjugate_log_sum``), from the pairs' scaled parts a, b, d = a^2 + b^2."""
+    x, y = s.real * scale, s.imag * scale
+    dx = x - a
+    # w' = (x (2a - x) + y^2 + i 2 y (a - x))/d, all scaled
+    wr = 2.0 * a - x
+    wr *= x
+    wr += y * y
+    wr /= d
+    wi = dx * y
+    wi /= -0.5 * d
+    r2 = wr * wr
+    r2 += wi * wi
+    far = (r2 >= 0.25).nonzero()
+    log_real = 0.5 * np.log1p(r2 - 2.0 * wr)  # log |1 - w'|, |1 - w'|^2 = 1 + |w'|^2 - 2 Re w'
+    log_imag = np.arctan2(-wi, 1.0 - wr)
+    dx, y, beta, col = dx[far], y[far], b[far[1]], d[far[1]]
+    # (s - z)(s - conj z) = dx^2 - (y - b)(y + b) + 2 i dx y, scaled by the pair's 4^-e
+    p_real = dx * dx - (y - beta) * (y + beta)
+    p_imag = 2.0 * dx * y
+    log_real[far] = np.log(np.hypot(p_real, p_imag) / col)
+    log_imag[far] = np.arctan2(p_imag, p_real)
+    return log_real, log_imag
 
 
 class _LinePairs(NamedTuple):
@@ -514,7 +521,7 @@ def _pair_log_sum(ax: np.ndarray, pairs: _LinePairs, count: int) -> np.ndarray:
             t, xs = tau[cols][col], x.take(far)
             np.put(logs, far, np.log(np.abs(t - xs) * (t + xs) / d[cols][col]))
             acc.add(logs)
-        sums[first : first + len(a)] = [acc.total(j) for j in range(len(a))]
+        sums[first : first + len(a)] = acc.totals()
     return sums
 
 
@@ -525,22 +532,51 @@ def _far_sums(far: np.ndarray) -> tuple[float, np.ndarray]:
     and scaling by c is exact.  Every radius R whose cut leaves exactly
     these zeros far has 4R < min |z|, so |w| = |s/z| <= min |z| / (4|z|)
     for all of them, and K is the least degree where the remainder bound
-    sum |w|^(K+1) / ((K+1)(1 - |w|)) falls below _FAR_TOLERANCE.
+    sum |w|^(K+1) / ((K+1)(1 - |w|)) falls below _FAR_TOLERANCE
+    (``_far_degree``).
     """
     if far.size == 0:
         return 1.0, np.zeros(0, dtype=np.complex128)
     moduli = np.abs(far)
     smallest = float(moduli.min())
     scale = math.ldexp(1.0, math.frexp(smallest)[1] - 1)
-    ratio = smallest / (_FAR_RATIO * moduli)
-    bound = ratio / (1.0 - ratio)
-    degree = 0
+    degree = _far_degree(smallest / (_FAR_RATIO * moduli))
+    del moduli  # the power sums' temporaries come next
+    return scale, np.array(exact_power_sums(scale / far, degree))
+
+
+def _far_degree(ratio: np.ndarray) -> int:
+    """K of ``_far_sums``: the least d >= 1 where the rounded sum of r/(1 - r)
+    times r, d times over, is below (d + 1) _FAR_TOLERANCE (every r <= 1/4).
+
+    It falls with d, between 4^-d (4/3) sum r and 4^-d / 3 (the least
+    modulus's r = 1/4).  Within that bracket it is taken as the sum of
+    r^d r/(1 - r) over the r >= 1/16 (the rest is below 16^-d (4/3) sum r),
+    r^d from one exp(d log r), within 1e-12 of the chained sum; where one
+    lands within 1e-9 of the threshold the chain decides.
+    """
+    total, limit = float(np.sum(ratio)) * (4.0 / 3.0) * (1.0 + 1e-12), _FAR_TOLERANCE
+    low = max(0, int(math.log(1.0 / (192.0 * limit), 4)) - 1)  # 4^(d+1) (d+2) < 1/(3 limit) there
+    while 0.25 ** (low + 1) / (3.0 * (low + 2)) > limit * (1.0 + 1e-9):
+        low += 1
+    high = low + 1
+    while math.isfinite(total) and total * 0.25**high / (high + 1) >= limit * (1.0 - 1e-9):
+        high += 1
+    large = ratio[ratio >= 0.0625]
+    term = large / (1.0 - large) * np.exp((low + 1) * np.log(large))
+    for degree in range(low + 1, high + 1):
+        value = float(np.sum(term)) / (degree + 1)
+        if not math.isfinite(total) or abs(value - limit) <= 1e-9 * limit + total * 0.0625**degree / (degree + 1):
+            break
+        if value < limit:
+            return degree
+        term *= large
+    bound, degree = ratio / (1.0 - ratio), 0
     while True:
         degree += 1
         bound *= ratio
-        if float(np.sum(bound)) / (degree + 1) < _FAR_TOLERANCE:
-            break
-    return scale, np.array(exact_power_sums(scale / far, degree))
+        if float(np.sum(bound)) / (degree + 1) < limit:
+            return degree
 
 
 def _near_far(seq: ZeroSequence, n: int, radius: float | None) -> tuple[np.ndarray, float, np.ndarray]:
@@ -849,17 +885,17 @@ def _quotient_sums(seq: ZeroSequence, numerators, n: int, radius: float | None) 
     near, scale, sums = _near_far(seq, n, radius)
     numerators = np.asarray(numerators, dtype=np.complex128).reshape(-1)
     step = max(1, _BLOCK_ELEMENTS // max(near.size, 1))
-    out = []
+    out = np.empty(numerators.size, dtype=np.complex128)
     for first in range(0, numerators.size, step):
         quotients = numerators[first : first + step, None] / near
         real, imag = ExactSum(len(quotients)), ExactSum(len(quotients))
         real.add(quotients.real)
         imag.add(quotients.imag)
-        out += [complex(real.total(j), imag.total(j)) for j in range(len(quotients))]
-    if sums.size:
+        out[first : first + len(quotients)] = _complex_totals(real, imag)
+    if sums.size:  # as Python forms it, with no fused multiply-add
         p1 = complex(sums[0])
-        out = [total + u * p1 / scale for total, u in zip(out, numerators.tolist())]
-    return np.array(out, dtype=np.complex128)
+        out = np.array([total + u * p1 / scale for total, u in zip(out.tolist(), numerators.tolist())])
+    return out
 
 
 def eval_shifted_product(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -712,3 +713,81 @@ def test_log_derivative_of_unpaired_zeros_keeps_one_term_per_factor(poly_spec, d
         seq = ZeroSequence(zeros=np.array(zeros), ordering=Ordering.AS_GIVEN)
         spec = EntireFunctionSpec(class_tag=ClassTag.Y, value_at_zero=1.0, zero_sequence=seq)
         assert log_derivative(spec, s) == complex_sum(1.0 / (s - seq.zeros)) != 0
+
+
+def _plain_far_sums(far: np.ndarray) -> tuple[float, int, list[tuple[str, str]]]:
+    """(c, K, bits of each p_m) by the plain loops: the chained degree products,
+    and every power of the whole far set summed by complex_sum."""
+    moduli = np.abs(far)
+    smallest = float(moduli.min())
+    scale = math.ldexp(1.0, math.frexp(smallest)[1] - 1)
+    ratio = smallest / (_FAR_RATIO * moduli)
+    bound, degree = ratio / (1.0 - ratio), 0
+    while True:
+        degree += 1
+        bound = bound * ratio
+        if float(np.sum(bound)) / (degree + 1) < _FAR_TOLERANCE:
+            break
+    base = scale / far
+    power, sums = base, []
+    for m in range(1, degree + 1):
+        power = power * base if m > 1 else power
+        total = complex_sum(power)
+        sums.append((total.real.hex(), total.imag.hex()))
+    return scale, degree, sums
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    size=st.sampled_from([1, 2, 40, 700, 3000]),
+    layout=st.sampled_from(["paired", "unpaired", "unsorted", "imaginary"]),
+    spread=st.floats(min_value=1.5, max_value=200.0),
+)
+def test_far_sums_match_the_plain_loops(seed, size, layout, spread) -> None:
+    rng = np.random.default_rng(seed)
+    moduli = np.sort(rng.uniform(1.0, spread, size)) * 10.0 ** rng.uniform(-3.0, 3.0)
+    angles = rng.uniform(-math.pi, math.pi, size)
+    if layout == "imaginary":
+        angles = np.where(rng.random(size) < 0.5, math.pi / 2, -math.pi / 2)
+    far = moduli * np.exp(1j * angles)
+    if layout in ("paired", "imaginary"):
+        far = np.repeat(far[: (size + 1) // 2], 2)
+        far[1::2] = np.conj(far[0::2])
+        if layout == "imaginary":
+            far.real = 0.0
+    elif layout == "unsorted":
+        far = rng.permutation(far)
+    scale, sums = _far_sums(far)
+    assert (scale, sums.size, [(p.real.hex(), p.imag.hex()) for p in sums.tolist()]) == _plain_far_sums(far)
+
+
+# tracemalloc peaks of the change before the multi-row sums, with numpy 2.4:
+# one far build over the 1e4-zero line at R = 30, and a batch of 16384 ring
+# points at |s| = 20 over 2000 conjugate pairs +-ik at genus 1
+FAR_BUILD_PEAK = 789_822
+RING_BATCH_PEAK = 1_415_727
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_far_build_peak_memory(sinh_line_spec) -> None:
+    seq = sinh_line_spec.zero_sequence
+    far = seq.zeros[seq.moduli > _FAR_RATIO * 30.0].copy()
+    _far_sums(far)  # first calls allocate numpy's caches
+    assert _traced_peak(lambda: _far_sums(far)) <= FAR_BUILD_PEAK
+
+
+def test_ring_batch_peak_memory(sinh_genus1_spec) -> None:
+    seq = sinh_genus1_spec.zero_sequence
+    points = 20.0 * np.exp(2j * np.pi * np.arange(16384) / 16384)
+    product_engine._log_sums(seq, 1, 0j, points[:4], len(seq), 20.0)  # the far sums, cached
+    peak = _traced_peak(lambda: product_engine._log_sums(seq, 1, 0j, points, len(seq), 20.0))
+    assert peak <= RING_BATCH_PEAK

@@ -111,7 +111,7 @@ def test_streamed_blocks_match_fsum(seed, sizes, special) -> None:
     for block in blocks:
         acc.add(block)
     expected = math.fsum(np.concatenate(blocks))
-    assert acc.total().hex() == expected.hex()
+    assert acc.totals()[0].hex() == expected.hex()
 
 
 def test_one_binade_at_full_load() -> None:
@@ -250,16 +250,19 @@ def power_sum_bits(base: np.ndarray, m_max: int) -> list[tuple[str, str]]:
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     size=st.sampled_from([0, 1, 7, 40, 300, 1100]),
-    layout=st.sampled_from(["complex", "paired", "imaginary", "ties", "underflow"]),
+    layout=st.sampled_from(["complex", "paired", "imaginary", "ties", "underflow", "tiny"]),
     m_max=st.integers(min_value=1, max_value=300),
 )
 @example(seed=3, size=1100, layout="underflow", m_max=300)
+@example(seed=1, size=40, layout="tiny", m_max=4)
 def test_head_sums_match_fsum_of_every_power(seed, size, layout, m_max) -> None:
     rng = np.random.default_rng(seed)
     # moduli spread over decades, as the reciprocals of growing zeros are
     radii = 10.0 ** rng.uniform(-4.0, 0.1, size)
     if layout == "underflow":  # the last powers span the subnormals, and some are 0
         radii = 10.0 ** (rng.uniform(-330.0, -290.0, size) / m_max)
+    elif layout == "tiny":  # normal entries whose squares are subnormal
+        radii = 2.0 ** rng.uniform(-530.0, -500.0, size)
     half = radii * np.exp(1j * rng.uniform(-math.pi, math.pi, size))
     if layout == "paired":
         base = interleave(half[: size // 2])
@@ -274,15 +277,15 @@ def test_head_sums_match_fsum_of_every_power(seed, size, layout, m_max) -> None:
 
 
 def spy_on_heads(tried: list):
-    """Patch _numeric._settled to record (head size, settled) per call."""
-    original = _numeric._settled
+    """Patch _numeric._settle_rows to record (head size, settled) per row it tests."""
+    original = _numeric._settle_rows
 
-    def spy(values, bound):
-        result = original(values, bound)
-        tried.append((values.size, result is not None))
-        return result
+    def spy(block, tails):
+        totals, settled = original(block, tails)
+        tried.extend((block.shape[1], bool(done)) for done in settled)
+        return totals, settled
 
-    return patch.object(_numeric, "_settled", spy)
+    return patch.object(_numeric, "_settle_rows", spy)
 
 
 @pytest.mark.parametrize("crosses", [False, True])
@@ -330,3 +333,118 @@ def test_mirrored_imaginary_base_of_1e5_entries() -> None:
     base = interleave(1.0 / (1j * k))
     assert _conjugate_half(base) is not None and not np.count_nonzero(base.real)
     assert power_sum_bits(base, 20) == reference_power_sums(base, 20)
+
+
+# Row lengths about the cut-offs and the block size
+ROW_LENGTHS = [1, 2, 511, 512, 513, BLOCK - 1, BLOCK + 1]
+
+
+def fsum_outcome(rows: np.ndarray):
+    """math.fsum of each row in order, or the first exception's type and text."""
+    try:
+        return [math.fsum(row).hex() for row in rows.tolist()]
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def totals_outcome(rows: np.ndarray):
+    try:
+        acc = ExactSum(len(rows))
+        acc.add(rows)
+        return [total.hex() for total in acc.totals().tolist()]
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def row_block(rng, count: int, length: int, layout: str) -> np.ndarray:
+    """count rows of length entries that put the rounding at one of its edges."""
+    rows = magnitudes(rng, count * length, -3, 3).reshape(count, length)
+    if layout == "zeros":  # +-0 only: some rows all -0.0
+        rows = np.where(rng.random(rows.shape) < 0.5, -0.0, 0.0)
+        rows[::2] = -0.0
+    elif layout == "subnormal":
+        rows = rng.uniform(-1.0, 1.0, rows.shape) * 2.0**-1022
+    elif layout == "near 2^990":
+        rows = rng.choice([-1.0, 1.0], rows.shape) * 2.0 ** rng.uniform(985.0, 990.0, rows.shape)
+    elif layout == "ties":
+        # x + half an ulp of x, the rest cancelling in pairs: the exact sum is a
+        # tie, or, with +-2^-110 more, just off one, past what a plain sum keeps
+        # (x even and odd in its last bit, the tiny term up and down, by row)
+        row = np.arange(count)
+        rows[:, 0] = 1.0 + (2 * rng.integers(0, 2**19, count) + row // 2 % 2) * 2.0**-52
+        rows[:, 1:] = 0.0
+        if length > 1:
+            rows[:, 1] = 2.0**-53
+        if length > 3:
+            rows[:, 2], rows[:, 3] = 3.0**-40, -(3.0**-40)
+        if length > 4:
+            rows[:, 4] = np.where(row % 4 < 2, 0.0, np.where(row % 2, 2.0**-110, -(2.0**-110)))
+    elif layout == "power of two":
+        # 2 less a little: the exact sum sits where the spacing halves
+        rows[:, 0] = 2.0
+        rows[:, 1:] = 0.0
+        if length > 1:
+            rows[:, 1] = -(2.0 ** rng.integers(-60, -52, count))
+    elif layout == "cancel":
+        half = length // 2
+        rows[:, length - half :] = -rows[:, :half][:, ::-1]
+    elif layout in ("nan", "inf", "overflow"):
+        special = {"nan": math.nan, "inf": math.inf, "overflow": 1.7e308}[layout]
+        rows.flat[rng.integers(0, rows.size, 3)] = special
+        if layout != "nan":
+            rows.flat[rng.integers(0, rows.size)] = -special
+    return rows
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    length=st.sampled_from(ROW_LENGTHS),
+    count=st.sampled_from([1, 3, 4, 17, 64]),
+    layout=st.sampled_from(
+        ["random", "zeros", "subnormal", "near 2^990", "ties", "power of two", "cancel", "nan", "inf", "overflow"]
+    ),
+)
+@example(seed=1, length=513, count=17, layout="ties")
+@example(seed=2, length=512, count=17, layout="power of two")
+@example(seed=3, length=513, count=4, layout="zeros")
+def test_totals_match_fsum_row_by_row(seed, length, count, layout) -> None:
+    count = min(count, 3) if length > BLOCK else count  # long rows stay few
+    rows = row_block(np.random.default_rng(seed), count, length, layout)
+    assert totals_outcome(rows) == fsum_outcome(rows)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    length=st.sampled_from([1, 40, 161, 600]),
+    count=st.sampled_from([2, 5, 25, 136]),
+    layout=st.sampled_from(["random", "zeros", "ties", "nan", "inf", "overflow"]),
+)
+def test_complex_totals_raise_what_row_by_row_rounding_raises(seed, length, count, layout) -> None:
+    rng = np.random.default_rng(seed)
+    real, imag = row_block(rng, count, length, layout), row_block(rng, count, length, "random")
+    if rng.random() < 0.5:
+        real, imag = imag, real
+    accs = ExactSum(count), ExactSum(count)
+    for acc, rows in zip(accs, (real, imag)):
+        acc.add(rows)
+    try:
+        expected = [complex(math.fsum(re), math.fsum(im)) for re, im in zip(real.tolist(), imag.tolist())]
+    except (ValueError, OverflowError) as exc:
+        expected = type(exc), str(exc)
+    try:
+        got = _numeric._complex_totals(*accs).tolist()
+    except (ValueError, OverflowError) as exc:
+        got = type(exc), str(exc)
+    if isinstance(expected, list):
+        assert [(z.real.hex(), z.imag.hex()) for z in got] == [(z.real.hex(), z.imag.hex()) for z in expected]
+    else:
+        assert got == expected
+
+
+def test_extraction_settles_the_rows_it_rounds() -> None:
+    # 136 rows of 161 log-sized terms, as a ring batch of pair logs: the
+    # extraction rounds every row, with no row left to math.fsum
+    rows = magnitudes(np.random.default_rng(11), 136 * 161, -6, 1).reshape(136, 161)
+    total, bound = _numeric._extract(rows)
+    assert np.all(bound < _numeric._half_spacing(total))
+    assert total.tolist() == [math.fsum(row) for row in rows.tolist()]

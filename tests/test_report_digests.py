@@ -28,3 +28,13 @@ def test_short_corpus_digests_repeat(tmp_path) -> None:
         assert re.fullmatch("[0-9a-f]{64}", digest)
         assert rest == " ".join(argv)
         assert argv[-2:] == ("--terms", str(tool.REDUCED_TERMS))
+
+
+def test_check_names_the_lines_that_differ() -> None:
+    tool = _tool()
+    saved = ["a run-1", "b run-2", "c run-3"]
+    assert tool.differing(saved, saved) == []
+    assert tool.differing(["a run-1", "x run-2", "c run-3"], saved) == [("b run-2", "x run-2")]
+    # a line more or less is a difference too
+    assert tool.differing(saved[:2], saved) == [("c run-3", None)]
+    assert tool.differing(saved + ["d run-4"], saved) == [(None, "d run-4")]

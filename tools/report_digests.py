@@ -1,6 +1,6 @@
 """Report digests of a fixed corpus of CLI runs, one ``digest argv`` line per run.
 
-    python3 tools/report_digests.py [--seeds 5 6 7] [--out DIR]
+    python3 tools/report_digests.py [--seeds 5 6 7] [--out DIR] [--check FILE]
 
 Run from the repository root.  The corpus is
 
@@ -14,12 +14,15 @@ report line: argv, input digests, errors, records and exit code) followed
 by its argv.  Spec files are written under ``--out`` and the runs execute
 there, so argv and input digests name no checkout path: two checkouts print
 the same lines exactly when every report is byte-identical.  Diff the
-outputs of two trees to show that a change keeps every report.
+outputs of two trees to show that a change keeps every report, or pass
+``--check`` a saved output: the run then prints only the lines that differ
+from it, saved (-) and new (+), and exits 1 when there are any.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 from pathlib import Path
@@ -190,10 +193,16 @@ def digests(argvs, out: Path) -> list[str]:
         os.chdir(here)
 
 
+def differing(lines: list[str], saved: list[str]) -> list[tuple[str | None, str | None]]:
+    """(saved, new) for each position where the lines differ; None past the end of either."""
+    return [(old, new) for old, new in itertools.zip_longest(saved, lines) if old != new]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="*", default=list(DEFAULT_SEEDS))
     parser.add_argument("--out", type=Path, default=ROOT / ".bench_build" / "report_digests")
+    parser.add_argument("--check", type=Path, help="a saved output: exit 1 when any line differs from it")
     args = parser.parse_args(argv)
     out = args.out.resolve()
     out.mkdir(parents=True, exist_ok=True)
@@ -203,8 +212,14 @@ def main(argv=None) -> int:
         lines += digests(mix_corpus(out, seed), out)
     write_small_specs(out)
     lines += digests(small_corpus(), out)
-    print("\n".join(lines))
-    return 0
+    if args.check is None:
+        print("\n".join(lines))
+        return 0
+    changed = differing(lines, args.check.read_text().splitlines())
+    for old, new in changed:
+        print(f"- {old}" if old is not None else "-", f"+ {new}" if new is not None else "+", sep="\n")
+    print(f"{len(changed)} of {len(lines)} lines differ from {args.check}", file=sys.stderr)
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":
