@@ -163,7 +163,7 @@ def _extract(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     docstring), inf where max |x| is not below 2^978 / n."""
     width = terms.shape[1]
     values, axis = (np.ascontiguousarray(terms.T), 0) if width <= _NARROW else (terms, 1)
-    largest = np.abs(values).max(axis=axis)
+    largest = np.maximum(values.max(axis=axis), -values.min(axis=axis))
     sigma = np.ldexp(1.0, np.frexp(largest)[1] + (2 * width).bit_length())  # > 2 n max |x|
     high = values + (sigma if axis == 0 else sigma[:, None])
     high -= sigma if axis == 0 else sigma[:, None]
