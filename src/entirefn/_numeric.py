@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,13 +84,11 @@ _WINDOW = 11
 # Rows this long are binned as they are added; a row left to math.fsum, from
 # _FSUM_BELOW entries on.  Batches of fewer rows or terms than _CERTIFY_ROWS
 # and _CERTIFY_TERMS go to math.fsum row by row, where the extraction would
-# not pay; rows of at most _NARROW terms are reduced as the columns of their
-# transpose.  Set from in-process timings (CHANGES.md).
+# not pay.  Set from in-process timings (CHANGES.md).
 _BIN_FROM = 1 << 14
 _FSUM_BELOW = 768
 _CERTIFY_ROWS = 4
 _CERTIFY_TERMS = 1024
-_NARROW = 64
 # Parts below this size sum, and double, without overflow (_doubles_exactly).
 _DOUBLING_LIMIT = 2.0**990
 # exact_power_sums sums a power over the _HEAD entries of largest modulus,
@@ -120,10 +119,10 @@ class ExactSum:
         terms = np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0] if parts else np.zeros((self._rows, 0))
         return terms if rows is None else terms[rows]
 
-    def totals(self, rows=None) -> np.ndarray:
-        """Correctly rounded sums of every row, or of the rows ``rows`` indexes,
-        with ``math.fsum``'s bits and its exceptions, the first in row order."""
-        return _complex_totals(self, None, rows).real.copy()
+    def totals(self) -> np.ndarray:
+        """Correctly rounded sums of every row, with ``math.fsum``'s bits and
+        its exceptions, the first in row order (``complex_totals``)."""
+        return complex_totals(self).real.copy()
 
 
 def _window_sums(rows: np.ndarray) -> np.ndarray:
@@ -143,13 +142,13 @@ def _binned(block: np.ndarray) -> np.ndarray:
     key = bits >> 50
     key &= 0x7FF << 2
     key |= _LANE[:width]
-    top = key.max(axis=1) if count > 1 else key.max()
-    if int(top.max()) >> 2 >= _EXPONENT_CAP:
+    top = key.max(axis=1).tolist()
+    if max(top) >> 2 >= _EXPONENT_CAP:
         return block  # math.fsum takes these exactly, with its rules for NaN and inf
-    low = (key.min(axis=1) if count > 1 else key.min()) & -_LANES
+    low = (key.min(axis=1) & -_LANES).tolist()
     span = _WINDOW * _LANES
-    size = -(-int((top - low).max() + 1) // span) * span  # bins per row, whole windows
-    key -= low if count == 1 else (low - np.arange(0, count * size, size))[:, None]
+    size = -(-(max(map(operator.sub, top, low)) + 1) // span) * span  # bins per row, whole windows
+    key -= low[0] if count == 1 else np.subtract(low, np.arange(0, count * size, size))[:, None]
     key, starts = key.ravel(), np.arange(0, count * size, span)
     part = (bits & _HIGH_MASK).view(np.float64)
     high = np.add.reduceat(np.bincount(key, part.ravel(), count * size), starts)
@@ -162,13 +161,12 @@ def _extract(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row of a 2-d array of exact terms: t, and fl(|r| + delta) (module
     docstring), inf where max |x| is not below 2^978 / n."""
     width = terms.shape[1]
-    values, axis = (np.ascontiguousarray(terms.T), 0) if width <= _NARROW else (terms, 1)
-    largest = np.maximum(values.max(axis=axis), -values.min(axis=axis))
+    largest = np.maximum(terms.max(axis=1), -terms.min(axis=1))
     sigma = np.ldexp(1.0, np.frexp(largest)[1] + (2 * width).bit_length())  # > 2 n max |x|
-    high = values + (sigma if axis == 0 else sigma[:, None])
-    high -= sigma if axis == 0 else sigma[:, None]
-    tau = high.sum(axis=axis)
-    rest_sum = np.subtract(values, high, out=high).sum(axis=axis)
+    high = terms + sigma[:, None]
+    high -= sigma[:, None]
+    tau = high.sum(axis=1)
+    rest_sum = np.subtract(terms, high, out=high).sum(axis=1)
     total = tau + rest_sum
     z = total - tau
     rest = (tau - (total - z)) + (rest_sum - z)
@@ -182,16 +180,17 @@ def _half_spacing(total: np.ndarray) -> np.ndarray:
     return (size - np.nextafter(size, 0.0)) * 0.5
 
 
-def _complex_totals(real: ExactSum, imag: ExactSum | None, rows=None) -> np.ndarray:
-    """real.totals(rows) + 1j imag.totals(rows), both parts in one extraction.
+def complex_totals(real: ExactSum, imag: ExactSum | None = None, rows=None) -> np.ndarray:
+    """The correctly rounded sums of the rows of real, plus 1j times imag's, of
+    every row or of the rows ``rows`` indexes, both parts in one extraction.
     The rows it leaves take ``math.fsum``, each row's real part before its
     imaginary part, in row order: the first exception is the one rounding
     row by row raises, as a row the extraction settles raises none."""
-    terms = [acc._terms(rows) for acc in (real, imag) if acc is not None]
-    count, width = len(terms[0]), max(values.shape[1] for values in terms)
+    terms = [real._terms(rows)] if imag is None else [real._terms(rows), imag._terms(rows)]
+    count, width = len(terms[0]), max(terms[0].shape[1], terms[-1].shape[1])
     if count * len(terms) < _CERTIFY_ROWS or count * len(terms) * width < _CERTIFY_TERMS:
-        rows = zip(*(_fsum_rows(values) for values in terms))
-        return np.array([complex(*map(math.fsum, row)) for row in rows], dtype=np.complex128)
+        parts = (map(math.fsum, _fsum_rows(values)) for values in terms)
+        return np.array(list(map(complex, *parts)), dtype=np.complex128)  # row j's real total, then its imaginary one
     stacked = np.full((count * len(terms), width), -0.0)  # -0.0 changes no sum, nor its sign
     for first, values in zip((0, count), terms):
         stacked[first : first + count, : values.shape[1]] = values

@@ -96,6 +96,7 @@ test reads one distance, min |s - z| (``_nearest``).
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
@@ -104,8 +105,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._numeric import BLOCK, ExactSum, complex_sum, exact_power_sums, real_sum
-from ._numeric import _complex_totals, _conjugate_half, _doubles_exactly, _mirrored
+from ._numeric import BLOCK, ExactSum, complex_sum, complex_totals, exact_power_sums, real_sum
+from ._numeric import _conjugate_half, _doubles_exactly, _mirrored
 from .core_types import _LOG_DOUBLE_MAX, EntireFunctionSpec, Ordering, Pairing, ZeroSequence
 
 __all__ = [
@@ -271,7 +272,7 @@ def _log_sum(points, zeros: np.ndarray, genus: int, center: complex | np.ndarray
         rows = sums[first : first + len(s)]
         rows[dead] = -math.inf
         try:
-            rows[~dead] = _complex_totals(real, imag, ~dead if dead.any() else None)
+            rows[~dead] = complex_totals(real, imag, ~dead if dead.any() else None)
         except OverflowError:
             raise ValueError("the sum of the factor logs passes the double range") from None
     return sums
@@ -404,7 +405,7 @@ def _conjugate_log_sum(points: np.ndarray, near: np.ndarray, pairs: _ConjugatePa
                 log_imag = np.concatenate([log_imag, s.imag * linear], axis=1)
             real.add(log_real)
             imag.add(log_imag)
-        sums[block[finite]] = _complex_totals(real, imag, None if finite.all() else finite)
+        sums[block[finite]] = complex_totals(real, imag, None if finite.all() else finite)
         for row in block[~finite].tolist():
             if np.count_nonzero(near == points[row]):
                 sums[row] = complex(-math.inf)
@@ -549,25 +550,23 @@ def _far_degree(ratio: np.ndarray) -> int:
     """K of ``_far_sums``: the least d >= 1 where the rounded sum of r/(1 - r)
     times r, d times over, is below (d + 1) _FAR_TOLERANCE (every r <= 1/4).
 
-    It falls with d, between 4^-d (4/3) sum r and 4^-d / 3 (the least
-    modulus's r = 1/4).  Within that bracket it is taken as the sum of
-    r^d r/(1 - r) over the r >= 1/16 (the rest is below 16^-d (4/3) sum r),
-    r^d from one exp(d log r), within 1e-12 of the chained sum; where one
-    lands within 1e-9 of the threshold the chain decides.
+    The least modulus's r = 1/4 keeps that sum above 4^-d / 3, so K exceeds
+    every d where 4^-(d+1) / (3 (d + 2)) passes the threshold.  From there it
+    is taken as the sum of r^d r/(1 - r) over the r >= 1/16 (the rest is
+    below 16^-d (4/3) sum r), r^d from one exp(d log r), within 1e-12 of the
+    chained sum; where one lands within 1e-9 of the threshold the chain
+    decides.
     """
-    total, limit = float(np.sum(ratio)) * (4.0 / 3.0) * (1.0 + 1e-12), _FAR_TOLERANCE
-    low = max(0, int(math.log(1.0 / (192.0 * limit), 4)) - 1)  # 4^(d+1) (d+2) < 1/(3 limit) there
+    limit, low = _FAR_TOLERANCE, 0
     while 0.25 ** (low + 1) / (3.0 * (low + 2)) > limit * (1.0 + 1e-9):
         low += 1
-    high = low + 1
-    while math.isfinite(total) and total * 0.25**high / (high + 1) >= limit * (1.0 - 1e-9):
-        high += 1
+    total = float(np.sum(ratio)) * (4.0 / 3.0) * (1.0 + 1e-12)  # >= sum r/(1 - r)
     large = ratio[ratio >= 0.0625]
     term = large / (1.0 - large) * np.exp((low + 1) * np.log(large))
-    for degree in range(low + 1, high + 1):
+    for degree in itertools.count(low + 1):
         value = float(np.sum(term)) / (degree + 1)
-        if not math.isfinite(total) or abs(value - limit) <= 1e-9 * limit + total * 0.0625**degree / (degree + 1):
-            break
+        if abs(value - limit) <= 1e-9 * limit + total * 0.0625**degree / (degree + 1):
+            break  # also where total is not finite
         if value < limit:
             return degree
         term *= large
@@ -891,7 +890,7 @@ def _quotient_sums(seq: ZeroSequence, numerators, n: int, radius: float | None) 
         real, imag = ExactSum(len(quotients)), ExactSum(len(quotients))
         real.add(quotients.real)
         imag.add(quotients.imag)
-        out[first : first + len(quotients)] = _complex_totals(real, imag)
+        out[first : first + len(quotients)] = complex_totals(real, imag)
     if sums.size:  # as Python forms it, with no fused multiply-add
         p1 = complex(sums[0])
         out = np.array([total + u * p1 / scale for total, u in zip(out.tolist(), numerators.tolist())])

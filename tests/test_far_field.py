@@ -761,13 +761,6 @@ def test_far_sums_match_the_plain_loops(seed, size, layout, spread) -> None:
     assert (scale, sums.size, [(p.real.hex(), p.imag.hex()) for p in sums.tolist()]) == _plain_far_sums(far)
 
 
-# tracemalloc peaks of the change before the multi-row sums, with numpy 2.4:
-# one far build over the 1e4-zero line at R = 30, and a batch of 16384 ring
-# points at |s| = 20 over 2000 conjugate pairs +-ik at genus 1
-FAR_BUILD_PEAK = 789_822
-RING_BATCH_PEAK = 1_415_727
-
-
 def _traced_peak(call) -> int:
     tracemalloc.start()
     try:
@@ -779,15 +772,23 @@ def _traced_peak(call) -> int:
 
 
 def test_far_build_peak_memory(sinh_line_spec) -> None:
+    """One far build (the 1e4-zero line at R = 30) holds at most five arrays the
+    size of the far set: 780960 bytes, below the 789_822 of the per-power sums
+    before the multi-row pass and above its 582_696 (numpy 2.4)."""
     seq = sinh_line_spec.zero_sequence
     far = seq.zeros[seq.moduli > _FAR_RATIO * 30.0].copy()
     _far_sums(far)  # first calls allocate numpy's caches
-    assert _traced_peak(lambda: _far_sums(far)) <= FAR_BUILD_PEAK
+    assert _traced_peak(lambda: _far_sums(far)) <= 5 * far.nbytes
 
 
 def test_ring_batch_peak_memory(sinh_genus1_spec) -> None:
+    """A batch of 16384 ring points at |s| = 20 over 2000 conjugate pairs +-ik at
+    genus 1 holds at most four arrays the size of the batch and BLOCK complex
+    temporaries: 1.5 MiB, above the 1_415_727 bytes of the per-row rounding
+    and the 1_392_615 of the multi-row one, below the 1.85 MB that blocks of
+    8192 entries took (numpy 2.4)."""
     seq = sinh_genus1_spec.zero_sequence
     points = 20.0 * np.exp(2j * np.pi * np.arange(16384) / 16384)
     product_engine._log_sums(seq, 1, 0j, points[:4], len(seq), 20.0)  # the far sums, cached
     peak = _traced_peak(lambda: product_engine._log_sums(seq, 1, 0j, points, len(seq), 20.0))
-    assert peak <= RING_BATCH_PEAK
+    assert peak <= 4 * points.nbytes + 16 * BLOCK

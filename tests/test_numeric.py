@@ -432,7 +432,7 @@ def test_complex_totals_raise_what_row_by_row_rounding_raises(seed, length, coun
     except (ValueError, OverflowError) as exc:
         expected = type(exc), str(exc)
     try:
-        got = _numeric._complex_totals(*accs).tolist()
+        got = _numeric.complex_totals(*accs).tolist()
     except (ValueError, OverflowError) as exc:
         got = type(exc), str(exc)
     if isinstance(expected, list):
