@@ -20,9 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ._numeric import complex_sum
 from .core_types import ClassTag, EntireFunctionSpec, Ordering, ZeroSequence
-from .product_engine import _eval_batch, _log_sums, _nearest, _retained, _values_from_logs, eval_product
+from .product_engine import _eval_batch, _log_sums, _nearest, _reciprocal_sum, _retained, _values_from_logs, eval_product
 from .series_engine import TaylorExpansion, _require_sign_symmetric
 
 __all__ = [
@@ -245,13 +244,15 @@ def _even_product_values(spec: EntireFunctionSpec, xs, n_terms: int | None) -> l
     return _values_from_logs(exponents, real, center.value, center.log_value)
 
 
-def _literal_values(spec: EntireFunctionSpec, zeros: np.ndarray, grid: np.ndarray, v0: complex) -> np.ndarray:
-    """The literal line product V(0) prod (1 - x / tau_k) at each x of the grid,
-    times exp(i x (q + sum 1/z_k)) at genus 1, with the far offsets beyond the grid from power sums."""
-    exponents, real = _offset_logs(zeros.imag, grid, float(np.max(np.abs(grid))))
+def _literal_values(spec: EntireFunctionSpec, n: int, grid: np.ndarray, v0: complex) -> np.ndarray:
+    """The literal line product V(0) prod (1 - x / tau_k) over the first n zeros at each x of
+    the grid, times exp(i x (q + R)) at genus 1, with the far offsets beyond the grid from
+    power sums.  R = sum 1/z_k is split at the profile's radius (``_reciprocal_sum``)."""
+    exponents, real = _offset_logs(spec.zero_sequence.zeros[:n].imag, grid, float(np.max(np.abs(grid))))
     if spec.genus == 1:
-        recip_sum = complex_sum(1.0 / zeros)
-        exponents += 1j * grid * spec.q_constant + 1j * grid * recip_sum
+        assert spec.center_xi is not None
+        recip = _reciprocal_sum(spec.zero_sequence, n, _line_radius(spec.center_xi, grid))
+        exponents += 1j * grid * spec.q_constant + 1j * grid * recip
         real[:] = False
     return np.array(_values_from_logs(exponents, real, v0, cmath.log(v0)), dtype=np.complex128)
 

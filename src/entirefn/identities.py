@@ -182,7 +182,7 @@ def _line_form_identity(spec, with_even_form: bool, x_min, x_max, samples, n_ter
     direct = profile.values
     if not (np.all(np.isfinite(direct)) and cmath.isfinite(profile.v0)):
         raise ValueError(f"line values pass the double range on [{x_min!r}, {x_max!r}]")
-    literal = _literal_values(spec, spec.zero_sequence.zeros[: profile.truncation], profile.grid, profile.v0)
+    literal = _literal_values(spec, profile.truncation, profile.grid, profile.v0)
     scale = 1.0 + np.abs(direct)
     residual = float(np.max(np.abs(literal - direct) / scale))
     quantities = [("line_form_residual_max", residual)]

@@ -47,14 +47,20 @@ through their power sums p_m = sum z^-m:
 
 with the m = 1 term dropped at genus 1.  The shifted products' sums about
 alpha take G(s) - G(alpha) (``_log_sums``, the one place the recentred
-rule is formed) at both genera, and their genus-1 sums of u/z take u p_1
-(``_quotient_sums``).  p_1..p_K are exact sums, cached on the zero
-sequence per (N, near count); K is the least degree whose remainder bound
-sum_far |w|^(K+1) / ((K+1)(1 - |w|)), |w| <= 1/4, is below 1e-17.  A
-batch gives values and logs; only the point evaluators (``eval_product``,
+rule is formed) at both genera.  p_1..p_K are exact sums, cached on the
+zero sequence per (N, near count); K is the least degree whose remainder
+bound sum_far |w|^(K+1) / ((K+1)(1 - |w|)), |w| <= 1/4, is below 1e-17.
+A batch gives values and logs; only the point evaluators (``eval_product``,
 ``eval_shifted_product``) build records, which read min |s - z| over every
 retained zero.  Single-point calls (those two and ``log_derivative``) are
 the case with no far zeros.
+
+A genus-1 product is the genus-0 one times e^((q + R) s), R = sum 1/z over
+the retained zeros (``_reciprocal_sum``: the near zeros' exact sum plus the
+far ones' p_1); the shifted products and constant residuals take each sum
+of u/z as u R.  For accuracy three forms keep one term per factor: the
+fused genus-1 factor log, ``log_derivative``'s brackets and the g_1 of
+``series_engine.taylor_coefficients``.
 
 One term per conjugate pair
 ---------------------------
@@ -66,7 +72,8 @@ These reductions take one term per pair:
 * far-field batches (a non-empty far series) whose near zeros are the
   conjugate pairs that open the sequence (``_conjugate_pairs``, found once
   per sequence): one log of 1 - w' per pair (``_conjugate_log_sum``), with
-  the genus-1 factors as one more exact term s C;
+  the genus-1 factors as one more exact term s C, C the real part of the
+  near pairs' R;
 * ``log_derivative``, where its retained zeros are such pairs: one term
   per pair, at genus 1 both brackets in one;
 * genus-0 points on the line of a line sequence, in every batch
@@ -105,7 +112,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._numeric import BLOCK, ExactSum, complex_sum, complex_totals, exact_power_sums, real_sum
+from ._numeric import BLOCK, ExactSum, complex_sum, complex_totals, exact_power_sums
 from ._numeric import _conjugate_half, _doubles_exactly, _mirrored
 from .core_types import _LOG_DOUBLE_MAX, EntireFunctionSpec, Ordering, Pairing, ZeroSequence
 
@@ -197,7 +204,9 @@ def _log_factors(w, genus: int) -> tuple[np.ndarray, np.ndarray]:
     Elementwise over a 1-d array of w = s/z.  The imaginary part is the
     principal argument of 1 - w (plus Im w at genus 1).  At w == 1 the real
     part is -inf.  At genus 1, |w| <= 1/2 takes the fixed-degree atanh
-    series of ``_log_tail`` in place of both parts.
+    series of ``_log_tail`` in place of both parts.  The genus-1 w stays in
+    each factor, not in one s R: the series keeps log(1 - w) + w, about
+    -w^2/2, to full relative accuracy where the two parts cancel.
     """
     if genus not in (0, 1):
         raise ValueError(f"factor genus must be 0 or 1, got {genus}")
@@ -294,8 +303,7 @@ class _ConjugatePairs(NamedTuple):
     larger part of z: ``scale`` 2^-e, ``a`` and ``b`` the parts of z 2^-e
     and ``d`` a^2 + b^2.  ``limit[k]`` is the pair range of the first k + 1
     pairs, 2^(255 + e) for their least e (2^1023 at most, 0 where that e is
-    below -960).  ``linear`` keeps C of the first k pairs by k
-    (``_pair_linear``).
+    below -960).
     """
 
     count: int
@@ -311,7 +319,6 @@ class _ConjugatePairs(NamedTuple):
     b: np.ndarray
     d: np.ndarray
     limit: np.ndarray
-    linear: dict[int, float]
 
 
 def _conjugate_pairs(seq: ZeroSequence, k: int) -> _ConjugatePairs:
@@ -342,18 +349,10 @@ def _conjugate_pairs(seq: ZeroSequence, k: int) -> _ConjugatePairs:
             limit = np.where(least_exponent >= -960, np.ldexp(1.0, np.minimum(255 + least_exponent, 1023)), 0.0)
         pairs = _ConjugatePairs(
             count, covered, reach, z, conj, *(part.astype(np.complex128) for part in parts), scale, a, b,
-            a * a + b * b, limit, pairs.linear if pairs else {},
+            a * a + b * b, limit,
         )
         object.__setattr__(seq, "_conjugate_cache", pairs)
     return pairs
-
-
-def _pair_linear(pairs: _ConjugatePairs, k: int) -> float:
-    """C, the exactly rounded sum of 2 Re z/|z|^2 over the first k pairs: their
-    exponential factors at genus 1 multiply to e^(s C).  Cached by k."""
-    if k not in pairs.linear:
-        pairs.linear[k] = real_sum(2.0 * pairs.u[:k].real)
-    return pairs.linear[k]
 
 
 def _batch_pairs(seq: ZeroSequence, near: np.ndarray, radius: float) -> _ConjugatePairs | None:
@@ -369,23 +368,22 @@ def _batch_pairs(seq: ZeroSequence, near: np.ndarray, radius: float) -> _Conjuga
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def _conjugate_log_sum(points: np.ndarray, near: np.ndarray, pairs: _ConjugatePairs, genus: int) -> np.ndarray:
+def _conjugate_log_sum(points: np.ndarray, near: np.ndarray, pairs: _ConjugatePairs, genus: int, linear: float):
     """``_log_sum(points, near, genus)`` with one log per pair, near the first near.size / 2 pairs of ``pairs``.
 
     A pair's factors multiply to 1 - w', w' = s (2 Re z - s)/|z|^2, formed
     from s and z scaled by the power of two of the larger part of z.  Where
     |w'| < 1/2 the log is that of ``_log_factors`` at w'; elsewhere it is
     the log of (s - z)(s - conj z)/|z|^2, from the exact scaled differences,
-    so factors near a zero keep full accuracy.  Genus 1 adds s C, C the
-    exactly rounded sum of 2 Re z/|z|^2 over the pairs (``_pair_linear``),
-    as one more term of the same exact sums.  Points past the pair range (a
-    part of s past the pairs' limit) and rows with a log that is not finite
-    take ``_log_sum``, but for the exact 0 where s is z or conj z.  A row's
-    sums have the same bits in any batch.
+    so factors near a zero keep full accuracy.  Genus 1 adds s C, ``linear``
+    C the real part of the pairs' R (``_reciprocal_sum``), as one more term
+    of the same exact sums.  Points past the pair range (a part of s past
+    the pairs' limit) and rows with a log that is not finite take
+    ``_log_sum``, but for the exact 0 where s is z or conj z.  A row's sums
+    have the same bits in any batch.
     """
     k = near.size // 2
     scale, a, b, d = (part[:k] for part in pairs[8:12])
-    linear = _pair_linear(pairs, k) if genus else 0.0
     fit = np.maximum(np.abs(points.real), np.abs(points.imag)) <= pairs.limit[k - 1]
     sums = np.empty(points.size, dtype=np.complex128)
     direct = (~fit).nonzero()[0].tolist()
@@ -587,7 +585,7 @@ def _near_far(seq: ZeroSequence, n: int, radius: float | None) -> tuple[np.ndarr
     """
     zeros = seq.zeros[:n]
     if radius is None:
-        return zeros, *_far_sums(zeros[:0])
+        return zeros, 1.0, np.zeros(0, dtype=np.complex128)
     keep = seq.moduli[:n] <= _FAR_RATIO * radius
     near = zeros[keep]
     cache = seq._far_cache  # type: ignore[attr-defined]
@@ -595,6 +593,22 @@ def _near_far(seq: ZeroSequence, n: int, radius: float | None) -> tuple[np.ndarr
     if key not in cache:
         cache[key] = _far_sums(zeros[~keep])
     return near, *cache[key]
+
+
+def _reciprocal_sum(seq: ZeroSequence, n: int, radius: float | None) -> complex:
+    """R = sum 1/z over the first n zeros: the near zeros' exactly rounded sum
+    plus p_1 of the far ones (``_near_far``), the one rule for every genus-1
+    sum of 1/z and u/z (as u R)."""
+    near, scale, sums = _near_far(seq, n, radius)
+    total = complex_sum(1.0 / near)
+    return total + complex(sums[0]) / scale if sums.size else total
+
+
+def _times(points: np.ndarray, c: complex) -> np.ndarray:
+    """c s at each point s, part by part as Python forms it: numpy's complex
+    product may fuse multiply-adds, so a point's bits would hang on the batch."""
+    parts = np.ascontiguousarray(points, dtype=np.complex128).view(np.float64).reshape(-1, 2)
+    return (parts * c.real + parts[:, ::-1] * np.array([-c.imag, c.imag])).view(np.complex128)[:, 0]
 
 
 def _split(
@@ -664,19 +678,20 @@ def _log_sums(
         if pairs is not None and not (pairs.closed[n] and pairs.closed[near.size]):
             real[:], pairs = False, None
     exponents = np.zeros(points.size, dtype=np.complex128)
-    if genus == 1:  # q s part by part as Python forms it: numpy's complex product may fuse multiply-adds
-        parts = points.view(np.float64).reshape(-1, 2)
-        exponents = (parts * q.real + parts[:, ::-1] * np.array([-q.imag, q.imag])).view(np.complex128)[:, 0]
+    if genus == 1:
+        exponents = _times(points, q)
         if np.count_nonzero(bad := exponents.real == -math.inf):  # -inf is kept for the retained zeros
             j = int(np.argmax(bad))
             _log_sum(points[:j], near, genus)  # an earlier point's range error comes first
             raise ValueError(f"q*s = {complex(exponents[j])!r} passes the double range at s = {complex(points[j])!r}")
     conjugate = _batch_pairs(seq, near, radius) if far is not None and near.size else None
+    # the near zeros are the first near.size: C is the real part of their R
+    linear = _reciprocal_sum(seq, near.size, None).real if conjugate is not None and genus else 0.0
 
     def kernel(points: np.ndarray) -> np.ndarray:  # far-field batches take one log per conjugate pair
         if conjugate is None:
             return _log_sum(points, near, genus)
-        return _conjugate_log_sum(points, near, conjugate, genus)
+        return _conjugate_log_sum(points, near, conjugate, genus, linear)
 
     if near.size and pairs is not None:
         count, ax = near.size // 2, np.abs(points.imag)
@@ -877,26 +892,6 @@ def _at_shift_points(
     return zeros, values, logs
 
 
-def _quotient_sums(seq: ZeroSequence, numerators, n: int, radius: float | None) -> np.ndarray:
-    """sum u/z over the first n zeros at each u: the near zeros (``_near_far``)
-    in blocks of rows of about _BLOCK_ELEMENTS quotients, each row its own
-    exact sums, and the far ones as u p_1 / c from their power sums."""
-    near, scale, sums = _near_far(seq, n, radius)
-    numerators = np.asarray(numerators, dtype=np.complex128).reshape(-1)
-    step = max(1, _BLOCK_ELEMENTS // max(near.size, 1))
-    out = np.empty(numerators.size, dtype=np.complex128)
-    for first in range(0, numerators.size, step):
-        quotients = numerators[first : first + step, None] / near
-        real, imag = ExactSum(len(quotients)), ExactSum(len(quotients))
-        real.add(quotients.real)
-        imag.add(quotients.imag)
-        out[first : first + len(quotients)] = complex_totals(real, imag)
-    if sums.size:  # as Python forms it, with no fused multiply-add
-        p1 = complex(sums[0])
-        out = np.array([total + u * p1 / scale for total, u in zip(out.tolist(), numerators.tolist())])
-    return out
-
-
 def eval_shifted_product(
     spec: EntireFunctionSpec,
     alpha: complex,
@@ -929,13 +924,12 @@ def _shifted_values(
     """Values and logs of ``eval_shifted_product`` at each points[j] about alphas[j],
     given S(alphas[j]) and its log (``_at_shift_points``), with u = s - alpha:
     q u at genus 1, one recentred ``_log_sums`` over the draws (radius R >=
-    every |s|, |alpha|; without one every zero is near) and one
-    ``_quotient_sums`` for the genus-1 sums of u/z.  At a retained zero the
-    value is the exact 0 and the log's real part -inf, whatever q u and sum
-    u/z are."""
+    every |s|, |alpha|; without one every zero is near) and the genus-1 sums
+    of u/z as u R (``_reciprocal_sum``).  At a retained zero the value is the
+    exact 0 and the log's real part -inf, whatever q u and u R are."""
     points = np.asarray(points, dtype=np.complex128).reshape(-1)
     us = points - np.asarray(alphas, dtype=np.complex128)
-    exponents = np.array([spec.q_constant * u if spec.genus == 1 else 0j for u in us.tolist()], dtype=np.complex128)
+    exponents = _times(us, spec.q_constant) if spec.genus == 1 else np.zeros(us.size, dtype=np.complex128)
     for s, exponent in zip(points.tolist(), exponents.tolist()):
         if exponent.real == -math.inf:  # -inf is kept for the retained zeros
             raise ValueError(f"q*(s - alpha) = {exponent!r} passes the double range at s = {s!r}")
@@ -945,7 +939,7 @@ def _shifted_values(
         dead = log_sums.real == -math.inf
         np.copyto(exponents, log_sums, where=dead)
         if spec.genus == 1:
-            exponents[~dead] += _quotient_sums(spec.zero_sequence, us[~dead], zeros.size, radius)
+            exponents[~dead] += _times(us[~dead], _reciprocal_sum(spec.zero_sequence, zeros.size, radius))
     values = [_value_from_log(*row) for row in zip(exponents.tolist(), s_alphas.tolist(), log_s_alphas.tolist())]
     return np.array(values, dtype=np.complex128), log_s_alphas + exponents
 
@@ -1002,21 +996,21 @@ def _constant_residuals(
     radius: float | None = None,
 ) -> list[float]:
     """``shift_constant_residual`` at each checked shift point alpha, given S(alpha)
-    and its log: one genus-0 ``_log_sums`` for the left sides, one
-    ``_quotient_sums`` for the genus-1 sums of alpha/z, both split at
+    and its log: one genus-0 ``_log_sums`` for the left sides and, at genus 1,
+    the sums of alpha/z as alpha R (``_reciprocal_sum``), both split at
     4 * radius (every |alpha| <= radius)."""
     seq, n = spec.zero_sequence, zeros.size
     log_prods, real = _log_sums(seq, 0, 0j, alphas, n, radius)
-    recip_sums = _quotient_sums(seq, alphas, n, radius).tolist() if spec.genus == 1 else [0j] * len(alphas)
+    recip = _reciprocal_sum(seq, n, radius) if spec.genus == 1 else 0j
     log_v0 = cmath.log(spec.value_at_zero)
     left_sides = _values_from_logs(log_prods, real, spec.value_at_zero, log_v0)
     residuals = []
-    for alpha, s_alpha, log_s_alpha, log_prod, recip_sum, lhs in zip(
-        alphas, s_alphas, log_s_alphas, log_prods.tolist(), recip_sums, left_sides
+    for alpha, s_alpha, log_s_alpha, log_prod, lhs in zip(
+        alphas, s_alphas, log_s_alphas, log_prods.tolist(), left_sides
     ):
         rhs_exponent = 0j
         if spec.genus == 1:
-            rhs_exponent = -spec.q_constant * alpha - recip_sum
+            rhs_exponent = -spec.q_constant * alpha - alpha * recip
             rhs = _value_from_log(rhs_exponent, s_alpha, log_s_alpha)
         else:
             rhs = s_alpha
@@ -1076,8 +1070,10 @@ def log_derivative(spec: EntireFunctionSpec, s: complex, n_terms: int | None = N
     u = Re z/|z|^2 and v = ((Im z)^2 - (Re z)^2)/|z|^2, which vanish at
     s = 0 as each bracket does.  A term that is not finite, or a pair's
     product past the double range (which would make its term 0), sends the
-    sum back to one term per factor.  Raises ValueError when s lies within
-    relative distance 1e-12 of a retained zero (a pole).
+    sum back to one term per factor.  A genus-1 bracket, s/(z (s - z)), is
+    not split into sum 1/(s - z) + R: the two sums would cancel to it where
+    |z| >> |s|.  Raises ValueError when s lies within relative distance
+    1e-12 of a retained zero (a pole).
     """
     s = complex(s)
     zeros = _retained(spec, n_terms)

@@ -121,7 +121,9 @@ def taylor_coefficients(
 
     c_0 is the truncated product value at the center, which must not be a
     retained zero; higher coefficients come from the exponential-of-series
-    recurrence in the module docstring.
+    recurrence in the module docstring.  Its genus-1 g_1 is not R - p_1
+    (R of ``product_engine._reciprocal_sum``): the two would cancel to the
+    brackets -center/(z (z - center)) where |z| >> |center|.
     """
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")

@@ -230,7 +230,7 @@ class TestEvenProductForm:
         zeros = sinh_line_spec.zero_sequence.zeros
         v0 = eval_product(sinh_line_spec, 1.0).value
         # the literal product of T7, with the far offsets beyond x from their power sums
-        (literal,) = critical_line._literal_values(sinh_line_spec, zeros, np.array([x]), v0)
+        (literal,) = critical_line._literal_values(sinh_line_spec, zeros.size, np.array([x]), v0)
         with mpmath.workprec(200):
             s = mpmath.mpc(1.0, x)
             reference = mpmath.mpc(sinh_line_spec.value_at_zero)
@@ -246,7 +246,7 @@ class TestEvenProductForm:
         original = _numeric.complex_sum
         monkeypatch.setattr(_numeric, "complex_sum", lambda values: full.append(1) or original(values))
         zeros = sinh_line_spec.zero_sequence.zeros
-        literal = critical_line._literal_values(sinh_line_spec, zeros, np.linspace(13.8, 15.3, 48), 1.0)
+        literal = critical_line._literal_values(sinh_line_spec, zeros.size, np.linspace(13.8, 15.3, 48), 1.0)
         assert np.all(literal.imag == 0.0)
         assert verify_identity(sinh_line_spec, "T7", x_min=13.8, x_max=15.3, samples=48).passed
         assert full == []

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from conftest import interleaved_taus
 
@@ -82,6 +82,9 @@ def _case(data):
 
 
 @given(spec_data)
+# one log per conjugate pair: the principal argument of the pair's product (2.32) where
+# eval_product sums the two factors' (-3.96)
+@example(("Y_tilde", [1.0, 1.0, 8.0], 0.0, 0.0, 2.0, [(1.0, 1.0)], False))
 def test_batch_matches_per_point_values(data) -> None:
     spec, points, radius = _case(data)
     n = spec.n_zeros
@@ -92,8 +95,11 @@ def test_batch_matches_per_point_values(data) -> None:
             assert value == 0 and log.real == -math.inf
             continue
         assert direct.log_value is not None
-        # the log differs only by the far series' rounding
-        assert abs(log - direct.log_value) <= 1e-13 * (1.0 + abs(direct.log_value))
+        # the log differs only by the far series' rounding, and its summed
+        # imaginary part, which is not branch-normalized, by a multiple of 2 pi
+        difference = log - direct.log_value
+        turn = math.remainder(difference.imag, 2.0 * math.pi)
+        assert abs(complex(difference.real, turn)) <= 1e-13 * (1.0 + abs(direct.log_value))
         if math.isfinite(abs(direct.value)) and math.isfinite(abs(value)):
             assert abs(value - direct.value) <= 1e-12 * abs(direct.value)
 
@@ -409,6 +415,51 @@ def test_batched_shifted_values_match_the_all_zeros_reduction(request, fixture, 
         assert np.all(np.abs(batched - whole) <= 1e-14 * np.abs(whole))
         if fixture != "poly_spec":
             assert np.count_nonzero(spec.zero_sequence.moduli > _FAR_RATIO * radius)
+
+
+def _genus1_spec(kind: str) -> EntireFunctionSpec:
+    """Genus-1 specs of 300 zeros: 1 +- ik (L_bar, q = 0.3), +-ik (the u/z of
+    each pair cancel exactly) and zeros in no conjugate pair (class L)."""
+    taus = interleaved_taus(150)
+    if kind == "L_bar":
+        return make_symmetric_spec(1.0, taus, 1.0, ClassTag.L_BAR, 0.3)
+    k = np.arange(1.0, 301.0)
+    zeros = 1j * taus if kind == "pm_ik" else k * np.exp(1j * (0.4 + 0.9 * k))
+    seq = ZeroSequence(zeros=zeros, ordering=Ordering.AS_GIVEN)
+    return EntireFunctionSpec(class_tag=ClassTag.L, value_at_zero=0.8 + 0.2j, zero_sequence=seq, q_constant=0.2 - 0.1j)
+
+
+@pytest.mark.parametrize("far", [False, True])
+@pytest.mark.parametrize("kind", ["L_bar", "pm_ik", "unpaired"])
+def test_genus1_shift_stages_match_200_bit_products(kind, far) -> None:
+    # the sums of u/z as u R, R = sum 1/z: near zeros exactly, far ones from p_1
+    mpmath = pytest.importorskip("mpmath")
+    spec = _genus1_spec(kind)
+    s_points, alphas, radius = _draws(spec, 6, 8, at_center=False)
+    radius = radius if far else None
+    if far:
+        assert np.count_nonzero(spec.zero_sequence.moduli > _FAR_RATIO * radius)
+    at_alphas = product_engine._at_shift_points(spec, alphas, None, radius)
+    shifted, _ = product_engine._shifted_values(spec, alphas, s_points, *at_alphas, radius)
+    with mpmath.workprec(200):
+        for s, value in zip(s_points, shifted.tolist()):
+            reference = _mp_product(spec, s, mpmath)
+            assert float(abs(mpmath.mpc(value) - reference) / abs(reference)) <= 1e-14
+        references = [_mp_product(spec, alpha, mpmath) for alpha in alphas]
+        logs = [complex(mpmath.log(r)) for r in references]
+        references = [complex(r) for r in references]
+    # against the exact S(alpha) the residual measures S(0) prod (1 - alpha/z) and e^(-q alpha - alpha R)
+    residuals = product_engine._constant_residuals(spec, alphas, at_alphas[0], references, logs, radius)
+    assert max(residuals) <= 1e-14
+
+
+@pytest.mark.parametrize("kind", ["L_bar", "pm_ik", "unpaired"])
+def test_genus1_shift_draw_has_its_bits_alone_and_in_a_batch(kind) -> None:
+    spec = _genus1_spec(kind)
+    s_points, alphas, radius = _draws(spec, 7, 20, at_center=False)
+    batch = product_engine._shift_measures(spec, s_points, alphas, None, radius)
+    for j in range(20):
+        assert product_engine._shift_measures(spec, [s_points[j]], [alphas[j]], None, radius) == [batch[j]]
 
 
 @pytest.mark.parametrize("theorem, fixture", [

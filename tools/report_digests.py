@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import os
 import sys
 from pathlib import Path
@@ -49,9 +50,15 @@ def _line_spec(xi: float, taus, class_tag: str = "Y_tilde", q: str | None = None
     return "\n".join(head + ["zeros_inline:"] + [repr(t) for t in taus]) + "\n"
 
 
-def _pairs_spec(class_tag: str, zeros, s0: str = "1") -> str:
+def _pairs_spec(class_tag: str, zeros, s0: str = "1", q: str | None = None) -> str:
+    head = [f"class = {class_tag}", f"s0 = {s0}"] + ([] if q is None else [f"q = {q}"])
     rows = [f"{z.real!r} {z.imag!r}" for z in zeros]
-    return "\n".join([f"class = {class_tag}", f"s0 = {s0}", "zeros_inline:"] + rows) + "\n"
+    return "\n".join(head + ["zeros_inline:"] + rows) + "\n"
+
+
+def _unpaired(count: int) -> list[complex]:
+    """k e^(i (0.4 + 0.9 k)), k = 1..count: ascending moduli, no zero's conjugate among them."""
+    return [k * complex(math.cos(0.4 + 0.9 * k), math.sin(0.4 + 0.9 * k)) for k in range(1, count + 1)]
 
 
 # The fixtures of tests/conftest.py as spec files, and edge inputs.
@@ -74,6 +81,10 @@ SMALL_SPECS = {
     ),
     # 1 +- ik, k <= 1000: rings out to |s| = 150 keep a far series
     "lbar_wide.spec": lambda: _line_spec(1.0, _interleaved(1000), "L_bar", "0.3"),
+    # zeros in no conjugate pair, at genus 1 (shift, T1) and genus 0 (T2, which
+    # requires genus 0): the per-factor kernels and R = sum 1/z of unpaired sets
+    "unpaired_L.spec": lambda: _pairs_spec("L", _unpaired(120), q="0.2-0.1i"),
+    "unpaired_Y.spec": lambda: _pairs_spec("Y", _unpaired(120)),
 }
 
 SMALL_COMMANDS = (
@@ -145,6 +156,9 @@ SMALL_COMMANDS = (
     # genus-1 rings of one log per pair out to 150, the zeros beyond 600 from power sums
     ("order", "--spec", "lbar_wide.spec", "--v-min", "10", "--v-max", "150", "--radii", "6",
      "--angular-samples", "16"),
+    ("shift", "--spec", "unpaired_L.spec", "--alpha", "0.6+0.4i", "--s", "1.3+0.2i"),
+    ("verify-identity", "--spec", "unpaired_L.spec", "--theorem", "T1", "--seed", "3", "--draws", "5"),
+    ("verify-identity", "--spec", "unpaired_Y.spec", "--theorem", "T2", "--seed", "4", "--draws", "5"),
     # checks that would measure nothing are refused
     ("verify-identity", "--spec", "poly.spec", "--theorem", "T2", "--draws", "0"),
     ("verify-identity", "--spec", "sinh_line.spec", "--theorem", "T5", "--kmax", "0"),
