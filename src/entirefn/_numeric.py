@@ -82,13 +82,15 @@ _LANE = np.arange(BLOCK, dtype=np.int64) % _LANES
 # Exponents per merged window: exact while at most 12 (module docstring).
 _WINDOW = 11
 # Rows this long are binned as they are added; a row left to math.fsum, from
-# _FSUM_BELOW entries on.  Batches of fewer rows or terms than _CERTIFY_ROWS
-# and _CERTIFY_TERMS go to math.fsum row by row, where the extraction would
-# not pay.  Set from in-process timings (CHANGES.md).
+# _FSUM_BELOW entries on.  Batches of fewer terms than _CERTIFY_TERMS, or of
+# fewer rows than _CERTIFY_ROWS and terms than _CERTIFY_LONE, go to
+# math.fsum row by row, where the extraction would not pay.  Set from
+# in-process timings (CHANGES.md).
 _BIN_FROM = 1 << 14
 _FSUM_BELOW = 768
 _CERTIFY_ROWS = 4
 _CERTIFY_TERMS = 1024
+_CERTIFY_LONE = 3072
 # Parts below this size sum, and double, without overflow (_doubles_exactly).
 _DOUBLING_LIMIT = 2.0**990
 # exact_power_sums sums a power over the _HEAD entries of largest modulus,
@@ -186,12 +188,14 @@ def complex_totals(real: ExactSum, imag: ExactSum | None = None, rows=None) -> n
     The rows it leaves take ``math.fsum``, each row's real part before its
     imaginary part, in row order: the first exception is the one rounding
     row by row raises, as a row the extraction settles raises none."""
-    terms = [real._terms(rows)] if imag is None else [real._terms(rows), imag._terms(rows)]
+    # an imaginary part with no terms is fsum([]) = 0.0: it joins no extraction
+    terms = [real._terms(rows)] if imag is None or not imag._parts else [real._terms(rows), imag._terms(rows)]
     count, width = len(terms[0]), max(terms[0].shape[1], terms[-1].shape[1])
-    if count * len(terms) < _CERTIFY_ROWS or count * len(terms) * width < _CERTIFY_TERMS:
+    height = count * len(terms)
+    if height * width < _CERTIFY_TERMS or height < _CERTIFY_ROWS and height * width < _CERTIFY_LONE:
         parts = (map(math.fsum, _fsum_rows(values)) for values in terms)
         return np.array(list(map(complex, *parts)), dtype=np.complex128)  # row j's real total, then its imaginary one
-    stacked = np.full((count * len(terms), width), -0.0)  # -0.0 changes no sum, nor its sign
+    stacked = np.full((height, width), -0.0)  # -0.0 changes no sum, nor its sign
     for first, values in zip((0, count), terms):
         stacked[first : first + count, : values.shape[1]] = values
     total, bound = _extract(stacked)
@@ -219,7 +223,9 @@ def real_sum(values) -> float:
 
 def complex_sum(values: np.ndarray) -> complex:
     """Exactly rounded sum of a complex array (component-wise)."""
-    arr = np.asarray(values, dtype=np.complex128)
+    arr = np.asarray(values, dtype=np.complex128).reshape(-1)
+    if arr.size < _FSUM_BELOW:  # math.fsum straight from the parts
+        return complex(math.fsum(arr.real.tolist()), math.fsum(arr.imag.tolist()))
     return complex(real_sum(arr.real), real_sum(arr.imag))
 
 

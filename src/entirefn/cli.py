@@ -199,14 +199,15 @@ class RunReport:
 
     @property
     def digest(self) -> str:
-        body = "\n".join(self.deterministic_lines()) + "\n"
-        return hashlib.sha256(body.encode()).hexdigest()
+        return hashlib.sha256(self._body().encode()).hexdigest()
+
+    def _body(self) -> str:
+        return "\n".join(self.deterministic_lines()) + "\n"
 
     def render(self) -> str:
-        lines = self.deterministic_lines()
-        lines.append(f"meta report_digest = sha256:{self.digest}")
-        lines.append(f"time wall_s = {self.wall_time_s:.6f}")
-        return "\n".join(lines) + "\n"
+        body = self._body()  # built once: the text and the digest both need it
+        digest = hashlib.sha256(body.encode()).hexdigest()
+        return f"{body}meta report_digest = sha256:{digest}\ntime wall_s = {self.wall_time_s:.6f}\n"
 
 
 # ----------------------------------------------------------------- tables --

@@ -102,6 +102,7 @@ test reads one distance, min |s - z| (``_nearest``).
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import itertools
 import math
@@ -674,7 +675,7 @@ def _log_sums(
     line, real, pairs = seq._line, np.zeros(points.size, dtype=bool), None  # type: ignore[attr-defined]
     if not genus and line is not None and not n % 2:
         np.logical_and(points.real == line, points.imag != 0.0, out=real)
-        pairs = _line_pairs(seq) if real.any() else None
+        pairs = _line_pairs(seq) if np.count_nonzero(real) else None
         if pairs is not None and not (pairs.closed[n] and pairs.closed[near.size]):
             real[:], pairs = False, None
     exponents = np.zeros(points.size, dtype=np.complex128)
@@ -700,8 +701,7 @@ def _log_sums(
         if not fit.all():  # past the pair range the complex kernel gives log |V|
             exponents[~fit] = kernel(points[~fit])
         # a real product's sign, (-1)^#{tau < |x|} over the near taus (ascending)
-        taus = pairs.offsets[:count]
-        exponents.imag[real] = np.where(np.searchsorted(taus, ax[real]) % 2, math.pi, 0.0)
+        exponents.imag[real] = np.searchsorted(pairs.offsets[:count], ax[real]) % 2 * math.pi
     elif near.size:
         log_sums = kernel(points)
         exponents += log_sums
@@ -808,16 +808,21 @@ def _retained(spec: EntireFunctionSpec, n_terms: int | None) -> np.ndarray:
     return seq.zeros[:n]
 
 
-def _nearest(point: complex, zeros: np.ndarray, line: float | None = None) -> float:
+def _nearest(point: complex, zeros: np.ndarray, seq: ZeroSequence | None = None) -> float:
     """min |point - z| over the retained zeros; inf when there are none.
 
-    ``line`` is the real part of every zero, where known.  At a point on it
-    each |point - z| is |Im z - Im point|, the same double, read from the
-    imaginary parts alone.
+    ``zeros`` opens ``seq``, where given.  At a point xi + i x on its line each
+    |point - z| is |Im z - x|, the same double; where they close the +-tau pairs
+    of a built pair table, the least is |tau - |x|| at the offsets either side of |x|.
     """
     if not zeros.size:
         return math.inf
-    if point.real == line:
+    if seq is not None and point.real == seq._line:  # type: ignore[attr-defined]
+        pairs = seq._pair_cache  # type: ignore[attr-defined]
+        if pairs is not None and pairs.closed[zeros.size]:
+            ax, taus = abs(point.imag), pairs.offsets[: zeros.size // 2]
+            j = bisect.bisect_left(taus, ax)
+            return min(abs(t - ax) for t in taus[max(j - 1, 0) : j + 1].tolist())
         return float(np.abs(zeros.imag - point.imag).min())
     return float(np.abs(point - zeros).min())
 
@@ -847,7 +852,7 @@ def _tail_bound(spec: EntireFunctionSpec, s: complex, n: int) -> float | None:
 
 def _evaluation(spec, s: complex, zeros: np.ndarray, value: complex, log_value) -> TruncatedEvaluation:
     """The record of a value at s; at distance 0 from the zeros it is the exact 0, with no log."""
-    nearest = _nearest(s, zeros, spec.zero_sequence._line)
+    nearest = _nearest(s, zeros, spec.zero_sequence)
     return TruncatedEvaluation(
         value=value, terms_used=zeros.size, nearest_zero_distance=nearest,
         near_zero=nearest < NEAR_ZERO_COEFF * (1.0 + abs(s)),
@@ -919,14 +924,14 @@ def eval_shifted_product(
 @np.errstate(over="ignore", invalid="ignore")
 def _shifted_values(
     spec: EntireFunctionSpec, alphas, points, zeros: np.ndarray, s_alphas: np.ndarray,
-    log_s_alphas: np.ndarray, radius: float | None = None,
+    log_s_alphas: np.ndarray, radius: float | None = None, recip: complex | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Values and logs of ``eval_shifted_product`` at each points[j] about alphas[j],
     given S(alphas[j]) and its log (``_at_shift_points``), with u = s - alpha:
     q u at genus 1, one recentred ``_log_sums`` over the draws (radius R >=
     every |s|, |alpha|; without one every zero is near) and the genus-1 sums
-    of u/z as u R (``_reciprocal_sum``).  At a retained zero the value is the
-    exact 0 and the log's real part -inf, whatever q u and u R are."""
+    of u/z as u R (``recip``, else ``_reciprocal_sum``).  At a retained zero the
+    value is the exact 0 and the log's real part -inf, whatever q u and u R are."""
     points = np.asarray(points, dtype=np.complex128).reshape(-1)
     us = points - np.asarray(alphas, dtype=np.complex128)
     exponents = _times(us, spec.q_constant) if spec.genus == 1 else np.zeros(us.size, dtype=np.complex128)
@@ -939,7 +944,8 @@ def _shifted_values(
         dead = log_sums.real == -math.inf
         np.copyto(exponents, log_sums, where=dead)
         if spec.genus == 1:
-            exponents[~dead] += _times(us[~dead], _reciprocal_sum(spec.zero_sequence, zeros.size, radius))
+            recip = _reciprocal_sum(spec.zero_sequence, zeros.size, radius) if recip is None else recip
+            exponents[~dead] += _times(us[~dead], recip)
     values = [_value_from_log(*row) for row in zip(exponents.tolist(), s_alphas.tolist(), log_s_alphas.tolist())]
     return np.array(values, dtype=np.complex128), log_s_alphas + exponents
 
@@ -980,28 +986,30 @@ def shift_constant_residual(
 
 
 def _internal_residuals(
-    spec, alphas, zeros: np.ndarray, s_alphas: np.ndarray, log_s_alphas: np.ndarray, radius: float | None = None
+    spec, alphas, zeros: np.ndarray, s_alphas: np.ndarray, log_s_alphas: np.ndarray, radius: float | None = None,
+    recip: complex | None = None,
 ) -> list[float]:
     """``shift_constant_residual`` against each S(alpha) and log from ``_at_shift_points``.  At genus 0
     that S(alpha) is S(0) prod (1 - alpha/z) at the same N, from the same
     ``_value_from_log`` call as the left side: the residual is 0 by construction."""
     if spec.genus == 0:
         return [0.0] * len(alphas)
-    return _constant_residuals(spec, alphas, zeros, s_alphas.tolist(), log_s_alphas.tolist(), radius)
+    return _constant_residuals(spec, alphas, zeros, s_alphas.tolist(), log_s_alphas.tolist(), radius, recip)
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _constant_residuals(
     spec: EntireFunctionSpec, alphas, zeros: np.ndarray, s_alphas, log_s_alphas,
-    radius: float | None = None,
+    radius: float | None = None, recip: complex | None = None,
 ) -> list[float]:
     """``shift_constant_residual`` at each checked shift point alpha, given S(alpha)
     and its log: one genus-0 ``_log_sums`` for the left sides and, at genus 1,
-    the sums of alpha/z as alpha R (``_reciprocal_sum``), both split at
-    4 * radius (every |alpha| <= radius)."""
+    the sums of alpha/z as alpha R (``recip``, else ``_reciprocal_sum``), both
+    split at 4 * radius (every |alpha| <= radius)."""
     seq, n = spec.zero_sequence, zeros.size
     log_prods, real = _log_sums(seq, 0, 0j, alphas, n, radius)
-    recip = _reciprocal_sum(seq, n, radius) if spec.genus == 1 else 0j
+    if spec.genus == 1 and recip is None:
+        recip = _reciprocal_sum(seq, n, radius)
     log_v0 = cmath.log(spec.value_at_zero)
     left_sides = _values_from_logs(log_prods, real, spec.value_at_zero, log_v0)
     residuals = []
@@ -1036,15 +1044,17 @@ def _shift_measures(
 
     Each stage is one reduction over the draws, in the order of one draw:
     S(alpha) at each distinct alpha, the shifted values, the direct values
-    (``_eval_batch``), the constant residuals.  With a radius R >= every
-    |p|, every stage takes the zeros beyond 4R from their power sums.
+    (``_eval_batch``), the constant residuals, the last two with one genus-1
+    R.  With a radius R >= every |p|, every stage takes the zeros beyond 4R
+    from their power sums.
     """
     position = {a: j for j, a in enumerate(dict.fromkeys(alphas))}
     zeros, s_alphas, log_s_alphas = _at_shift_points(spec, list(position), n_terms, radius)
     rows = [position[a] for a in alphas]
-    shifted, shifted_logs = _shifted_values(spec, alphas, points, zeros, s_alphas[rows], log_s_alphas[rows], radius)
+    recip = _reciprocal_sum(spec.zero_sequence, zeros.size, radius) if spec.genus == 1 else None
+    shifted, shifted_logs = _shifted_values(spec, alphas, points, zeros, s_alphas[rows], log_s_alphas[rows], radius, recip)
     direct, direct_logs = _eval_batch(spec, points, zeros.size, radius)
-    residuals = _internal_residuals(spec, list(position), zeros, s_alphas, log_s_alphas, radius)
+    residuals = _internal_residuals(spec, list(position), zeros, s_alphas, log_s_alphas, radius, recip)
     measures = []
     for sh, di, sh_log, di_log, row in zip(
         shifted.tolist(), direct.tolist(), shifted_logs.tolist(), direct_logs.tolist(), rows

@@ -21,6 +21,8 @@ with c_0 the truncated product value at the center.
 from __future__ import annotations
 
 import cmath
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,15 +149,7 @@ def taylor_coefficients(
     else:
         g[1] = -sums.values[0]
 
-    ratios = np.zeros(k_max + 1, dtype=np.complex128)
-    ratios[0] = 1.0
-    for k in range(1, k_max + 1):
-        acc = 0j
-        for m in range(1, k + 1):
-            acc += m * g[m] * ratios[k - m]
-        ratios[k] = acc / k
-    if not np.all(np.isfinite(ratios)):
-        raise ValueError(f"Taylor recurrence passes the double range by order {k_max}")
+    ratios = _exp_ratios(g)
     # where c_0 r_k underflows to 0 or saturates, c_k comes from log c_0 + log r_k
     coeffs = tuple(
         c if cmath.isfinite(c := complex(c0 * r)) and (c or not r)
@@ -163,6 +157,24 @@ def taylor_coefficients(
         for r in ratios
     )
     return TaylorExpansion(center=center, coefficients=coeffs, terms_used=n, genus=spec.genus)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # the weights m g_m are numpy products
+def _exp_ratios(g: np.ndarray) -> list[complex]:
+    """r_k = c_k / c_0 by the recurrence of the module docstring, raising where one passes the double range.
+
+    On Python complex numbers, with the bits of the loop on numpy scalars: m g_m is numpy's
+    product, complex products and sums are the same plain formulas, and numpy divides by k
+    as x (1/k), part by part.  ``functools.reduce``: ``sum`` compensates from Python 3.12 on.
+    """
+    weights = [complex(m * gm) for m, gm in enumerate(g)][1:]
+    ratios = [1 + 0j]
+    for k in range(1, g.size):  # map stops at r_0: the sum runs over m = 1..k
+        acc = functools.reduce(operator.add, map(operator.mul, weights, reversed(ratios)), 0j)
+        ratios.append(complex(acc.real * (1.0 / k), acc.imag * (1.0 / k)))
+    if not all(map(cmath.isfinite, ratios)):
+        raise ValueError(f"Taylor recurrence passes the double range by order {g.size - 1}")
+    return ratios
 
 
 def eval_series(expansion: TaylorExpansion, s: complex) -> complex:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from _oracles import FROZEN_SINC_AT_HALF, sinc_ratio
 
 from entirefn import (
@@ -368,7 +370,47 @@ class TestLinePairKernel:
         zeros = sinh_line_spec.zero_sequence.zeros
         for x in (0.3, 2.0 - 1e-11, 17.3, -45.7, 3.0, 6000.25):
             s = complex(1.0, x)
-            assert product_engine._nearest(s, zeros, 1.0) == product_engine._nearest(s, zeros)
+            assert product_engine._nearest(s, zeros, sinh_line_spec.zero_sequence) == product_engine._nearest(s, zeros)
+
+
+    @pytest.mark.parametrize(
+        "taus, n",
+        [
+            ([1.0, -1.0, 2.5, -2.5, 4.0, -4.0], None),
+            ([1.0, -1.0, 1.0, -1.0, 3.0, -3.0, 3.0, -3.0], None),  # repeated offsets
+            ([1.0, -1.0, 2.5, -2.5, 4.0, -4.0, 7.0, -7.0], 4),  # truncated below N
+        ],
+        ids=["pairs", "repeated", "truncated"],
+    )
+    def test_line_point_distance_is_the_least_over_the_zeros(self, taus, n) -> None:
+        spec = make_symmetric_spec(1.5, taus, 1.0)
+        seq = spec.zero_sequence
+        zeros = seq.zeros[: len(taus) if n is None else n]
+        assert eval_product(spec, complex(1.5, 0.3), n).value != 0  # builds the pair table
+        assert seq._pair_cache is not None and seq._pair_cache.closed[zeros.size]
+        # on a tau, between taus, past the last, x = 0 (both signs) and negative x
+        for x in (1.0, 2.5, 1.75, 1.0 + 1e-13, 3.9999999999, 4.0, 9.5, 1e300, 0.0, -0.0, -2.5, -1.2, -40.0):
+            s = complex(1.5, x)
+            expected = float(np.abs(s - zeros).min())
+            assert product_engine._nearest(s, zeros, seq) == expected
+            assert eval_product(spec, s, n).nearest_zero_distance == expected
+
+
+
+@given(
+    taus=st.lists(st.floats(min_value=1e-3, max_value=1e6), min_size=1, max_size=30),
+    xs=st.lists(st.floats(min_value=-2e6, max_value=2e6), min_size=1, max_size=8),
+    keep=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_line_point_distance_matches_a_scan_of_the_zeros(taus, xs, keep) -> None:
+    spec = make_symmetric_spec(0.75, [t for tau in taus for t in (tau, -tau)], 1.0)
+    seq = spec.zero_sequence
+    product_engine._line_pairs(seq)
+    n = 2 * round(keep * len(taus))  # where the first n zeros close pairs, the taus are bisected
+    for x in xs + [t * sign for t in taus[:3] for sign in (1.0, -1.0)]:
+        s = complex(0.75, x)
+        expected = float(np.abs(s - seq.zeros[:n]).min()) if n else math.inf
+        assert product_engine._nearest(s, seq.zeros[:n], seq) == expected
 
 
 class TestRotatedDerivatives:

@@ -448,3 +448,53 @@ def test_extraction_settles_the_rows_it_rounds() -> None:
     total, bound = _numeric._extract(rows)
     assert np.all(bound < _numeric._half_spacing(total))
     assert total.tolist() == [math.fsum(row) for row in rows.tolist()]
+
+
+def subnormal_total_row(rng, length: int) -> np.ndarray:
+    """Multiples of 2^-1074 below 2^36 units whose exact sum is a few units: a subnormal total."""
+    units = rng.integers(-(2**36), 2**36, length)
+    units[-1] = -int(units[:-1].sum()) + int(rng.integers(-5, 6))
+    return np.ldexp(units.astype(np.float64), -1074)
+
+
+LONE_LAYOUTS = [
+    "random", "zeros", "subnormal", "subnormal total", "near 2^990", "ties", "power of two", "cancel", "nan", "inf",
+    "overflow",
+]
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    length=st.sampled_from([1536, 2048, 3071, 3072, 5000, 16383]),
+    layouts=st.lists(st.sampled_from(LONE_LAYOUTS), min_size=1, max_size=2),
+)
+@example(seed=4, length=5000, layouts=["cancel"])
+@example(seed=5, length=3072, layouts=["zeros", "zeros"])
+@example(seed=6, length=16383, layouts=["subnormal total"])
+@example(seed=7, length=2048, layouts=["overflow", "inf"])
+def test_lone_rows_round_as_fsum_rounds_them(seed, length, layouts) -> None:
+    # one real row, or the two parts of a complex one: from _CERTIFY_LONE terms on, the extraction
+    rng = np.random.default_rng(seed)
+    rows = np.stack(
+        [subnormal_total_row(rng, length) if layout == "subnormal total" else row_block(rng, 1, length, layout)[0]
+         for layout in layouts]
+    )
+    accs = [ExactSum(1) for _ in rows]
+    for acc, row in zip(accs, rows):
+        acc.add(row)
+    with patch.object(_numeric, "_extract", wraps=_numeric._extract) as extract:
+        try:
+            total = _numeric.complex_totals(*accs)[0]
+            got = [total.real.hex(), total.imag.hex()][: len(rows)]
+        except (ValueError, OverflowError) as exc:
+            got = type(exc), str(exc)
+    assert extract.called == (rows.size >= _numeric._CERTIFY_LONE)
+    assert got == fsum_outcome(rows)
+
+
+def test_extraction_settles_a_lone_row_of_pair_logs() -> None:
+    # the 5000 pair logs of one point on the 1e4-zero line: no fallback to math.fsum
+    rows = magnitudes(np.random.default_rng(12), 5000, -8, 0)[None, :]
+    total, bound = _numeric._extract(rows)
+    assert bound[0] < _numeric._half_spacing(total)[0]
+    assert total[0] == math.fsum(rows[0].tolist())

@@ -256,3 +256,77 @@ def test_power_sums_take_a_measured_distance(sinh_line_spec) -> None:
     # the guard reads the distance it is given
     with pytest.raises(ValueError, match="coincides"):
         power_sums(sinh_line_spec, center, 6, 200, nearest=0.0)
+
+
+def numpy_scalar_ratios(g: np.ndarray) -> np.ndarray:
+    """The exponential-of-series recurrence as it ran on numpy scalars, kept as the reference."""
+    k_max = g.size - 1
+    ratios = np.zeros(k_max + 1, dtype=np.complex128)
+    ratios[0] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, k_max + 1):
+            acc = 0j
+            for m in range(1, k + 1):
+                acc += m * g[m] * ratios[k - m]
+            ratios[k] = acc / k
+    if not np.all(np.isfinite(ratios)):
+        raise ValueError(f"Taylor recurrence passes the double range by order {k_max}")
+    return ratios
+
+
+def ratio_outcome(recurrence, g: np.ndarray):
+    """The bits of each part of r_0..r_K, signs of zero included, or the error's text."""
+    try:
+        ratios = np.array(recurrence(g), dtype=np.complex128)
+    except ValueError as exc:
+        return str(exc)
+    return ratios.view(np.int64).tolist()
+
+
+# parts of g: exact zeros of both signs, subnormals, and ordinary sizes; the
+# scale of g brings its products down to the subnormals or past the double range
+G_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310]),
+    st.floats(min_value=-3.0, max_value=3.0),
+)
+
+
+@given(
+    parts=st.integers(min_value=1, max_value=200).flatmap(
+        lambda k: st.lists(st.tuples(G_PARTS, G_PARTS), min_size=k, max_size=k)
+    ),
+    scale=st.sampled_from([1.0, 0.25, 1e-160, 1e-300, 1e160]),
+)
+@settings(max_examples=40)
+def test_native_recurrence_has_the_numpy_scalar_bits(parts, scale) -> None:
+    g = np.array([0j] + [complex(re, im) for re, im in parts], dtype=np.complex128) * scale
+    assert ratio_outcome(series_engine._exp_ratios, g) == ratio_outcome(numpy_scalar_ratios, g)
+
+
+def test_recurrence_keeps_the_sign_of_an_underflowed_part() -> None:
+    # k = 2: acc = g_1^2 + 2 g_2 = -2^-1074 - 2i, whose real part times 1/2 rounds
+    # to -0.0; a full complex product by 1/2 would add -(-2 * 0.0) and read +0.0
+    g = np.array([0j, complex(3.85e-162, 0.0), complex(-1e-323, -1.0)])
+    ratios = series_engine._exp_ratios(g)
+    assert math.copysign(1.0, ratios[2].real) == -1.0
+    assert ratio_outcome(series_engine._exp_ratios, g) == ratio_outcome(numpy_scalar_ratios, g)
+
+
+@pytest.mark.parametrize("k_max", [1, 2, 200])
+def test_recurrence_refusal_names_the_order(k_max) -> None:
+    g = np.zeros(k_max + 1, dtype=np.complex128)
+    g[-1] = complex(1e200, -0.0) * 1e200  # inf: r_K passes the double range
+    with pytest.raises(ValueError, match=f"passes the double range by order {k_max}$"):
+        series_engine._exp_ratios(g)
+    assert ratio_outcome(numpy_scalar_ratios, g) == f"Taylor recurrence passes the double range by order {k_max}"
+
+
+def test_recurrence_matches_on_the_line_fixture(sinh_line_spec) -> None:
+    # the g of taylor_coefficients at the benchmark's centre, 200 orders
+    center = 1.3 + 0.2j
+    sums = power_sums(sinh_line_spec, center, 200)
+    g = np.zeros(201, dtype=np.complex128)
+    g[1] = -sums.values[0]
+    for m in range(2, 201):
+        g[m] = -sums.values[m - 1] / m
+    assert ratio_outcome(series_engine._exp_ratios, g) == ratio_outcome(numpy_scalar_ratios, g)
