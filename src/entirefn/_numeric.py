@@ -25,7 +25,8 @@ units, exact while W <= 12.  The window sums are the row's terms.  A block
 with a value of 2**990 or more, or one that is not finite, keeps its values.
 
 Rounding.  A large enough batch is rounded by one
-error-free extraction over all its rows, after Rump, Ogita & Oishi, SIAM J.
+error-free extraction over all its rows (a batch of fewer than four rows row
+by row, on Python floats), after Rump, Ogita & Oishi, SIAM J.
 Sci. Comput. 26 (2005) and 31 (2008).  Per row of n terms, sigma is a power
 of two above 2 n max |x|.  Each q = fl(x + sigma) - sigma is exact and a
 multiple of sigma 2^-53, and the q add to at most sigma in size, so
@@ -42,7 +43,7 @@ trusted only where max |x| < 2^978 / n, so no partial sum, its own or
 fsum's, reaches 2^990, and no total below 2^-1017 passes (delta is past its
 half spacing): every +-0, whose sign fsum decides, and every subnormal
 goes to ``math.fsum`` over its terms, as do rows out of range, with inf or
-NaN, and every row of a smaller batch, in row order.
+NaN, and every row of a batch too small to pay, in row order.
 
 Power sums p_m = sum b_i^m stop early (``exact_power_sums``): each part is
 summed over a head of the entries of largest modulus, 16, 64, 256, ...
@@ -82,15 +83,15 @@ _LANE = np.arange(BLOCK, dtype=np.int64) % _LANES
 # Exponents per merged window: exact while at most 12 (module docstring).
 _WINDOW = 11
 # Rows this long are binned as they are added; a row left to math.fsum, from
-# _FSUM_BELOW entries on.  Batches of fewer terms than _CERTIFY_TERMS, or of
-# fewer rows than _CERTIFY_ROWS and terms than _CERTIFY_LONE, go to
-# math.fsum row by row, where the extraction would not pay.  Set from
-# in-process timings (CHANGES.md).
+# _FSUM_BELOW entries on.  Batches of _CERTIFY_ROWS rows or more and fewer
+# terms than _CERTIFY_TERMS, and lone rows (fewer rows) of fewer entries than
+# _CERTIFY_LONE (real rows, complex ones), go to math.fsum row by row, where
+# the extraction would not pay.  Set from in-process timings (CHANGES.md).
 _BIN_FROM = 1 << 14
 _FSUM_BELOW = 768
 _CERTIFY_ROWS = 4
 _CERTIFY_TERMS = 1024
-_CERTIFY_LONE = 3072
+_CERTIFY_LONE = (224, 288)
 # Parts below this size sum, and double, without overflow (_doubles_exactly).
 _DOUBLING_LIMIT = 2.0**990
 # exact_power_sums sums a power over the _HEAD entries of largest modulus,
@@ -124,7 +125,7 @@ class ExactSum:
     def totals(self) -> np.ndarray:
         """Correctly rounded sums of every row, with ``math.fsum``'s bits and
         its exceptions, the first in row order (``complex_totals``)."""
-        return complex_totals(self).real.copy()
+        return _row_totals([self._terms()])
 
 
 def _window_sums(rows: np.ndarray) -> np.ndarray:
@@ -161,19 +162,42 @@ def _binned(block: np.ndarray) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore")
 def _extract(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row of a 2-d array of exact terms: t, and fl(|r| + delta) (module
-    docstring), inf where max |x| is not below 2^978 / n."""
+    docstring), inf where max |x| is not below 2^978 / n.  Fewer than
+    _CERTIFY_ROWS rows go one by one (``_extract_row``)."""
+    if len(terms) < _CERTIFY_ROWS:
+        rows = np.array([_extract_row(row) for row in terms]).reshape(-1, 2)
+        return rows[:, 0], rows[:, 1]
     width = terms.shape[1]
-    largest = np.maximum(terms.max(axis=1), -terms.min(axis=1))
+    high = np.abs(terms)
+    largest = high.max(axis=1)
     sigma = np.ldexp(1.0, np.frexp(largest)[1] + (2 * width).bit_length())  # > 2 n max |x|
-    high = terms + sigma[:, None]
+    np.add(terms, sigma[:, None], out=high)
     high -= sigma[:, None]
-    tau = high.sum(axis=1)
-    rest_sum = np.subtract(terms, high, out=high).sum(axis=1)
+    total, bound = _rounded(high.sum(axis=1), np.subtract(terms, high, out=high).sum(axis=1), sigma, width)
+    return total, np.where(largest < 2.0**-12 * _DOUBLING_LIMIT / width, bound, math.inf)
+
+
+def _rounded(tau, rest_sum, sigma, width: int):
+    """t = fl(tau + P) and fl(|r| + delta) (module docstring), on arrays or on floats."""
     total = tau + rest_sum
     z = total - tau
     rest = (tau - (total - z)) + (rest_sum - z)
-    bound = np.abs(rest) + (sigma * (width * width * 2.0**-103) + 2.0**-1070)
-    return total, np.where(largest < 2.0**-12 * _DOUBLING_LIMIT / width, bound, math.inf)
+    return total, abs(rest) + (sigma * (width * width * 2.0**-103) + 2.0**-1070)
+
+
+def _extract_row(row: np.ndarray) -> tuple[float, float]:
+    """``_extract`` of one row, its per-row values on Python floats, without
+    numpy's cost per call on arrays of one element (t is 0.0 out of range)."""
+    width = row.size
+    high = np.abs(row)
+    largest = float(np.maximum.reduce(high))  # NaN where the row holds one
+    if not largest < 2.0**-12 * _DOUBLING_LIMIT / width:
+        return 0.0, math.inf
+    sigma = math.ldexp(1.0, math.frexp(largest)[1] + (2 * width).bit_length())
+    np.add(row, sigma, out=high)
+    high -= sigma
+    tau = float(np.add.reduce(high))
+    return _rounded(tau, float(np.add.reduce(np.subtract(row, high, out=high))), sigma, width)
 
 
 def _half_spacing(total: np.ndarray) -> np.ndarray:
@@ -184,29 +208,43 @@ def _half_spacing(total: np.ndarray) -> np.ndarray:
 
 def complex_totals(real: ExactSum, imag: ExactSum | None = None, rows=None) -> np.ndarray:
     """The correctly rounded sums of the rows of real, plus 1j times imag's, of
-    every row or of the rows ``rows`` indexes, both parts in one extraction.
-    The rows it leaves take ``math.fsum``, each row's real part before its
-    imaginary part, in row order: the first exception is the one rounding
-    row by row raises, as a row the extraction settles raises none."""
+    every row or of the rows ``rows`` indexes (``_row_totals``)."""
     # an imaginary part with no terms is fsum([]) = 0.0: it joins no extraction
-    terms = [real._terms(rows)] if imag is None or not imag._parts else [real._terms(rows), imag._terms(rows)]
-    count, width = len(terms[0]), max(terms[0].shape[1], terms[-1].shape[1])
-    height = count * len(terms)
-    if height * width < _CERTIFY_TERMS or height < _CERTIFY_ROWS and height * width < _CERTIFY_LONE:
-        parts = (map(math.fsum, _fsum_rows(values)) for values in terms)
-        return np.array(list(map(complex, *parts)), dtype=np.complex128)  # row j's real total, then its imaginary one
-    stacked = np.full((height, width), -0.0)  # -0.0 changes no sum, nor its sign
-    for first, values in zip((0, count), terms):
-        stacked[first : first + count, : values.shape[1]] = values
-    total, bound = _extract(stacked)
-    left = sorted(np.flatnonzero(~(bound < _half_spacing(total))).tolist(), key=lambda j: (j % count, j))
+    parts = [real._terms(rows)] if imag is None or not imag._parts else [real._terms(rows), imag._terms(rows)]
+    total, count = _row_totals(parts), len(parts[0])
+    out = np.zeros(count, dtype=np.complex128)
+    out.real, out.imag = total[:count], total[count:] if len(parts) > 1 else 0.0
+    return out
+
+
+def _row_totals(parts: list[np.ndarray]) -> np.ndarray:
+    """The correctly rounded sums of the rows of one or two 2-d arrays of as many
+    rows, the first's rows first, in one extraction.  The rows it leaves take
+    ``math.fsum``, row j of each array in turn, in row order: the first
+    exception is the one rounding row by row raises."""
+    count, width = len(parts[0]), max(parts[0].shape[1], parts[-1].shape[1])
+    height = count * len(parts)
+    if (width < _CERTIFY_LONE[len(parts) - 1]) if height < _CERTIFY_ROWS else (height * width < _CERTIFY_TERMS):
+        totals = [math.fsum(row) for group in zip(*map(_fsum_rows, parts)) for row in group]
+        return np.array(totals).reshape(count, len(parts)).T.ravel()
+    if len(parts) == 1:
+        stacked = parts[0]
+    else:
+        stacked = np.full((height, width), -0.0)  # -0.0 changes no sum, nor its sign
+        for first, values in zip((0, count), parts):
+            stacked[first : first + count, : values.shape[1]] = values
+    if height < _CERTIFY_ROWS:  # row by row: numpy's cost per call would pass the arithmetic's
+        rows = list(map(_extract_row, stacked))
+        total = [t for t, _ in rows]  # settled where b is below _half_spacing(t), here on floats
+        left = [j for j, (t, b) in enumerate(rows) if not b < (abs(t) - math.nextafter(abs(t), 0.0)) * 0.5]
+    else:
+        total, bound = _extract(stacked)
+        left = np.flatnonzero(~(bound < _half_spacing(total))).tolist()
     if left:
-        total = total.tolist()
+        left.sort(key=lambda j: (j % count, j))
         for j, row in zip(left, _fsum_rows(stacked[left])):
             total[j] = math.fsum(row)
-    out = np.zeros(count, dtype=np.complex128)
-    out.real, out.imag = total[:count], total[count:] if len(terms) > 1 else 0.0
-    return out
+    return np.asarray(total)
 
 
 def _fsum_rows(rows: np.ndarray) -> list[list[float]]:

@@ -102,7 +102,6 @@ test reads one distance, min |s - z| (``_nearest``).
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import itertools
 import math
@@ -139,9 +138,11 @@ _ATANH_COEFFS = tuple(np.array(c) for c in 1.0 / np.arange(31.0, 2.0, -2.0) + 0j
 _FAR_RATIO = 4.0
 _FAR_TOLERANCE = 1e-17
 _BLOCK_ELEMENTS = 1 << 12  # (point, zero) pairs per block of _log_sum: small temporaries
+_PAIR_BLOCK = 1 << 14  # (point, pair) entries per block of _pair_log_sum's real rows
 # On the line, |x| and |xi| up to this many times the least near tau keep
 # every scaled quantity of the pair kernel a normal double (_log_sums).
 _PAIR_RANGE = 2.0**255
+_PHASES = np.array([0.0, math.pi])  # the logs' imaginary parts of a positive and a negative real product
 # log_derivative's pair sums stay in the double range below this |s| and |z| (_ConjugatePairs)
 _PAIR_REACH = 2.0**500
 
@@ -199,11 +200,12 @@ def _log_tail(w: np.ndarray) -> np.ndarray:
     return -t * (w + 2.0 * t2 * _horner(t2, _ATANH_COEFFS))
 
 
-def _log_factors(w, genus: int) -> tuple[np.ndarray, np.ndarray]:
+def _log_factors(w, genus: int, phase: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """Real and imaginary parts of log(1 - w) (genus 0) or log(1 - w) + w (genus 1).
 
     Elementwise over a 1-d array of w = s/z.  The imaginary part is the
-    principal argument of 1 - w (plus Im w at genus 1).  At w == 1 the real
+    principal argument of 1 - w (plus Im w at genus 1); None without
+    ``phase``, where the real part is formed the same way.  At w == 1 the real
     part is -inf.  At genus 1, |w| <= 1/2 takes the fixed-degree atanh
     series of ``_log_tail`` in place of both parts.  The genus-1 w stays in
     each factor, not in one s R: the series keeps log(1 - w) + w, about
@@ -217,17 +219,18 @@ def _log_factors(w, genus: int) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         r2 = a * a + (b2 := b * b)
         one_minus = 1.0 - a
-        imag = np.arctan2(-b, one_minus)
+        imag = np.arctan2(-b, one_minus) if phase else None
         real = 0.5 * np.log1p(a * (a - 2.0) + b2)
         far = ((a >= 0.5) | (r2 >= 1.0)).nonzero()[0]
         real[far] = np.log(np.hypot(one_minus[far], b[far]))
         if genus == 1:
             real += a
-            imag += b
             series = (r2 <= 0.25).nonzero()[0]
             tail = _log_tail(w[series])
             real[series] = tail.real
-            imag[series] = tail.imag
+            if phase:
+                imag += b
+                imag[series] = tail.imag
     return real, imag
 
 
@@ -247,7 +250,9 @@ def _log_sum(points, zeros: np.ndarray, genus: int, center: complex | np.ndarray
     (``_conjugate_half``) runs the kernel on one member of each: its real
     part is even in Im w and its imaginary part odd, so each row adds twice
     the real parts and nothing to its imaginary sum, the full row's exact
-    sums.  A half whose logs fail ``_doubles_exactly`` takes the full block.
+    sums.  There the kernel forms no imaginary part: it is finite where the
+    real part is, and mirrored parts cancel exactly.  A half whose real
+    parts fail ``_doubles_exactly`` takes the full block.
     """
     points = np.asarray(points, dtype=np.complex128).reshape(-1)
     on_axis = not np.count_nonzero(points.imag)
@@ -267,8 +272,8 @@ def _log_sum(points, zeros: np.ndarray, genus: int, center: complex | np.ndarray
             w = s / z if c is None else (s - c) / (z - c)
             half = _conjugate_half(w) if on_axis else None
             if half is not None:
-                log_real, log_imag = _log_factors(half.ravel(), genus)
-                if _doubles_exactly(log_real, log_imag):
+                log_real = _log_factors(half.ravel(), genus, phase=False)[0]
+                if _doubles_exactly(log_real):
                     real.add(2.0 * log_real)
                     continue
             log_real, log_imag = _log_factors(w.ravel(), genus)
@@ -450,16 +455,17 @@ class _LinePairs(NamedTuple):
     +tau, -tau or +tau, +tau, -tau, -tau).  ``closed[j]`` tells whether the
     first j zeros are the first j/2 pairs, and ``offsets`` lists the taus.
     Per pair, with tau = t 2^e and t in [1/2, 1): ``scale`` 2^-e, ``tau`` t,
-    ``xi2`` (xi 2^-e)^2 and ``d`` xi2 + t^2, that is (xi^2 + tau^2) 4^-e.
-    ``limit[k]`` is 2^255 times the least of the first k + 1 taus, or 0
-    where that is below 2^-1000 (2^-e would pass the double range).
+    ``minus_xi2`` -(xi 2^-e)^2 and ``d`` t^2 + (xi 2^-e)^2, that is
+    (xi^2 + tau^2) 4^-e.
+    ``limit`` is 2^255 times the least tau, the first, or 0 where that is
+    below 2^-1000 (2^-e would pass the double range).
     """
 
     scale: np.ndarray
     tau: np.ndarray
-    xi2: np.ndarray
+    minus_xi2: np.ndarray
     d: np.ndarray
-    limit: np.ndarray
+    limit: float
     closed: np.ndarray
     offsets: np.ndarray
 
@@ -469,23 +475,26 @@ def _line_pairs(seq: ZeroSequence) -> _LinePairs:
     pairs = seq._pair_cache  # type: ignore[attr-defined]
     if pairs is None:
         im = seq.zeros.imag
-        upper, lower = im[im > 0.0], -im[im < 0.0]
+        upper, lower = np.compress(im > 0.0, im), -np.compress(im < 0.0, im)
         k = min(upper.size, lower.size)
         upper, lower = upper[:k], lower[:k]
         mirrored = upper == lower
         mirrored[1:] &= upper[1:] >= upper[:-1]
         count = k if mirrored.all() else int(np.argmin(mirrored))
-        positive = np.cumsum(im > 0.0, dtype=np.int64)
-        closed = np.ones(im.size + 1, dtype=bool)
-        closed[1:] = (2 * positive == np.arange(1, im.size + 1)) & (positive <= count)
-        closed[1:] &= np.cumsum(im < 0.0, dtype=np.int64) == positive
+        # the first j zeros close pairs where, up to the first offset 0 and j = 2 count,
+        # they hold as many positive offsets as negative ones
+        head = im[: 2 * count]
+        stop = head.size if head.all() else int(np.argmin(head != 0.0))
+        closed = np.zeros(im.size + 1, dtype=bool)
+        closed[0] = True
+        closed[1 : stop + 1] = np.cumsum(np.sign(head[:stop])) == 0.0
         tau, exponent = np.frexp(upper[:count])
-        least = np.minimum.accumulate(upper[:count])
+        least = float(upper[0]) if count else 0.0
         with np.errstate(over="ignore"):  # inf only where no point in range reaches
             xi2 = np.square(np.ldexp(seq._line, -exponent))  # type: ignore[attr-defined]
             scale = np.ldexp(1.0, -exponent)
-            limit = np.where(least >= 2.0**-1000, _PAIR_RANGE * least, 0.0)
-        pairs = _LinePairs(scale, tau, xi2, xi2 + tau * tau, limit, closed, upper[:count])
+        limit = _PAIR_RANGE * least if least >= 2.0**-1000 else 0.0
+        pairs = _LinePairs(scale, tau, -xi2, tau * tau + xi2, limit, closed, upper[:count])
         object.__setattr__(seq, "_pair_cache", pairs)
     return pairs
 
@@ -500,26 +509,28 @@ def _pair_log_sum(ax: np.ndarray, pairs: _LinePairs, count: int) -> np.ndarray:
     square leaves the double range.  Where delta < 1/2 the log is
     log1p(-delta), elsewhere log(|tau - x| (tau + x) / d): full relative
     accuracy for factors near 1 and near a zero alike.  The sum is -inf iff
-    |x| is a tau.  Blocks as in ``_log_sum``: a point's sum has the same bits
-    in any batch.
+    |x| is a tau.  Blocks of rows of about _PAIR_BLOCK entries (a longer row
+    alone, in column blocks of BLOCK pairs) each round their rows together,
+    each row exactly: a point's sum has the same bits in any batch.
     """
-    scale, tau, xi2, d = (part[:count] for part in pairs[:4])
-    step = max(1, _BLOCK_ELEMENTS // max(count, 1))
+    step = max(1, _PAIR_BLOCK // max(count, 1))
     sums = np.empty(ax.size)
     for first in range(0, ax.size, step):
         a = ax[first : first + step, None]
         acc = ExactSum(len(a))
         for start in range(0, count, BLOCK):
-            cols = slice(start, start + BLOCK)
-            x = a * scale[cols]
-            delta = x * x
-            delta += xi2[cols]
-            delta /= d[cols]
-            far = np.flatnonzero(delta >= 0.5)
-            logs = np.log1p(np.negative(delta, out=delta), out=delta)
-            col = far % logs.shape[1]
-            t, xs = tau[cols][col], x.take(far)
-            np.put(logs, far, np.log(np.abs(t - xs) * (t + xs) / d[cols][col]))
+            cols = slice(start, min(start + BLOCK, count))
+            logs = a * pairs.scale[cols]  # x, then in place -delta and its log
+            np.multiply(logs, logs, out=logs)
+            np.subtract(pairs.minus_xi2[cols], logs, out=logs)
+            logs /= pairs.d[cols]  # -delta, the bits of delta negated
+            far = (logs <= -0.5).ravel().nonzero()[0]
+            np.log1p(logs, out=logs)
+            if far.size:
+                row, col = np.divmod(far, logs.shape[1])
+                col += start
+                t, xs = pairs.tau[col], a[row, 0] * pairs.scale[col]
+                logs.put(far, np.log(np.abs(t - xs) * (t + xs) / pairs.d[col]))
             acc.add(logs)
         sums[first : first + len(a)] = acc.totals()
     return sums
@@ -622,6 +633,8 @@ def _split(
     path's operations exactly.  A point's series has the same bits in any
     batch (``_horner``).
     """
+    if radius is None:
+        return seq.zeros[:n], None
     near, scale, sums = _near_far(seq, n, radius)
     # with u = s/c: log -sum p_m u^m / m, S'/S -sum p_m u^(m-1) / c; genus 1 drops m = 1
     coeffs = (sums if derivative else sums / np.arange(1, sums.size + 1))[genus:]
@@ -695,13 +708,13 @@ def _log_sums(
         return _conjugate_log_sum(points, near, conjugate, genus, linear)
 
     if near.size and pairs is not None:
-        count, ax = near.size // 2, np.abs(points.imag)
-        fit = real & (np.maximum(ax, abs(line)) <= pairs.limit[count - 1])
+        count, ax, limit = near.size // 2, np.abs(points.imag), pairs.limit
+        fit = real & (ax <= (limit if abs(line) <= limit else -1.0))  # |x| and |xi| in the pair range
         exponents.real[fit] = _pair_log_sum(ax[fit], pairs, count)
-        if not fit.all():  # past the pair range the complex kernel gives log |V|
+        if np.count_nonzero(fit) < fit.size:  # past the pair range the complex kernel gives log |V|
             exponents[~fit] = kernel(points[~fit])
-        # a real product's sign, (-1)^#{tau < |x|} over the near taus (ascending)
-        exponents.imag[real] = np.searchsorted(pairs.offsets[:count], ax[real]) % 2 * math.pi
+        # a real product's sign, (-1)^#{tau < |x|} over the near taus (ascending), as its log 0 or i pi
+        np.copyto(exponents.imag, _PHASES.take(pairs.offsets[:count].searchsorted(ax), mode="wrap"), where=real)
     elif near.size:
         log_sums = kernel(points)
         exponents += log_sums
@@ -821,7 +834,7 @@ def _nearest(point: complex, zeros: np.ndarray, seq: ZeroSequence | None = None)
         pairs = seq._pair_cache  # type: ignore[attr-defined]
         if pairs is not None and pairs.closed[zeros.size]:
             ax, taus = abs(point.imag), pairs.offsets[: zeros.size // 2]
-            j = bisect.bisect_left(taus, ax)
+            j = int(taus.searchsorted(ax))
             return min(abs(t - ax) for t in taus[max(j - 1, 0) : j + 1].tolist())
         return float(np.abs(zeros.imag - point.imag).min())
     return float(np.abs(point - zeros).min())

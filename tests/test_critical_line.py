@@ -1,15 +1,19 @@
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from _oracles import FROZEN_SINC_AT_HALF, sinc_ratio
+from conftest import interleaved_taus
 
 from entirefn import (
     CriticalLineProfile,
+    Ordering,
+    ZeroSequence,
     _numeric,
     critical_line,
     product_engine,
@@ -411,6 +415,143 @@ def test_line_point_distance_matches_a_scan_of_the_zeros(taus, xs, keep) -> None
         s = complex(0.75, x)
         expected = float(np.abs(s - seq.zeros[:n]).min()) if n else math.inf
         assert product_engine._nearest(s, seq.zeros[:n], seq) == expected
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _earlier_line_point(spec, x: float, n: int):
+    """(value, log_value, nearest_zero_distance, near_zero) of ``eval_product(spec, xi + i x, n)``
+    as the line point was evaluated before its per-call work was cut, frozen:
+    one log of 1 - delta per pair from the pair's scaled values, the row's
+    sum by math.fsum, the sign (-1)^#{tau < |x|}, and the distance from a scan
+    of the retained zeros.  At x = +-0, s = xi is no line point: the sum of
+    the complex kernel's real parts over every zero, imaginary part 0."""
+    xi, v0 = spec.center_xi, spec.value_at_zero
+    zeros = spec.zero_sequence.zeros[:n]
+    s, log_v0 = complex(xi, x), cmath.log(v0)
+    if x == 0.0:
+        w = s / zeros
+        a, b = w.real, w.imag
+        real = 0.5 * np.log1p(a * (a - 2.0) + b * b)
+        far = (a >= 0.5) | (a * a + b * b >= 1.0)
+        real[far] = np.log(np.hypot(1.0 - a[far], b[far]))
+        exponent = complex(math.fsum(real.tolist()), 0.0)
+        value = product_engine._value_from_log(exponent, v0, log_v0)
+    else:
+        upper = np.sort(zeros.imag[zeros.imag > 0.0])
+        tau, e = np.frexp(upper)
+        xi2 = np.square(np.ldexp(xi, -e))
+        d = xi2 + tau * tau
+        xs = abs(x) * np.ldexp(1.0, -e)
+        delta = (xs * xs + xi2) / d
+        logs = np.log1p(-delta)
+        far = delta >= 0.5
+        logs[far] = np.log(np.abs(tau[far] - xs[far]) * (tau[far] + xs[far]) / d[far])
+        odd = int(np.searchsorted(upper, abs(x))) % 2
+        exponent = complex(math.fsum(logs.tolist()), math.pi if odd else 0.0)
+        scale = v0 * (-1.0 if odd else 1.0)
+        value = product_engine._value_from_log(complex(exponent.real), scale, log_v0 + 1j * exponent.imag)
+    nearest = float(np.abs(s - zeros).min()) if n else math.inf
+    log_value = None if nearest == 0.0 else log_v0 + exponent
+    return value, log_value, nearest, nearest < 1e-9 * (1.0 + abs(s))
+
+
+def _record_bits(value, log_value, nearest, near_zero):
+    parts = [value.real, value.imag, nearest] + ([] if log_value is None else [log_value.real, log_value.imag])
+    return [part.hex() for part in parts], log_value is None, near_zero
+
+
+@given(
+    taus=st.lists(st.floats(min_value=1e-3, max_value=1e6), min_size=1, max_size=40, unique=True),
+    xi=st.sampled_from([0.75, -1.5, 3.0, 1e-3]),
+    v0=st.sampled_from([1.0, -2.5, 0.5 + 0.25j]),
+    keep=st.floats(min_value=0.0, max_value=1.0),
+    picks=st.lists(st.tuples(st.integers(min_value=0, max_value=39), st.floats(min_value=0.0, max_value=1.0)),
+                   min_size=1, max_size=6),
+)
+def test_line_point_has_the_bits_of_the_earlier_path(taus, xi, v0, keep, picks) -> None:
+    # taus of distinct moduli |xi + i tau| come out as adjacent pairs in modulus order,
+    # so every even truncation closes pairs and the pair table covers it
+    assume(np.unique(np.abs(xi + 1j * np.array(taus))).size == len(taus))
+    spec = make_symmetric_spec(xi, [t for tau in taus for t in (tau, -tau)], v0)
+    n = 2 * round(keep * len(taus))
+    upper = sorted(taus)
+    xs = [0.0, -0.0, 10.0 * upper[-1], -3.0 * upper[-1]]  # +-0 and past the last tau
+    for k, f in picks:
+        tau = upper[k % len(upper)]
+        after = upper[min(k % len(upper) + 1, len(upper) - 1)]
+        xs += [tau, -tau, tau + f * (after - tau), -(tau + f * (after - tau)), f * upper[0]]
+    for x in xs:
+        ev = eval_product(spec, complex(xi, x), n)
+        got = _record_bits(ev.value, ev.log_value, ev.nearest_zero_distance, ev.near_zero)
+        assert got == _record_bits(*_earlier_line_point(spec, x, n)), x
+    assert spec.zero_sequence._pair_cache.closed[n]
+
+
+def test_line_point_on_the_fixture_has_the_bits_of_the_earlier_path(sinh_line_spec) -> None:
+    # 5000 pairs: the certified extraction rounds each row
+    for n in (10_000, 2_000, 2):
+        for x in (0.0, 17.0, -17.0, 17.3, 2.0 - 1e-11, 4999.5, -6000.25, 1e-7):
+            ev = eval_product(sinh_line_spec, complex(1.0, x), n)
+            got = _record_bits(ev.value, ev.log_value, ev.nearest_zero_distance, ev.near_zero)
+            assert got == _record_bits(*_earlier_line_point(sinh_line_spec, x, n)), (n, x)
+
+
+@pytest.mark.parametrize("take", [1, 2, 3, 48])
+def test_pair_rows_have_their_bits_in_any_block(take) -> None:
+    # 4501 pairs, past the 4096 (point, pair) entries of one block of _log_sum: rows of
+    # _pair_log_sum go 3 to a block; a row on a tau sums to -inf, and points past the
+    # pair range (2^255 times the least tau) take the complex kernel inside the batch,
+    # with the sign of the 4501 taus below them
+    spec = make_symmetric_spec(1.0, interleaved_taus(4501), 1.0)
+    seq = spec.zero_sequence
+    pairs = product_engine._line_pairs(seq)
+    rng = np.random.default_rng(take)
+    xs = np.concatenate([[17.0, -4500.0, 0.5, 1e80, -3e77], rng.uniform(-6000.0, 6000.0, 43)])
+    ax = np.abs(xs)
+    alone = [product_engine._pair_log_sum(ax[j : j + 1], pairs, 4501)[0] for j in range(48)]
+    blocks = np.concatenate([product_engine._pair_log_sum(ax[j : j + take], pairs, 4501) for j in range(0, 48, take)])
+    assert blocks.tolist() == alone and alone[0] == -math.inf and alone[1] == -math.inf
+    points = 1.0 + 1j * xs
+    single = [product_engine._log_sums(seq, 0, 0j, points[j : j + 1], seq.zeros.size)[0][0] for j in range(48)]
+    batch = np.concatenate(
+        [product_engine._log_sums(seq, 0, 0j, points[j : j + take], seq.zeros.size)[0] for j in range(0, 48, take)]
+    )
+    assert [(z.real.hex(), z.imag.hex()) for z in batch.tolist()] == [(z.real.hex(), z.imag.hex()) for z in single]
+    assert math.isfinite(single[3].real) and single[3].imag == single[4].imag == math.pi
+
+
+def _table_definition(im: np.ndarray) -> tuple[int, np.ndarray, float]:
+    """The pair count, closed[j] and the pair range of ``_LinePairs`` over offsets im, from their definitions."""
+    upper, lower = im[im > 0.0], -im[im < 0.0]
+    k = min(upper.size, lower.size)
+    upper, lower = upper[:k], lower[:k]
+    mirrored = upper == lower
+    mirrored[1:] &= upper[1:] >= upper[:-1]
+    count = k if mirrored.all() else int(np.argmin(mirrored))
+    positive, negative, j = np.cumsum(im > 0.0), np.cumsum(im < 0.0), np.arange(1, im.size + 1)
+    closed = np.concatenate([[True], (2 * positive == j) & (positive <= count) & (negative == positive)])
+    least = float(upper[:count].min()) if count else 0.0
+    return count, closed, 2.0**255 * least if least >= 2.0**-1000 else 0.0
+
+
+@given(
+    runs=st.lists(
+        st.tuples(st.floats(min_value=1e-3, max_value=1e3), st.sampled_from(["+-", "++--", "+", "-", "0", "-+"])),
+        min_size=0, max_size=12,
+    ),
+    line=st.sampled_from([0.0, 1.5]),
+)
+def test_line_pair_table_matches_its_definition(runs, line) -> None:
+    # offsets in any layout, as critical_line's offset sequences may hold them:
+    # mirrored runs, lone offsets, 0 and runs out of order
+    im = [{"+": tau, "-": -tau}.get(c, 0.0) for tau, layout in runs for c in layout]
+    zeros = line + 1j * np.array(im, dtype=float)
+    seq = ZeroSequence(zeros, ordering=Ordering.AS_GIVEN)
+    object.__setattr__(seq, "_line", line)
+    pairs = product_engine._line_pairs(seq)
+    count, closed, limit = _table_definition(zeros.imag)
+    assert pairs.tau.size == count and pairs.closed.tolist() == closed.tolist() and pairs.limit == limit
+    assert pairs.offsets.tolist() == sorted(pairs.offsets.tolist())
 
 
 class TestRotatedDerivatives:

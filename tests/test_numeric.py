@@ -465,7 +465,7 @@ LONE_LAYOUTS = [
 
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
-    length=st.sampled_from([1536, 2048, 3071, 3072, 5000, 16383]),
+    length=st.sampled_from([160, 223, 224, 287, 288, 1536, 5000, 16383]),
     layouts=st.lists(st.sampled_from(LONE_LAYOUTS), min_size=1, max_size=2),
 )
 @example(seed=4, length=5000, layouts=["cancel"])
@@ -473,7 +473,8 @@ LONE_LAYOUTS = [
 @example(seed=6, length=16383, layouts=["subnormal total"])
 @example(seed=7, length=2048, layouts=["overflow", "inf"])
 def test_lone_rows_round_as_fsum_rounds_them(seed, length, layouts) -> None:
-    # one real row, or the two parts of a complex one: from _CERTIFY_LONE terms on, the extraction
+    # one real row, or the two parts of a complex one: from _CERTIFY_LONE entries on (224 real,
+    # 288 complex), the extraction, row by row
     rng = np.random.default_rng(seed)
     rows = np.stack(
         [subnormal_total_row(rng, length) if layout == "subnormal total" else row_block(rng, 1, length, layout)[0]
@@ -482,13 +483,13 @@ def test_lone_rows_round_as_fsum_rounds_them(seed, length, layouts) -> None:
     accs = [ExactSum(1) for _ in rows]
     for acc, row in zip(accs, rows):
         acc.add(row)
-    with patch.object(_numeric, "_extract", wraps=_numeric._extract) as extract:
+    with patch.object(_numeric, "_extract_row", wraps=_numeric._extract_row) as extract:
         try:
             total = _numeric.complex_totals(*accs)[0]
             got = [total.real.hex(), total.imag.hex()][: len(rows)]
         except (ValueError, OverflowError) as exc:
             got = type(exc), str(exc)
-    assert extract.called == (rows.size >= _numeric._CERTIFY_LONE)
+    assert extract.called == (length >= _numeric._CERTIFY_LONE[len(rows) - 1])
     assert got == fsum_outcome(rows)
 
 
@@ -498,3 +499,22 @@ def test_extraction_settles_a_lone_row_of_pair_logs() -> None:
     total, bound = _numeric._extract(rows)
     assert bound[0] < _numeric._half_spacing(total)[0]
     assert total[0] == math.fsum(rows[0].tolist())
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    length=st.sampled_from([1, 2, 161, 224, 5000]),
+    layout=st.sampled_from(LONE_LAYOUTS),
+)
+def test_row_wise_extraction_is_the_vectorized_one(seed, length, layout) -> None:
+    # a lone row's steps on Python floats: t and the bound of the vectorised
+    # extraction (4 rows), where the row is in range
+    rng = np.random.default_rng(seed)
+    row = subnormal_total_row(rng, length) if layout == "subnormal total" else row_block(rng, 1, length, layout)[0]
+    total, bound = _numeric._extract(np.stack([row, row, row, row]))
+    got = _numeric._extract_row(row)
+    assert got[1] == bound[0]
+    if bound[0] < math.inf:
+        assert got[0].hex() == float(total[0]).hex()
+    if bound[0] < _numeric._half_spacing(total)[0]:
+        assert got[0].hex() == math.fsum(row.tolist()).hex()

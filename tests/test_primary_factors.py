@@ -354,3 +354,25 @@ def test_series_region_relative_accuracy() -> None:
             err = abs(mpmath.mpc(re_part, im_part) - ref) / abs(ref)
             worst = max(worst, float(err))
     assert worst <= 6e-16
+
+
+def test_halved_genus1_block_keeps_its_real_bits() -> None:
+    # real points on conjugate pairs, |w| <= 1/2 at the larger zeros (the series)
+    # and past it at the smaller: the halved block forms no phase, and each sum
+    # has the bits of math.fsum over the full block's real parts
+    rng = np.random.default_rng(29)
+    half = rng.uniform(-3.0, 3.0, 300) + 1j * rng.uniform(0.2, 40.0, 300)
+    zeros = np.empty(600, dtype=np.complex128)
+    zeros[0::2], zeros[1::2] = half, np.conj(half)
+    points = np.array([0.3, -2.5, 7.0, 19.0])
+    w = points[:, None] / zeros
+    assert np.count_nonzero(np.abs(w) <= 0.5) and np.count_nonzero(np.abs(w) > 0.5)
+    with patch.object(product_engine, "_log_factors", wraps=_log_factors) as kernel:
+        sums = _log_sum(points, zeros, 1)
+        calls = [call.kwargs.get("phase", True) for call in kernel.call_args_list]
+    assert calls == [False]
+    for total, row in zip(sums.tolist(), w):
+        assert total.real.hex() == math.fsum(_log_factors(row, 1)[0].tolist()).hex()
+        assert total.imag == 0.0
+    real, imag = _log_factors(w[:, 0::2].ravel(), 1, phase=False)
+    assert imag is None and real.tobytes() == _log_factors(w[:, 0::2].ravel(), 1)[0].tobytes()
