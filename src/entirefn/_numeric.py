@@ -267,14 +267,13 @@ def complex_sum(values: np.ndarray) -> complex:
     return complex(real_sum(arr.real), real_sum(arr.imag))
 
 
-def _mirrored(values: np.ndarray) -> np.ndarray:
-    """Along the last axis (even length), whether each odd entry mirrors the one before it.
+def _mirrored(half: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """Whether each entry of ``other`` mirrors the entry of ``half`` in its place.
 
     Mirrors means: every part is finite, the real parts are equal and the
     imaginary parts each other's exact negation, sign of zero included (a
     real part 0 may meet a -0).
     """
-    half, other = values[..., 0::2], values[..., 1::2]
     # finite parts are each other's negation, zeros included, iff their bits differ in the sign bit
     negated = half.imag.view(np.int64) == other.imag.view(np.int64) ^ np.int64(-(2**63))
     return (half.real == other.real) & negated & np.isfinite(half)
@@ -283,7 +282,7 @@ def _mirrored(values: np.ndarray) -> np.ndarray:
 def _conjugate_half(values: np.ndarray) -> np.ndarray | None:
     """values[..., 0::2] where, along the last axis, each odd entry mirrors the one before it
     (``_mirrored``); None otherwise."""
-    if values.shape[-1] % 2 or not _mirrored(values).all():
+    if values.shape[-1] % 2 or not _mirrored(values[..., 0::2], values[..., 1::2]).all():
         return None
     return values[..., 0::2].copy()
 

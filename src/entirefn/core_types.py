@@ -287,8 +287,6 @@ class ZeroSequence:
         object.__setattr__(self, "_tail_cache", {})
         # far-field power sums of product_engine, by (retained count, near count)
         object.__setattr__(self, "_far_cache", {})
-        # the mirrored +-tau pairs of a line sequence, built by product_engine._line_pairs
-        object.__setattr__(self, "_pair_cache", None)
         # the conjugate pairs (z, conj z) that open the zeros, built by product_engine._conjugate_pairs
         object.__setattr__(self, "_conjugate_cache", None)
         # xi for zeros that _line_sequence built as xi + i tau from finite

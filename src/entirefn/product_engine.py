@@ -23,19 +23,6 @@ what converge.  At real points (and center) the members of a conjugate
 pair have mirrored factor logs: the kernel runs on one member of each pair
 and the real parts are doubled, with the bits of the full sum.
 
-On the zero line of a genus-0 line sequence (``ZeroSequence._line``) whose
-retained zeros are mirrored pairs xi +- i tau, a point s = xi + i x, x != 0,
-takes one real log per pair instead (``_pair_log_sum``): the pair's factors
-multiply to 1 - delta, delta = (x^2 + xi^2)/(xi^2 + tau^2), whose log is
-log1p(-delta) where delta < 1/2 and log(|tau - x| (tau + x)/(xi^2 + tau^2))
-elsewhere, from values scaled by the power of two of tau (past 2^255 times
-the least tau, the real part of the complex kernel).  The sum is -inf iff
-|x| is a retained tau; the sign (-1)^#{tau < |x|} rides in the value's
-scale, so the value is real where V(0) is.  The line offsets of
-``critical_line``, the zeros i tau on the line 0 at s = i x, are such a
-sequence.  s = xi keeps the complex kernel, and so does genus 1, whose
-product is not real on the line.
-
 Batches of points (line profiles, max-modulus rings, winding contours, the
 line-form identities, and each stage of the shift identities: S(alpha),
 the shifted and direct values, the constant residuals) split the zeros at
@@ -66,32 +53,40 @@ One term per conjugate pair
 ---------------------------
 A pair's factors multiply to one quadratic factor, (1 - s/z)(1 - s/conj z)
 = 1 - w', w' = s (2 Re z - s)/|z|^2, times e^(2 s Re z/|z|^2) at genus 1,
-and its two terms of S'/S add to 2 (s - Re z)/((s - z)(s - conj z)).
-These reductions take one term per pair:
+and its two terms of S'/S add to 2 (s - Re z)/((s - z)(s - conj z)).  One
+table per sequence (``_conjugate_pairs``, built on first use) pairs the
+zeros in any layout of an equal-modulus run (+tau, -tau, +tau, -tau or
++tau, +tau, -tau, -tau); it records which truncations close pairs and how
+many pairs open the zeros adjacent, each zero next to its conjugate.  One
+term per pair is taken by
 
-* far-field batches (a non-empty far series) whose near zeros are the
-  conjugate pairs that open the sequence (``_conjugate_pairs``, found once
-  per sequence): one log of 1 - w' per pair (``_conjugate_log_sum``), with
-  the genus-1 factors as one more exact term s C, C the real part of the
-  near pairs' R;
-* ``log_derivative``, where its retained zeros are such pairs: one term
-  per pair, at genus 1 both brackets in one;
-* genus-0 points on the line of a line sequence, in every batch
-  (``_pair_log_sum``, above).
+* far-field batches (a non-empty far series) whose near zeros are those
+  adjacent pairs: one log of 1 - w' per pair (``_conjugate_log_sum``), the
+  genus-1 factors as one more exact term s C, C the real part of the near
+  pairs' R;
+* genus-0 points s = xi + i x, x != 0, single ones too, on the line of a
+  line sequence (``ZeroSequence._line``) whose first n zeros and near zeros
+  close pairs: each 1 - w' is real there, and the same kernel takes its
+  real log alone; the product's sign rides in the value's scale, so the
+  value is real where V(0) is.  The line offsets of ``critical_line``
+  (zeros i tau on the line 0, at s = i x) are such a sequence;
+* ``log_derivative`` where its retained zeros open with adjacent pairs:
+  one term per pair, at genus 1 both brackets in one.
 
-These keep one term per factor: the direct paths (``eval_product``,
-``eval_shifted_product``, ``shift``, the scan's bisection, the inversion
-at xi when a spec loads: no far series, so no batch split), near sets that
-are not closed pairs (a lone real zero, the +tau, +tau, -tau, -tau layout
-of a double zero) or, out of modulus order, not the sequence's first
-zeros, and points past the pair range, 2^255 times the pairs' least power
-of two.  The direct paths keep their bits on purpose:
-the values that set the benchmark's ``err_max`` against its mpmath
-references (``eval``, ``shift``, the scan's roots) come from them, and a point
-evaluator's value should not hang on how a batch was cut.  The
-genus-1 single-point kernel still loses log |S| far out (ROADMAP item 8);
-a batch's pair logs do not, since the terms 2 s Re z/|z|^2 of a pair no
-longer round at the scale of |s|/|z| on each member.
+One term per factor stays for the direct paths off the line
+(``eval_product``, ``eval_shifted_product``, ``shift``, the inversion at xi
+when a spec loads: no far series), for s = xi and genus 1 on the line (no
+real product there), for near sets that are not closed pairs (a lone real
+zero; in a far batch, the +tau, +tau, -tau, -tau layout of a double zero)
+or, out of modulus order, not the sequence's first zeros, and for points
+past the pair range, 2^255 times the pairs' least power of two.  The
+direct paths keep their bits on purpose: the values that set the
+benchmark's ``err_max`` against its mpmath references (``eval``,
+``shift``) come from them, and a point evaluator's value should not hang
+on how a batch was cut.  The genus-1 single-point kernel still loses
+log |S| far out (ROADMAP item 8); a batch's pair logs do not, since the
+terms 2 s Re z/|z|^2 of a pair no longer round at the scale of |s|/|z| on
+each member.
 
 Only |exp(...)| and per-factor phases are contractually meaningful: summed
 imaginary parts are not unwound to a continuous branch.  Every value comes
@@ -108,7 +103,7 @@ import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -138,10 +133,7 @@ _ATANH_COEFFS = tuple(np.array(c) for c in 1.0 / np.arange(31.0, 2.0, -2.0) + 0j
 _FAR_RATIO = 4.0
 _FAR_TOLERANCE = 1e-17
 _BLOCK_ELEMENTS = 1 << 12  # (point, zero) pairs per block of _log_sum: small temporaries
-_PAIR_BLOCK = 1 << 14  # (point, pair) entries per block of _pair_log_sum's real rows
-# On the line, |x| and |xi| up to this many times the least near tau keep
-# every scaled quantity of the pair kernel a normal double (_log_sums).
-_PAIR_RANGE = 2.0**255
+_PAIR_BLOCK = 1 << 14  # (point, pair) entries per block of _conjugate_log_sum
 _PHASES = np.array([0.0, math.pi])  # the logs' imaginary parts of a positive and a negative real product
 # log_derivative's pair sums stay in the double range below this |s| and |z| (_ConjugatePairs)
 _PAIR_REACH = 2.0**500
@@ -293,79 +285,98 @@ def _log_sum(points, zeros: np.ndarray, genus: int, center: complex | np.ndarray
     return sums
 
 
-class _ConjugatePairs(NamedTuple):
-    """The conjugate pairs (z, conj z) that open a sequence's zeros: ``count`` of them
-    among the first ``covered`` (count < covered where a zero that is not a
-    pair's ends the run).
+@dataclass(frozen=True, eq=False)
+class _ConjugatePairs:
+    """The conjugate pairs that open a sequence's zeros, over its first 2 covered.
 
-    For ``log_derivative``: the first members ``z`` and second ``conj``,
-    and per pair, as complex arrays, ``two_re`` 2 Re z, ``u`` Re z/|z|^2
-    and ``v`` ((Im z)^2 - (Re z)^2)/|z|^2, each part divided by |z| before
-    it is squared.  Below ``reach``, 2^500 times the least of 1 and min |z|
-    (0 where some |z| passes 2^500), no step of its pair sum at s clear of
-    the zeros can leave the double range.
-
-    For ``_conjugate_log_sum``, per pair with 2^e the power of two of the
-    larger part of z: ``scale`` 2^-e, ``a`` and ``b`` the parts of z 2^-e
-    and ``d`` a^2 + b^2.  ``limit[k]`` is the pair range of the first k + 1
-    pairs, 2^(255 + e) for their least e (2^1023 at most, 0 where that e is
-    below -960).
+    Pair j is the j-th zero with Im z >= +0 and the j-th with Im z <= -0 (by
+    sign bit) while they mirror (``_numeric._mirrored``), so a run of equal
+    moduli pairs in any layout.  ``closed[j]``: the first j zeros are the
+    first j/2 pairs, Im z ascending.  ``count``: the pairs that open the
+    zeros adjacent, each zero next to its conjugate (first members ``z``,
+    second ``conj``), the only ones far-field batches and ``log_derivative``
+    read.  Per pair, 2^e the power of two of the larger part of z: ``scale``
+    2^-e, ``a`` and ``b`` the parts of z 2^-e (Im z >= +0), ``d`` a^2 + b^2,
+    ``minus_a2`` -a^2 and ``tau`` Im z; ``limit[k]``, the pair range of the
+    first k + 1 pairs, is 2^(255 + e) for their least e (2^1023 at most, 0
+    where that e is below -960).
     """
 
     count: int
     covered: int
-    reach: float
     z: np.ndarray
     conj: np.ndarray
-    two_re: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
     scale: np.ndarray
     a: np.ndarray
     b: np.ndarray
     d: np.ndarray
+    minus_a2: np.ndarray
+    tau: np.ndarray
     limit: np.ndarray
+    closed: np.ndarray
 
-
-def _conjugate_pairs(seq: ZeroSequence, k: int) -> _ConjugatePairs:
-    """The conjugate pairs that open a sequence (``_numeric._mirrored``), over at least
-    its first k pairs where it has them, cached on it.  The table grows on
-    demand, to at least twice what it covered, so it spans what the calls
-    read, not every zero of a long sequence."""
-    pairs = seq._conjugate_cache  # type: ignore[attr-defined]
-    if pairs is not None and (k <= pairs.covered or pairs.count < pairs.covered):
-        return pairs
-    available = seq.zeros.size // 2
-    if pairs is None or pairs.covered < available:
-        covered = min(available, max(k, 2 * pairs.covered if pairs else 0))
-        zeros = seq.zeros[: 2 * covered]
-        mirrored = _mirrored(zeros)
-        count = covered if mirrored.all() else int(np.argmin(mirrored))
-        z, conj = zeros[0 : 2 * count : 2], zeros[1 : 2 * count : 2]
+    @cached_property
+    def terms(self) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+        """``log_derivative``'s (reach, two_re, u, v) over the adjacent pairs, formed on first use:
+        as complex arrays 2 Re z, Re z/|z|^2 and ((Im z)^2 - (Re z)^2)/|z|^2, each part divided by
+        |z| before it is squared.  Below reach, 2^500 times the least of 1 and min |z| (0 where some
+        |z| passes 2^500), no step of a pair sum at s clear of the zeros can leave the double range."""
+        z = self.z
         moduli = np.abs(z)
         re, im = z.real / moduli, z.imag / moduli
         parts = (2.0 * z.real, re / moduli, (im - re) * (im + re))
         least = min(1.0, float(moduli.min(initial=1.0)))
         reach = _PAIR_REACH * least if np.all(moduli <= _PAIR_REACH) else 0.0
-        exponent = np.frexp(np.maximum(np.abs(z.real), np.abs(z.imag)))[1]
-        least_exponent = np.minimum.accumulate(exponent)
-        with np.errstate(over="ignore", invalid="ignore"):  # only where the limit is 0
-            scale = np.ldexp(1.0, -exponent)
-            a, b = z.real * scale, z.imag * scale
-            limit = np.where(least_exponent >= -960, np.ldexp(1.0, np.minimum(255 + least_exponent, 1023)), 0.0)
-        pairs = _ConjugatePairs(
-            count, covered, reach, z, conj, *(part.astype(np.complex128) for part in parts), scale, a, b,
-            a * a + b * b, limit,
-        )
-        object.__setattr__(seq, "_conjugate_cache", pairs)
+        return reach, *(part.astype(np.complex128) for part in parts)
+
+
+def _conjugate_pairs(seq: ZeroSequence, k: int) -> _ConjugatePairs:
+    """The sequence's pair table over at least its first 2 k zeros where it has them, cached
+    on it.  It grows on demand, to at least twice what it covered, so it spans
+    what the calls read, not every zero of a long sequence."""
+    pairs, available = seq._conjugate_cache, seq.zeros.size // 2  # type: ignore[attr-defined]
+    # once the adjacent run ends, growth can change only closed, which only a line's points read
+    final = pairs is not None and (pairs.covered == available or pairs.count < pairs.covered and seq._line is None)
+    if pairs is not None and (k <= pairs.covered or final):
+        return pairs
+    covered = min(available, max(k, 2 * pairs.covered if pairs else 0))
+    zeros = seq.zeros[: 2 * covered]
+    lower = np.signbit(zeros.imag)
+    tops, bottoms = np.compress(~lower, zeros), np.compress(lower, zeros)
+    m = min(tops.size, bottoms.size)
+    mirrored = _mirrored(tops[:m], bottoms[:m])
+    paired = m if mirrored.all() else int(np.argmin(mirrored))
+    tops = tops[:paired]
+    rising = tops.imag[1:] >= tops.imag[:-1]
+    line = paired if rising.all() else int(np.argmin(rising)) + 1
+    # zeros 2i and 2i + 1 are pair i, in either order, while each pair of zeros holds one of each sign
+    alternate = lower[0::2] != lower[1::2]
+    run = alternate.size if alternate.all() else int(np.argmin(alternate))
+    closed = np.zeros(2 * covered + 1, dtype=bool)
+    closed[0 : 2 * min(run, line) + 1 : 2] = True
+    # past that run the first 2i zeros close pairs where they hold i of each sign
+    rest = lower[2 * run : 2 * line]
+    closed[2 * run + 2 : 2 * line + 1 : 2] = np.cumsum(rest)[1::2] == np.arange(1, rest.size // 2 + 1)
+    count = min(paired, run)
+    exponent = np.frexp(np.maximum(np.abs(tops.real), np.abs(tops.imag)))[1]
+    least_exponent = np.minimum.accumulate(exponent)
+    with np.errstate(over="ignore", invalid="ignore"):  # only where the limit is 0
+        scale = np.ldexp(1.0, -exponent)
+        a, b = tops.real * scale, tops.imag * scale
+        limit = np.where(least_exponent >= -960, np.ldexp(1.0, np.minimum(255 + least_exponent, 1023)), 0.0)
+    square, z = a * a, zeros[: 2 * count]
+    pairs = _ConjugatePairs(
+        count, covered, z[0::2], z[1::2], scale, a, b, square + b * b, -square, tops.imag, limit, closed
+    )
+    object.__setattr__(seq, "_conjugate_cache", pairs)
     return pairs
 
 
 def _batch_pairs(seq: ZeroSequence, near: np.ndarray, radius: float) -> _ConjugatePairs | None:
     """The sequence's conjugate pairs where a batch's near zeros (|z| <= 4 radius) are
-    its first near.size / 2 of them; None elsewhere, as for near sets that
-    are not closed pairs, or not the first zeros of a sequence that is not
-    in modulus order."""
+    its first near.size / 2 adjacent pairs; None elsewhere, as for near sets
+    that are not closed pairs, or not the first zeros of a sequence that is
+    not in modulus order."""
     m = near.size
     pairs = _conjugate_pairs(seq, m // 2)
     if m % 2 or m // 2 > pairs.count or not np.all(seq.moduli[:m] <= _FAR_RATIO * radius):
@@ -374,56 +385,90 @@ def _batch_pairs(seq: ZeroSequence, near: np.ndarray, radius: float) -> _Conjuga
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def _conjugate_log_sum(points: np.ndarray, near: np.ndarray, pairs: _ConjugatePairs, genus: int, linear: float):
+def _conjugate_log_sum(
+    points: np.ndarray, near: np.ndarray, pairs: _ConjugatePairs, genus: int, linear: float, real: bool = False
+) -> np.ndarray:
     """``_log_sum(points, near, genus)`` with one log per pair, near the first near.size / 2 pairs of ``pairs``.
 
-    A pair's factors multiply to 1 - w', w' = s (2 Re z - s)/|z|^2, formed
-    from s and z scaled by the power of two of the larger part of z.  Where
-    |w'| < 1/2 the log is that of ``_log_factors`` at w'; elsewhere it is
-    the log of (s - z)(s - conj z)/|z|^2, from the exact scaled differences,
-    so factors near a zero keep full accuracy.  Genus 1 adds s C, ``linear``
-    C the real part of the pairs' R (``_reciprocal_sum``), as one more term
-    of the same exact sums.  Points past the pair range (a part of s past
-    the pairs' limit) and rows with a log that is not finite take
-    ``_log_sum``, but for the exact 0 where s is z or conj z.  A row's sums
-    have the same bits in any batch.
+    Each pair's log of 1 - w', w' = s (2 Re z - s)/|z|^2, comes from
+    ``_pair_logs``.  Genus 1 adds s C, ``linear`` C the real part of the
+    pairs' R (``_reciprocal_sum``), as one more term of the same exact sums.
+    With ``real`` every s = xi + i x is on the line xi of genus-0 pairs
+    xi +- i tau that close with ascending tau (``closed``): a sum is the log
+    of the real product, log |.| (-inf only where |x| is a tau) plus i pi
+    where an odd count of tau < |x| makes it negative.  Points past the pair
+    range (a part of s past the pairs' limit) and other rows with a log that
+    is not finite, as where s is a zero, take ``_log_sum`` (its real part on
+    the line).  Blocks of rows of about _PAIR_BLOCK (point, pair) entries on
+    the line, _BLOCK_ELEMENTS elsewhere (a longer row alone, in column blocks
+    of BLOCK pairs), each round their rows together, each row exactly: a
+    row's sums have the same bits in any batch.
     """
     k = near.size // 2
-    scale, a, b, d = (part[:k] for part in pairs[8:12])
-    fit = np.maximum(np.abs(points.real), np.abs(points.imag)) <= pairs.limit[k - 1]
+    parts = np.abs(points.view(np.float64))
+    ax = parts[1::2]
+    fit = np.maximum(parts[0::2], ax) <= pairs.limit[k - 1]
     sums = np.empty(points.size, dtype=np.complex128)
-    direct = (~fit).nonzero()[0].tolist()
-    rows = fit.nonzero()[0]
-    step = max(1, _BLOCK_ELEMENTS // scale.size)
-    for first in range(0, rows.size, step):
-        block = rows[first : first + step]
+    inside = np.count_nonzero(fit)
+    rows = None if inside == fit.size else fit.nonzero()[0]  # None: every row, blocks of them slices
+    direct = [] if rows is None else (~fit).nonzero()[0].tolist()
+    step = max(1, (_PAIR_BLOCK if real else _BLOCK_ELEMENTS) // k)
+    for first in range(0, inside, step):
+        block = slice(first, first + step) if rows is None else rows[first : first + step]
         s = points[block, None]
-        real, imag = ExactSum(block.size), ExactSum(block.size)
-        finite = np.ones(block.size, dtype=bool)
-        for start in range(0, scale.size, BLOCK):
-            cols = slice(start, start + BLOCK)
-            log_real, log_imag = _pair_logs(s, scale[cols], a[cols], b[cols], d[cols])
-            finite &= np.isfinite(log_real).all(axis=1)
-            if linear and start + BLOCK >= scale.size:  # s C joins the last block of each row
+        sum_real, sum_imag = ExactSum(len(s)), None if real else ExactSum(len(s))
+        # on the line only a zero's row has a log that is not finite: -inf, the row's sum
+        finite = None if real else np.ones(len(s), dtype=bool)
+        for start in range(0, k, BLOCK):
+            cols = slice(start, min(start + BLOCK, k))
+            log_real, log_imag = _pair_logs(s, pairs, cols, ax[block, None] if real else None)
+            if finite is not None:
+                finite &= np.isfinite(log_real).all(axis=1)
+            if linear and start + BLOCK >= k:  # s C joins the last block of each row
                 log_real = np.concatenate([log_real, s.real * linear], axis=1)
                 log_imag = np.concatenate([log_imag, s.imag * linear], axis=1)
-            real.add(log_real)
-            imag.add(log_imag)
-        sums[block[finite]] = complex_totals(real, imag, None if finite.all() else finite)
-        for row in block[~finite].tolist():
-            if np.count_nonzero(near == points[row]):
-                sums[row] = complex(-math.inf)
-            else:
-                direct.append(row)
+            sum_real.add(log_real)
+            if sum_imag is not None:
+                sum_imag.add(log_imag)
+        if finite is None or finite.all():
+            sums[block] = sum_real.totals() if real else complex_totals(sum_real, sum_imag)
+            continue
+        block = np.arange(points.size)[block] if rows is None else block
+        sums[block[finite]] = complex_totals(sum_real, sum_imag, finite)
+        direct += block[~finite].tolist()
     if direct:
         sums[direct] = _log_sum(points[direct], near, genus)
+    if real:  # the sign, (-1)^#{tau < |x|} (ascending taus), as the log 0 or i pi
+        sums.imag = _PHASES.take(pairs.tau[:k].searchsorted(ax), mode="wrap")
     return sums
 
 
-def _pair_logs(s: np.ndarray, scale: np.ndarray, a: np.ndarray, b: np.ndarray, d: np.ndarray):
+def _pair_logs(s: np.ndarray, pairs: _ConjugatePairs, cols: slice, ax: np.ndarray | None = None):
     """Real and imaginary parts of log(1 - w') for each point s (a column) and pair
-    (``_conjugate_log_sum``), from the pairs' scaled parts a, b, d = a^2 + b^2."""
+    of the columns ``cols``, from s and the pair's parts scaled by its 2^-e.
+
+    Where |w'| < 1/2 it is ``_log_factors``' log at w', elsewhere the log of
+    (s - z)(s - conj z)/|z|^2 from the exact scaled differences, so factors
+    near a zero keep full accuracy.  Given ``ax``, |x| of points Re z + i x on
+    the pairs' line, w' is the real delta = (a^2 + y^2)/d, y = |x| 2^-e: the
+    real parts alone, log1p(-delta) where delta < 1/2 and
+    log(|b - y| (b + y)/d) elsewhere, imaginary None.
+    """
+    scale, b, d = pairs.scale[cols], pairs.b[cols], pairs.d[cols]
+    if ax is not None:
+        logs = ax * scale  # y, then in place -delta and its log
+        np.multiply(logs, logs, out=logs)
+        np.subtract(pairs.minus_a2[cols], logs, out=logs)
+        logs /= d  # -delta, the bits of delta negated
+        far = (logs <= -0.5).ravel().nonzero()[0]
+        np.log1p(logs, out=logs)
+        if far.size:
+            row, col = np.divmod(far, logs.shape[1])
+            beta, y = b[col], ax[row, 0] * scale[col]
+            logs.put(far, np.log(np.abs(beta - y) * (beta + y) / d[col]))
+        return logs, None
     x, y = s.real * scale, s.imag * scale
+    a = pairs.a[cols]
     dx = x - a
     # w' = (x (2a - x) + y^2 + i 2 y (a - x))/d, all scaled
     wr = 2.0 * a - x
@@ -444,96 +489,6 @@ def _pair_logs(s: np.ndarray, scale: np.ndarray, a: np.ndarray, b: np.ndarray, d
     log_real[far] = np.log(np.hypot(p_real, p_imag) / col)
     log_imag[far] = np.arctan2(p_imag, p_real)
     return log_real, log_imag
-
-
-class _LinePairs(NamedTuple):
-    """The mirrored pairs (xi + i tau, xi - i tau), tau > 0, of a line sequence, ascending in tau.
-
-    Pair j is the j-th positive offset with the j-th negative one, for as
-    long as these are equal and ascending: each run of equal |tau| pairs
-    its positive entries with its negative ones, in any layout (+tau, -tau,
-    +tau, -tau or +tau, +tau, -tau, -tau).  ``closed[j]`` tells whether the
-    first j zeros are the first j/2 pairs, and ``offsets`` lists the taus.
-    Per pair, with tau = t 2^e and t in [1/2, 1): ``scale`` 2^-e, ``tau`` t,
-    ``minus_xi2`` -(xi 2^-e)^2 and ``d`` t^2 + (xi 2^-e)^2, that is
-    (xi^2 + tau^2) 4^-e.
-    ``limit`` is 2^255 times the least tau, the first, or 0 where that is
-    below 2^-1000 (2^-e would pass the double range).
-    """
-
-    scale: np.ndarray
-    tau: np.ndarray
-    minus_xi2: np.ndarray
-    d: np.ndarray
-    limit: float
-    closed: np.ndarray
-    offsets: np.ndarray
-
-
-def _line_pairs(seq: ZeroSequence) -> _LinePairs:
-    """The pair data of a sequence with a line (``seq._line``), built on first use and cached on it."""
-    pairs = seq._pair_cache  # type: ignore[attr-defined]
-    if pairs is None:
-        im = seq.zeros.imag
-        upper, lower = np.compress(im > 0.0, im), -np.compress(im < 0.0, im)
-        k = min(upper.size, lower.size)
-        upper, lower = upper[:k], lower[:k]
-        mirrored = upper == lower
-        mirrored[1:] &= upper[1:] >= upper[:-1]
-        count = k if mirrored.all() else int(np.argmin(mirrored))
-        # the first j zeros close pairs where, up to the first offset 0 and j = 2 count,
-        # they hold as many positive offsets as negative ones
-        head = im[: 2 * count]
-        stop = head.size if head.all() else int(np.argmin(head != 0.0))
-        closed = np.zeros(im.size + 1, dtype=bool)
-        closed[0] = True
-        closed[1 : stop + 1] = np.cumsum(np.sign(head[:stop])) == 0.0
-        tau, exponent = np.frexp(upper[:count])
-        least = float(upper[0]) if count else 0.0
-        with np.errstate(over="ignore"):  # inf only where no point in range reaches
-            xi2 = np.square(np.ldexp(seq._line, -exponent))  # type: ignore[attr-defined]
-            scale = np.ldexp(1.0, -exponent)
-        limit = _PAIR_RANGE * least if least >= 2.0**-1000 else 0.0
-        pairs = _LinePairs(scale, tau, -xi2, tau * tau + xi2, limit, closed, upper[:count])
-        object.__setattr__(seq, "_pair_cache", pairs)
-    return pairs
-
-
-@np.errstate(divide="ignore", invalid="ignore")
-def _pair_log_sum(ax: np.ndarray, pairs: _LinePairs, count: int) -> np.ndarray:
-    """Per |x| > 0, the exactly rounded sum of log|1 - delta| over the first count pairs.
-
-    At s = xi + i x a pair's factor (1 - s/(xi + i tau)) (1 - s/(xi - i tau))
-    is (tau^2 - x^2)/(xi^2 + tau^2) = 1 - delta, delta = (x^2 + xi^2)/(xi^2 +
-    tau^2), formed from the pair's scaled values (|x| 2^-e for x), so no
-    square leaves the double range.  Where delta < 1/2 the log is
-    log1p(-delta), elsewhere log(|tau - x| (tau + x) / d): full relative
-    accuracy for factors near 1 and near a zero alike.  The sum is -inf iff
-    |x| is a tau.  Blocks of rows of about _PAIR_BLOCK entries (a longer row
-    alone, in column blocks of BLOCK pairs) each round their rows together,
-    each row exactly: a point's sum has the same bits in any batch.
-    """
-    step = max(1, _PAIR_BLOCK // max(count, 1))
-    sums = np.empty(ax.size)
-    for first in range(0, ax.size, step):
-        a = ax[first : first + step, None]
-        acc = ExactSum(len(a))
-        for start in range(0, count, BLOCK):
-            cols = slice(start, min(start + BLOCK, count))
-            logs = a * pairs.scale[cols]  # x, then in place -delta and its log
-            np.multiply(logs, logs, out=logs)
-            np.subtract(pairs.minus_xi2[cols], logs, out=logs)
-            logs /= pairs.d[cols]  # -delta, the bits of delta negated
-            far = (logs <= -0.5).ravel().nonzero()[0]
-            np.log1p(logs, out=logs)
-            if far.size:
-                row, col = np.divmod(far, logs.shape[1])
-                col += start
-                t, xs = pairs.tau[col], a[row, 0] * pairs.scale[col]
-                logs.put(far, np.log(np.abs(t - xs) * (t + xs) / pairs.d[col]))
-            acc.add(logs)
-        sums[first : first + len(a)] = acc.totals()
-    return sums
 
 
 def _far_sums(far: np.ndarray) -> tuple[float, np.ndarray]:
@@ -661,13 +616,12 @@ def _log_sums(
 
     A point that is a retained zero gets -inf, the log of an exact 0.  With
     a radius >= max |s| the zeros beyond 4 * radius enter as power sums, and
-    where some do and the near zeros are the sequence's leading conjugate
-    pairs (``_batch_pairs``) the near sums take one log per pair
+    where some do and the near zeros are the sequence's leading adjacent
+    conjugate pairs (``_batch_pairs``) the near sums take one log per pair
     (``_conjugate_log_sum``).  At genus 0 a point xi + i x, x != 0, on the
-    line xi of a sequence whose first n zeros and near zeros are mirrored
-    pairs (``_LinePairs.closed``; only then is the pair data built) takes
-    ``_pair_log_sum`` over the near pairs (the batch's complex kernel past
-    their range) and the real part of the far series (the far pairs'
+    line xi of a sequence whose first n zeros and near zeros close pairs
+    (``_ConjugatePairs.closed``; only then is the table built there) takes
+    the kernel's real logs and the far series' real part (the far pairs'
     factors are positive): its product is real, and the imaginary part of
     its log is 0 or pi, the log of its sign.
 
@@ -685,12 +639,12 @@ def _log_sums(
             sums += far[: points.size] - far[points.size :]
         return sums, np.zeros(points.size, dtype=bool)
     near, far = _split(seq, genus, points, n, radius, derivative=False)
-    line, real, pairs = seq._line, np.zeros(points.size, dtype=bool), None  # type: ignore[attr-defined]
+    line, real, on_line = seq._line, np.zeros(points.size, dtype=bool), 0  # type: ignore[attr-defined]
     if not genus and line is not None and not n % 2:
         np.logical_and(points.real == line, points.imag != 0.0, out=real)
-        pairs = _line_pairs(seq) if np.count_nonzero(real) else None
+        pairs = _conjugate_pairs(seq, n // 2) if (on_line := np.count_nonzero(real)) else None
         if pairs is not None and not (pairs.closed[n] and pairs.closed[near.size]):
-            real[:], pairs = False, None
+            real[:], on_line = False, 0
     exponents = np.zeros(points.size, dtype=np.complex128)
     if genus == 1:
         exponents = _times(points, q)
@@ -707,14 +661,10 @@ def _log_sums(
             return _log_sum(points, near, genus)
         return _conjugate_log_sum(points, near, conjugate, genus, linear)
 
-    if near.size and pairs is not None:
-        count, ax, limit = near.size // 2, np.abs(points.imag), pairs.limit
-        fit = real & (ax <= (limit if abs(line) <= limit else -1.0))  # |x| and |xi| in the pair range
-        exponents.real[fit] = _pair_log_sum(ax[fit], pairs, count)
-        if np.count_nonzero(fit) < fit.size:  # past the pair range the complex kernel gives log |V|
-            exponents[~fit] = kernel(points[~fit])
-        # a real product's sign, (-1)^#{tau < |x|} over the near taus (ascending), as its log 0 or i pi
-        np.copyto(exponents.imag, _PHASES.take(pairs.offsets[:count].searchsorted(ax), mode="wrap"), where=real)
+    if near.size and on_line:
+        exponents[real] = _conjugate_log_sum(points[real], near, pairs, 0, 0.0, real=True)
+        if on_line < real.size:
+            exponents[~real] = kernel(points[~real])
     elif near.size:
         log_sums = kernel(points)
         exponents += log_sums
@@ -825,15 +775,15 @@ def _nearest(point: complex, zeros: np.ndarray, seq: ZeroSequence | None = None)
     """min |point - z| over the retained zeros; inf when there are none.
 
     ``zeros`` opens ``seq``, where given.  At a point xi + i x on its line each
-    |point - z| is |Im z - x|, the same double; where they close the +-tau pairs
-    of a built pair table, the least is |tau - |x|| at the offsets either side of |x|.
+    |point - z| is |Im z - x|, the same double; where they close the pairs of a
+    built pair table, the least is |tau - |x|| at the offsets either side of |x|.
     """
     if not zeros.size:
         return math.inf
     if seq is not None and point.real == seq._line:  # type: ignore[attr-defined]
-        pairs = seq._pair_cache  # type: ignore[attr-defined]
-        if pairs is not None and pairs.closed[zeros.size]:
-            ax, taus = abs(point.imag), pairs.offsets[: zeros.size // 2]
+        pairs = seq._conjugate_cache  # type: ignore[attr-defined]
+        if pairs is not None and zeros.size < pairs.closed.size and pairs.closed[zeros.size]:
+            ax, taus = abs(point.imag), pairs.tau[: zeros.size // 2]
             j = int(taus.searchsorted(ax))
             return min(abs(t - ax) for t in taus[max(j - 1, 0) : j + 1].tolist())
         return float(np.abs(zeros.imag - point.imag).min())
@@ -1108,13 +1058,14 @@ def log_derivative(spec: EntireFunctionSpec, s: complex, n_terms: int | None = N
     pairs = _conjugate_pairs(spec.zero_sequence, n // 2)
     if not n % 2 and n // 2 <= pairs.count:
         k = n // 2
-        fits = abs(s) < pairs.reach
+        reach, two_re, u, v = pairs.terms
+        fits = abs(s) < reach
         with nullcontext() if fits else np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             product = (s - pairs.z[:k]) * (s - pairs.conj[:k])
             if genus == 1:
-                terms = (2.0 * s) * (pairs.u[:k] * s + pairs.v[:k]) / product
+                terms = (2.0 * s) * (u[:k] * s + v[:k]) / product
             else:
-                terms = (2.0 * s - pairs.two_re[:k]) / product
+                terms = (2.0 * s - two_re[:k]) / product
         try:  # a term that is not finite makes the sum not finite, or raises
             paired = complex_sum(terms) if fits or np.isfinite(product).all() else complex(math.nan)
         except (ValueError, OverflowError):

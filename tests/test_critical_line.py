@@ -307,9 +307,9 @@ class TestLinePairKernel:
         spec = make_symmetric_spec(1.0, np.arange(1.0, 201.0).repeat(2) * np.tile([1, -1], 200), center_value)
         # the inversion at s = xi round-trips, and s = xi never builds the pair data
         assert eval_product(spec, 1.0).value == center_value
-        assert spec.zero_sequence._pair_cache is None
+        assert spec.zero_sequence._conjugate_cache is None
         eval_product(spec, 1.0 + 0.5j)
-        assert spec.zero_sequence._pair_cache is not None
+        assert spec.zero_sequence._conjugate_cache is not None
 
     def test_exact_zero_only_at_a_retained_tau(self, sinh_line_spec) -> None:
         at = eval_product(sinh_line_spec, 1.0 + 3.0j)
@@ -391,7 +391,7 @@ class TestLinePairKernel:
         seq = spec.zero_sequence
         zeros = seq.zeros[: len(taus) if n is None else n]
         assert eval_product(spec, complex(1.5, 0.3), n).value != 0  # builds the pair table
-        assert seq._pair_cache is not None and seq._pair_cache.closed[zeros.size]
+        assert seq._conjugate_cache is not None and seq._conjugate_cache.closed[zeros.size]
         # on a tau, between taus, past the last, x = 0 (both signs) and negative x
         for x in (1.0, 2.5, 1.75, 1.0 + 1e-13, 3.9999999999, 4.0, 9.5, 1e300, 0.0, -0.0, -2.5, -1.2, -40.0):
             s = complex(1.5, x)
@@ -409,7 +409,7 @@ class TestLinePairKernel:
 def test_line_point_distance_matches_a_scan_of_the_zeros(taus, xs, keep) -> None:
     spec = make_symmetric_spec(0.75, [t for tau in taus for t in (tau, -tau)], 1.0)
     seq = spec.zero_sequence
-    product_engine._line_pairs(seq)
+    product_engine._conjugate_pairs(seq, len(seq) // 2)
     n = 2 * round(keep * len(taus))  # where the first n zeros close pairs, the taus are bisected
     for x in xs + [t * sign for t in taus[:3] for sign in (1.0, -1.0)]:
         s = complex(0.75, x)
@@ -467,13 +467,18 @@ def _record_bits(value, log_value, nearest, near_zero):
     keep=st.floats(min_value=0.0, max_value=1.0),
     picks=st.lists(st.tuples(st.integers(min_value=0, max_value=39), st.floats(min_value=0.0, max_value=1.0)),
                    min_size=1, max_size=6),
+    doubled=st.sets(st.integers(min_value=0, max_value=39), max_size=40),
 )
-def test_line_point_has_the_bits_of_the_earlier_path(taus, xi, v0, keep, picks) -> None:
-    # taus of distinct moduli |xi + i tau| come out as adjacent pairs in modulus order,
-    # so every even truncation closes pairs and the pair table covers it
+def test_line_point_has_the_bits_of_the_earlier_path(taus, xi, v0, keep, picks, doubled) -> None:
+    # taus of distinct moduli |xi + i tau| come out in modulus order as adjacent pairs,
+    # and a doubled tau as the run +tau, +tau, -tau, -tau of duplicated.spec, where
+    # line pairing and adjacent pairing differ: every truncation at the end of a run
+    # closes pairs and the pair table covers it
     assume(np.unique(np.abs(xi + 1j * np.array(taus))).size == len(taus))
-    spec = make_symmetric_spec(xi, [t for tau in taus for t in (tau, -tau)], v0)
-    n = 2 * round(keep * len(taus))
+    runs = [(tau, 2 if j in doubled else 1) for j, tau in enumerate(taus)]
+    spec = make_symmetric_spec(xi, [t for tau, times in runs for t in (tau, -tau) * times], v0)
+    ends = np.cumsum([0] + [2 * times for _, times in sorted(runs)])
+    n = int(ends[round(keep * len(taus))])
     upper = sorted(taus)
     xs = [0.0, -0.0, 10.0 * upper[-1], -3.0 * upper[-1]]  # +-0 and past the last tau
     for k, f in picks:
@@ -484,7 +489,7 @@ def test_line_point_has_the_bits_of_the_earlier_path(taus, xi, v0, keep, picks) 
         ev = eval_product(spec, complex(xi, x), n)
         got = _record_bits(ev.value, ev.log_value, ev.nearest_zero_distance, ev.near_zero)
         assert got == _record_bits(*_earlier_line_point(spec, x, n)), x
-    assert spec.zero_sequence._pair_cache.closed[n]
+    assert spec.zero_sequence._conjugate_cache.closed[n]
 
 
 def test_line_point_on_the_fixture_has_the_bits_of_the_earlier_path(sinh_line_spec) -> None:
@@ -498,20 +503,23 @@ def test_line_point_on_the_fixture_has_the_bits_of_the_earlier_path(sinh_line_sp
 
 @pytest.mark.parametrize("take", [1, 2, 3, 48])
 def test_pair_rows_have_their_bits_in_any_block(take) -> None:
-    # 4501 pairs, past the 4096 (point, pair) entries of one block of _log_sum: rows of
-    # _pair_log_sum go 3 to a block; a row on a tau sums to -inf, and points past the
-    # pair range (2^255 times the least tau) take the complex kernel inside the batch,
-    # with the sign of the 4501 taus below them
+    # 4501 pairs, past the 4096 (point, pair) entries of one block of _log_sum: line
+    # rows of _conjugate_log_sum go 3 to a block; a row on a tau sums to -inf, and points
+    # past the pair range (2^255 times the least pair's power of two) take the complex
+    # kernel inside the batch, with the sign of the 4501 taus below them
     spec = make_symmetric_spec(1.0, interleaved_taus(4501), 1.0)
     seq = spec.zero_sequence
-    pairs = product_engine._line_pairs(seq)
+    pairs = product_engine._conjugate_pairs(seq, 4501)
     rng = np.random.default_rng(take)
     xs = np.concatenate([[17.0, -4500.0, 0.5, 1e80, -3e77], rng.uniform(-6000.0, 6000.0, 43)])
-    ax = np.abs(xs)
-    alone = [product_engine._pair_log_sum(ax[j : j + 1], pairs, 4501)[0] for j in range(48)]
-    blocks = np.concatenate([product_engine._pair_log_sum(ax[j : j + take], pairs, 4501) for j in range(0, 48, take)])
-    assert blocks.tolist() == alone and alone[0] == -math.inf and alone[1] == -math.inf
     points = 1.0 + 1j * xs
+
+    def line_sums(rows: slice) -> list[complex]:
+        return product_engine._conjugate_log_sum(points[rows], seq.zeros, pairs, 0, 0.0, real=True).tolist()
+
+    alone = [line_sums(slice(j, j + 1))[0] for j in range(48)]
+    blocks = [z for j in range(0, 48, take) for z in line_sums(slice(j, j + take))]
+    assert blocks == alone and alone[0].real == -math.inf and alone[1].real == -math.inf
     single = [product_engine._log_sums(seq, 0, 0j, points[j : j + 1], seq.zeros.size)[0][0] for j in range(48)]
     batch = np.concatenate(
         [product_engine._log_sums(seq, 0, 0j, points[j : j + take], seq.zeros.size)[0] for j in range(0, 48, take)]
@@ -520,8 +528,21 @@ def test_pair_rows_have_their_bits_in_any_block(take) -> None:
     assert math.isfinite(single[3].real) and single[3].imag == single[4].imag == math.pi
 
 
-def _table_definition(im: np.ndarray) -> tuple[int, np.ndarray, float]:
-    """The pair count, closed[j] and the pair range of ``_LinePairs`` over offsets im, from their definitions."""
+def _table_definition(zeros: np.ndarray) -> tuple[int, int, np.ndarray, list[float]]:
+    """The pair count, the adjacent count, closed[j] and the pair ranges of ``_ConjugatePairs``
+    over zeros (imaginary parts never -0), from their definitions; the table covers an
+    even number of zeros, and an odd last zero closes no pairs."""
+    im = zeros.imag
+    even = zeros[: 2 * (zeros.size // 2)]
+    tops, bottoms = even[even.imag >= 0.0], even[even.imag < 0.0]
+    paired = 0
+    while paired < min(tops.size, bottoms.size) and tops[paired] == bottoms[paired].conjugate():
+        paired += 1
+    adjacent = 0
+    while adjacent < paired and (im[2 * adjacent] < 0.0) != (im[2 * adjacent + 1] < 0.0):
+        adjacent += 1
+    # the pairs of the earlier line table: pair j the j-th positive offset with the j-th
+    # negative one, while these are equal and ascending
     upper, lower = im[im > 0.0], -im[im < 0.0]
     k = min(upper.size, lower.size)
     upper, lower = upper[:k], lower[:k]
@@ -530,8 +551,10 @@ def _table_definition(im: np.ndarray) -> tuple[int, np.ndarray, float]:
     count = k if mirrored.all() else int(np.argmin(mirrored))
     positive, negative, j = np.cumsum(im > 0.0), np.cumsum(im < 0.0), np.arange(1, im.size + 1)
     closed = np.concatenate([[True], (2 * positive == j) & (positive <= count) & (negative == positive)])
-    least = float(upper[:count].min()) if count else 0.0
-    return count, closed, 2.0**255 * least if least >= 2.0**-1000 else 0.0
+    # the range of the first j + 1 pairs: 2^(255 + e) for their least power of two 2^e of max |part|
+    least = np.minimum.accumulate([math.frexp(max(abs(z.real), abs(z.imag)))[1] for z in tops[:paired]])
+    limits = [math.ldexp(1.0, min(255 + int(e), 1023)) if e >= -960 else 0.0 for e in least]
+    return paired, adjacent, closed, limits
 
 
 @given(
@@ -548,10 +571,12 @@ def test_line_pair_table_matches_its_definition(runs, line) -> None:
     zeros = line + 1j * np.array(im, dtype=float)
     seq = ZeroSequence(zeros, ordering=Ordering.AS_GIVEN)
     object.__setattr__(seq, "_line", line)
-    pairs = product_engine._line_pairs(seq)
-    count, closed, limit = _table_definition(zeros.imag)
-    assert pairs.tau.size == count and pairs.closed.tolist() == closed.tolist() and pairs.limit == limit
-    assert pairs.offsets.tolist() == sorted(pairs.offsets.tolist())
+    pairs = product_engine._conjugate_pairs(seq, len(seq) // 2)
+    paired, adjacent, closed, limits = _table_definition(zeros)
+    assert pairs.tau.size == paired and pairs.count == adjacent and pairs.limit.tolist() == limits
+    assert pairs.closed.tolist() == closed[: pairs.closed.size].tolist() and not closed[pairs.closed.size :].any()
+    last = int(np.flatnonzero(pairs.closed)[-1]) // 2  # the pairs a closed truncation reads
+    assert pairs.tau[:last].tolist() == sorted(pairs.tau[:last].tolist())
 
 
 class TestRotatedDerivatives:

@@ -323,8 +323,8 @@ def _spy(monkeypatch, module, name: str, calls: list) -> None:
     """Record (args, result) of every call of module.name."""
     original = getattr(module, name)
 
-    def spy(*args):
-        result = original(*args)
+    def spy(*args, **kwargs):
+        result = original(*args, **kwargs)
         calls.append((args, result))
         return result
 
@@ -588,14 +588,19 @@ def test_residual_on_the_zero_line_takes_the_pair_kernel(lbar_spec, monkeypatch,
     # the left side S(0) prod (1 - alpha/z) at alpha = xi + i x is a genus-0
     # product on the line: one real log per pair, real where S(0) is
     alpha = complex(lbar_spec.center_xi, offset)
-    calls = []
-    _spy(monkeypatch, product_engine, "_pair_log_sum", calls)
+    calls, kernel = [], product_engine._conjugate_log_sum
+
+    def spy(*args, real=False):
+        calls.append(real)
+        return kernel(*args, real=real)
+
+    monkeypatch.setattr(product_engine, "_conjugate_log_sum", spy)
     assert shift_constant_residual(lbar_spec, alpha) <= 1e-14
     radius = abs(alpha)
     zeros, s_alpha, log_s_alpha = product_engine._at_shift_points(lbar_spec, [alpha], None, radius)
     (residual,) = product_engine._internal_residuals(lbar_spec, [alpha], zeros, s_alpha, log_s_alpha, radius)
     assert residual <= 1e-14
-    assert len(calls) == 2
+    assert calls.count(True) == 2
 
 
 def test_genus1_line_profile_with_every_zero_far() -> None:
@@ -751,6 +756,40 @@ def test_log_derivative_takes_one_term_per_pair(request, fixture) -> None:
     assert product_engine._conjugate_pairs(seq, n // 2) is pairs
     grown = product_engine._conjugate_pairs(seq, n // 2 + 1)
     assert grown.count == 2 * pairs.count and grown.z[: n // 2].tobytes() == pairs.z.tobytes()
+
+
+def test_one_line_sequence_builds_one_pair_table(monkeypatch) -> None:
+    # a line profile, a far-field batch off the line, log_derivative and a line point's
+    # distance on one line sequence read the one table that the profile's first use builds
+    spec = make_symmetric_spec(1.0, interleaved_taus(500), 1.0)
+    seq = spec.zero_sequence
+    assert not hasattr(seq, "_pair_cache")
+    built, table, kernels = [], product_engine._ConjugatePairs, []
+    monkeypatch.setattr(product_engine, "_ConjugatePairs", lambda *parts: built.append(table(*parts)) or built[-1])
+    _spy(monkeypatch, product_engine, "_conjugate_log_sum", kernels)
+    assert critical_line_profile(spec, -10.0, 10.0, 41).imag_max == 0.0
+    line_kernels = len(kernels)
+    _eval_batch(spec, [0.3 + 1.7j, 2.0 - 0.5j], len(seq), 5.0)
+    assert line_kernels >= 1 and len(kernels) == line_kernels + 1
+    s = 0.3 + 2.2j
+    assert log_derivative(spec, s) == pytest.approx(complex_sum(1.0 / (s - seq.zeros)), rel=1e-13)
+    point = complex(1.0, 17.25)
+    assert product_engine._nearest(point, seq.zeros, seq) == float(np.abs(point - seq.zeros).min())
+    assert len(built) == 1 and seq._conjugate_cache is built[0]
+    assert built[0].count == built[0].covered == len(seq) // 2 and built[0].closed[len(seq)]
+
+
+def test_pair_table_grows_only_where_a_reader_can_gain() -> None:
+    # off a line, a table whose adjacent run ended is final; on a line whose first
+    # zeros are the +tau, +tau, -tau, -tau of a double zero, it grows for closed
+    unpaired = ZeroSequence(zeros=np.array([1 + 1j, 2 + 1j, 1 - 1j, 2 - 1j] * 4), ordering=Ordering.AS_GIVEN)
+    first = product_engine._conjugate_pairs(unpaired, 1)
+    assert first.count == 0 and product_engine._conjugate_pairs(unpaired, 8) is first
+    line = make_symmetric_spec(1.0, [1.0, 1.0, -1.0, -1.0, 2.0, -2.0, 3.0, -3.0], 1.0).zero_sequence
+    first = product_engine._conjugate_pairs(line, 1)
+    assert first.count == 0 and not first.closed[2]
+    grown = product_engine._conjugate_pairs(line, 4)
+    assert grown is not first and grown.count == 0 and grown.closed[[4, 6, 8]].all()
 
 
 def test_log_derivative_of_unpaired_zeros_keeps_one_term_per_factor(poly_spec, duplicated_zero_spec) -> None:
