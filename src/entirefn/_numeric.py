@@ -384,7 +384,7 @@ def _head_sums(base: np.ndarray, m_max: int, halved: bool) -> list[complex] | No
     """
     base = np.ascontiguousarray(base)
     moduli = np.abs(base)
-    if not np.all(moduli[1:] <= moduli[:-1]):  # far fields and line offsets come sorted
+    if not np.all(moduli[1:] <= moduli[:-1]):  # far fields come sorted
         order = np.argsort(-moduli, kind="stable")
         base, moduli = base[order], moduli[order]
     n = base.size

@@ -291,8 +291,7 @@ class ZeroSequence:
         object.__setattr__(self, "_conjugate_cache", None)
         # xi for zeros that _line_sequence built as xi + i tau from finite
         # nonzero xi and tau, in modulus order, which pass every zero check of
-        # a spec on xi; 0 only for the line offsets i tau of critical_line,
-        # which skip no spec's checks: a symmetric spec's center_xi is nonzero
+        # a spec on xi
         object.__setattr__(self, "_line", None)
 
     def __len__(self) -> int:

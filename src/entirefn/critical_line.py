@@ -4,10 +4,11 @@ For a symmetric-class spec with zeros xi + i*tau_k, the map
 V(x) = S(xi + i x) carries all the zero structure: V vanishes exactly at
 the retained tau_k, and for a sign-symmetric Y_tilde spec V is real on real
 x and collapses to the even product V(0) * prod (1 - x^2 / tau_hat^2) over
-the positive offset magnitudes.  That product, and the literal one
-V(0) * prod (1 - x / tau_k) of the line-form checks, take the offsets as the
-zeros i tau on the line 0 at i x, through the one factor reducer of
-``product_engine``.  Derivatives rotate: V^(k)(0) = i^k S^(k)(xi).
+the positive offset magnitudes.  That product and the literal one
+V(0) * prod (1 - x / tau_k) of the line-form checks are the spec's own product
+recentred at xi, factor by factor 1 - (s - xi)/(z - xi) at s = xi + i x: each
+pair of offsets takes one real log of 1 - x^2/tau^2 (``_offset_logs``).
+Derivatives rotate: V^(k)(0) = i^k S^(k)(xi).
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core_types import ClassTag, EntireFunctionSpec, Ordering, ZeroSequence
-from .product_engine import _eval_batch, _log_sums, _nearest, _reciprocal_sum, _retained, _values_from_logs, eval_product
+from .core_types import ClassTag, EntireFunctionSpec
+from .product_engine import _conjugate_log_sum, _conjugate_pairs, _eval_batch, _log_sum, _nearest, _offset_pairs
+from .product_engine import _reciprocal_sum, _retained, _split, _values_from_logs, eval_product
 from .series_engine import TaylorExpansion, _require_sign_symmetric
 
 __all__ = [
@@ -227,54 +229,63 @@ def even_product_form(spec: EntireFunctionSpec, x: float, n_terms: int | None = 
     Requires a Y_tilde spec whose retained tau offsets are sign-symmetric;
     tau_hat runs over the positive offsets (with multiplicity).  On the same
     finite factor set this equals the direct profile value up to rounding.
+    Every retained zero enters directly.
     """
-    return _even_product_values(spec, [float(x)], n_terms)[0]
-
-
-def _even_product_values(spec: EntireFunctionSpec, xs, n_terms: int | None) -> list[complex]:
-    """``even_product_form`` at each x, checking the spec and computing V(0) once."""
     if spec.class_tag is not ClassTag.Y_TILDE:
         raise ValueError("even product form requires a Y_tilde spec")
-    taus = _retained(spec, n_terms).imag
-    _require_sign_symmetric(taus)
-    tau_hat = taus[taus > 0.0]
-    assert spec.center_xi is not None
-    center = eval_product(spec, complex(spec.center_xi), taus.size)
-    exponents, real = _offset_logs(np.concatenate([tau_hat, -tau_hat]), xs)
-    return _values_from_logs(exponents, real, center.value, center.log_value)
+    n = int(_retained(spec, n_terms).size)
+    exponents, real = _offset_logs(spec, n, np.array([float(x)]), None, even=True)
+    center = eval_product(spec, complex(spec.center_xi), n)  # type: ignore[arg-type]
+    return _values_from_logs(exponents, np.array([real]), center.value, center.log_value)[0]
 
 
-def _literal_values(spec: EntireFunctionSpec, n: int, grid: np.ndarray, v0: complex) -> np.ndarray:
-    """The literal line product V(0) prod (1 - x / tau_k) over the first n zeros at each x of
-    the grid, times exp(i x (q + R)) at genus 1, with the far offsets beyond the grid from
-    power sums.  R = sum 1/z_k is split at the profile's radius (``_reciprocal_sum``)."""
-    exponents, real = _offset_logs(spec.zero_sequence.zeros[:n].imag, grid, float(np.max(np.abs(grid))))
+def _line_forms(
+    spec: EntireFunctionSpec, n: int, grid: np.ndarray, v0: complex, even: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """T6/T7's literal line product V(0) prod (1 - x / tau_k) over the first n zeros at each x of
+    the grid, times exp(i x (q + R)) at genus 1, and with ``even`` the even form, split at the
+    profile's radius as R is (``_reciprocal_sum``); a real literal product is the even form too."""
+    radius, log_v0 = _line_radius(spec.center_xi, grid), cmath.log(v0)
+    exponents, real = _offset_logs(spec, n, grid, radius)
     if spec.genus == 1:
-        assert spec.center_xi is not None
-        recip = _reciprocal_sum(spec.zero_sequence, n, _line_radius(spec.center_xi, grid))
-        exponents += 1j * grid * spec.q_constant + 1j * grid * recip
-        real[:] = False
-    return np.array(_values_from_logs(exponents, real, v0, cmath.log(v0)), dtype=np.complex128)
+        exponents += 1j * grid * spec.q_constant + 1j * grid * _reciprocal_sum(spec.zero_sequence, n, radius)
+        real = False
+    forms = [(exponents, real)] + ([_offset_logs(spec, n, grid, radius, even=True)] if even and not real else [])
+    values = [np.array(_values_from_logs(e, np.full(e.size, r), v0, log_v0), dtype=np.complex128) for e, r in forms]
+    return values[0], values[-1] if even else None
 
 
-def _offset_logs(taus: np.ndarray, xs, radius: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Logs of prod (1 - x / tau) at each x, and which products are real.
+def _offset_logs(
+    spec: EntireFunctionSpec, n: int, xs: np.ndarray, radius: float | None, even: bool = False
+) -> tuple[np.ndarray, bool]:
+    """Logs of prod (1 - x / tau) over the first n zeros xi + i tau at each x (with ``even``, of
+    prod (1 - x^2 / tau_hat^2), tau_hat > 0), and whether the products are real.
 
-    The offsets are the genus-0 zeros i tau on the line 0 and x the point
-    i x, so each factor is 1 - s/z.  A sign-symmetric set, repeated offsets
-    included, is laid out as ascending mirrored pairs: ``_log_sums`` takes
-    one real log of 1 - x^2/tau^2 per pair and halves the far power sums.
+    A factor is 1 - (s - xi)/(z - xi) at s = xi + i x; the zeros beyond 4 * radius (radius >=
+    every |s|) enter as G(s) - G(xi), G their genus-0 far series (``_log_sums``).  Near zeros
+    that close pairs of the spec's table take one real log of 1 - x^2/tau^2 a pair
+    (``_offset_pairs``); at genus 0 where the first n close pairs too, and with ``even``, the
+    far series adds its real part (a mirrored pair's log) and the product is real.  Otherwise
+    the even form pairs the near tau_hat after the symmetry check, the literal one each factor.
     """
-    upper = np.sort(taus[taus > 0.0])
-    if np.array_equal(upper, np.sort(-taus[taus < 0.0])):
-        taus = np.column_stack([upper, -upper]).ravel()
-    zeros = np.zeros(taus.size, dtype=np.complex128)
-    zeros.imag = taus
-    seq = ZeroSequence(zeros, ordering=Ordering.AS_GIVEN)
-    object.__setattr__(seq, "_line", 0.0)
-    points = np.zeros(np.size(xs), dtype=np.complex128)
-    points.imag = xs
-    return _log_sums(seq, 0, 0j, points, len(seq), radius)
+    seq, xi = spec.zero_sequence, spec.center_xi
+    points = np.empty(xs.size + 1, dtype=np.complex128)  # xi + i x, and xi last
+    points.real, points.imag[:-1], points.imag[-1] = xi, xs, 0.0
+    near, far = _split(seq, 0, points, n, radius, derivative=False)
+    far = np.zeros(xs.size, dtype=np.complex128) if far is None else far[:-1] - far[-1]
+    pairs = _conjugate_pairs(seq, (near.size if spec.genus else n) // 2)
+    closed_n, closed_near = (not j % 2 and j < pairs.closed.size and bool(pairs.closed[j]) for j in (n, near.size))
+    if even and not closed_n:
+        _require_sign_symmetric(seq.zeros[:n].imag)
+    if not (closed_near or even):
+        return _log_sum(points[:-1], near, 0, complex(xi)) + far, False
+    real = even or not spec.genus and closed_n
+    taus = pairs.tau[: near.size // 2] if closed_near else np.sort(near.imag[near.imag > 0.0])
+    logs = far.real + 0j if real else far
+    if taus.size:
+        table = _offset_pairs(taus)
+        logs += _conjugate_log_sum(xs * 1j, np.concatenate([table.z, table.conj]), table, 0, 0.0, real=True)
+    return logs, real
 
 
 def rotated_derivatives(expansion: TaylorExpansion, orders: Sequence[int]) -> RotatedDerivatives:

@@ -18,9 +18,12 @@ T1-T4 draw from ``numpy.random.default_rng(seed)``, the evaluation points
 before the shift points, so a seed fixes every draw.  Each stage of their
 batch is one reduction over the draws that takes the zeros beyond 4R, R the
 largest |p| over the draws, from power sums; the shifted products about the
-alphas take them as G(s) - G(alpha) (``product_engine._log_sums``).  So T1-T4
-measure the recentring over the near zeros, S(alpha), q and sum u/z; for the
-far zeros the identity holds by the series identity itself, not tested.
+alphas take them as G(s) - G(alpha) (``product_engine._log_sums``).  T6/T7
+take the zeros beyond 4 times the profile's radius from the profile's power
+sums, as G(xi + i x) - G(xi), and V(0) from the profile.  So T1-T4 measure
+the recentring over the near zeros, S(alpha), q and sum u/z, and T6/T7 the
+near offsets; for the far zeros the identity holds by the series identity
+itself, not tested.  ``even_product_form`` alone still sums every zero.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import numpy as np
 
 from .analysis import _trapezoid_nodes, _winding
 from .core_types import EntireFunctionSpec
-from .critical_line import _even_product_values, _line_radius, _literal_values, critical_line_profile
+from .critical_line import _line_forms, _line_radius, critical_line_profile
 from .critical_line import scan_real_zeros
 from .product_engine import _nearest, _retained, _shift_measures
 from .series_engine import even_series
@@ -182,13 +185,12 @@ def _line_form_identity(spec, with_even_form: bool, x_min, x_max, samples, n_ter
     direct = profile.values
     if not (np.all(np.isfinite(direct)) and cmath.isfinite(profile.v0)):
         raise ValueError(f"line values pass the double range on [{x_min!r}, {x_max!r}]")
-    literal = _literal_values(spec, profile.truncation, profile.grid, profile.v0)
+    literal, even = _line_forms(spec, profile.truncation, profile.grid, profile.v0, with_even_form)
     scale = 1.0 + np.abs(direct)
     residual = float(np.max(np.abs(literal - direct) / scale))
     quantities = [("line_form_residual_max", residual)]
     passed = residual <= tolerance
-    if with_even_form:
-        even = np.array(_even_product_values(spec, profile.grid, profile.truncation), dtype=np.complex128)
+    if even is not None:
         even_residual = float(np.max(np.abs(even - direct) / scale))
         reality = profile.imag_max / max(float(np.max(np.abs(direct))), 1e-300)
         quantities.append(("reality_ratio", reality))
@@ -200,7 +202,7 @@ def _line_form_identity(spec, with_even_form: bool, x_min, x_max, samples, n_ter
 def _simplicity_identity(spec, scan: bool, x_min: float, x_max: float, samples, n_terms):
     zeros = _retained(spec, n_terms)
     n = int(zeros.size)
-    far_radius = 0.0  # T9: each contour's own, |c| + r
+    far_radius = 0.0
     if scan:
         profile = critical_line_profile(spec, x_min, x_max, samples, n)
         found = scan_real_zeros(profile, spec)
@@ -216,10 +218,12 @@ def _simplicity_identity(spec, scan: bool, x_min: float, x_max: float, samples, 
     centers = centers[:MAX_AUDITED_ZEROS]
     quantities: list[tuple[str, object]] = [("audited_zeros", len(centers))]
     passed = len(centers) > 0
-    for j, center in enumerate(centers):
-        radius = 0.4 * min(_nearest(center, zeros[np.abs(zeros - center) > 1e-9]), 1.0)
+    radii = [0.4 * min(_nearest(c, zeros[np.abs(zeros - c) > 1e-9]), 1.0) for c in centers]
+    # one far field a run: the profile's (T8) and every contour's |c| + r
+    far_radius = max([far_radius, *(abs(c) + r for c, r in zip(centers, radii))])
+    for j, (center, radius) in enumerate(zip(centers, radii)):
         nodes = _trapezoid_nodes(zeros, center, radius)
-        result = _winding(spec, zeros, center, radius, nodes, max(far_radius, abs(center) + radius))
+        result = _winding(spec, zeros, center, radius, nodes, far_radius)
         quantities.append((f"winding[{j}]", result.winding))
         passed = passed and result.winding == 1
     return quantities, passed

@@ -13,15 +13,9 @@ the fused log(1 - w) + w at genus 1, for w = s/z_k:
           fixed-degree series in t^2 (|t| <= 1/3)
 
 so small factors keep full relative accuracy and factors near a zero full
-absolute accuracy.  ``_log_sum``, the one reducer, takes (points x zeros)
-blocks of about 2**12 pairs through one kernel call each, and rounds the
-rows of each block together, each to its own exactly rounded sum
-(``_numeric.ExactSum``): no temporary spans all N zeros, and a point's sum
-has the same bits in any batch, order or run.  The declared pairing still
-matters for tail estimates and power sums, where grouped magnitudes are
-what converge.  At real points (and center) the members of a conjugate
-pair have mirrored factor logs: the kernel runs on one member of each pair
-and the real parts are doubled, with the bits of the full sum.
+absolute accuracy.  ``_log_sum``, the one reducer, rounds each point's row
+to its own exact sums, block by block: a point's sum has the same bits in
+any batch, order or run.
 
 Batches of points (line profiles, max-modulus rings, winding contours, the
 line-form identities, and each stage of the shift identities: S(alpha),
@@ -32,15 +26,12 @@ through their power sums p_m = sum z^-m:
     sum_far log(1 - s/z)    = -sum_{m>=1} p_m s^m / m  =: G(s)
     sum_far 1/(s - z) (S'/S) = -sum_{m>=1} p_m s^(m-1)
 
-with the m = 1 term dropped at genus 1.  The shifted products' sums about
-alpha take G(s) - G(alpha) (``_log_sums``, the one place the recentred
-rule is formed) at both genera.  p_1..p_K are exact sums, cached on the
-zero sequence per (N, near count); K is the least degree whose remainder
-bound sum_far |w|^(K+1) / ((K+1)(1 - |w|)), |w| <= 1/4, is below 1e-17.
-A batch gives values and logs; only the point evaluators (``eval_product``,
-``eval_shifted_product``) build records, which read min |s - z| over every
-retained zero.  Single-point calls (those two and ``log_derivative``) are
-the case with no far zeros.
+with the m = 1 term dropped at genus 1.  Sums recentred at alpha take
+G(s) - G(alpha) (``_log_sums``).  p_1..p_K are exact sums, cached on the
+zero sequence per (N, near count) (``_far_sums``).  A batch gives values
+and logs; only the point evaluators (``eval_product``,
+``eval_shifted_product``) build records.  Single-point calls (those two and
+``log_derivative``) are the case with no far zeros.
 
 A genus-1 product is the genus-0 one times e^((q + R) s), R = sum 1/z over
 the retained zeros (``_reciprocal_sum``: the near zeros' exact sum plus the
@@ -54,39 +45,20 @@ One term per conjugate pair
 A pair's factors multiply to one quadratic factor, (1 - s/z)(1 - s/conj z)
 = 1 - w', w' = s (2 Re z - s)/|z|^2, times e^(2 s Re z/|z|^2) at genus 1,
 and its two terms of S'/S add to 2 (s - Re z)/((s - z)(s - conj z)).  One
-table per sequence (``_conjugate_pairs``, built on first use) pairs the
-zeros in any layout of an equal-modulus run (+tau, -tau, +tau, -tau or
-+tau, +tau, -tau, -tau); it records which truncations close pairs and how
-many pairs open the zeros adjacent, each zero next to its conjugate.  One
-term per pair is taken by
+table per sequence (``_ConjugatePairs``) pairs the zeros.  One term per pair
+is taken by far-field batches whose near zeros open with adjacent pairs
+(``_conjugate_log_sum``), by genus-0 points xi + i x, x != 0, on the line of
+a line sequence whose retained and near zeros close pairs (its real mode:
+each 1 - w' is real there; also the line products of ``critical_line``, at
+i x over the offsets +-i tau, ``_offset_pairs``), and by ``log_derivative``.
 
-* far-field batches (a non-empty far series) whose near zeros are those
-  adjacent pairs: one log of 1 - w' per pair (``_conjugate_log_sum``), the
-  genus-1 factors as one more exact term s C, C the real part of the near
-  pairs' R;
-* genus-0 points s = xi + i x, x != 0, single ones too, on the line of a
-  line sequence (``ZeroSequence._line``) whose first n zeros and near zeros
-  close pairs: each 1 - w' is real there, and the same kernel takes its
-  real log alone; the product's sign rides in the value's scale, so the
-  value is real where V(0) is.  The line offsets of ``critical_line``
-  (zeros i tau on the line 0, at s = i x) are such a sequence;
-* ``log_derivative`` where its retained zeros open with adjacent pairs:
-  one term per pair, at genus 1 both brackets in one.
-
-One term per factor stays for the direct paths off the line
-(``eval_product``, ``eval_shifted_product``, ``shift``, the inversion at xi
-when a spec loads: no far series), for s = xi and genus 1 on the line (no
-real product there), for near sets that are not closed pairs (a lone real
-zero; in a far batch, the +tau, +tau, -tau, -tau layout of a double zero)
-or, out of modulus order, not the sequence's first zeros, and for points
-past the pair range, 2^255 times the pairs' least power of two.  The
-direct paths keep their bits on purpose: the values that set the
-benchmark's ``err_max`` against its mpmath references (``eval``,
-``shift``) come from them, and a point evaluator's value should not hang
-on how a batch was cut.  The genus-1 single-point kernel still loses
-log |S| far out (ROADMAP item 8); a batch's pair logs do not, since the
-terms 2 s Re z/|z|^2 of a pair no longer round at the scale of |s|/|z| on
-each member.
+One term per factor stays for the direct paths off the line (``eval``,
+``shift``, the inversion at xi when a spec loads), for s = xi and genus 1 on
+the line, for near sets that are not closed pairs, and past the pair range.
+The direct paths keep their bits on purpose: the values that set the
+benchmark's ``err_max`` come from them, and a point evaluator's value should
+not hang on how a batch was cut.  The genus-1 single-point kernel still
+loses log |S| far out (ROADMAP item 8); a batch's pair logs do not.
 
 Only |exp(...)| and per-factor phases are contractually meaningful: summed
 imaginary parts are not unwound to a continuous branch.  Every value comes
@@ -306,14 +278,14 @@ class _ConjugatePairs:
     covered: int
     z: np.ndarray
     conj: np.ndarray
+    tau: np.ndarray
+    closed: np.ndarray
     scale: np.ndarray
     a: np.ndarray
     b: np.ndarray
     d: np.ndarray
     minus_a2: np.ndarray
-    tau: np.ndarray
     limit: np.ndarray
-    closed: np.ndarray
 
     @cached_property
     def terms(self) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
@@ -357,19 +329,31 @@ def _conjugate_pairs(seq: ZeroSequence, k: int) -> _ConjugatePairs:
     # past that run the first 2i zeros close pairs where they hold i of each sign
     rest = lower[2 * run : 2 * line]
     closed[2 * run + 2 : 2 * line + 1 : 2] = np.cumsum(rest)[1::2] == np.arange(1, rest.size // 2 + 1)
-    count = min(paired, run)
-    exponent = np.frexp(np.maximum(np.abs(tops.real), np.abs(tops.imag)))[1]
+    z = zeros[: 2 * min(paired, run)]
+    parts = _pair_parts(tops.real, tops.imag)
+    pairs = _ConjugatePairs(z.size // 2, covered, z[0::2], z[1::2], tops.imag, closed, *parts)
+    object.__setattr__(seq, "_conjugate_cache", pairs)
+    return pairs
+
+
+def _pair_parts(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``scale``, ``a``, ``b``, ``d``, ``minus_a2`` and ``limit`` of ``_ConjugatePairs`` from the
+    parts a + i b of each pair's member with Im z >= +0."""
+    exponent = np.frexp(np.maximum(np.abs(a), np.abs(b)))[1]
     least_exponent = np.minimum.accumulate(exponent)
     with np.errstate(over="ignore", invalid="ignore"):  # only where the limit is 0
         scale = np.ldexp(1.0, -exponent)
-        a, b = tops.real * scale, tops.imag * scale
+        a, b = a * scale, b * scale
         limit = np.where(least_exponent >= -960, np.ldexp(1.0, np.minimum(255 + least_exponent, 1023)), 0.0)
-    square, z = a * a, zeros[: 2 * count]
-    pairs = _ConjugatePairs(
-        count, covered, z[0::2], z[1::2], scale, a, b, square + b * b, -square, tops.imag, limit, closed
-    )
-    object.__setattr__(seq, "_conjugate_cache", pairs)
-    return pairs
+    square = a * a
+    return scale, a, b, square + b * b, -square, limit
+
+
+def _offset_pairs(taus: np.ndarray) -> _ConjugatePairs:
+    """The pair table of the zeros +-i tau, taus > 0 ascending, whose real mode at points i x
+    sums the logs of 1 - x^2/tau^2 (``critical_line._offset_logs``)."""
+    z, closed = taus * 1j, np.arange(2 * taus.size + 1) % 2 == 0
+    return _ConjugatePairs(taus.size, taus.size, z, z.conj(), taus, closed, *_pair_parts(z.real, taus))
 
 
 def _batch_pairs(seq: ZeroSequence, near: np.ndarray, radius: float) -> _ConjugatePairs | None:

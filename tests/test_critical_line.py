@@ -212,7 +212,8 @@ class TestEvenProductForm:
             even_product_form(lbar_spec, 0.5)
 
     def test_line_form_check_prepares_once(self, sinh_line_spec, monkeypatch) -> None:
-        # V(0) and the symmetry check are computed once per T7 check, not per sample
+        # T7 takes V(0) from its profile, and its offsets close the pairs of the spec's
+        # table, which makes them sign-symmetric: no point evaluation, no symmetry check
         calls = {"eval_product": 0, "_require_sign_symmetric": 0}
         for name in calls:
             original = getattr(critical_line, name)
@@ -224,27 +225,33 @@ class TestEvenProductForm:
             monkeypatch.setattr(critical_line, name, counted)
         result = verify_identity(sinh_line_spec, "T7", x_min=0.3, x_max=2.7, samples=24)
         assert result.passed
-        assert calls == {"eval_product": 1, "_require_sign_symmetric": 1}
-        grid = np.linspace(0.3, 2.7, 24)
-        monkeypatch.undo()
-        even = critical_line._even_product_values(sinh_line_spec, grid, None)
-        assert even == [even_product_form(sinh_line_spec, float(x)) for x in grid]
+        assert calls == {"eval_product": 0, "_require_sign_symmetric": 0}
 
     @pytest.mark.parametrize("x", [31.0 + 1e-11, 100.0 - 1e-9, 2.0 - 1e-11])
     def test_even_and_literal_products_match_200_bit_next_to_roots(self, sinh_line_spec, x) -> None:
-        mpmath = pytest.importorskip("mpmath")
-        zeros = sinh_line_spec.zero_sequence.zeros
-        v0 = eval_product(sinh_line_spec, 1.0).value
-        # the literal product of T7, with the far offsets beyond x from their power sums
-        (literal,) = critical_line._literal_values(sinh_line_spec, zeros.size, np.array([x]), v0)
-        with mpmath.workprec(200):
-            s = mpmath.mpc(1.0, x)
-            reference = mpmath.mpc(sinh_line_spec.value_at_zero)
-            for z in zeros:
-                reference *= 1 - s / mpmath.mpc(z)
-            for value in (even_product_form(sinh_line_spec, x), literal):
-                assert value.imag == 0.0
-                assert float(abs(mpmath.mpc(value) - reference) / abs(reference)) <= 1e-13
+        pytest.importorskip("mpmath")
+        # T7's two forms on a profile whose first sample is x, the far zeros from the
+        # profile's power sums, and even_product_form with every zero direct
+        profile = critical_line_profile(sinh_line_spec, x, x + 1.5, 2)
+        literal, even = critical_line._line_forms(sinh_line_spec, 10_000, profile.grid, profile.v0, True)
+        (reference,) = _line_references(sinh_line_spec, [x])
+        for value in (even_product_form(sinh_line_spec, x), literal[0], even[0]):
+            assert value.imag == 0.0
+            assert float(abs(value - reference) / abs(reference)) <= 1e-13
+
+    @pytest.mark.parametrize("theorem, window", [("T7", (39.35, 40.85)), ("T6", (14.85, 16.35))])
+    def test_line_forms_match_200_bit_on_a_window(self, theorem, window, request) -> None:
+        # T7's literal and even products on line1e4, T6's genus-1 literal product on lbar,
+        # each at its profile's far radius, against the direct product at 200 bits
+        pytest.importorskip("mpmath")
+        spec = request.getfixturevalue("lbar_spec" if theorem == "T6" else "sinh_line_spec")
+        profile = critical_line_profile(spec, *window, 4)
+        forms = critical_line._line_forms(spec, len(spec.zero_sequence), profile.grid, profile.v0, theorem == "T7")
+        references = _line_references(spec, profile.grid.tolist())
+        for form in forms if theorem == "T7" else forms[:1]:
+            assert theorem == "T6" or np.all(form.imag == 0.0)
+            for value, reference in zip(form.tolist(), references):
+                assert float(abs(value - reference) / abs(reference)) <= 1e-13
 
     def test_line_form_far_powers_take_the_halved_sums(self, sinh_line_spec, monkeypatch) -> None:
         # the far offsets +-i tau are conjugate pairs: exact_power_sums sums one member of each
@@ -252,16 +259,49 @@ class TestEvenProductForm:
         original = _numeric.complex_sum
         monkeypatch.setattr(_numeric, "complex_sum", lambda values: full.append(1) or original(values))
         zeros = sinh_line_spec.zero_sequence.zeros
-        literal = critical_line._literal_values(sinh_line_spec, zeros.size, np.linspace(13.8, 15.3, 48), 1.0)
+        literal, _ = critical_line._line_forms(sinh_line_spec, zeros.size, np.linspace(13.8, 15.3, 48), 1.0, False)
         assert np.all(literal.imag == 0.0)
         assert verify_identity(sinh_line_spec, "T7", x_min=13.8, x_max=15.3, samples=48).passed
         assert full == []
+
+    def test_line_forms_of_offsets_that_mirror_within_the_tolerance(self) -> None:
+        # -1 - 1e-15 does not mirror +1 exactly: the spec's table closes no pair, so T7's
+        # literal product takes a term per factor and its even form pairs tau_hat = 1, 2
+        spec = make_symmetric_spec(xi=1.0, taus=[1.0, -1.0 - 1e-15, 2.0, -2.0], value_at_center=1.0 + 0j)
+        profile = critical_line_profile(spec, 0.3, 2.7, 9)
+        literal, even = critical_line._line_forms(spec, 4, profile.grid, profile.v0, True)
+        expected = [(1.0 - x * x) * (1.0 - x * x / 4.0) for x in profile.grid.tolist()]
+        assert np.all(even.imag == 0.0) and even.tolist() == pytest.approx(expected, rel=1e-14)
+        assert literal.tolist() == pytest.approx(expected, rel=1e-13)
+        assert verify_identity(spec, "T7", x_min=0.3, x_max=2.7, samples=9).passed
+        asymmetric = make_symmetric_spec(xi=1.0, taus=[1.0, -1.0, 2.0], value_at_center=1.0 + 0j)
+        with pytest.raises(ValueError, match="symmetry"):
+            verify_identity(asymmetric, "T7", x_min=0.3, x_max=2.7, samples=9)
 
     @pytest.mark.parametrize("theorem", ["T6", "T7"])
     def test_line_form_quantities_are_python_floats(self, theorem, request) -> None:
         spec = request.getfixturevalue("lbar_spec" if theorem == "T6" else "sinh_line_spec")
         result = verify_identity(spec, theorem, x_min=0.3, x_max=2.7, samples=24)
         assert all(type(value) is float for _, value in result.quantities)
+
+
+def _line_references(spec, xs: list[float]) -> list[complex]:
+    """V(x) = S(xi + i x) from the direct product at 200 bits, rounded to complex."""
+    import mpmath
+
+    zeros = [mpmath.mpc(z) for z in spec.zero_sequence.zeros.tolist()]
+    values = []
+    with mpmath.workprec(200):
+        product = mpmath.fprod(zeros)
+        for x in xs:
+            s = mpmath.mpc(spec.center_xi, x)
+            value = mpmath.mpc(spec.value_at_zero) * mpmath.exp(mpmath.mpc(spec.q_constant) * s) / product
+            for z in zeros:  # prod (1 - s/z) as prod (z - s) / prod z
+                value *= z - s
+            if spec.genus:
+                value *= mpmath.exp(mpmath.fsum(s / z for z in zeros))
+            values.append(complex(value))
+    return values
 
 
 class TestLinePairKernel:

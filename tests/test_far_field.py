@@ -572,6 +572,69 @@ def test_fixed_seeds_draw_the_points_they_drew_before(sinh_line_spec, sinh_genus
                 assert drawn == _draws_over_every_zero(np.random.default_rng(seed), spec, 30, avoid_origin)
 
 
+# One CLI run of each batch command on the conftest fixtures, written as spec files.
+_BUDGET_RUNS = {
+    "line": ("line", "line", "--x-min", "0.5", "--x-max", "3.5", "--samples", "40"),
+    "scan": ("scan", "line", "--x-min", "0.5", "--x-max", "3.5", "--samples", "40"),
+    "mult": ("mult", "line", "--center", "1+3i", "--radius", "0.3", "--nodes", "64"),
+    "order": ("order", "line", "--v-min", "2", "--v-max", "40", "--radii", "6", "--angular-samples", "16"),
+    "T1": ("verify-identity", "genus1", "--theorem", "T1", "--seed", "3", "--draws", "5"),
+    "T2": ("verify-identity", "line", "--theorem", "T2", "--seed", "4", "--draws", "5"),
+    "T3": ("verify-identity", "lbar", "--theorem", "T3", "--seed", "2", "--draws", "5"),
+    "T4": ("verify-identity", "line", "--theorem", "T4", "--seed", "4", "--draws", "5"),
+    "T6": ("verify-identity", "lbar", "--theorem", "T6", "--x-min", "14.8", "--x-max", "16.3", "--samples", "24"),
+    "T7": ("verify-identity", "line", "--theorem", "T7", "--x-min", "13.8", "--x-max", "15.3", "--samples", "48"),
+    "T8": ("verify-identity", "line", "--theorem", "T8", "--x-min", "0.5", "--x-max", "3.5", "--samples", "40"),
+    # the first eight of the twelve zeros in the window, 1 +- ik for k <= 4, each on a circle of radius 0.4
+    "T9": ("verify-identity", "lbar", "--theorem", "T9", "--x-min", "-6.5", "--x-max", "6.5"),
+}
+
+
+@pytest.fixture(scope="module")
+def budget_specs(tmp_path_factory, sinh_line_spec, sinh_genus1_spec, lbar_spec) -> dict[str, str]:
+    from entirefn.cli import write_spec_file
+
+    out = tmp_path_factory.mktemp("budget")
+    specs = {"line": sinh_line_spec, "genus1": sinh_genus1_spec, "lbar": lbar_spec}
+    for name, spec in specs.items():
+        write_spec_file(out / f"{name}.spec", spec)
+    return {name: str(out / f"{name}.spec") for name in specs}
+
+
+@pytest.mark.parametrize("run", list(_BUDGET_RUNS))
+def test_each_batch_command_builds_one_far_field(budget_specs, monkeypatch, run) -> None:
+    # every CLI run loads its spec afresh: its far cache starts empty
+    from entirefn import critical_line
+    from entirefn.cli import run_command
+
+    command, spec, *options = _BUDGET_RUNS[run]
+    builds, points = [], []
+    _spy(monkeypatch, product_engine, "_far_sums", builds)
+    _spy(monkeypatch, critical_line, "eval_product", points)
+    report = run_command((command, "--spec", budget_specs[spec], *options))
+    assert report.exit_code == 0 and report.errors == ()
+    assert len(builds) <= 1
+    if run == "T7":  # V(0) from the profile, the even form from the literal product's logs
+        assert points == []
+
+
+def test_line_forms_build_no_offset_sequence(budget_specs, monkeypatch) -> None:
+    # T6/T7 read the spec's own zeros and pair table: no sequence of offsets i tau
+    from entirefn import core_types
+    from entirefn.cli import load_spec_file
+
+    for name, theorem in (("line", "T7"), ("lbar", "T6")):
+        spec, _ = load_spec_file(budget_specs[name])
+        sizes, tables = [], []
+        original = core_types.ZeroSequence.__post_init__
+        monkeypatch.setattr(core_types.ZeroSequence, "__post_init__", lambda seq: sizes.append(len(seq)) or original(seq))
+        _spy(monkeypatch, product_engine, "_conjugate_pairs", tables)
+        assert verify_identity(spec, theorem, x_min=13.8, x_max=15.3, samples=48).passed
+        monkeypatch.undo()
+        assert sizes == []
+        assert len({id(pairs) for _, pairs in tables}) == 1
+
+
 def test_t8_audits_take_the_profile_far_field(monkeypatch) -> None:
     # fresh spec: the profile (radius 4.03, near taus up to 16) builds the one far
     # field, and the contour about 1 + 3i (|c| + r = 3.56: up to 14) reads it too
